@@ -6,6 +6,18 @@ averaged over fantasy observations.  All Monte-Carlo draws are made once per
 evaluation context and shared across fantasy branches and representers
 (common random numbers), which keeps objectives deterministic for the
 optimizer and makes a duplicated representer contribute exactly twice.
+
+Both engines hand the queries of a ``gains`` call together to one entropy
+kernel over grouped blocks: ``base`` (G, L, M) of fantasy-shifted candidate
+means and ``draws`` (G, M, K) of posterior draws.  The factored engine passes
+one group of C x L rows per query; the joint engine one group of L rows per
+(query, branch), and only as many queries per call as one block holds, so
+it never keeps more than that many queries' draws.  For each row and draw
+the kernel keeps a running maximum over the M candidates in cache-sized row
+blocks, updated on strict ``>``, so ties go to the lowest candidate index
+exactly as with ``np.argmax`` (which it uses directly on a block small
+enough to fit in one piece).  A non-finite block raises
+:class:`NumericalError` instead of being ranked.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import gp
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 from .optim import SearchSpace
 
 # ---------------------------------------------------------------------------
@@ -162,59 +174,89 @@ def pmin_estimate(model: gp.GpModel, context, candidates, n_function_draws: int,
 # entropy-search engine
 # ---------------------------------------------------------------------------
 
-_CHUNK_ENTRIES = 4_000_000
+# float64 entries (256 KiB) the entropy kernel works on at a time: a block
+# this size stays in a core's L2 cache
+_BLOCK = 1 << 15
 
 
-def _entropies_shared(base: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Entropy of the argmax distribution of base[g] + s per row g."""
-    g_total, m = base.shape
-    k = s.shape[1]
-    out = np.empty(g_total)
-    step = max(1, _CHUNK_ENTRIES // (m * k))
-    for lo in range(0, g_total, step):
-        hi = min(lo + step, g_total)
-        vals = base[lo:hi, :, None] + s[None, :, :]
-        idx = np.argmax(vals, axis=1)
-        offset = idx + (np.arange(hi - lo) * m)[:, None]
-        counts = np.bincount(offset.ravel(), minlength=(hi - lo) * m)
-        p = counts.reshape(hi - lo, m) / k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.where(p > 0, np.log(np.clip(p, 1e-300, None)), 0.0)
-        out[lo:hi] = -(p * logp).sum(axis=1)
-    return out
+def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Entropy of the Monte-Carlo argmax distribution per group and row.
+
+    ``base`` is (G, L, M) and ``draws`` (G, M, K): in draw k, row l of group
+    g scores candidate m as ``base[g, l, m] + draws[g, m, k]``.  Returns the
+    (G, L) entropies of the best candidate's distribution over the K draws,
+    with ties going to the lowest candidate index.  A block that fits in
+    ``_BLOCK`` whole is argmaxed in one piece; a larger one keeps a running
+    maximum over candidates in reused row-block buffers, updated on strict
+    ``>``, which picks the same index as ``np.argmax``.
+    """
+    g_n, l_n, m = base.shape
+    k = draws.shape[2]
+    if not (np.isfinite(base).all() and np.isfinite(draws).all()):
+        raise NumericalError("non-finite value in an entropy-search block")
+    if g_n * l_n * m * k <= _BLOCK:
+        idx = np.argmax(base[:, :, :, None] + draws[:, None], axis=2)
+    else:
+        idx_type = np.min_scalar_type(m - 1)
+        idx = np.zeros((g_n, l_n, k), dtype=idx_type)
+        l_blk = min(l_n, max(1, _BLOCK // k))
+        g_blk = min(g_n, max(1, _BLOCK // (k * l_blk)))
+        best = np.empty((g_blk, l_blk, k))
+        val = np.empty_like(best)
+        moved = np.empty(best.shape, dtype=idx_type)
+        base_m = base.transpose(2, 0, 1)[..., None]     # (M, G, L, 1)
+        draws_m = draws.transpose(1, 0, 2)[:, :, None]  # (M, G, 1, K)
+        for g0 in range(0, g_n, g_blk):
+            for l0 in range(0, l_n, l_blk):
+                b = base_m[:, g0:g0 + g_blk, l0:l0 + l_blk]
+                d = draws_m[:, g0:g0 + g_blk]
+                gs, ls = b.shape[1:3]
+                top, v, up = best[:gs, :ls], val[:gs, :ls], moved[:gs, :ls]
+                arg = idx[g0:g0 + gs, l0:l0 + ls]
+                np.add(b[0], d[0], out=top)
+                for j in range(1, m):
+                    np.add(b[j], d[j], out=v)
+                    np.greater(v, top, out=up)
+                    np.maximum(top, v, out=top)
+                    # the running index only grows, so max(arg, j * up)
+                    # moves it to j exactly where the maximum did
+                    np.multiply(up, j, out=up)
+                    np.maximum(arg, up, out=arg)
+    rows = g_n * l_n
+    offset = idx.reshape(rows, k) + (np.arange(rows) * m)[:, None]
+    counts = np.bincount(offset.ravel(), minlength=rows * m)
+    p = counts.reshape(rows, m) / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(p > 0, np.log(np.clip(p, 1e-300, None)), 0.0)
+    return -(p * logp).sum(axis=1).reshape(g_n, l_n)
 
 
-def _entropies_stacked(base: np.ndarray, s: np.ndarray, branch_of: np.ndarray) -> np.ndarray:
-    """Like :func:`_entropies_shared` but with a per-row draw tensor."""
-    g_total, m = base.shape
-    k = s.shape[2]
-    out = np.empty(g_total)
-    step = max(1, _CHUNK_ENTRIES // (m * k))
-    for lo in range(0, g_total, step):
-        hi = min(lo + step, g_total)
-        vals = base[lo:hi, :, None] + s[branch_of[lo:hi]]
-        idx = np.argmax(vals, axis=1)
-        offset = idx + (np.arange(hi - lo) * m)[:, None]
-        counts = np.bincount(offset.ravel(), minlength=(hi - lo) * m)
-        p = counts.reshape(hi - lo, m) / k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.where(p > 0, np.log(np.clip(p, 1e-300, None)), 0.0)
-        out[lo:hi] = -(p * logp).sum(axis=1)
-    return out
+def _summed_gains(h0: np.ndarray, ent: np.ndarray, per_branch: bool) -> np.ndarray:
+    """Gains from prior entropies h0 (C,) and fantasy entropies (B, C, L)."""
+    branch_gains = h0 - ent.mean(axis=2)
+    return branch_gains if per_branch else branch_gains.sum(axis=1)
 
 
 def _stacked_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
-    """Batched lower Cholesky with escalating jitter shared across the stack."""
-    jitter = 0.0
+    """Batched lower Cholesky with escalating jitter shared across the stack.
+
+    The jitter climbs from 1e-10 to the fit-time ceiling of 1e-4 (both times
+    ``scale``); past the ceiling it raises :class:`NumericalError`.
+    """
     eye = np.eye(sigma.shape[-1])
+    cap = 1e-4 * scale
+    tried = []
+    jitter = 0.0
     while True:
         try:
             return np.linalg.cholesky(sigma + jitter * eye)
         except np.linalg.LinAlgError:
-            jitter = 1e-10 * scale if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-4 * scale:
-                # final attempt with the cap; matches the fit-time policy ceiling
-                return np.linalg.cholesky(sigma + 1e-4 * scale * eye)
+            tried.append(jitter)
+        if jitter == cap:
+            raise NumericalError(
+                f"stacked Cholesky failed after jitter up to {cap:.3e}",
+                jitters=tried)
+        jitter = min(1e-10 * scale if jitter == 0.0 else jitter * 10.0, cap)
 
 
 class JointEsEngine:
@@ -269,7 +311,7 @@ class JointEsEngine:
         self._scale = h.signal_variance + h.noise_variance
         l0 = _stacked_cholesky(sigma, self._scale)
         s0 = np.einsum("cml,lk->cmk", l0, self.z)
-        self.h0 = _entropies_stacked(mu0, s0, np.arange(c_n))
+        self.h0 = _argmax_entropies(mu0[:, None, :], s0)[:, 0]
 
     def gains(self, queries: np.ndarray, per_branch: bool = False) -> np.ndarray:
         """Summed information gain for each query row."""
@@ -292,23 +334,28 @@ class JointEsEngine:
         s2_obs = np.maximum(s2_lat + h.noise_variance, 1e-12 * self._scale)
         sd_obs = np.sqrt(s2_obs)
 
-        l_n = self.cfg.n_fantasies
-        branch_of = np.repeat(np.arange(self.c_n), l_n)
-        out = np.empty((b_n, self.c_n)) if per_branch else np.empty(b_n)
-        for b in range(b_n):
-            cb = cross[:, :, b]
-            sig_plus = self.sigma - np.einsum("cm,cn->cmn", cb, cb) / s2_obs[b]
-            l_plus = _stacked_cholesky(sig_plus, self._scale)
-            s_plus = np.einsum("cml,lk->cmk", l_plus, self.z)
-            shift = (self.u[None, :, None] / sd_obs[b]) * cb[:, None, :]
-            base = (self.mu0[:, None, :] + shift).reshape(self.c_n * l_n, self.m)
-            ent = _entropies_stacked(base, s_plus, branch_of).reshape(self.c_n, l_n)
-            branch_gains = self.h0 - ent.mean(axis=1)
-            if per_branch:
-                out[b] = branch_gains
-            else:
-                out[b] = branch_gains.sum()
-        return out
+        c_n, m, l_n = self.c_n, self.m, self.cfg.n_fantasies
+        k = self.z.shape[1]
+        shift = ((self.u[None, None, :, None] / sd_obs[:, None, None, None])
+                 * cross.transpose(2, 0, 1)[:, :, None, :])  # (B, C, L, M)
+        base = (self.mu0[None, :, None, :] + shift).reshape(b_n, c_n * l_n, m)
+        ent = np.empty((b_n, c_n * l_n))
+        # queries per kernel call: as many as one block holds, at least one;
+        # few-branch engines batch a whole call, many-branch ones hold one
+        # query's C draw matrices at a time
+        step = max(1, _BLOCK // (c_n * l_n * k))
+        for lo in range(0, b_n, step):
+            hi = min(lo + step, b_n)
+            draws = np.empty((hi - lo, c_n, m, k))
+            for b in range(lo, hi):
+                cb = cross[:, :, b]
+                sig_plus = self.sigma - np.einsum("cm,cn->cmn", cb, cb) / s2_obs[b]
+                l_plus = _stacked_cholesky(sig_plus, self._scale)
+                draws[b - lo] = np.einsum("cml,lk->cmk", l_plus, self.z)
+            ent[lo:hi] = _argmax_entropies(
+                base[lo:hi].reshape(-1, l_n, m), draws.reshape(-1, m, k)
+            ).reshape(hi - lo, -1)
+        return _summed_gains(self.h0, ent.reshape(b_n, c_n, l_n), per_branch)
 
 
 class EnsembleEsEngine:
@@ -352,7 +399,7 @@ class EnsembleEsEngine:
         self._scale = h.signal_variance + h.noise_variance
         l0 = _stacked_cholesky(self.sigma[None], self._scale)[0]
         s0 = l0 @ self.z
-        self.h0 = _entropies_shared(self.mu0, s0)
+        self.h0 = _argmax_entropies(self.mu0[None], s0[None])[0]
 
     def gains(self, queries: np.ndarray, per_branch: bool = False) -> np.ndarray:
         ens = self.ensemble
@@ -375,70 +422,14 @@ class EnsembleEsEngine:
         sd_obs = np.sqrt(s2_obs)
 
         l_n = self.cfg.n_fantasies
-        out = np.empty((b_n, c_n)) if per_branch else np.empty(b_n)
+        draws = np.empty((b_n, self.m, self.z.shape[1]))
         for b in range(b_n):
             cb = cross[:, b]
             sig_plus = self.sigma - np.outer(cb, cb) / s2_obs[b]
             l_plus = _stacked_cholesky(sig_plus[None], self._scale)[0]
-            s_plus = l_plus @ self.z
-            shift = (self.u[:, None] / sd_obs[b]) * cb[None, :]  # (L, M)
-            base = (self.mu0[:, None, :] + shift[None, :, :]).reshape(c_n * l_n, self.m)
-            ent = _entropies_shared(base, s_plus).reshape(c_n, l_n)
-            branch_gains = self.h0 - ent.mean(axis=1)
-            if per_branch:
-                out[b] = branch_gains
-            else:
-                out[b] = branch_gains.sum()
-        return out
-
-
-# ---------------------------------------------------------------------------
-# public objectives
-# ---------------------------------------------------------------------------
-
-
-def info_gain(model: gp.GpModel, query, rep_context, candidates, cfg: AcqConfig,
-              rng: np.random.Generator) -> float:
-    """Expected entropy reduction of the argmax belief at one context.
-
-    ``query`` is a point in the model's input space; ``rep_context`` plus each
-    candidate row forms the evaluation set the belief lives on.
-    """
-    rep_context = np.atleast_1d(np.asarray(rep_context, dtype=float))
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    reps = RepresenterSet(rep_context[None, :], candidates[None, :, :],
-                          env_dim=0)
-    engine = JointEsEngine(model, reps, cfg, rng=rng)
-    return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
-
-
-def aces_objective(model: gp.GpModel, query, reps: RepresenterSet,
-                   cfg: AcqConfig) -> float:
-    """Total information gain across representer contexts under a joint model."""
-    engine = JointEsEngine(model, reps, cfg)
-    return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
-
-
-def faces_objective(models, query, reps: RepresenterSet, cfg: AcqConfig) -> float:
-    """Total information gain with one specialized model per representer.
-
-    ``models`` has one fitted model per representer context, each over the
-    (environment-context, parameter) input space.  The query lives in that
-    same space.  Draws are shared across representers.
-    """
-    models = list(models)
-    if len(models) != reps.n_contexts:
-        raise ContractError("need exactly one model per representer context")
-    rng = np.random.default_rng(cfg.rng_seed)
-    m = reps.n_candidates
-    z = rng.standard_normal((m, cfg.n_function_draws))
-    u = rng.standard_normal(cfg.n_fantasies)
-    env = reps.env_contexts
-    total = 0.0
-    q = np.asarray(query, dtype=float)[None, :]
-    for c, model in enumerate(models):
-        single = RepresenterSet(env[c][None, :], reps.candidates[c][None, :, :],
-                                env_dim=env.shape[1])
-        engine = JointEsEngine(model, single, cfg, draws=(z, u))
-        total += float(engine.gains(q)[0])
-    return total
+            draws[b] = l_plus @ self.z
+        shift = ((self.u[None, :, None] / sd_obs[:, None, None])
+                 * cross.T[:, None, :])  # (B, L, M)
+        base = self.mu0[None, :, None, :] + shift[:, None]  # (B, C, L, M)
+        ent = _argmax_entropies(base.reshape(b_n, c_n * l_n, self.m), draws)
+        return _summed_gains(self.h0, ent.reshape(b_n, c_n, l_n), per_branch)

@@ -11,7 +11,7 @@ import pytest
 from fcps import cli, harness
 from fcps.acquisition import AcqConfig
 from fcps.algorithms import LearnerConfig
-from fcps.errors import ContractError
+from fcps.errors import ContractError, NumericalError
 from fcps.experience import Context
 from fcps.harness import (
     ExperimentConfig,
@@ -175,6 +175,24 @@ def test_partial_result_serialized_on_component_error(tmp_path, monkeypatch):
     assert payload["error"] == "synthetic failure"
     assert payload["completed_seeds"] == [0]
     assert len(payload["online_rewards"]) == 1
+
+
+def test_partial_result_serialized_on_entropy_search_failure(tmp_path, monkeypatch):
+    # every factorization fails, so the stacked Cholesky in entropy search
+    # runs out of jitter and the run must record a partial result
+    def no_factor(a):
+        raise np.linalg.LinAlgError("synthetic")
+
+    learner = LearnerConfig(algorithm="bo-fcps", acquisition_kind="es",
+                            init_episodes=1, **TINY_LEARNER)
+    config = tiny_config(episodes=3, evaluation_period=10, learner=learner)
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    with pytest.raises(NumericalError) as exc:
+        run(config, partial_dir=tmp_path)
+    assert exc.value.jitters[0] == 0.0
+    payload = json.loads((tmp_path / "partial_result.json").read_text())
+    assert "Cholesky" in payload["error"]
+    assert payload["completed_seeds"] == []
 
 
 # -- generalization study ---------------------------------------------------
