@@ -125,10 +125,12 @@ def _maximize(objective, space: SearchSpace, cfg: LearnerConfig):
 def _ucb_over_theta(model, prefix: np.ndarray, theta_space: SearchSpace,
                     kappa: float, cfg: LearnerConfig) -> np.ndarray:
     prefix = np.asarray(prefix, dtype=float)
+    n_prefix = prefix.shape[0]
 
     def objective(thetas):
-        pts = np.hstack([np.broadcast_to(prefix, (thetas.shape[0],
-                                                  prefix.shape[0])), thetas])
+        pts = np.empty((thetas.shape[0], n_prefix + thetas.shape[1]))
+        pts[:, :n_prefix] = prefix
+        pts[:, n_prefix:] = thetas
         mean, var = gp.predict_batch(model, pts)
         return gp_ucb(mean, np.sqrt(var), kappa)
 
@@ -150,16 +152,6 @@ def bocps_select(dataset, query_context: Context, context_space: SearchSpace,
                    standardize=True)
     k = cfg.acquisition.kappa if kappa is None else kappa
     return _ucb_over_theta(model, query_context.full, theta_space, k, cfg)
-
-
-def bofcps_her_select(dataset, query_context: Context,
-                      context_space: SearchSpace, theta_space: SearchSpace,
-                      hyperparams, cfg: LearnerConfig,
-                      *, kappa: float | None = None) -> np.ndarray:
-    """Same machinery as plain joint-model selection; the dataset is
-    expected to carry one relabeled sample per rollout."""
-    return bocps_select(dataset, query_context, context_space, theta_space,
-                        hyperparams, cfg, kappa=kappa)
 
 
 def _reduced_dataset(store: ExperienceStore, reward_fn, target,
@@ -595,15 +587,15 @@ class BofcpsHerLearner(_BoLearnerBase):
         planned = self._init_theta()
         if planned is not None:
             return planned
-        return bofcps_her_select(dataset, context, self.context_space,
-                                 self.theta_space, hyperparams, self.cfg)
+        return bocps_select(dataset, context, self.context_space,
+                            self.theta_space, hyperparams, self.cfg)
 
     def select_greedy(self, context: Context) -> np.ndarray:
         hyperparams = self._hyperparams or _initial_hyperparams(
             self.context_space.dim + self.theta_space.dim)
-        return bofcps_her_select(self._dataset_with_relabels(), context,
-                                 self.context_space, self.theta_space,
-                                 hyperparams, self.cfg, kappa=0.0)
+        return bocps_select(self._dataset_with_relabels(), context,
+                            self.context_space, self.theta_space,
+                            hyperparams, self.cfg, kappa=0.0)
 
     def _dataset_with_relabels(self) -> tuple[np.ndarray, np.ndarray]:
         if not self._contexts_full:

@@ -12,6 +12,7 @@ d(nlml)/dt = -0.5 tr((alpha alpha^T - K^{-1}) dK/dt) over log-hyperparameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -99,10 +100,30 @@ class GpModel:
             return np.asarray(x, dtype=float)
         return (np.asarray(x, dtype=float) - self.x_lo) / self.x_span
 
+    @cached_property
+    def scaled_xt(self) -> tuple[np.ndarray, np.ndarray]:
+        """Length-scaled training rows and their squared norms, computed on
+        first use and kept with the model (not a dataclass field, so
+        equality and ``repr`` ignore it)."""
+        return _scaled_rows(self.xt, self.hyperparams)
+
 
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
+
+
+def _scaled_rows(x: np.ndarray, h: KernelHyperparams) -> tuple[np.ndarray, np.ndarray]:
+    s = x / h.lengthscales
+    return s, np.sum(s**2, axis=1)
+
+
+def _kernel_scaled(a, b, h: KernelHyperparams) -> np.ndarray:
+    """Kernel matrix from two ``_scaled_rows`` pairs."""
+    (sa, sa_sq), (sb, sb_sq) = a, b
+    sq = sa_sq[:, None] + sb_sq[None, :] - 2.0 * (sa @ sb.T)
+    np.maximum(sq, 0.0, out=sq)
+    return h.signal_variance * np.exp(-0.5 * sq)
 
 
 def kernel_eval(a, b, h: KernelHyperparams) -> np.ndarray:
@@ -111,15 +132,7 @@ def kernel_eval(a, b, h: KernelHyperparams) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != h.dim or b.shape[1] != h.dim:
         raise ContractError("input dimension does not match kernel lengthscales")
-    sa = a / h.lengthscales
-    sb = b / h.lengthscales
-    sq = (
-        np.sum(sa**2, axis=1)[:, None]
-        + np.sum(sb**2, axis=1)[None, :]
-        - 2.0 * (sa @ sb.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return h.signal_variance * np.exp(-0.5 * sq)
+    return _kernel_scaled(_scaled_rows(a, h), _scaled_rows(b, h), h)
 
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -214,10 +227,9 @@ def predict_batch(m: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
         mean_t = np.zeros(len(x))
         var_t = np.full(len(x), h.signal_variance)
     else:
-        xt = m.transform_inputs(x)
-        ks = kernel_eval(xt, m.xt, h)
+        ks = _kernel_scaled(_scaled_rows(m.transform_inputs(x), h), m.scaled_xt, h)
         mean_t = ks @ m.weights
-        v = solve_triangular(m.chol, ks.T, lower=True)
+        v = solve_triangular(m.chol, ks.T, lower=True, check_finite=False)
         var_t = h.signal_variance - np.sum(v**2, axis=0)
         np.maximum(var_t, 0.0, out=var_t)
     return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * var_t

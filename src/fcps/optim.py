@@ -2,9 +2,14 @@
 
 The global stage is a DIRECT-style rectangle subdivision on the unit cube
 with trisection along the longest side only (ties broken by the lowest
-dimension index), which keeps the search fully deterministic.  The local
-stage wraps scipy's bounded L-BFGS with central finite differences when no
-analytic gradient is supplied.
+dimension index), which keeps the search fully deterministic.  Its state is
+a set of arrays preallocated to the evaluation budget, one row per
+rectangle: center, trisection counts, value, half-diagonal and size-class
+key; a row changes only when its rectangle is split.  Each iteration picks
+the potentially optimal rectangles with one sort by size class and value
+and one slope matrix over the class representatives.  The local stage wraps
+scipy's bounded L-BFGS with central finite differences when no analytic
+gradient is supplied.
 """
 
 from __future__ import annotations
@@ -112,131 +117,138 @@ def _as_batch(f, vectorized: bool):
     return lambda pts: np.array([float(f(p)) for p in pts])
 
 
-class _DirectState:
-    """Rectangle bookkeeping for one DIRECT run, in unit-cube coordinates."""
+# trisection offsets 3**-(level + 1) by level, each from numpy's int64
+# scalar power: at level 20 it rounds differently from Python's float power
+_THIRDS = np.array([3.0 ** -(np.int64(level) + 1) for level in range(_MIN_LEVEL + 1)])
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.centers: list[np.ndarray] = []
-        self.levels: list[np.ndarray] = []  # trisection counts per dimension
-        self.values: list[float] = []
-        self.evals = 0
+
+class _DirectState:
+    """Rectangle bookkeeping for one DIRECT run, in unit-cube coordinates.
+
+    Rows ``[0, n)`` hold the rectangles made so far; a size class is the
+    half-diagonal (``measures``) rounded to 14 decimals (``keys``).
+    """
+
+    def __init__(self, dim: int, capacity: int):
+        self.n = 0
+        self.centers = np.empty((capacity, dim))
+        self.levels = np.empty((capacity, dim), dtype=np.int64)
+        self.values = np.empty(capacity)
+        self.measures = np.empty(capacity)
+        self.keys = np.empty(capacity)
+        self.splittable = np.empty(capacity, dtype=bool)
         self.best_index = 0
 
     @property
     def best_value(self) -> float:
-        return self.values[self.best_index]
+        return float(self.values[self.best_index])
 
     @property
     def best_center(self) -> np.ndarray:
         return self.centers[self.best_index]
 
-    def measures(self) -> np.ndarray:
-        lev = np.array(self.levels)
-        return 0.5 * np.sqrt(np.sum(9.0 ** (-lev.astype(float)), axis=1))
+    def _set_levels(self, rows, levels: np.ndarray) -> None:
+        measures = 0.5 * np.sqrt(np.sum(9.0 ** (-levels.astype(float)), axis=1))
+        self.levels[rows] = levels
+        self.measures[rows] = measures
+        self.keys[rows] = np.round(measures, 14)
+        self.splittable[rows] = levels.min(axis=1) < _MIN_LEVEL
+
+    def add(self, centers: np.ndarray, levels: np.ndarray, values: np.ndarray) -> None:
+        """Append rectangles; the incumbent moves only on strict improvement,
+        to the first of equal best values."""
+        start, m = self.n, len(values)
+        rows = slice(start, start + m)
+        self.centers[rows] = centers
+        self.values[rows] = values
+        self._set_levels(rows, levels)
+        self.n = start + m
+        j = int(np.argmax(values))
+        if start == 0 or values[j] > self.values[self.best_index]:
+            self.best_index = start + j
+
+    def split(self, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Trisect each chosen rectangle along its longest side (lowest
+        dimension on ties); returns the two new centers per rectangle, low
+        side first, and their trisection counts."""
+        levels = self.levels[chosen]
+        rows = np.arange(len(chosen))
+        side = np.argmin(levels, axis=1)
+        delta = _THIRDS[levels[rows, side]]
+        levels[rows, side] += 1
+        self._set_levels(chosen, levels)
+        points = np.repeat(self.centers[chosen], 2, axis=0)
+        points[2 * rows, side] -= delta
+        points[2 * rows + 1, side] += delta
+        return points, np.repeat(levels, 2, axis=0)
 
     def ranked_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Centers and values ordered by decreasing value (stable)."""
-        vals = np.array(self.values)
+        vals = self.values[:self.n]
         order = np.argsort(-vals, kind="stable")
-        return np.array(self.centers)[order], vals[order]
+        return self.centers[:self.n][order], vals[order]
 
 
-def _potentially_optimal(state: _DirectState) -> list[int]:
-    """Indices of rectangles to subdivide this iteration.
+def _potentially_optimal(state: _DirectState) -> np.ndarray:
+    """Indices of rectangles to subdivide this iteration, by increasing size.
 
     A rectangle is potentially optimal when some slope K > 0 makes its
     value-plus-K-times-size bound dominate every other rectangle and clear
     the current best by the usual epsilon margin.  Only the best (lowest
-    creation index) rectangle of each size class is considered.
+    creation index) rectangle of each size class is considered.  Slopes
+    that come out NaN (between two -inf values) constrain nothing.
     """
-    d = state.measures()
-    vals = np.array(state.values)
-    lev = np.array(state.levels)
-    splittable = lev.min(axis=1) < _MIN_LEVEL
-    if not splittable.any():
-        return []
-
-    keys = np.round(d, 14)
-    reps: dict[float, int] = {}
-    for i in np.flatnonzero(splittable):
-        k = keys[i]
-        j = reps.get(k)
-        if j is None or vals[i] > vals[j]:
-            reps[k] = int(i)
-    sizes = sorted(reps)
-    idx = [reps[k] for k in sizes]
+    n = state.n
+    candidates = np.flatnonzero(state.splittable[:n])
+    if candidates.size == 0:
+        return candidates
+    vals = state.values[:n]
+    keys = state.keys[candidates]
+    # by size class, then best value first; the stable sort keeps the
+    # lowest index first among equal values
+    order = np.lexsort((-vals[candidates], keys))
+    sorted_keys = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    idx = candidates[order[first]]
     f = vals[idx]
-    dd = d[idx]
+    dd = state.measures[idx]
     f_max = vals.max()
     threshold = f_max + _PO_EPSILON * abs(f_max)
 
-    chosen = []
-    for j in range(len(idx)):
-        k_lo = 0.0
-        for i in range(j):
-            k_lo = max(k_lo, (f[i] - f[j]) / (dd[j] - dd[i]))
-        k_hi = np.inf
-        for i in range(j + 1, len(idx)):
-            k_hi = min(k_hi, (f[j] - f[i]) / (dd[i] - dd[j]))
-        if k_hi < k_lo or k_hi <= 0.0:
-            continue
-        bound = f[j] + k_hi * dd[j] if np.isfinite(k_hi) else np.inf
-        if bound >= threshold:
-            chosen.append(idx[j])
-    return chosen
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # slope[j, i] = (f[i] - f[j]) / (dd[j] - dd[i]); its transpose holds
+        # the slopes toward larger classes
+        slope = (f[None, :] - f[:, None]) / (dd[:, None] - dd[None, :])
+        smaller = np.tri(idx.size, k=-1, dtype=bool)  # [j, i]: i < j
+        k_lo = np.fmax.reduce(np.where(smaller, slope, 0.0), axis=1)
+        k_hi = np.fmin.reduce(np.where(smaller, slope, np.inf), axis=0)
+        bound = np.where(np.isfinite(k_hi), f + k_hi * dd, np.inf)
+    keep = (k_hi >= k_lo) & (k_hi > 0.0) & (bound >= threshold)
+    return idx[keep]
 
 
 def _direct_search(f_batch, dim: int, max_evals: int) -> _DirectState:
-    state = _DirectState(dim)
-    center = np.full(dim, 0.5)
-    v = f_batch(center[None, :])[0]
+    state = _DirectState(dim, max_evals)
+    center = np.full((1, dim), 0.5)
+    v = f_batch(center)[0]
     if not np.isfinite(v):
         _log.warning("objective returned non-finite value at the box center")
         v = -np.inf
-    state.centers.append(center)
-    state.levels.append(np.zeros(dim, dtype=np.int64))
-    state.values.append(float(v))
-    state.evals = 1
+    state.add(center, np.zeros((1, dim), dtype=np.int64), np.array([v], dtype=float))
 
-    while state.evals + 2 <= max_evals:
+    while state.n + 2 <= max_evals:
         chosen = _potentially_optimal(state)
-        if not chosen:
+        if not chosen.size:
             break
-        budget_pairs = (max_evals - state.evals) // 2
-        chosen = chosen[:budget_pairs]
-
-        new_points = []
-        split_dims = []
-        for i in chosen:
-            lev = state.levels[i]
-            side_dim = int(np.argmin(lev))  # longest side; ties -> lowest index
-            delta = 3.0 ** (-(lev[side_dim] + 1))
-            c = state.centers[i]
-            lo_pt = c.copy()
-            lo_pt[side_dim] -= delta
-            hi_pt = c.copy()
-            hi_pt[side_dim] += delta
-            new_points.extend([lo_pt, hi_pt])
-            split_dims.append(side_dim)
-
-        vals = f_batch(np.array(new_points))
+        chosen = chosen[:(max_evals - state.n) // 2]
+        points, levels = state.split(chosen)
+        vals = f_batch(points)
         bad = ~np.isfinite(vals)
         if bad.any():
             _log.warning("objective returned %d non-finite values; treated as -inf", int(bad.sum()))
             vals = np.where(bad, -np.inf, vals)
-
-        for pair, (i, side_dim) in enumerate(zip(chosen, split_dims)):
-            new_level = state.levels[i].copy()
-            new_level[side_dim] += 1
-            state.levels[i] = new_level
-            for k in range(2):
-                state.centers.append(new_points[2 * pair + k])
-                state.levels.append(new_level.copy())
-                state.values.append(float(vals[2 * pair + k]))
-                state.evals += 1
-                if state.values[-1] > state.best_value:
-                    state.best_index = len(state.values) - 1
+        state.add(points, levels, vals)
     return state
 
 
@@ -263,13 +275,12 @@ def _central_gradient(batch_f, x: np.ndarray, space: SearchSpace) -> np.ndarray:
     """Central finite differences with step 1e-6 * span, one-sided at bounds."""
     h = 1e-6 * space.span
     d = space.dim
-    fwd = np.repeat(x[None, :], d, axis=0)
-    bwd = np.repeat(x[None, :], d, axis=0)
-    for j in range(d):
-        fwd[j, j] = min(x[j] + h[j], space.upper[j])
-        bwd[j, j] = max(x[j] - h[j], space.lower[j])
-    vals = batch_f(np.vstack([fwd, bwd]))
-    denom = fwd[np.arange(d), np.arange(d)] - bwd[np.arange(d), np.arange(d)]
+    diag = np.arange(d)
+    steps = np.repeat(x[None, :], 2 * d, axis=0)  # forward rows, then backward
+    steps[diag, diag] = np.minimum(x + h, space.upper)
+    steps[d + diag, diag] = np.maximum(x - h, space.lower)
+    vals = batch_f(steps)
+    denom = steps[diag, diag] - steps[d + diag, diag]
     grad = np.zeros(d)
     ok = denom > 0
     grad[ok] = (vals[:d][ok] - vals[d:][ok]) / denom[ok]

@@ -7,6 +7,11 @@ primitive from a start position, releases a ball with the end-effector's
 final state, and scores the ballistic landing point.  Both environments
 satisfy the factorization premise: the commanded target never enters the
 dynamics, so outcomes can be re-scored under arbitrary targets.
+
+A cannon landing is found by a vectorized scan of the arc on a 0.01 time
+grid, then bisection on Python floats that stops at its fixed point, the
+first step that leaves the bracket unchanged (after about 45 steps, at
+most 100); the result equals that of 100 bisection steps bit for bit.
 """
 
 from __future__ import annotations
@@ -138,14 +143,38 @@ _LANDING_DT = 0.01
 _LANDING_TMAX = 100.0
 
 
+def _point_elevation(world: CannonWorld):
+    """``terrain_elevation`` at one point, on Python floats.
+
+    The per-hill constants are taken once; the operations and their order
+    are those of ``terrain_elevation`` on a single point, so the two agree
+    bit for bit.  That means numpy's exp and hypot (``math.exp`` can round
+    differently) and ``** 2``, which is libm's pow on a scalar and now and
+    then differs from ``x * x`` in the last bit.
+    """
+    hills = [(float(h.center[0]), float(h.center[1]), h.height,
+              2.0 * h.width**2) for h in world.hills]
+    blend = PAD_BLEND_RADIUS - PAD_RADIUS
+
+    def elevation(x: float, y: float) -> float:
+        total = 0.0
+        for cx, cy, height, denom in hills:
+            d2 = (x - cx) ** 2 + (y - cy) ** 2
+            total += height * float(np.exp(-d2 / denom))
+        u = min(max((float(np.hypot(x, y)) - PAD_RADIUS) / blend, 0.0), 1.0)
+        return u * u * u * (u * (6.0 * u - 15.0) + 10.0) * total
+
+    return elevation
+
+
 def _first_landing_time(world: CannonWorld, vel: np.ndarray) -> float:
     """First t > 0 where the ballistic arc meets the terrain."""
     g = world.gravity
-    vz = vel[2]
+    vx, vy, vz = (float(c) for c in vel)
+    elevation = _point_elevation(world)
 
     def gap(t):
-        z = vz * t - 0.5 * g * t * t
-        return z - terrain_elevation(world, vel[0] * t, vel[1] * t)
+        return (vz * t - 0.5 * g * t * t) - elevation(vx * t, vy * t)
 
     # terrain never dips below the z = 0 plane, so the flat-ground landing
     # time bounds the search horizon
@@ -156,19 +185,25 @@ def _first_landing_time(world: CannonWorld, vel: np.ndarray) -> float:
     if t_flat > _LANDING_DT:
         grid = np.arange(_LANDING_DT, t_flat + 2 * _LANDING_DT, _LANDING_DT)
         z = vz * grid - 0.5 * g * grid * grid
-        gaps = z - terrain_elevation(world, vel[0] * grid, vel[1] * grid)
+        gaps = z - terrain_elevation(world, vx * grid, vy * grid)
         below = gaps <= 0.0
         if not np.any(below):
             raise ContractError("ballistic arc never re-enters the terrain")
         first = int(np.argmax(below))
-        hi = grid[first]
+        hi = float(grid[first])
     lo = max(hi - _LANDING_DT, 0.0)
-    # the set {t: arc above ground} starts at 0+, so bisect its boundary
+    # the set {t: arc above ground} starts at 0+, so bisect its boundary;
+    # a step that moves neither end would repeat forever, so the result is
+    # that of all 100 steps
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     t_land = 0.5 * (lo + hi)
     if abs(gap(t_land)) > 1e-8:

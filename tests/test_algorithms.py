@@ -16,7 +16,6 @@ from fcps.algorithms import (
     FacesLearner,
     LearnerConfig,
     bocps_select,
-    bofcps_her_select,
     creps_dual,
     creps_features,
     creps_update,
@@ -184,16 +183,20 @@ def test_factored_inputs_ignore_collection_targets():
 
 
 def test_relabel_disabled_matches_plain_select():
-    rng = np.random.default_rng(1)
-    inputs = np.hstack([TARGET2.sample_uniform(9, rng),
-                        THETA2.sample_latin(9, rng)])
-    rewards = rng.normal(size=9)
-    h = gp.KernelHyperparams(1.0, np.full(4, 0.3), 1e-2)
+    """The relabeling learner selects by plain joint-model selection; only
+    its dataset differs, carrying one relabeled row per rollout."""
+    learner = seeded_echo_learner("bo-fcps-her", init_episodes=0)
+    feed_latin_rollouts(learner, 6)
+    learner.select(Context(target=np.array([0.5, -0.5]), env=np.zeros(0)))
     query = Context(target=np.array([0.0, 0.0]), env=np.zeros(0))
-    cfg = small_config()
-    a = bocps_select((inputs, rewards), query, TARGET2, THETA2, h, cfg)
-    b = bofcps_her_select((inputs, rewards), query, TARGET2, THETA2, h, cfg)
-    assert np.array_equal(a, b)
+    dataset = learner._dataset_with_relabels()
+    h = learner._hyperparams
+    assert h is not None
+    expected = bocps_select(dataset, query, TARGET2, THETA2, h, learner.cfg,
+                            kappa=0.0)
+    assert np.array_equal(learner.select_greedy(query), expected)
+    expected = bocps_select(dataset, query, TARGET2, THETA2, h, learner.cfg)
+    assert np.array_equal(learner.select(query), expected)
 
 
 def test_relabeled_dataset_layout():

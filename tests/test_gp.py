@@ -5,16 +5,21 @@ independent dense linear-algebra script (plain numpy solves, no Cholesky
 caching) and frozen here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from fcps.errors import ContractError, NumericalError
 from fcps.gp import (
     GpModel,
     KernelHyperparams,
     _chol_with_jitter,
+    ensemble_branch_model,
     fantasize,
     fit,
+    fit_shared_inputs,
     kernel_eval,
     nlml,
     optimize_hyperparams,
@@ -333,3 +338,86 @@ def test_refit_improves_or_keeps_nlml():
     v2, _ = nlml(m2.xt, m2.yt, m2.hyperparams)
     assert v2 <= v1 + 1e-12
     assert isinstance(m2, GpModel)
+
+
+# -- predict_batch against the per-call kernel computation ------------------
+
+
+def _kernel_per_call(a, b, h):
+    """``kernel_eval`` as it was before its scaled-row helpers; the oracle."""
+    sa = a / h.lengthscales
+    sb = b / h.lengthscales
+    sq = (
+        np.sum(sa**2, axis=1)[:, None]
+        + np.sum(sb**2, axis=1)[None, :]
+        - 2.0 * (sa @ sb.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return h.signal_variance * np.exp(-0.5 * sq)
+
+
+def _predict_batch_per_call(m, x):
+    """Prediction as it was before the model kept its scaled training rows:
+    the oracle for ``predict_batch``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    h = m.hyperparams
+    if len(m) == 0:
+        return np.zeros(len(x)), np.full(len(x), h.signal_variance)
+    ks = _kernel_per_call(m.transform_inputs(x), m.xt, h)
+    mean_t = ks @ m.weights
+    v = solve_triangular(m.chol, ks.T, lower=True)
+    var_t = h.signal_variance - np.sum(v**2, axis=0)
+    np.maximum(var_t, 0.0, out=var_t)
+    return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * var_t
+
+
+def _models_of_every_origin(seed):
+    rng = np.random.default_rng(seed)
+    x, y, h = random_instance(rng, n=int(rng.integers(2, 40)),
+                              d=int(rng.integers(1, 5)))
+    space = SearchSpace(x.min(axis=0) - 0.5, x.max(axis=0) + 0.5)
+    fitted = fit(x, y, h, input_space=space, standardize=True)
+    ens = fit_shared_inputs(x, np.column_stack([y, -2.0 * y + 1.0]), h,
+                            input_space=space)
+    empty = fit(np.zeros((0, h.dim)), np.zeros(0), h)
+    return {
+        "fit": fit(x, y, h),
+        "fit scaled": fitted,
+        "fantasize": fantasize(fitted, x[0] + 0.1, 0.3),
+        "ensemble branch": ensemble_branch_model(ens, 1),
+        "empty": empty,
+        "fantasized empty": fantasize(empty, x[0], 1.0),
+    }, x, rng
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_predict_batch_equals_the_per_call_kernel_bit_for_bit(seed):
+    models, x, rng = _models_of_every_origin(seed)
+    for name, m in models.items():
+        for rows in (1, 2, 5, 17, 150):
+            q = x[rng.integers(0, len(x), rows)] + rng.normal(0, 0.3, (rows, x.shape[1]))
+            for _ in range(2):  # the second call reads the kept rows
+                mean, var = predict_batch(m, q)
+                ref_mean, ref_var = _predict_batch_per_call(m, q)
+                assert np.array_equal(mean, ref_mean), name
+                assert np.array_equal(var, ref_var), name
+            if len(m):
+                qt = m.transform_inputs(q)
+                assert np.array_equal(kernel_eval(qt, m.xt, m.hyperparams),
+                                      _kernel_per_call(qt, m.xt, m.hyperparams))
+
+
+def test_kept_scaled_rows_leave_model_equality_and_repr_alone():
+    models, x, _ = _models_of_every_origin(0)
+    m = models["fit scaled"]
+    twin = dataclasses.replace(m)
+    text = repr(m)
+    assert "scaled_xt" not in {f.name for f in dataclasses.fields(GpModel)}
+    assert m == twin
+    predict_batch(m, x[:3])
+    assert "scaled_xt" in vars(m) and "scaled_xt" not in vars(twin)
+    assert m == twin and twin == m
+    assert repr(m) == text
+    sb, sb_sq = m.scaled_xt
+    assert np.array_equal(sb, m.xt / m.hyperparams.lengthscales)
+    assert np.array_equal(sb_sq, np.sum(sb**2, axis=1))

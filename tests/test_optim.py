@@ -6,7 +6,10 @@ boundary projections), not from the implementation under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcps import optim
 from fcps.errors import ContractError
 from fcps.optim import SearchSpace, direct_maximize, global_then_local, lbfgs_refine
 
@@ -239,3 +242,223 @@ def test_global_then_local_multimodal_1d():
                                refine_iters=50)
     assert abs(x[0] - 0.8) <= 1e-3
     assert abs(val - 1.4) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# DIRECT against the list-based search it replaced
+# ---------------------------------------------------------------------------
+
+
+class _ListDirectState:
+    """The list-based DIRECT bookkeeping, kept verbatim as the oracle."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.centers: list[np.ndarray] = []
+        self.levels: list[np.ndarray] = []  # trisection counts per dimension
+        self.values: list[float] = []
+        self.evals = 0
+        self.best_index = 0
+
+    @property
+    def best_value(self) -> float:
+        return self.values[self.best_index]
+
+    @property
+    def best_center(self) -> np.ndarray:
+        return self.centers[self.best_index]
+
+    def measures(self) -> np.ndarray:
+        lev = np.array(self.levels)
+        return 0.5 * np.sqrt(np.sum(9.0 ** (-lev.astype(float)), axis=1))
+
+    def ranked_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and values ordered by decreasing value (stable)."""
+        vals = np.array(self.values)
+        order = np.argsort(-vals, kind="stable")
+        return np.array(self.centers)[order], vals[order]
+
+
+def _list_potentially_optimal(state: _ListDirectState) -> list[int]:
+    d = state.measures()
+    vals = np.array(state.values)
+    lev = np.array(state.levels)
+    splittable = lev.min(axis=1) < optim._MIN_LEVEL
+    if not splittable.any():
+        return []
+
+    keys = np.round(d, 14)
+    reps: dict[float, int] = {}
+    for i in np.flatnonzero(splittable):
+        k = keys[i]
+        j = reps.get(k)
+        if j is None or vals[i] > vals[j]:
+            reps[k] = int(i)
+    sizes = sorted(reps)
+    idx = [reps[k] for k in sizes]
+    f = vals[idx]
+    dd = d[idx]
+    f_max = vals.max()
+    threshold = f_max + optim._PO_EPSILON * abs(f_max)
+
+    chosen = []
+    for j in range(len(idx)):
+        k_lo = 0.0
+        for i in range(j):
+            k_lo = max(k_lo, (f[i] - f[j]) / (dd[j] - dd[i]))
+        k_hi = np.inf
+        for i in range(j + 1, len(idx)):
+            k_hi = min(k_hi, (f[j] - f[i]) / (dd[i] - dd[j]))
+        if k_hi < k_lo or k_hi <= 0.0:
+            continue
+        bound = f[j] + k_hi * dd[j] if np.isfinite(k_hi) else np.inf
+        if bound >= threshold:
+            chosen.append(idx[j])
+    return chosen
+
+
+def _list_direct_search(f_batch, dim: int, max_evals: int) -> _ListDirectState:
+    state = _ListDirectState(dim)
+    center = np.full(dim, 0.5)
+    v = f_batch(center[None, :])[0]
+    if not np.isfinite(v):
+        v = -np.inf
+    state.centers.append(center)
+    state.levels.append(np.zeros(dim, dtype=np.int64))
+    state.values.append(float(v))
+    state.evals = 1
+
+    while state.evals + 2 <= max_evals:
+        chosen = _list_potentially_optimal(state)
+        if not chosen:
+            break
+        budget_pairs = (max_evals - state.evals) // 2
+        chosen = chosen[:budget_pairs]
+
+        new_points = []
+        split_dims = []
+        for i in chosen:
+            lev = state.levels[i]
+            side_dim = int(np.argmin(lev))  # longest side; ties -> lowest index
+            delta = 3.0 ** (-(lev[side_dim] + 1))
+            c = state.centers[i]
+            lo_pt = c.copy()
+            lo_pt[side_dim] -= delta
+            hi_pt = c.copy()
+            hi_pt[side_dim] += delta
+            new_points.extend([lo_pt, hi_pt])
+            split_dims.append(side_dim)
+
+        vals = f_batch(np.array(new_points))
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            vals = np.where(bad, -np.inf, vals)
+
+        for pair, (i, side_dim) in enumerate(zip(chosen, split_dims)):
+            new_level = state.levels[i].copy()
+            new_level[side_dim] += 1
+            state.levels[i] = new_level
+            for k in range(2):
+                state.centers.append(new_points[2 * pair + k])
+                state.levels.append(new_level.copy())
+                state.values.append(float(vals[2 * pair + k]))
+                state.evals += 1
+                if state.values[-1] > state.best_value:
+                    state.best_index = len(state.values) - 1
+    return state
+
+
+def _objective(kind: str, dim: int, seed: int):
+    """Deterministic (m, dim) -> (m,) test objectives on the unit cube."""
+    rng = np.random.default_rng(seed)
+    freq = rng.uniform(1.0, 9.0, size=(3, dim))
+    phase = rng.uniform(0.0, 2 * np.pi, size=3)
+    weight = rng.normal(size=3)
+
+    def smooth(u):
+        return np.cos(u @ freq.T + phase) @ weight
+
+    if kind == "smooth":
+        return smooth
+    if kind == "coarse":  # few integer levels: many exact ties
+        return lambda u: np.floor(2.0 * smooth(u))
+    if kind == "constant":
+        value = float(rng.integers(-3, 4))
+        return lambda u: np.full(len(u), value)
+    if kind == "holes":  # -inf and NaN regions around a smooth landscape
+        cut = rng.uniform(0.2, 0.8, size=2)
+
+        def holes(u):
+            out = np.floor(4.0 * smooth(u)) / 4.0
+            out[u[:, 0] > cut[0]] = -np.inf
+            out[u[:, -1] < cut[1] - 0.5] = np.nan
+            return out
+        return holes
+    if kind == "mostly_inf":  # finite only inside a small box
+        lo = rng.uniform(0.0, 0.7, size=dim)
+
+        def mostly_inf(u):
+            inside = np.all((u >= lo) & (u <= lo + 0.3), axis=1)
+            return np.where(inside, smooth(u), -np.inf)
+        return mostly_inf
+    raise ValueError(kind)
+
+
+def _recorded(f):
+    calls = []
+
+    def f_batch(u):
+        calls.append(np.array(u, copy=True))
+        return f(u)
+    return f_batch, calls
+
+
+def _assert_same_search(f, dim: int, budget: int):
+    new_batch, new_calls = _recorded(f)
+    old_batch, old_calls = _recorded(f)
+    new = optim._direct_search(new_batch, dim, budget)
+    old = _list_direct_search(old_batch, dim, budget)
+    assert len(new_calls) == len(old_calls)
+    for a, b in zip(new_calls, old_calls):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert new.n == old.evals <= budget
+    assert new.best_index == old.best_index
+    assert new.best_value == old.best_value or (
+        np.isneginf(new.best_value) and np.isneginf(old.best_value))
+    assert np.array_equal(new.best_center, old.best_center)
+    for a, b in zip(new.ranked_centers(), old.ranked_centers()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(new.levels[:new.n], np.array(old.levels))
+    assert np.array_equal(new.measures[:new.n], old.measures())
+    return new
+
+
+@settings(max_examples=120, deadline=None)
+@given(dim=st.integers(1, 4),
+       budget=st.integers(1, 199).map(lambda k: 2 * k + 1),
+       kind=st.sampled_from(["smooth", "coarse", "constant", "holes",
+                             "mostly_inf"]),
+       seed=st.integers(0, 2**16))
+def test_direct_search_matches_the_list_based_search(dim, budget, kind, seed):
+    _assert_same_search(_objective(kind, dim, seed), dim, budget)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "coarse", "holes"])
+def test_direct_search_matches_in_six_dimensions(kind):
+    _assert_same_search(_objective(kind, 6, 7), 6, 601)
+
+
+def test_direct_search_matches_when_a_rectangle_reaches_the_minimum_size():
+    state = _assert_same_search(lambda u: -np.abs(u[:, 0] - 0.5), 1, 399)
+    assert state.levels[:state.n].max() == optim._MIN_LEVEL
+    assert not state.splittable[state.best_index]
+
+
+def test_direct_search_matches_with_a_non_finite_center():
+    state = _assert_same_search(lambda u: np.full(len(u), np.nan), 2, 41)
+    assert state.n == 1
+
+
+def test_trisection_offsets_equal_the_scalar_powers():
+    for level in range(optim._MIN_LEVEL + 1):
+        assert optim._THIRDS[level] == 3.0 ** (-(np.int64(level) + 1))

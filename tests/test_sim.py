@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcps import sim
 from fcps.errors import ContractError
 from fcps.sim import (
     ActiveCannonReward,
@@ -372,3 +375,118 @@ def test_thrower_reward():
     assert fn([0.3, 0.4], hit) == 0.0
     assert fn([0.0, 0.0], hit) == pytest.approx(-0.5, abs=1e-12)
     assert fn([0.6, 0.8], hit) == fn([0.0, 0.0], hit)
+
+
+# -- landing time against the fixed 100-step bisection ----------------------
+
+
+def _first_landing_time_100_steps(world, vel):
+    """The landing search as it was before the fixed-point exit: 100
+    bisection steps on 0-d arrays through ``terrain_elevation``; the oracle
+    for the faster search."""
+    g = world.gravity
+    vz = vel[2]
+
+    def gap(t):
+        z = vz * t - 0.5 * g * t * t
+        return z - terrain_elevation(world, vel[0] * t, vel[1] * t)
+
+    t_flat = max(2.0 * vz / g, 0.0)
+    if t_flat > sim._LANDING_TMAX:
+        raise ContractError("trajectory exceeds the landing time horizon")
+    hi = sim._LANDING_DT
+    if t_flat > sim._LANDING_DT:
+        grid = np.arange(sim._LANDING_DT, t_flat + 2 * sim._LANDING_DT,
+                         sim._LANDING_DT)
+        z = vz * grid - 0.5 * g * grid * grid
+        gaps = z - terrain_elevation(world, vel[0] * grid, vel[1] * grid)
+        below = gaps <= 0.0
+        if not np.any(below):
+            raise ContractError("ballistic arc never re-enters the terrain")
+        first = int(np.argmax(below))
+        hi = grid[first]
+    lo = max(hi - sim._LANDING_DT, 0.0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t_land = 0.5 * (lo + hi)
+    if abs(gap(t_land)) > 1e-8:
+        raise ContractError("landing refinement failed to meet tolerance")
+    return t_land
+
+
+def _rollout_with_oracle(world, theta):
+    original = sim._first_landing_time
+    sim._first_landing_time = _first_landing_time_100_steps
+    try:
+        return cannon_rollout(world, theta)
+    finally:
+        sim._first_landing_time = original
+
+
+STEEP = CannonWorld(hills=(Hill([4.0, 0.0], height=2.0, width=1.5),
+                           Hill([0.0, -5.0], height=2.0, width=1.5),
+                           Hill([-6.5, 6.5], height=1.0, width=3.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(world_seed=st.integers(0, 2**16),
+       alpha=st.floats(0.0, 2 * math.pi),
+       beta=st.floats(0.01, math.pi / 2 - 0.2),
+       v=st.floats(0.1, 5.0))
+def test_landing_equals_the_100_step_bisection(world_seed, alpha, beta, v):
+    world = CannonWorld.generate(seed=world_seed)
+    for w in (world, STEEP):
+        fast = cannon_rollout(w, [alpha, beta, v])
+        slow = _rollout_with_oracle(w, [alpha, beta, v])
+        assert np.array_equal(fast.stats, slow.stats)
+        assert np.array_equal(fast.achieved_target, slow.achieved_target)
+
+
+@pytest.mark.parametrize("theta", [
+    [0.3, 0.01, 0.1],  # t_flat below one grid step: the bracket is (0, 0.01]
+    [1.0, 0.02, 0.2],
+    [0.0, 0.3, 3.5],  # flat shots into the slope of the hill at (4, 0)
+    [0.0, 0.5, 3.5],
+    [4.71238898, 0.3, 3.5],  # into the hill at (0, -5)
+    [2.35619449, 0.6, 4.0],  # onto the flank of the hill at (-6.5, 6.5)
+])
+def test_landing_edge_cases_equal_the_100_step_bisection(theta):
+    vel_z = theta[2] * math.sin(theta[1])
+    if theta[2] <= 0.2:
+        assert 2.0 * vel_z / STEEP.gravity <= sim._LANDING_DT
+    for w in (FLAT, STEEP, CannonWorld.generate(seed=0)):
+        fast = cannon_rollout(w, theta)
+        slow = _rollout_with_oracle(w, theta)
+        assert np.array_equal(fast.stats, slow.stats)
+
+
+def test_landing_on_a_steep_hill_stops_short_of_flat_range():
+    theta = [0.0, 0.5, 3.5]
+    flat = cannon_rollout(FLAT, theta)
+    steep = cannon_rollout(STEEP, theta)
+    assert steep.achieved_target[0] < flat.achieved_target[0] - 5.0
+    x, y = steep.achieved_target
+    assert terrain_elevation(STEEP, x, y) > 1.0
+    # the hill's slope under the landing point is steeper than 1
+    rise = terrain_elevation(STEEP, x + 1e-4, y) - terrain_elevation(STEEP, x - 1e-4, y)
+    assert rise / 2e-4 > 1.0
+
+
+@pytest.mark.parametrize("world_seed", [0, 1, 7, 42])
+def test_point_elevation_equals_terrain_elevation_bit_for_bit(world_seed):
+    world = CannonWorld.generate(seed=world_seed)
+    elevation = sim._point_elevation(world)
+    rng = np.random.default_rng(world_seed)
+    # the pad, its blend ring, and the hills out to the target box edge
+    radius = np.concatenate([rng.uniform(0.0, 3.5, 1500), rng.uniform(0.0, 16.0, 1500)])
+    angle = rng.uniform(0.0, 2 * math.pi, radius.size)
+    for x, y in zip(radius * np.cos(angle), radius * np.sin(angle)):
+        assert elevation(float(x), float(y)) == terrain_elevation(world, x, y)
+    for world in (STEEP, FLAT):
+        point = sim._point_elevation(world)
+        for x, y in zip(radius * np.cos(angle), radius * np.sin(angle)):
+            assert point(float(x), float(y)) == terrain_elevation(world, x, y)
