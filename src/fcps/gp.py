@@ -274,12 +274,27 @@ def sample_posterior(m: GpModel, points, n_draws: int, rng: np.random.Generator)
 # ---------------------------------------------------------------------------
 
 
-def nlml(inputs, targets, h: KernelHyperparams) -> tuple[float, np.ndarray]:
+def _squared_differences(inputs) -> np.ndarray:
+    """``(x_i - x_i^T)**2`` per input dimension, stacked as (d, n, n).
+
+    Built from a C-ordered copy of the columns: from the transposed view
+    the result is laid out transposed, which makes each product with it
+    about twice as slow."""
+    cols = np.ascontiguousarray(np.atleast_2d(np.asarray(inputs, dtype=float)).T)
+    diff = cols[:, :, None] - cols[:, None, :]
+    return np.square(diff, out=diff)
+
+
+def nlml(inputs, targets, h: KernelHyperparams, *,
+         sq_diffs: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood and its gradient.
 
     The gradient is over log-hyperparameters ordered as
     [log signal_variance, log lengthscales..., log noise_variance].
     Data is used exactly as given; no transforms are applied here.
+    ``sq_diffs`` holds the inputs' squared differences per dimension, as
+    ``_squared_differences`` makes them; they do not depend on ``h``, so a
+    caller scoring many hyperparameters on one dataset computes them once.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
@@ -301,11 +316,13 @@ def nlml(inputs, targets, h: KernelHyperparams) -> tuple[float, np.ndarray]:
 
     kinv = cho_solve((L, True), np.eye(n))
     A = np.outer(alpha, alpha) - kinv
+    akf = A * kf
+    if sq_diffs is None:
+        sq_diffs = _squared_differences(inputs)
     grad = np.empty(d + 2)
-    grad[0] = -0.5 * np.sum(A * kf)
+    grad[0] = -0.5 * np.sum(akf)
     for i in range(d):
-        diff = inputs[:, i][:, None] - inputs[:, i][None, :]
-        grad[1 + i] = -0.5 * np.sum(A * kf * (diff**2 / h.lengthscales[i] ** 2))
+        grad[1 + i] = -0.5 * np.sum(akf * (sq_diffs[i] / h.lengthscales[i] ** 2))
     grad[-1] = -0.5 * h.noise_variance * np.trace(A)
     return float(value), grad
 
@@ -364,9 +381,11 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
             raise ContractError("prior widths must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
+    sq_diffs = _squared_differences(inputs)
 
     def objective(logv):
-        value, grad = nlml(inputs, targets, KernelHyperparams.from_log_vector(logv))
+        value, grad = nlml(inputs, targets, KernelHyperparams.from_log_vector(logv),
+                           sq_diffs=sq_diffs)
         if prior is not None and np.isfinite(value):
             z = (logv - p_mu) / p_sd
             value += 0.5 * float(z @ z)

@@ -214,7 +214,8 @@ def _potentially_optimal(state: _DirectState) -> np.ndarray:
     f = vals[idx]
     dd = state.measures[idx]
     f_max = vals.max()
-    threshold = f_max + _PO_EPSILON * abs(f_max)
+    # every value so far -inf: the margin would make the threshold NaN
+    threshold = f_max + _PO_EPSILON * abs(f_max) if np.isfinite(f_max) else f_max
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # slope[j, i] = (f[i] - f[j]) / (dd[j] - dd[i]); its transpose holds

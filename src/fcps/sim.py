@@ -12,12 +12,19 @@ A cannon landing is found by a vectorized scan of the arc on a 0.01 time
 grid, then bisection on Python floats that stops at its fixed point, the
 first step that leaves the bracket unchanged (after about 45 steps, at
 most 100); the result equals that of 100 bisection steps bit for bit.
+
+A DMP's forcing term depends only on the phase and the shape weights, and
+an RK4 run visits 2n+1 phases, so it is computed once per run as a phase
+table (once per ``ThrowerWorld``, which keeps it); the RK4 then runs on
+Python floats, one spatial dimension at a time, with the operations and
+the order of the array RK4 it replaced, and equals it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -353,6 +360,75 @@ def _forcing_features_for(z, centers, widths) -> np.ndarray:
     return z[:, None] * phi / np.sum(phi, axis=1, keepdims=True)
 
 
+def _phase_table(shape_weights: np.ndarray, du: float,
+                 n_steps: int) -> tuple[list[float], list[list[float]]]:
+    """The 2n+1 phases an RK4 run visits and the forcing at each.
+
+    Entry 2k is step k's start u_k, entry 2k+1 its midpoint u_k + du/2 and
+    the last entry u_n, the end of the final step (RK4's ``u + du`` equals
+    the next step's ``u``).  Returns ``1 - u`` per phase and, per spatial
+    dimension, the forcing at each phase, every row computed one phase at
+    a time by the expression the array RK4 used.
+    """
+    centers, widths = _basis_centers(shape_weights.shape[0])
+
+    def force(u):
+        z = math.exp(-DMP_PHASE_DECAY * u)
+        return _forcing_features_for(z, centers, widths)[0] @ shape_weights
+
+    phases = []
+    u = 0.0
+    for _ in range(n_steps):
+        phases += [u, u + du / 2]
+        u += du
+    phases.append(u)
+    rows = np.array([force(u) for u in phases])
+    return [1.0 - u for u in phases], rows.T.tolist()
+
+
+def _rk4(p: DmpParams, table, y0, v0, dt: float,
+         n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 over a ``_phase_table``, one spatial dimension at a time.
+
+    The dimensions are coupled only through the shared phase, so each runs
+    on Python floats with the operations and the order of the array RK4
+    (``p.goal - ramp * (1 - u)``, then ``spring * (goal - y) - damping *
+    yd + damping * ramp + force``); the results equal it bit for bit.
+    """
+    rest, forcing = table
+    spring, damping, duration = p.spring, p.damping, p.duration
+    ramp = duration * p.goal_velocity  # goal speed in normalized time
+    du = dt / duration
+    half, sixth = du / 2, du / 6
+    positions = np.empty((n_steps + 1, p.dims))
+    velocities = np.empty((n_steps + 1, p.dims))
+    for dim in range(p.dims):
+        goal, r = float(p.goal[dim]), float(ramp[dim])
+        pull = damping * r
+        moving_goal = [goal - r * q for q in rest]
+        force = forcing[dim]
+        y, yd = float(y0[dim]), float(v0[dim]) * duration
+        ys, vs = [y], [yd / duration]
+        for i in range(0, 2 * n_steps, 2):
+            a1 = spring * (moving_goal[i] - y) - damping * yd + pull + force[i]
+            y2, v2 = y + half * yd, yd + half * a1
+            a2 = spring * (moving_goal[i + 1] - y2) - damping * v2 + pull \
+                + force[i + 1]
+            y3, v3 = y + half * v2, yd + half * a2
+            a3 = spring * (moving_goal[i + 1] - y3) - damping * v3 + pull \
+                + force[i + 1]
+            y4, v4 = y + du * v3, yd + du * a3
+            a4 = spring * (moving_goal[i + 2] - y4) - damping * v4 + pull \
+                + force[i + 2]
+            y = y + sixth * (yd + 2 * v2 + 2 * v3 + v4)
+            yd = yd + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
+            ys.append(y)
+            vs.append(yd / duration)
+        positions[:, dim] = ys
+        velocities[:, dim] = vs
+    return positions, velocities
+
+
 def dmp_integrate(p: DmpParams, y0, dt: float, n_steps: int,
                   v0=None) -> tuple[np.ndarray, np.ndarray]:
     """RK4 integration; returns positions and real-time velocities per step.
@@ -370,37 +446,8 @@ def dmp_integrate(p: DmpParams, y0, dt: float, n_steps: int,
     v0 = np.zeros(p.dims) if v0 is None else np.asarray(v0, dtype=float)
     if v0.shape != (p.dims,):
         raise ContractError(f"start velocity must have shape ({p.dims},)")
-
-    du = dt / p.duration
-    centers, widths = _basis_centers(p.n_basis)
-    ramp = p.duration * p.goal_velocity  # goal speed in normalized time
-
-    def accel(u, y, yd):
-        z = math.exp(-DMP_PHASE_DECAY * u)
-        moving_goal = p.goal - ramp * (1.0 - u)
-        force = _forcing_features_for(z, centers, widths)[0] @ p.shape_weights
-        return p.spring * (moving_goal - y) - p.damping * yd \
-            + p.damping * ramp + force
-
-    positions = np.empty((n_steps + 1, p.dims))
-    velocities = np.empty((n_steps + 1, p.dims))
-    y, yd = y0.copy(), v0 * p.duration
-    positions[0], velocities[0] = y, yd / p.duration
-    u = 0.0
-    for k in range(n_steps):
-        a1 = accel(u, y, yd)
-        k1y, k1v = yd, a1
-        a2 = accel(u + du / 2, y + du / 2 * k1y, yd + du / 2 * k1v)
-        k2y, k2v = yd + du / 2 * k1v, a2
-        a3 = accel(u + du / 2, y + du / 2 * k2y, yd + du / 2 * k2v)
-        k3y, k3v = yd + du / 2 * k2v, a3
-        a4 = accel(u + du, y + du * k3y, yd + du * k3v)
-        k4y, k4v = yd + du * k3v, a4
-        y = y + du / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        yd = yd + du / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        u += du
-        positions[k + 1], velocities[k + 1] = y, yd / p.duration
-    return positions, velocities
+    table = _phase_table(p.shape_weights, dt / p.duration, n_steps)
+    return _rk4(p, table, y0, v0, dt, n_steps)
 
 
 def dmp_imitate(demo: np.ndarray, basis_count: int, duration: float) -> np.ndarray:
@@ -488,6 +535,14 @@ class ThrowerWorld:
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
 
+    @cached_property
+    def phase_table(self) -> tuple[list[float], list[list[float]]]:
+        """``_phase_table`` of this world's forcing, built on first use and
+        kept with the world (not a dataclass field, so equality and
+        ``repr`` ignore it)."""
+        return _phase_table(self.shape_weights, self.dt / self.duration,
+                            self.n_steps)
+
     def replay_metadata(self) -> dict:
         return {"kind": "thrower", "gravity": self.gravity,
                 "duration": self.duration, "dt": self.dt}
@@ -521,7 +576,8 @@ def thrower_rollout(world: ThrowerWorld, env_context, theta,
         raise ContractError("thrower parameters outside their box")
     params = DmpParams(shape_weights=world.shape_weights, goal=theta[:3],
                        goal_velocity=theta[3:], duration=world.duration)
-    positions, velocities = dmp_integrate(params, start, world.dt, world.n_steps)
+    positions, velocities = _rk4(params, world.phase_table, start,
+                                 np.zeros(3), world.dt, world.n_steps)
     landing = ballistic_landing(positions[-1], velocities[-1], world.gravity)
     return Outcome(stats=landing, achieved_target=landing)
 

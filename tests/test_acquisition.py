@@ -527,7 +527,7 @@ def _oracle_entropies(base, draws):
     return _entropies_stacked(flat, draws, np.repeat(np.arange(g_n), l_n)).reshape(g_n, l_n)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(g_n=st.integers(1, 4), l_n=st.integers(1, 5), m=st.integers(2, 300),
        k=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        coarse=st.booleans(), block=st.sampled_from([1, 37, 4096, None]))

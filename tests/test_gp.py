@@ -9,8 +9,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+from fcps import gp
 from fcps.errors import ContractError, NumericalError
 from fcps.gp import (
     GpModel,
@@ -242,6 +245,98 @@ def test_optimize_hyperparams_degenerate_dataset():
     init = KernelHyperparams(1.0, np.array([1.0]), 0.01)
     out = optimize_hyperparams(np.array([[0.0]]), np.array([1.0]), init)
     assert out is init
+
+
+# -- nlml against the per-dimension gradient it replaced --------------------
+
+
+def _nlml_per_dimension(inputs, targets, h):
+    """``nlml`` as it was before ``A * kf`` and the squared differences were
+    computed once: the oracle for the value and gradient bits."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    n, d = inputs.shape
+    if d != h.dim or targets.shape != (n,):
+        raise ContractError("data shapes do not match the kernel")
+    if n == 0:
+        raise ContractError("nlml needs at least one observation")
+
+    kf = kernel_eval(inputs, inputs, h)
+    K = kf + h.noise_variance * np.eye(n)
+    try:
+        L = cholesky(K, lower=True)
+    except np.linalg.LinAlgError:
+        return np.inf, np.zeros(d + 2)
+    alpha = cho_solve((L, True), targets)
+    value = (0.5 * targets @ alpha + np.sum(np.log(np.diag(L)))
+             + 0.5 * n * np.log(2.0 * np.pi))
+
+    kinv = cho_solve((L, True), np.eye(n))
+    A = np.outer(alpha, alpha) - kinv
+    grad = np.empty(d + 2)
+    grad[0] = -0.5 * np.sum(A * kf)
+    for i in range(d):
+        diff = inputs[:, i][:, None] - inputs[:, i][None, :]
+        grad[1 + i] = -0.5 * np.sum(A * kf * (diff**2 / h.lengthscales[i] ** 2))
+    grad[-1] = -0.5 * h.noise_variance * np.trace(A)
+    return float(value), grad
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 150), d=st.integers(1, 11),
+       kind=st.sampled_from(["spread", "repeated rows", "singular"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=150, d=11, kind="spread", seed=0)
+@example(n=150, d=11, kind="singular", seed=1)
+def test_nlml_equals_the_per_dimension_gradient_bit_for_bit(n, d, kind, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, d))
+    y = rng.normal(size=n)
+    logv = rng.uniform(-4.0, 2.0, d + 2)
+    if kind == "repeated rows":
+        x = x[rng.integers(0, n, n)]
+    if kind == "singular":
+        # identical rows, unit signal and negligible noise: an exactly
+        # singular K, so the Cholesky factorization fails for n > 1
+        x = np.zeros((n, d))
+        logv[0], logv[-1] = 0.0, np.log(1e-300)
+    h = KernelHyperparams.from_log_vector(logv)
+    ref_value, ref_grad = _nlml_per_dimension(x, y, h)
+    for value, grad in (nlml(x, y, h),
+                        nlml(x, y, h, sq_diffs=gp._squared_differences(x))):
+        assert value == ref_value
+        assert np.array_equal(grad, ref_grad)
+    if kind == "singular" and n > 1:
+        assert ref_value == np.inf and not np.any(ref_grad)
+
+
+@pytest.mark.parametrize("prior", [False, True])
+def test_optimize_hyperparams_equals_it_over_the_per_dimension_nlml(monkeypatch, prior):
+    fast = gp.nlml
+    rng = np.random.default_rng(12)
+    for n, d in ((2, 1), (30, 3), (80, 11)):
+        x, y, init = random_instance(rng, n=n, d=d)
+        kw = {"restarts": 2, "prior": [(0.0, 1.0)] * (d + 2) if prior else None}
+        runs = {}
+        for name in ("fast", "oracle"):
+            calls = []
+
+            def recorded(inputs, targets, h, sq_diffs=None):
+                calls.append((h.as_log_vector(), sq_diffs))
+                if name == "oracle":
+                    return _nlml_per_dimension(inputs, targets, h)
+                return fast(inputs, targets, h, sq_diffs=sq_diffs)
+
+            monkeypatch.setattr(gp, "nlml", recorded)
+            result = optimize_hyperparams(x, y, init, rng=np.random.default_rng(n), **kw)
+            runs[name] = result.as_log_vector(), calls
+        (got, fast_calls), (want, oracle_calls) = runs["fast"], runs["oracle"]
+        assert np.array_equal(got, want)
+        assert len(fast_calls) == len(oracle_calls) > 1
+        for (a, sq), (b, _) in zip(fast_calls, oracle_calls):
+            assert np.array_equal(a, b)
+            # the squared differences are made once per refit and shared
+            assert sq is fast_calls[0][1] is not None
 
 
 # ---------------------------------------------------------------------------

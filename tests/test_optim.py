@@ -299,7 +299,7 @@ def _list_potentially_optimal(state: _ListDirectState) -> list[int]:
     f = vals[idx]
     dd = d[idx]
     f_max = vals.max()
-    threshold = f_max + optim._PO_EPSILON * abs(f_max)
+    threshold = f_max + optim._PO_EPSILON * abs(f_max) if np.isfinite(f_max) else f_max
 
     chosen = []
     for j in range(len(idx)):
@@ -433,7 +433,7 @@ def _assert_same_search(f, dim: int, budget: int):
     return new
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(dim=st.integers(1, 4),
        budget=st.integers(1, 199).map(lambda k: 2 * k + 1),
        kind=st.sampled_from(["smooth", "coarse", "constant", "holes",
@@ -455,8 +455,23 @@ def test_direct_search_matches_when_a_rectangle_reaches_the_minimum_size():
 
 
 def test_direct_search_matches_with_a_non_finite_center():
+    # every value -inf: the search still spends its budget
     state = _assert_same_search(lambda u: np.full(len(u), np.nan), 2, 41)
-    assert state.n == 1
+    assert state.n == 41
+
+
+def test_direct_search_recovers_from_a_non_finite_center_alone():
+    smooth = _objective("smooth", 2, 3)
+
+    def f(u):
+        out = smooth(u)
+        out[np.all(u == 0.5, axis=1)] = np.nan
+        return out
+
+    state = _assert_same_search(f, 2, 41)
+    assert state.n == 41
+    assert np.isfinite(state.best_value)
+    assert state.best_index > 0
 
 
 def test_trisection_offsets_equal_the_scalar_powers():
