@@ -134,42 +134,6 @@ def gp_ucb(mean, std, kappa: float):
     return np.asarray(mean, dtype=float) + kappa * std
 
 
-def entropy(p) -> float:
-    """Shannon entropy in nats; zero-probability entries contribute nothing."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ContractError("entropy needs a valid probability vector")
-    p = np.clip(p, 0.0, None)
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def pmin_estimate(model: gp.GpModel, context, candidates, n_function_draws: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Monte-Carlo argmax distribution over candidates at a fixed context.
-
-    Ties within a draw are broken uniformly at random.  The result is a
-    probability vector over the candidate rows.
-    """
-    if n_function_draws < 1:
-        raise ContractError("n_function_draws must be positive")
-    context = np.atleast_1d(np.asarray(context, dtype=float))
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    points = np.hstack([np.tile(context, (len(candidates), 1)), candidates])
-    draws = gp.sample_posterior(model, points, n_function_draws, rng)
-    m = points.shape[0]
-    mx = draws.max(axis=1, keepdims=True)
-    ties = draws == mx
-    n_ties = ties.sum(axis=1)
-    idx = np.argmax(draws, axis=1)
-    multi = np.flatnonzero(n_ties > 1)
-    for row in multi:
-        choices = np.flatnonzero(ties[row])
-        idx[row] = rng.choice(choices)
-    counts = np.bincount(idx, minlength=m)
-    return counts / n_function_draws
-
-
 # ---------------------------------------------------------------------------
 # entropy-search engine
 # ---------------------------------------------------------------------------

@@ -2,8 +2,17 @@
 
 Passive learners receive a context and pick controller parameters; active
 learners pick the context too.  The selection rules are pure functions so
-they can be tested in isolation; the learner classes add data bookkeeping
-and hyperparameter refit scheduling on top.
+they can be tested in isolation.  One GP learner class, ``BoLearner``,
+serves the five model-based tags and adds data bookkeeping and the
+hyperparameter refit schedule on top; its tag picks one of three training
+sets:
+
+* bo-fcps and faces: the store re-scored at the query target, with rows on
+  (env context, theta), so a query fixes the env context only;
+* bo-cps and aces: the (context, theta) rows with collection-time rewards;
+* bo-fcps-her: those rows with one hindsight relabel after each.
+
+``CrepsLearner`` is the model-free policy-search baseline.
 """
 
 from __future__ import annotations
@@ -23,6 +32,10 @@ from .experience import Context, ExperienceStore, Outcome, RolloutRecord, \
 from .optim import SearchSpace
 
 ALGORITHMS = ("bo-cps", "bo-fcps", "bo-fcps-her", "aces", "faces", "c-reps")
+# learners that pick their own context, and the ones that train on the store
+# re-scored at the query target
+ACTIVE_ALGORITHMS = ("aces", "faces")
+FACTORED_ALGORITHMS = ("bo-fcps", "faces")
 
 # initial space-filling rollouts before the acquisition takes over, used when
 # the config leaves init_episodes unset; scaled to each model's input
@@ -56,6 +69,10 @@ class LearnerConfig:
         if self.acquisition_kind not in ACQUISITION_KINDS:
             raise ContractError(
                 f"unknown acquisition kind {self.acquisition_kind!r}")
+        if self.acquisition_kind != "ucb" and self.algorithm != "bo-fcps":
+            raise ContractError(
+                f"acquisition kind {self.acquisition_kind!r} is only "
+                f"implemented for bo-fcps, not {self.algorithm!r}")
         if self.creps_epsilon <= 0:
             raise ContractError("creps_epsilon must be positive")
         if self.creps_period < 2:
@@ -112,68 +129,50 @@ def _hyperparam_prior(dim: int) -> list[tuple[float, float]]:
     return [signal] + [lengthscale] * dim + [noise]
 
 
-def _maximize(objective, space: SearchSpace, cfg: LearnerConfig):
-    return optim.global_then_local(
+def _maximize(objective, space: SearchSpace, cfg: LearnerConfig) -> np.ndarray:
+    best, _ = optim.global_then_local(
         objective, space,
         direct_evals=cfg.direct_evals,
         refine_starts=cfg.refine_starts,
         refine_iters=cfg.refine_iters,
         vectorized=True,
     )
+    return best
 
 
-def _ucb_over_theta(model, prefix: np.ndarray, theta_space: SearchSpace,
-                    kappa: float, cfg: LearnerConfig) -> np.ndarray:
-    prefix = np.asarray(prefix, dtype=float)
+def _fit(dataset, hyperparams, input_space: SearchSpace) -> gp.GpModel:
+    inputs, rewards = dataset
+    return gp.fit(inputs, rewards, hyperparams, input_space=input_space,
+                  standardize=True)
+
+
+def _prefixed(prefix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Query rows: the fixed prefix columns, then each row of thetas."""
     n_prefix = prefix.shape[0]
+    pts = np.empty((thetas.shape[0], n_prefix + thetas.shape[1]))
+    pts[:, :n_prefix] = prefix
+    pts[:, n_prefix:] = thetas
+    return pts
+
+
+def ucb_select(dataset, prefix, input_space: SearchSpace,
+               theta_space: SearchSpace, hyperparams, cfg: LearnerConfig,
+               *, kappa: float | None = None) -> np.ndarray:
+    """GP-UCB over theta with the query prefix held fixed.
+
+    The dataset is an (inputs, rewards) pair whose inputs are the prefix
+    columns followed by theta, over ``input_space``: (context, theta) for
+    a joint model, (env context, theta) for a target-specific one.
+    """
+    model = _fit(dataset, hyperparams, input_space)
+    prefix = np.asarray(prefix, dtype=float)
+    k = cfg.acquisition.kappa if kappa is None else kappa
 
     def objective(thetas):
-        pts = np.empty((thetas.shape[0], n_prefix + thetas.shape[1]))
-        pts[:, :n_prefix] = prefix
-        pts[:, n_prefix:] = thetas
-        mean, var = gp.predict_batch(model, pts)
-        return gp_ucb(mean, np.sqrt(var), kappa)
+        mean, var = gp.predict_batch(model, _prefixed(prefix, thetas))
+        return gp_ucb(mean, np.sqrt(var), k)
 
-    theta, _ = _maximize(objective, theta_space, cfg)
-    return theta
-
-
-def bocps_select(dataset, query_context: Context, context_space: SearchSpace,
-                 theta_space: SearchSpace, hyperparams, cfg: LearnerConfig,
-                 *, kappa: float | None = None) -> np.ndarray:
-    """GP-UCB over theta under one joint reward model on (context, theta).
-
-    The dataset is the (inputs, rewards) pair with full context columns
-    first; rewards are the collection-time rewards.
-    """
-    inputs, rewards = dataset
-    input_space = context_space.concat(theta_space)
-    model = gp.fit(inputs, rewards, hyperparams, input_space=input_space,
-                   standardize=True)
-    k = cfg.acquisition.kappa if kappa is None else kappa
-    return _ucb_over_theta(model, query_context.full, theta_space, k, cfg)
-
-
-def _reduced_dataset(store: ExperienceStore, reward_fn, target,
-                     env_dim: int, theta_dim: int):
-    inputs, rewards = reevaluate(store, reward_fn, target)
-    if len(store) == 0:
-        inputs = np.zeros((0, env_dim + theta_dim))
-    return inputs, rewards
-
-
-def bofcps_select(store: ExperienceStore, reward_fn, query_context: Context,
-                  env_space: SearchSpace, theta_space: SearchSpace,
-                  hyperparams, cfg: LearnerConfig,
-                  *, kappa: float | None = None) -> np.ndarray:
-    """GP-UCB under the query-target-specific reward model on (env, theta)."""
-    inputs, rewards = _reduced_dataset(store, reward_fn, query_context.target,
-                                       env_space.dim, theta_space.dim)
-    input_space = env_space.concat(theta_space)
-    model = gp.fit(inputs, rewards, hyperparams, input_space=input_space,
-                   standardize=True)
-    k = cfg.acquisition.kappa if kappa is None else kappa
-    return _ucb_over_theta(model, query_context.env, theta_space, k, cfg)
+    return _maximize(objective, theta_space, cfg)
 
 
 def aces_select(dataset, context_space: SearchSpace, theta_space: SearchSpace,
@@ -188,7 +187,7 @@ def aces_select(dataset, context_space: SearchSpace, theta_space: SearchSpace,
                                  cfg.n_representers,
                                  cfg.acquisition.n_candidates, rng)
     engine = JointEsEngine(model, reps, cfg.acquisition, rng=rng)
-    best, _ = _maximize(engine.gains, joint_space, cfg)
+    best = _maximize(engine.gains, joint_space, cfg)
     d = context_space.dim
     return best[:d], best[d:]
 
@@ -237,7 +236,7 @@ def faces_select(store: ExperienceStore, reward_fn,
                 total = total + engine.gains(queries)
             return total
 
-    best, _ = _maximize(objective, input_space, cfg)
+    best = _maximize(objective, input_space, cfg)
     d = env_space.dim
     return best[:d], best[d:]
 
@@ -411,10 +410,17 @@ def creps_update(contexts, params, rewards, policy: CrepsPolicy,
 # ---------------------------------------------------------------------------
 
 
-class _BoLearnerBase:
-    """Shared bookkeeping: store, context log, refit schedule, rng."""
+class BoLearner:
+    """GP-based learner for every model-based tag; the tag picks the
+    training set, the query prefix, and whether the learner is active.
 
-    requires_context = True
+    The factored tags (bo-fcps, faces) train on the store re-scored at the
+    query target, with rows on (env context, theta); the others train on
+    the (context, theta) rows with their collection-time rewards, and
+    bo-fcps-her interleaves one hindsight relabel after each of them.
+    Active learners (aces, faces) also pick their own context through
+    ``select_query``; passive learners have no such method.
+    """
 
     def __init__(self, target_space: SearchSpace, env_space: SearchSpace,
                  theta_space: SearchSpace, reward_fn, cfg: LearnerConfig):
@@ -424,9 +430,18 @@ class _BoLearnerBase:
         self.context_space = target_space.concat(env_space)
         self.reward_fn = reward_fn
         self.cfg = cfg
+        self.factored = cfg.algorithm in FACTORED_ALGORITHMS
+        self.input_space = (env_space if self.factored
+                            else self.context_space).concat(theta_space)
+        self.requires_context = cfg.algorithm not in ACTIVE_ALGORITHMS
+        if not self.requires_context:
+            self.select_query = (self._factored_query if self.factored
+                                 else self._joint_query)
         self.store = ExperienceStore(env_space, theta_space)
         self.episodes = 0
         self._contexts_full: list[np.ndarray] = []
+        self._relabels: list[tuple[np.ndarray, float]] | None = (
+            [] if cfg.algorithm == "bo-fcps-her" else None)
         self._rng = np.random.default_rng(cfg.rng_seed)
         n_init = cfg.init_episodes
         if n_init is None:
@@ -444,15 +459,34 @@ class _BoLearnerBase:
         self.store.append(record)
         self._contexts_full.append(context.full)
         self.episodes += 1
+        if self._relabels is not None:
+            sample = her_augment(record, self.reward_fn)
+            self._relabels.append(
+                (np.concatenate([sample.context, sample.params]),
+                 sample.reward))
         return record
 
-    def _joint_dataset(self) -> tuple[np.ndarray, np.ndarray]:
+    def dataset(self, target) -> tuple[np.ndarray, np.ndarray]:
+        """The (inputs, rewards) training set for a query at ``target``."""
+        if self.factored:
+            inputs, rewards = reevaluate(self.store, self.reward_fn, target)
+            if len(self.store) == 0:
+                inputs = np.zeros((0, self.input_space.dim))
+            return inputs, rewards
         if not self._contexts_full:
-            dim = self.context_space.dim + self.theta_space.dim
-            return np.zeros((0, dim)), np.zeros(0)
-        contexts = np.array(self._contexts_full)
-        return np.hstack([contexts, self.store.params()]), \
-            self.store.actual_rewards()
+            return np.zeros((0, self.input_space.dim)), np.zeros(0)
+        inputs = np.hstack([np.array(self._contexts_full), self.store.params()])
+        rewards = self.store.actual_rewards()
+        if self._relabels is None:
+            return inputs, rewards
+        # each relabel follows the rollout it came from
+        rows = np.array([row for row, _ in self._relabels])
+        values = np.array([value for _, value in self._relabels])
+        return (np.stack([inputs, rows], axis=1).reshape(-1, inputs.shape[1]),
+                np.stack([rewards, values], axis=1).ravel())
+
+    def _prefix(self, context: Context) -> np.ndarray:
+        return context.env if self.factored else context.full
 
     def _init_theta(self) -> np.ndarray | None:
         # space-filling warm start: until every plan row has been spent, the
@@ -471,155 +505,58 @@ class _BoLearnerBase:
         return n <= self.cfg.refit_warmup \
             or n - self._last_refit >= self.cfg.refit_period
 
-    def _scheduled_hyperparams(self, inputs, targets,
-                               input_space) -> gp.KernelHyperparams:
+    def _scheduled_hyperparams(self, dataset) -> gp.KernelHyperparams:
+        # the factored tags tune on the store re-scored at a concrete query
+        # target; a fixed reference point would bias the relevance estimates
+        # toward whatever directions that one target ignores
+        dim = self.input_space.dim
         if self._hyperparams is None:
-            self._hyperparams = _initial_hyperparams(input_space.dim)
+            self._hyperparams = _initial_hyperparams(dim)
         if self._refit_due():
-            model = gp.fit(inputs, targets, self._hyperparams,
-                           input_space=input_space, standardize=True)
+            model = _fit(dataset, self._hyperparams, self.input_space)
             model = gp.refit(model, restarts=self.cfg.refit_restarts,
-                             rng=self._rng,
-                             bounds=_hyperparam_bounds(input_space.dim),
-                             prior=_hyperparam_prior(input_space.dim))
+                             rng=self._rng, bounds=_hyperparam_bounds(dim),
+                             prior=_hyperparam_prior(dim))
             self._hyperparams = model.hyperparams
             self._last_refit = len(self.store)
         return self._hyperparams
 
-
-class BocpsLearner(_BoLearnerBase):
-    """Joint reward model on (context, theta), trained on collection-time
-    rewards; selection is GP-UCB over theta."""
-
     def select(self, context: Context) -> np.ndarray:
-        dataset = self._joint_dataset()
-        hyperparams = self._scheduled_hyperparams(
-            *dataset, self.context_space.concat(self.theta_space))
-        planned = self._init_theta()
-        if planned is not None:
-            return planned
-        return bocps_select(dataset, context, self.context_space,
-                            self.theta_space, hyperparams, self.cfg)
-
-    def select_greedy(self, context: Context) -> np.ndarray:
-        hyperparams = self._hyperparams or _initial_hyperparams(
-            self.context_space.dim + self.theta_space.dim)
-        return bocps_select(self._joint_dataset(), context, self.context_space,
-                            self.theta_space, hyperparams, self.cfg, kappa=0.0)
-
-
-class BofcpsLearner(_BoLearnerBase):
-    """Target-specific reward models on (env, theta) via re-evaluation."""
-
-    def _input_space(self) -> SearchSpace:
-        return self.env_space.concat(self.theta_space)
-
-    def _maybe_refit(self, refit_target) -> gp.KernelHyperparams:
-        # hyperparameters are tuned on the dataset re-scored at a concrete
-        # query target; a fixed reference point would bias the relevance
-        # estimates toward whatever directions that one target ignores
-        inputs, rewards = _reduced_dataset(
-            self.store, self.reward_fn, refit_target,
-            self.env_space.dim, self.theta_space.dim)
-        return self._scheduled_hyperparams(inputs, rewards, self._input_space())
-
-    def select(self, context: Context) -> np.ndarray:
-        hyperparams = self._maybe_refit(context.target)
+        dataset = self.dataset(context.target)
+        hyperparams = self._scheduled_hyperparams(dataset)
         planned = self._init_theta()
         if planned is not None:
             return planned
         kind = self.cfg.acquisition_kind
         if kind == "random":
             return self.theta_space.sample_uniform(1, self._rng)[0]
+        prefix = self._prefix(context)
         if kind == "es":
-            return self._select_es(context, hyperparams)
-        return bofcps_select(self.store, self.reward_fn, context,
-                             self.env_space, self.theta_space, hyperparams,
-                             self.cfg)
+            return self._select_es(dataset, prefix, hyperparams)
+        return ucb_select(dataset, prefix, self.input_space, self.theta_space,
+                          hyperparams, self.cfg)
 
-    def _select_es(self, context: Context,
+    def _select_es(self, dataset, prefix: np.ndarray,
                    hyperparams: gp.KernelHyperparams) -> np.ndarray:
-        inputs, rewards = _reduced_dataset(
-            self.store, self.reward_fn, context.target,
-            self.env_space.dim, self.theta_space.dim)
-        model = gp.fit(inputs, rewards, hyperparams,
-                       input_space=self._input_space(), standardize=True)
+        model = _fit(dataset, hyperparams, self.input_space)
         acq = self.cfg.acquisition
         candidates = self.theta_space.sample_latin(acq.n_candidates, self._rng)
-        reps = RepresenterSet(context.env[None, :], candidates[None, :, :])
+        reps = RepresenterSet(prefix[None, :], candidates[None, :, :])
         engine = JointEsEngine(model, reps, acq, rng=self._rng)
-        prefix = context.env
-
-        def objective(thetas):
-            pts = np.hstack([np.broadcast_to(prefix, (thetas.shape[0],
-                                                      prefix.shape[0])),
-                             thetas])
-            return engine.gains(pts)
-
-        theta, _ = _maximize(objective, self.theta_space, self.cfg)
-        return theta
+        return _maximize(lambda thetas: engine.gains(_prefixed(prefix, thetas)),
+                         self.theta_space, self.cfg)
 
     def select_greedy(self, context: Context) -> np.ndarray:
         hyperparams = self._hyperparams or _initial_hyperparams(
-            self._input_space().dim)
-        return bofcps_select(self.store, self.reward_fn, context,
-                             self.env_space, self.theta_space, hyperparams,
-                             self.cfg, kappa=0.0)
+            self.input_space.dim)
+        return ucb_select(self.dataset(context.target), self._prefix(context),
+                          self.input_space, self.theta_space, hyperparams,
+                          self.cfg, kappa=0.0)
 
-
-class BofcpsHerLearner(_BoLearnerBase):
-    """Joint-model selection over data augmented with relabeled rollouts."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._augmented: list[tuple[np.ndarray, np.ndarray, float]] = []
-
-    def observe(self, context, theta, outcome, reward):
-        record = super().observe(context, theta, outcome, reward)
-        sample = her_augment(record, self.reward_fn)
-        self._augmented.append((sample.context, sample.params, sample.reward))
-        return record
-
-    def select(self, context: Context) -> np.ndarray:
-        dataset = self._dataset_with_relabels()
-        hyperparams = self._scheduled_hyperparams(
-            *dataset, self.context_space.concat(self.theta_space))
-        planned = self._init_theta()
-        if planned is not None:
-            return planned
-        return bocps_select(dataset, context, self.context_space,
-                            self.theta_space, hyperparams, self.cfg)
-
-    def select_greedy(self, context: Context) -> np.ndarray:
-        hyperparams = self._hyperparams or _initial_hyperparams(
-            self.context_space.dim + self.theta_space.dim)
-        return bocps_select(self._dataset_with_relabels(), context,
-                            self.context_space, self.theta_space,
-                            hyperparams, self.cfg, kappa=0.0)
-
-    def _dataset_with_relabels(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self._contexts_full:
-            dim = self.context_space.dim + self.theta_space.dim
-            return np.zeros((0, dim)), np.zeros(0)
-        rows, values = [], []
-        for ctx, record, (aug_ctx, aug_theta, aug_reward) in zip(
-                self._contexts_full, self.store.records, self._augmented):
-            rows.append(np.concatenate([ctx, record.params]))
-            values.append(record.actual_reward)
-            rows.append(np.concatenate([aug_ctx, aug_theta]))
-            values.append(aug_reward)
-        return np.array(rows), np.array(values)
-
-
-class AcesLearner(BocpsLearner):
-    """Active joint-space learner: picks (context, theta) queries."""
-
-    requires_context = False
-
-    def select_query(self) -> tuple[Context, np.ndarray]:
-        dataset = self._joint_dataset()
-        hyperparams = self._scheduled_hyperparams(
-            *dataset, self.context_space.concat(self.theta_space))
+    def _joint_query(self) -> tuple[Context, np.ndarray]:
+        # aces: a (context, theta) query under the joint model
+        dataset = self.dataset(None)
+        hyperparams = self._scheduled_hyperparams(dataset)
         planned = self._init_theta()
         if planned is not None:
             ctx_vec = self.context_space.sample_uniform(1, self._rng)[0]
@@ -629,18 +566,13 @@ class AcesLearner(BocpsLearner):
                                      self._rng)
         return Context.from_full(ctx_vec, self.env_space.dim), theta
 
-
-class FacesLearner(BofcpsLearner):
-    """Active factored learner: picks (env context, theta); the commanded
-    target is indifferent for learning and drawn uniformly for logging."""
-
-    requires_context = False
-
-    def select_query(self) -> tuple[Context, np.ndarray]:
-        # hyperparameter refits rotate over uniformly drawn targets, matching
-        # the distribution of representer branches the ensemble models
+    def _factored_query(self) -> tuple[Context, np.ndarray]:
+        # faces: an (env context, theta) query; the commanded target is
+        # indifferent for learning and drawn uniformly for logging, and
+        # refits rotate over uniformly drawn targets, matching the
+        # distribution of representer branches the ensemble models
         refit_target = self.target_space.sample_uniform(1, self._rng)[0]
-        hyperparams = self._maybe_refit(refit_target)
+        hyperparams = self._scheduled_hyperparams(self.dataset(refit_target))
         theta = self._init_theta()
         if theta is not None:
             env_q = self.env_space.sample_uniform(1, self._rng)[0]
@@ -677,7 +609,6 @@ class CrepsLearner:
         self.kl_history: list[float] = []
         self._rng = np.random.default_rng(cfg.rng_seed)
         self._batch: list[tuple[np.ndarray, np.ndarray, float]] = []
-        self._contexts_full: list[np.ndarray] = []
 
     def select(self, context: Context) -> np.ndarray:
         theta = self.policy.sample(context.full, self._rng)
@@ -692,7 +623,6 @@ class CrepsLearner:
         record = RolloutRecord(env_context=context.env, params=theta,
                               outcome=outcome, actual_reward=reward)
         self.store.append(record)
-        self._contexts_full.append(context.full)
         self._batch.append((context.full, np.asarray(theta, dtype=float),
                             float(reward)))
         self.episodes += 1
@@ -712,16 +642,8 @@ class CrepsLearner:
 def make_learner(cfg: LearnerConfig, target_space: SearchSpace,
                  env_space: SearchSpace, theta_space: SearchSpace, reward_fn):
     """Instantiate the learner named by the config's algorithm tag."""
-    classes = {
-        "bo-cps": BocpsLearner,
-        "bo-fcps": BofcpsLearner,
-        "bo-fcps-her": BofcpsHerLearner,
-        "aces": AcesLearner,
-        "faces": FacesLearner,
-        "c-reps": CrepsLearner,
-    }
-    return classes[cfg.algorithm](target_space, env_space, theta_space,
-                                  reward_fn, cfg)
+    cls = CrepsLearner if cfg.algorithm == "c-reps" else BoLearner
+    return cls(target_space, env_space, theta_space, reward_fn, cfg)
 
 
 def run_episode(learner, environment, context: Context | None,

@@ -235,40 +235,6 @@ def predict_batch(m: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * var_t
 
 
-def predict(m: GpModel, x) -> tuple[float, float]:
-    mean, var = predict_batch(m, np.asarray(x, dtype=float)[None, :])
-    return float(mean[0]), float(var[0])
-
-
-def posterior_joint(m: GpModel, points) -> tuple[np.ndarray, np.ndarray]:
-    """Joint posterior mean vector and covariance matrix at ``points``."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    h = m.hyperparams
-    pt = m.transform_inputs(points)
-    if len(m) == 0:
-        mean_t = np.zeros(len(points))
-        cov_t = kernel_eval(pt, pt, h)
-    else:
-        ks = kernel_eval(pt, m.xt, h)
-        mean_t = ks @ m.weights
-        v = solve_triangular(m.chol, ks.T, lower=True)
-        cov_t = kernel_eval(pt, pt, h) - v.T @ v
-    return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * cov_t
-
-
-def sample_posterior(m: GpModel, points, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    """``n_draws`` joint posterior function draws, one row per draw."""
-    if n_draws < 1:
-        raise ContractError("n_draws must be positive")
-    mean, cov = posterior_joint(m, points)
-    k = mean.size
-    if float(np.trace(cov)) <= 1e-300:
-        return np.tile(mean, (n_draws, 1))
-    L, _ = _chol_with_jitter(cov)
-    z = rng.standard_normal((n_draws, k))
-    return mean[None, :] + z @ L.T
-
-
 # ---------------------------------------------------------------------------
 # marginal likelihood
 # ---------------------------------------------------------------------------

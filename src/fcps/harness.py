@@ -21,7 +21,8 @@ import numpy as np
 
 from . import sim
 from .acquisition import AcqConfig
-from .algorithms import LearnerConfig, make_learner, run_episode
+from .algorithms import ACTIVE_ALGORITHMS, LearnerConfig, make_learner, \
+    run_episode
 from .errors import ContractError, NumericalError
 from .experience import Context
 from .optim import SearchSpace
@@ -29,7 +30,6 @@ from .optim import SearchSpace
 PASSIVE_EPISODES = 150
 ACTIVE_EPISODES = 100
 DEFAULT_SEEDS = tuple(range(10))
-ACTIVE_ALGORITHMS = ("aces", "faces")
 
 
 # ---------------------------------------------------------------------------

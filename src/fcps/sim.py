@@ -46,7 +46,8 @@ PAD_RADIUS = 1.5
 PAD_BLEND_RADIUS = 3.0
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields; worlds compare by replay_metadata()
+@dataclass(frozen=True, eq=False)
 class Hill:
     center: np.ndarray
     height: float
@@ -64,7 +65,8 @@ class Hill:
             raise ContractError("hill width must be positive")
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields; worlds compare by replay_metadata()
+@dataclass(frozen=True, eq=False)
 class CannonWorld:
     gravity: float = 1.0
     hills: tuple[Hill, ...] = ()
@@ -512,7 +514,8 @@ def _minimum_jerk(start, end, n_samples: int) -> np.ndarray:
                                                  - np.asarray(start))[None, :]
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields; worlds compare by replay_metadata()
+@dataclass(frozen=True, eq=False)
 class ThrowerWorld:
     gravity: float = THROWER_GRAVITY
     duration: float = 1.0

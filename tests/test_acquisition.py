@@ -2,7 +2,8 @@
 
 The two-candidate information-gain oracle is computed from bivariate-normal
 algebra plus Gauss-Hermite quadrature, independently of the Monte-Carlo
-engine under test.  The ``np.argmax`` entropy kernels, the per-query gain
+engine under test, over the dense joint posterior kept here as
+``posterior_joint``.  The ``np.argmax`` entropy kernels, the per-query gain
 loops and the objective wrappers the engines replaced are kept here as
 oracles: the engines must reproduce them bit for bit.
 """
@@ -22,12 +23,26 @@ from fcps.acquisition import (
     EnsembleEsEngine,
     JointEsEngine,
     RepresenterSet,
-    entropy,
     gp_ucb,
-    pmin_estimate,
 )
 from fcps.errors import ContractError, NumericalError
 from fcps.optim import SearchSpace
+
+def posterior_joint(m: gp.GpModel, points) -> tuple[np.ndarray, np.ndarray]:
+    """Joint posterior mean vector and covariance matrix at ``points``."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    h = m.hyperparams
+    pt = m.transform_inputs(points)
+    if len(m) == 0:
+        mean_t = np.zeros(len(points))
+        cov_t = gp.kernel_eval(pt, pt, h)
+    else:
+        ks = gp.kernel_eval(pt, m.xt, h)
+        mean_t = ks @ m.weights
+        v = solve_triangular(m.chol, ks.T, lower=True)
+        cov_t = gp.kernel_eval(pt, pt, h) - v.T @ v
+    return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * cov_t
+
 
 # ---------------------------------------------------------------------------
 # oracles: the np.argmax kernels and per-query loops the engines replaced
@@ -234,75 +249,6 @@ def test_gp_ucb_values():
         gp_ucb(0.0, 1.0, -1.0)
 
 
-def test_entropy_range_and_edges():
-    m = 7
-    assert entropy(np.full(m, 1 / m)) == pytest.approx(np.log(m))
-    one_hot = np.zeros(m)
-    one_hot[2] = 1.0
-    assert entropy(one_hot) == 0.0
-    with pytest.raises(ContractError):
-        entropy(np.array([0.5, 0.4]))
-    with pytest.raises(ContractError):
-        entropy(np.array([1.2, -0.2]))
-
-
-# ---------------------------------------------------------------------------
-# pmin
-# ---------------------------------------------------------------------------
-
-
-def test_pmin_is_distribution_and_deterministic():
-    m = small_model()
-    cand = np.linspace(0, 1, 8)[:, None]
-    p1 = pmin_estimate(m, np.zeros(0), cand, 600, np.random.default_rng(5))
-    p2 = pmin_estimate(m, np.zeros(0), cand, 600, np.random.default_rng(5))
-    assert np.array_equal(p1, p2)
-    assert np.all(p1 >= 0)
-    assert abs(p1.sum() - 1.0) <= 1e-12
-
-
-def test_pmin_symmetric_posterior_is_even():
-    # two candidates with identical, exchangeable posteriors
-    h = gp.KernelHyperparams(1.0, np.array([0.5]), 1e-4)
-    m = gp.fit(np.array([[0.5]]), np.array([0.0]), h)
-    cand = np.array([[0.2], [0.8]])
-    n = 40_000
-    p = pmin_estimate(m, np.zeros(0), cand, n, np.random.default_rng(7))
-    se = np.sqrt(0.25 / n)
-    assert abs(p[0] - 0.5) <= 4 * se
-
-
-def test_pmin_prior_only_near_uniform():
-    h = gp.KernelHyperparams(1.0, np.array([10.0]), 1e-6)
-    m = gp.fit(np.zeros((0, 1)), np.zeros(0), h)
-    cand = np.array([[0.0], [100.0], [200.0], [300.0]])
-    n = 40_000
-    p = pmin_estimate(m, np.zeros(0), cand, n, np.random.default_rng(11))
-    assert np.all(np.abs(p - 0.25) <= 5 * np.sqrt(0.25 * 0.75 / n))
-
-
-def test_pmin_exact_ties_split_uniformly():
-    # deterministic posterior with two equal-mean candidates: every draw ties
-    h = gp.KernelHyperparams(1.0, np.array([1.0]), 1e-10)
-    m = gp.fit(np.array([[0.3], [0.7]]), np.array([2.0, 2.0]), h)
-    cand = np.array([[0.3], [0.7]])
-    p = pmin_estimate(m, np.zeros(0), cand, 2000, np.random.default_rng(3))
-    assert abs(p[0] - 0.5) <= 0.06
-    assert abs(p.sum() - 1.0) <= 1e-12
-
-
-def test_pmin_with_context_prefix():
-    rng = np.random.default_rng(12)
-    x = rng.uniform(0, 1, size=(10, 3))
-    y = x[:, 0] + x[:, 2]
-    h = gp.KernelHyperparams(1.0, np.array([0.5, 0.5, 0.5]), 1e-4)
-    m = gp.fit(x, y, h)
-    cand = rng.uniform(0, 1, size=(5, 2))
-    p = pmin_estimate(m, np.array([0.5]), cand, 500, rng)
-    assert p.shape == (5,)
-    assert abs(p.sum() - 1.0) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # information gain
 # ---------------------------------------------------------------------------
@@ -311,7 +257,7 @@ def test_pmin_with_context_prefix():
 def two_candidate_oracle(model, cand, query, noise):
     """Closed-form gain for M=2 via bivariate algebra and quadrature."""
     pts = np.vstack([cand, query[None, :]])
-    mean, cov = gp.posterior_joint(model, pts)
+    mean, cov = posterior_joint(model, pts)
     mu_a, mu_b, _ = mean
     s_aa, s_bb, s_ab = cov[0, 0], cov[1, 1], cov[0, 1]
     s_aq, s_bq = cov[0, 2], cov[1, 2]
@@ -486,14 +432,14 @@ def test_conditional_update_matches_literal_fantasy():
     pts = rng.uniform(0, 1, size=(4, 2))
     query = rng.uniform(0, 1, size=2)
 
-    mean0, cov0 = gp.posterior_joint(model, np.vstack([pts, query[None, :]]))
+    mean0, cov0 = posterior_joint(model, np.vstack([pts, query[None, :]]))
     cross = cov0[:4, 4]
     s2_obs = cov0[4, 4] + model.hyperparams.noise_variance
     shortcut = cov0[:4, :4] - np.outer(cross, cross) / s2_obs
 
     y_fantasy = mean0[4] + 0.37 * np.sqrt(s2_obs)
     fant = gp.fantasize(model, query, y_fantasy)
-    mean1, cov1 = gp.posterior_joint(fant, pts)
+    mean1, cov1 = posterior_joint(fant, pts)
 
     assert np.allclose(cov1, shortcut, atol=1e-8)
     expected_mean = mean0[:4] + cross * (y_fantasy - mean0[4]) / s2_obs

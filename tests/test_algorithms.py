@@ -3,25 +3,22 @@
 import numpy as np
 import pytest
 
-from fcps import gp
+from fcps import algorithms, gp
 from fcps.acquisition import AcqConfig
 from fcps.algorithms import (
+    ACTIVE_ALGORITHMS,
     ALGORITHMS,
-    AcesLearner,
-    BocpsLearner,
-    BofcpsHerLearner,
-    BofcpsLearner,
+    BoLearner,
     CrepsLearner,
     CrepsPolicy,
-    FacesLearner,
     LearnerConfig,
-    bocps_select,
     creps_dual,
     creps_features,
     creps_update,
     faces_select,
     make_learner,
     run_episode,
+    ucb_select,
 )
 from fcps.errors import ContractError
 from fcps.experience import Context, ExperienceStore, Outcome, RolloutRecord
@@ -88,6 +85,11 @@ def test_config_rejects_bad_values():
         LearnerConfig(algorithm="gradient-descent")
     with pytest.raises(ContractError):
         LearnerConfig(acquisition_kind="thompson")
+    # only bo-fcps implements the es and random acquisitions
+    for tag in set(ALGORITHMS) - {"bo-fcps"}:
+        for kind in ("es", "random"):
+            with pytest.raises(ContractError):
+                LearnerConfig(algorithm=tag, acquisition_kind=kind)
     with pytest.raises(ContractError):
         LearnerConfig(creps_epsilon=0.0)
     with pytest.raises(ContractError):
@@ -101,15 +103,13 @@ def test_config_rejects_bad_values():
 
 
 def test_make_learner_dispatch():
-    classes = {"bo-cps": BocpsLearner, "bo-fcps": BofcpsLearner,
-               "bo-fcps-her": BofcpsHerLearner, "aces": AcesLearner,
-               "faces": FacesLearner, "c-reps": CrepsLearner}
-    assert set(classes) == set(ALGORITHMS)
-    for tag, cls in classes.items():
+    for tag in ALGORITHMS:
         learner = seeded_echo_learner(tag)
-        assert type(learner) is cls
+        assert type(learner) is (CrepsLearner if tag == "c-reps" else BoLearner)
         assert hasattr(learner, "select_greedy")
-        assert learner.requires_context == (tag not in ("aces", "faces"))
+        active = tag in ACTIVE_ALGORITHMS
+        assert learner.requires_context == (not active)
+        assert hasattr(learner, "select_query") == active
 
 
 # -- joint-model selection --------------------------------------------------
@@ -120,7 +120,8 @@ def test_empty_dataset_selects_box_center():
     h = gp.KernelHyperparams(1.0, np.full(4, 0.3), 1e-2)
     dataset = (np.zeros((0, 4)), np.zeros(0))
     query = Context(target=np.array([0.2, -0.3]), env=np.zeros(0))
-    theta = bocps_select(dataset, query, TARGET2, THETA2, h, small_config())
+    theta = ucb_select(dataset, query.full, TARGET2.concat(THETA2), THETA2, h,
+                       small_config())
     assert np.array_equal(theta, THETA2.center)
 
 
@@ -134,7 +135,8 @@ def test_selected_ucb_beats_dense_grid():
     h = gp.KernelHyperparams(1.0, np.full(4, 0.3), 1e-2)
     cfg = small_config(direct_evals=300, refine_starts=2, refine_iters=40)
     query = Context(target=np.array([0.1, 0.5]), env=np.zeros(0))
-    theta = bocps_select((inputs, rewards), query, TARGET2, THETA2, h, cfg)
+    theta = ucb_select((inputs, rewards), query.full, TARGET2.concat(THETA2),
+                       THETA2, h, cfg)
 
     model = gp.fit(inputs, rewards, h, input_space=TARGET2.concat(THETA2),
                    standardize=True)
@@ -179,6 +181,28 @@ def test_factored_inputs_ignore_collection_targets():
     assert np.array_equal(learners[0].select(query), learners[1].select(query))
 
 
+def test_factored_select_rescores_the_store_once(monkeypatch):
+    # the refit and the selection share one re-scored training set
+    learner = seeded_echo_learner("bo-fcps", init_episodes=0)
+    feed_latin_rollouts(learner, 6)
+    targets = []
+    rescore = algorithms.reevaluate
+
+    def counted(store, reward_fn, target):
+        targets.append(target)
+        return rescore(store, reward_fn, target)
+
+    monkeypatch.setattr(algorithms, "reevaluate", counted)
+    query = Context(target=np.array([0.3, -0.2]), env=np.zeros(0))
+    learner.select(query)
+    assert len(targets) == 1 and np.array_equal(targets[0], query.target)
+    inputs, rewards = learner.dataset(query.target)
+    assert np.array_equal(inputs, learner.store.reduced_inputs())
+    reward = TargetDistanceReward()
+    assert np.array_equal(rewards, [reward(query.target, r.outcome)
+                                    for r in learner.store])
+
+
 # -- hindsight relabeling ---------------------------------------------------
 
 
@@ -189,20 +213,21 @@ def test_relabel_disabled_matches_plain_select():
     feed_latin_rollouts(learner, 6)
     learner.select(Context(target=np.array([0.5, -0.5]), env=np.zeros(0)))
     query = Context(target=np.array([0.0, 0.0]), env=np.zeros(0))
-    dataset = learner._dataset_with_relabels()
+    dataset = learner.dataset(query.target)
     h = learner._hyperparams
     assert h is not None
-    expected = bocps_select(dataset, query, TARGET2, THETA2, h, learner.cfg,
-                            kappa=0.0)
+    space = TARGET2.concat(THETA2)
+    expected = ucb_select(dataset, query.full, space, THETA2, h, learner.cfg,
+                          kappa=0.0)
     assert np.array_equal(learner.select_greedy(query), expected)
-    expected = bocps_select(dataset, query, TARGET2, THETA2, h, learner.cfg)
+    expected = ucb_select(dataset, query.full, space, THETA2, h, learner.cfg)
     assert np.array_equal(learner.select(query), expected)
 
 
 def test_relabeled_dataset_layout():
     learner = seeded_echo_learner("bo-fcps-her")
     feed_latin_rollouts(learner, 6)
-    inputs, rewards = learner._dataset_with_relabels()
+    inputs, rewards = learner.dataset(np.zeros(2))
     assert inputs.shape == (12, 4)
     assert rewards.shape == (12,)
     for i, record in enumerate(learner.store.records):

@@ -26,11 +26,8 @@ from fcps.gp import (
     kernel_eval,
     nlml,
     optimize_hyperparams,
-    posterior_joint,
-    predict,
     predict_batch,
     refit,
-    sample_posterior,
 )
 from fcps.optim import SearchSpace
 
@@ -107,7 +104,7 @@ def test_kernel_ard_anisotropy():
 
 def test_predict_matches_dense_oracle():
     m = two_point_model()
-    mean, var = predict(m, np.array([0.5]))
+    (mean,), (var,) = predict_batch(m, [[0.5]])
     assert mean == pytest.approx(ORACLE_MEAN_AT_HALF, abs=1e-8)
     assert var == pytest.approx(ORACLE_VAR_AT_HALF, abs=1e-8)
 
@@ -126,7 +123,7 @@ def test_predict_interpolates_training_points():
 
 def test_predict_far_from_data_reverts_to_prior():
     m = two_point_model()
-    mean, var = predict(m, np.array([500.0]))
+    (mean,), (var,) = predict_batch(m, [[500.0]])
     assert abs(mean) <= 1e-12
     assert var == pytest.approx(1.0, abs=1e-12)
 
@@ -134,7 +131,7 @@ def test_predict_far_from_data_reverts_to_prior():
 def test_empty_model_is_prior_only():
     h = KernelHyperparams(3.0, np.array([1.0, 1.0]), 1e-6)
     m = fit(np.zeros((0, 2)), np.zeros(0), h)
-    mean, var = predict(m, np.array([0.3, -0.4]))
+    (mean,), (var,) = predict_batch(m, [[0.3, -0.4]])
     assert mean == 0.0
     assert var == pytest.approx(3.0)
 
@@ -178,7 +175,7 @@ def test_standardize_round_trip():
     assert np.allclose(ms, shift + scale * mm, atol=1e-10)
     assert np.allclose(vs, scale**2 * vm, atol=1e-10)
     # far from data the standardized model reverts to the target mean
-    far_mean, _ = predict(m, np.array([1e6]))
+    (far_mean,), _ = predict_batch(m, [[1e6]])
     assert far_mean == pytest.approx(shift, abs=1e-9)
 
 
@@ -364,7 +361,7 @@ def test_fantasize_on_empty_model():
     h = KernelHyperparams(1.0, np.array([1.0]), 1e-6)
     m = fit(np.zeros((0, 1)), np.zeros(0), h)
     m2 = fantasize(m, np.array([0.5]), 2.0)
-    mean, _ = predict(m2, np.array([0.5]))
+    (mean,), _ = predict_batch(m2, [[0.5]])
     assert mean == pytest.approx(2.0, abs=1e-4)
 
 
@@ -381,26 +378,6 @@ def test_fantasize_near_duplicate_still_consistent():
     assert np.allclose(mf, ms, atol=1e-6)
 
 
-def test_sample_posterior_deterministic_and_calibrated():
-    m = two_point_model()
-    pts = np.array([[0.25], [0.5], [0.75]])
-    a = sample_posterior(m, pts, 4000, np.random.default_rng(42))
-    b = sample_posterior(m, pts, 4000, np.random.default_rng(42))
-    assert np.array_equal(a, b)
-    mean, cov = posterior_joint(m, pts)
-    assert np.allclose(a.mean(axis=0), mean, atol=4 * np.sqrt(np.diag(cov).max() / 4000) + 1e-3)
-    emp_cov = np.cov(a.T)
-    assert np.allclose(emp_cov, cov, atol=0.01)
-
-
-def test_sample_posterior_degenerate_returns_mean():
-    h = KernelHyperparams(1.0, np.array([1.0]), 1e-10)
-    x = np.array([[0.0]])
-    m = fit(x, np.array([3.0]), h)
-    draws = sample_posterior(m, x, 5, np.random.default_rng(0))
-    assert np.allclose(draws, 3.0, atol=1e-4)
-
-
 # ---------------------------------------------------------------------------
 # numerics
 # ---------------------------------------------------------------------------
@@ -411,7 +388,7 @@ def test_jitter_handles_duplicate_rows():
     x = np.array([[0.5], [0.5], [0.5], [1.5]])
     y = np.array([1.0, 1.0, 1.0, 0.0])
     m = fit(x, y, h)
-    mean, _ = predict(m, np.array([0.5]))
+    (mean,), _ = predict_batch(m, [[0.5]])
     assert mean == pytest.approx(1.0, abs=1e-3)
 
 

@@ -107,6 +107,19 @@ def test_generated_world_pad_and_reproducibility():
     assert terrain_elevation(w1, 0.0, 0.0) == 0.0
 
 
+def test_worlds_compare_by_identity_and_replay_metadata_by_content():
+    for make in (lambda: CannonWorld.generate(seed=3), ThrowerWorld):
+        world, twin = make(), make()
+        # both used to raise: ValueError from ==, TypeError from hash
+        assert world == world and world != twin
+        assert len({world, twin}) == 2
+        assert world.replay_metadata() == twin.replay_metadata()
+    hill = CannonWorld.generate(seed=3).hills[0]
+    assert hill == hill and isinstance(hash(hill), int)
+    assert CannonWorld.generate(seed=3).replay_metadata() \
+        != CannonWorld.generate(seed=4).replay_metadata()
+
+
 # ---------------------------------------------------------------------------
 # cannon rollouts
 # ---------------------------------------------------------------------------
