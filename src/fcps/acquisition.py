@@ -18,6 +18,14 @@ blocks, updated on strict ``>``, so ties go to the lowest candidate index
 exactly as with ``np.argmax`` (which it uses directly on a block small
 enough to fit in one piece).  A non-finite block raises
 :class:`NumericalError` instead of being ranked.
+
+Candidates that cannot win are dropped first.  As ``fl(b + d)`` is
+monotone in ``d``, candidate m never reaches row r's maximum when
+``base[r, m] + max_k draws[m, k] < max_m' (base[r, m'] + min_k draws[m', k])``:
+it stays strictly below in every draw, so it cannot even tie.  A row with
+one survivor is decided (entropy -0.0) and never scored.  The test runs when
+at least ``_PRUNE_ROWS`` rows share a group's draws, so that it costs little
+next to the maximum, and unless most of those first rows' candidates survive.
 """
 
 from __future__ import annotations
@@ -141,6 +149,21 @@ def gp_ucb(mean, std, kappa: float):
 # float64 entries (256 KiB) the entropy kernel works on at a time: a block
 # this size stays in a core's L2 cache
 _BLOCK = 1 << 15
+_PRUNE_ROWS = 32
+
+
+def _survivors(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Mask of the candidates some draw can make their row's maximum."""
+    floor = (base + draws.min(axis=2)[:, None]).max(axis=2, keepdims=True)
+    return base + draws.max(axis=2)[:, None] >= floor
+
+
+def _step(top, v, up, arg, j):
+    """Running-maximum step on strict ``>``; max(arg, j * up) holds as ``j`` grows."""
+    np.greater(v, top, out=up)
+    np.maximum(top, v, out=top)
+    np.multiply(up, j, out=up)
+    np.maximum(arg, up, out=arg)
 
 
 def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -149,24 +172,58 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     ``base`` is (G, L, M) and ``draws`` (G, M, K): in draw k, row l of group
     g scores candidate m as ``base[g, l, m] + draws[g, m, k]``.  Returns the
     (G, L) entropies of the best candidate's distribution over the K draws,
-    with ties going to the lowest candidate index.  A block that fits in
-    ``_BLOCK`` whole is argmaxed in one piece; a larger one keeps a running
-    maximum over candidates in reused row-block buffers, updated on strict
-    ``>``, which picks the same index as ``np.argmax``.
+    with ties going to the lowest candidate index.  Of the two running-
+    maximum loops, the pruned one gathers each row's draws; the dense one
+    adds a candidate's draws to a whole block by broadcasting, which costs
+    less per candidate.
     """
     g_n, l_n, m = base.shape
     k = draws.shape[2]
     if not (np.isfinite(base).all() and np.isfinite(draws).all()):
         raise NumericalError("non-finite value in an entropy-search block")
-    if g_n * l_n * m * k <= _BLOCK:
+    rows = g_n * l_n
+    idx_type = np.min_scalar_type(m - 1)
+    row, sole = np.arange(rows), np.zeros(0, dtype=np.intp)
+    if rows * m * k <= _BLOCK:
         idx = np.argmax(base[:, :, :, None] + draws[:, None], axis=2)
+    elif l_n >= _PRUNE_ROWS and 2 * np.count_nonzero(  # most survive: dense
+            _survivors(base[:, :_PRUNE_ROWS], draws)) <= g_n * _PRUNE_ROWS * m:
+        alive = _survivors(base, draws).reshape(rows, m)
+        n_alive = np.count_nonzero(alive, axis=1)
+        # most survivors first, so each step updates a prefix of the row block
+        order = np.argsort(-n_alive, kind="stable")
+        n_live = np.count_nonzero(n_alive > 1)
+        row, decided = order[:n_live], order[n_live:]
+        sole = decided * m + alive[decided].argmax(axis=1)
+        n_surv = n_alive[row]
+        at, cand = np.nonzero(alive[row])
+        rank = np.arange(len(at)) - np.repeat(np.cumsum(n_surv) - n_surv, n_surv)
+        sidx = np.zeros((n_live, n_surv[0] if n_live else 0), dtype=idx_type)
+        sidx[at, rank] = cand  # survivors in index order, zero-padded
+        bval = np.take_along_axis(base.reshape(rows, m)[row], sidx, axis=1)
+        flat = (row // l_n)[:, None] * m + sidx
+        draws_flat = draws.reshape(g_n * m, k)
+        idx = np.empty((n_live, k), dtype=idx_type)
+        r_blk = max(1, _BLOCK // k)
+        best, val = np.empty((2, min(r_blk, n_live), k))
+        moved = np.empty(best.shape, dtype=idx_type)
+        for r0 in range(0, n_live, r_blk):
+            r1 = min(r0 + r_blk, n_live)
+            top, arg = best[:r1 - r0], idx[r0:r1]
+            np.take(draws_flat, flat[r0:r1, 0], axis=0, out=top, mode="clip")
+            np.add(top, bval[r0:r1, :1], out=top)
+            arg[...] = sidx[r0:r1, :1]
+            for j in range(1, n_surv[r0]):
+                n = np.count_nonzero(n_surv[r0:r1] > j)
+                v = val[:n]
+                np.take(draws_flat, flat[r0:r0 + n, j], axis=0, out=v, mode="clip")
+                np.add(v, bval[r0:r0 + n, j:j + 1], out=v)
+                _step(top[:n], v, moved[:n], arg[:n], sidx[r0:r0 + n, j:j + 1])
     else:
-        idx_type = np.min_scalar_type(m - 1)
         idx = np.zeros((g_n, l_n, k), dtype=idx_type)
         l_blk = min(l_n, max(1, _BLOCK // k))
         g_blk = min(g_n, max(1, _BLOCK // (k * l_blk)))
-        best = np.empty((g_blk, l_blk, k))
-        val = np.empty_like(best)
+        best, val = np.empty((2, g_blk, l_blk, k))
         moved = np.empty(best.shape, dtype=idx_type)
         base_m = base.transpose(2, 0, 1)[..., None]     # (M, G, L, 1)
         draws_m = draws.transpose(1, 0, 2)[:, :, None]  # (M, G, 1, K)
@@ -180,15 +237,11 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
                 np.add(b[0], d[0], out=top)
                 for j in range(1, m):
                     np.add(b[j], d[j], out=v)
-                    np.greater(v, top, out=up)
-                    np.maximum(top, v, out=top)
-                    # the running index only grows, so max(arg, j * up)
-                    # moves it to j exactly where the maximum did
-                    np.multiply(up, j, out=up)
-                    np.maximum(arg, up, out=arg)
-    rows = g_n * l_n
-    offset = idx.reshape(rows, k) + (np.arange(rows) * m)[:, None]
+                    _step(top, v, up, arg, j)
+    # M-wide counts: the pairwise row sum gives each column a fixed lane
+    offset = idx.reshape(len(row), k) + (row * m)[:, None]
     counts = np.bincount(offset.ravel(), minlength=rows * m)
+    counts[sole] = k
     p = counts.reshape(rows, m) / k
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.where(p > 0, np.log(np.clip(p, 1e-300, None)), 0.0)

@@ -434,6 +434,8 @@ class BoLearner:
         self.input_space = (env_space if self.factored
                             else self.context_space).concat(theta_space)
         self.requires_context = cfg.algorithm not in ACTIVE_ALGORITHMS
+        optim.check_direct_evals(cfg.direct_evals, theta_space if self.requires_context
+                                 else self.input_space)
         if not self.requires_context:
             self.select_query = (self._factored_query if self.factored
                                  else self._joint_query)

@@ -323,6 +323,12 @@ def lbfgs_refine(f, space: SearchSpace, x0, max_iters: int = 100, *, grad=None,
     return x, val
 
 
+def check_direct_evals(direct_evals: int | None, space: SearchSpace) -> None:
+    """Raise unless DIRECT can start in ``space`` on ``direct_evals`` (None: default)."""
+    if direct_evals is not None and direct_evals < 2 * space.dim + 1:
+        raise ContractError(f"direct_evals must be at least 2*dim+1 = {2 * space.dim + 1}")
+
+
 def global_then_local(f, space: SearchSpace, *, direct_evals: int | None = None,
                       refine_starts: int = 3, refine_iters: int = 100,
                       grad=None, vectorized: bool = False):
@@ -334,8 +340,7 @@ def global_then_local(f, space: SearchSpace, *, direct_evals: int | None = None,
         raise ContractError("refine_starts must be positive")
     if direct_evals is None:
         direct_evals = 500 * space.dim
-    if direct_evals < 2 * space.dim + 1:
-        raise ContractError(f"direct_evals must be at least 2*dim+1 = {2 * space.dim + 1}")
+    check_direct_evals(direct_evals, space)
 
     batch = _as_batch(f, vectorized)
     state = _direct_search(lambda u: batch(space.from_unit(u)), space.dim, direct_evals)

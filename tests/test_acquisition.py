@@ -495,7 +495,7 @@ def test_kernel_matches_argmax_oracle(g_n, l_n, m, k, seed, coarse, block):
     with mock.patch.object(acquisition, "_BLOCK", block or acquisition._BLOCK):
         got = acquisition._argmax_entropies(base, draws)
     assert got.shape == (g_n, l_n)
-    assert np.array_equal(got, expected)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("shape", [(1, 600, 20, 150), (200, 3, 20, 150),
@@ -505,8 +505,78 @@ def test_kernel_matches_oracle_at_engine_sizes(shape):
     rng = np.random.default_rng(sum(shape))
     base = rng.standard_normal((g_n, l_n, m))
     draws = rng.standard_normal((g_n, m, k))
-    assert np.array_equal(acquisition._argmax_entropies(base, draws),
-                          _oracle_entropies(base, draws))
+    assert np.array_equal(acquisition._argmax_entropies(base, draws).view(np.uint64),
+                          _oracle_entropies(base, draws).view(np.uint64))
+
+
+def _survivors(base, draws):
+    """Per-row count of candidates some draw could make the row's maximum."""
+    floor = (base + draws.min(axis=2)[:, None]).max(axis=2, keepdims=True)
+    return np.count_nonzero(base + draws.max(axis=2)[:, None] >= floor, axis=2)
+
+
+@settings(max_examples=60)
+@given(g_n=st.integers(1, 3), l_n=st.integers(32, 90), m=st.integers(3, 40),
+       k=st.integers(3, 60), seed=st.integers(0, 2**32 - 1),
+       coarse=st.booleans(), spread=st.sampled_from([2, 10, 100]),
+       block=st.sampled_from([1, 37, 4096, None]))
+def test_kernel_prunes_dominated_candidates_exactly(g_n, l_n, m, k, seed, coarse,
+                                                    spread, block):
+    # means spread wider than the draws leave few survivors per row; the
+    # draws lie in [-2, 2], and draws 0 and 1 put every candidate at both ends
+    rng = np.random.default_rng(seed)
+    if coarse:
+        base = rng.integers(-spread, spread + 1, size=(g_n, l_n, m)).astype(float)
+        draws = rng.integers(-2, 3, size=(g_n, m, k)).astype(float)
+    else:
+        base = spread * rng.standard_normal((g_n, l_n, m))
+        draws = np.clip(rng.standard_normal((g_n, m, k)), -2.0, 2.0)
+    draws[:, :, 0], draws[:, :, 1] = 2.0, -2.0
+    # row 0: one survivor; row 1: equal means, so every candidate survives
+    base[:, 0] = -1e3
+    base[:, 0, m // 2] = 0.0
+    base[:, 1] = 0.0
+    # row 2: candidate 0 reaches the bound exactly (0 + 2 == 4 - 2) and ties
+    # candidate 1 in draw 2, which it must win as the lower index
+    base[:, 2] = -1e3
+    base[:, 2, :2] = 0.0, 4.0
+    draws[:, :2, 2] = 2.0, -2.0
+    survivors = _survivors(base, draws)
+    assert (survivors[:, :3] == [1, m, 2]).all()
+    expected = _oracle_entropies(base, draws)
+    with mock.patch.object(acquisition, "_BLOCK", block or acquisition._BLOCK):
+        got = acquisition._argmax_entropies(base, draws)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_faces_size_engine_prunes_and_matches_oracle_loop():
+    # the active-cannon shape: 200 representer targets over 3-d inputs, 20
+    # Latin-hypercube candidates, 150 draws and 3 fantasies per query
+    rng = np.random.default_rng(17)
+    inputs = rng.uniform(0, 1, size=(12, 3))
+    phase = rng.uniform(0, 2 * np.pi, size=200)
+    targets = np.sin(3 * inputs[:, :1] + phase) + inputs[:, 1:2] * np.cos(phase)
+    h = gp.KernelHyperparams(1.0, np.array([0.4, 0.5, 0.6]), 1e-3)
+    ens = gp.fit_shared_inputs(inputs, targets, h, standardize=True)
+    cand = SearchSpace([0.0] * 3, [1.0] * 3).sample_latin(20, rng)
+    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=4)
+    engine = EnsembleEsEngine(ens, cand, cfg, rng=np.random.default_rng(5))
+    counts = []
+    kernel = acquisition._argmax_entropies
+
+    def spy(base, draws):
+        counts.append(_survivors(base, draws).ravel())
+        return kernel(base, draws)
+
+    queries = rng.uniform(0, 1, size=(6, 3))
+    with mock.patch.object(acquisition, "_argmax_entropies", spy):
+        for per_branch in (False, True):
+            got = engine.gains(queries, per_branch=per_branch)
+            expected = ensemble_gains_oracle(engine, queries, per_branch)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    counts = np.concatenate(counts)
+    assert (counts == 1).any() and (counts > 2).any()
+    assert 2 * counts.sum() < counts.size * 20  # the pruned path ran
 
 
 @pytest.mark.parametrize("where", ["base", "draws"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fcps import algorithms, gp
+from fcps import algorithms, gp, harness
 from fcps.acquisition import AcqConfig
 from fcps.algorithms import (
     ACTIVE_ALGORITHMS,
@@ -100,6 +100,20 @@ def test_config_rejects_bad_values():
         LearnerConfig(refit_period=0)
     with pytest.raises(ContractError):
         LearnerConfig(init_episodes=-1)
+
+
+def test_make_learner_rejects_too_few_direct_evals_for_its_search_space():
+    # aces searches the thrower's joint (context, theta) space, 2 + 3 + 6
+    # dimensions, so DIRECT needs 2 * 11 + 1 = 23 evaluations; the learner
+    # must refuse 20 before any episode runs, not after its warm start
+    env = harness.build_environment(harness.ExperimentConfig(environment="thrower"))
+    spaces = (env.target_space, env.env_space, env.theta_space, env.reward_fn)
+    with pytest.raises(ContractError, match="23"):
+        make_learner(LearnerConfig(algorithm="aces", direct_evals=20), *spaces)
+    # faces searches (env context, theta), 9 dimensions, and the passive
+    # learners theta alone: 20 is enough for both
+    for tag in ("faces", "bo-cps", "bo-fcps"):
+        make_learner(LearnerConfig(algorithm=tag, direct_evals=20), *spaces)
 
 
 def test_make_learner_dispatch():
