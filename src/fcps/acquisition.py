@@ -16,16 +16,14 @@ it never keeps more than that many queries' draws.  For each row and draw
 the kernel keeps a running maximum over the M candidates in cache-sized row
 blocks, updated on strict ``>``, so ties go to the lowest candidate index
 exactly as with ``np.argmax`` (which it uses directly on a block small
-enough to fit in one piece).  A non-finite block raises
-:class:`NumericalError` instead of being ranked.
-
-Candidates that cannot win are dropped first.  As ``fl(b + d)`` is
-monotone in ``d``, candidate m never reaches row r's maximum when
-``base[r, m] + max_k draws[m, k] < max_m' (base[r, m'] + min_k draws[m', k])``:
-it stays strictly below in every draw, so it cannot even tie.  A row with
-one survivor is decided (entropy -0.0) and never scored.  The test runs when
-at least ``_PRUNE_ROWS`` rows share a group's draws, so that it costs little
-next to the maximum, and unless most of those first rows' candidates survive.
+enough to fit in one piece).  A non-finite block raises :class:`NumericalError`
+instead of being ranked.  Candidates that cannot win are dropped first: as
+``fl(b + d)`` is monotone in ``d``, candidate m stays strictly below row r's
+maximum in every draw, so it cannot even tie, when ``base[r, m] + max_k
+draws[m, k] < max_m' (base[r, m'] + min_k draws[m', k])``.  A row with one
+survivor is decided (entropy -0.0) and never scored.  Groups of fewer than
+``_PRUNE_ROWS`` rows, where the test costs too much next to the maximum, and
+groups whose first rows keep most candidates stay dense.
 """
 
 from __future__ import annotations
@@ -158,6 +156,13 @@ def _survivors(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return base + draws.max(axis=2)[:, None] >= floor
 
 
+def _counts(idx: np.ndarray, m: int) -> np.ndarray:
+    """(..., M) count of each candidate index along the last axis of ``idx``."""
+    lanes = np.arange(idx.size // idx.shape[-1]).reshape(idx.shape[:-1] + (1,)) * m
+    counts = np.bincount((idx + lanes).ravel(), minlength=lanes.size * m)
+    return counts.reshape(idx.shape[:-1] + (m,))
+
+
 def _step(top, v, up, arg, j):
     """Running-maximum step on strict ``>``; max(arg, j * up) holds as ``j`` grows."""
     np.greater(v, top, out=up)
@@ -172,10 +177,9 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     ``base`` is (G, L, M) and ``draws`` (G, M, K): in draw k, row l of group
     g scores candidate m as ``base[g, l, m] + draws[g, m, k]``.  Returns the
     (G, L) entropies of the best candidate's distribution over the K draws,
-    with ties going to the lowest candidate index.  Of the two running-
-    maximum loops, the pruned one gathers each row's draws; the dense one
-    adds a candidate's draws to a whole block by broadcasting, which costs
-    less per candidate.
+    with ties going to the lowest candidate index.  The pruned running-maximum
+    loop gathers each row's draws; the dense one, kept for blocks that do not
+    prune, broadcasts one candidate's draws over a block, costing less each.
     """
     g_n, l_n, m = base.shape
     k = draws.shape[2]
@@ -183,9 +187,10 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
         raise NumericalError("non-finite value in an entropy-search block")
     rows = g_n * l_n
     idx_type = np.min_scalar_type(m - 1)
-    row, sole = np.arange(rows), np.zeros(0, dtype=np.intp)
+    # M-wide counts: the pairwise row sum gives each column a fixed lane
+    counts = np.zeros((rows, m), dtype=np.intp)
     if rows * m * k <= _BLOCK:
-        idx = np.argmax(base[:, :, :, None] + draws[:, None], axis=2)
+        counts = _counts(np.argmax(base[:, :, :, None] + draws[:, None], axis=2), m)
     elif l_n >= _PRUNE_ROWS and 2 * np.count_nonzero(  # most survive: dense
             _survivors(base[:, :_PRUNE_ROWS], draws)) <= g_n * _PRUNE_ROWS * m:
         alive = _survivors(base, draws).reshape(rows, m)
@@ -194,7 +199,7 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
         order = np.argsort(-n_alive, kind="stable")
         n_live = np.count_nonzero(n_alive > 1)
         row, decided = order[:n_live], order[n_live:]
-        sole = decided * m + alive[decided].argmax(axis=1)
+        counts[decided, alive[decided].argmax(axis=1)] = k
         n_surv = n_alive[row]
         at, cand = np.nonzero(alive[row])
         rank = np.arange(len(at)) - np.repeat(np.cumsum(n_surv) - n_surv, n_surv)
@@ -203,13 +208,11 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
         bval = np.take_along_axis(base.reshape(rows, m)[row], sidx, axis=1)
         flat = (row // l_n)[:, None] * m + sidx
         draws_flat = draws.reshape(g_n * m, k)
-        idx = np.empty((n_live, k), dtype=idx_type)
-        r_blk = max(1, _BLOCK // k)
-        best, val = np.empty((2, min(r_blk, n_live), k))
-        moved = np.empty(best.shape, dtype=idx_type)
-        for r0 in range(0, n_live, r_blk):
-            r1 = min(r0 + r_blk, n_live)
-            top, arg = best[:r1 - r0], idx[r0:r1]
+        best, val = np.empty((2, min(max(1, _BLOCK // k), n_live), k))
+        moved, args = np.empty((2,) + best.shape, dtype=idx_type)
+        for r0 in range(0, n_live, len(best)):
+            r1 = min(r0 + len(best), n_live)
+            top, arg = best[:r1 - r0], args[:r1 - r0]
             np.take(draws_flat, flat[r0:r1, 0], axis=0, out=top, mode="clip")
             np.add(top, bval[r0:r1, :1], out=top)
             arg[...] = sidx[r0:r1, :1]
@@ -219,8 +222,8 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
                 np.take(draws_flat, flat[r0:r0 + n, j], axis=0, out=v, mode="clip")
                 np.add(v, bval[r0:r0 + n, j:j + 1], out=v)
                 _step(top[:n], v, moved[:n], arg[:n], sidx[r0:r0 + n, j:j + 1])
+            counts[row[r0:r1]] = _counts(arg, m)
     else:
-        idx = np.zeros((g_n, l_n, k), dtype=idx_type)
         l_blk = min(l_n, max(1, _BLOCK // k))
         g_blk = min(g_n, max(1, _BLOCK // (k * l_blk)))
         best, val = np.empty((2, g_blk, l_blk, k))
@@ -233,15 +236,12 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
                 d = draws_m[:, g0:g0 + g_blk]
                 gs, ls = b.shape[1:3]
                 top, v, up = best[:gs, :ls], val[:gs, :ls], moved[:gs, :ls]
-                arg = idx[g0:g0 + gs, l0:l0 + ls]
+                arg = np.zeros((gs, ls, k), dtype=idx_type)
                 np.add(b[0], d[0], out=top)
                 for j in range(1, m):
                     np.add(b[j], d[j], out=v)
                     _step(top, v, up, arg, j)
-    # M-wide counts: the pairwise row sum gives each column a fixed lane
-    offset = idx.reshape(len(row), k) + (row * m)[:, None]
-    counts = np.bincount(offset.ravel(), minlength=rows * m)
-    counts[sole] = k
+                counts.reshape(g_n, l_n, m)[g0:g0 + gs, l0:l0 + ls] = _counts(arg, m)
     p = counts.reshape(rows, m) / k
     with np.errstate(divide="ignore", invalid="ignore"):
         logp = np.where(p > 0, np.log(np.clip(p, 1e-300, None)), 0.0)
