@@ -156,11 +156,15 @@ def _survivors(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return base + draws.max(axis=2)[:, None] >= floor
 
 
-def _counts(idx: np.ndarray, m: int) -> np.ndarray:
-    """(..., M) count of each candidate index along the last axis of ``idx``."""
-    lanes = np.arange(idx.size // idx.shape[-1]).reshape(idx.shape[:-1] + (1,)) * m
-    counts = np.bincount((idx + lanes).ravel(), minlength=lanes.size * m)
-    return counts.reshape(idx.shape[:-1] + (m,))
+def _entropies(idx: np.ndarray, m: int) -> np.ndarray:
+    """Entropy of the candidate indices along the last axis of ``idx``.  The
+    counts stay M wide: the pairwise row sum gives each column a fixed lane."""
+    lead, k = idx.shape[:-1], idx.shape[-1]
+    lanes = np.arange(idx.size // k).reshape(lead + (1,)) * m
+    p = np.bincount((idx + lanes).ravel(), minlength=lanes.size * m) / k
+    plogp = np.log(p, out=np.zeros_like(p), where=p > 0)
+    plogp *= p
+    return -plogp.reshape(lead + (m,)).sum(axis=-1)
 
 
 def _step(top, v, up, arg, j):
@@ -187,10 +191,9 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
         raise NumericalError("non-finite value in an entropy-search block")
     rows = g_n * l_n
     idx_type = np.min_scalar_type(m - 1)
-    # M-wide counts: the pairwise row sum gives each column a fixed lane
-    counts = np.zeros((rows, m), dtype=np.intp)
+    ent = np.empty((g_n, l_n))
     if rows * m * k <= _BLOCK:
-        counts = _counts(np.argmax(base[:, :, :, None] + draws[:, None], axis=2), m)
+        ent = _entropies(np.argmax(base[:, :, :, None] + draws[:, None], axis=2), m)
     elif l_n >= _PRUNE_ROWS and 2 * np.count_nonzero(  # most survive: dense
             _survivors(base[:, :_PRUNE_ROWS], draws)) <= g_n * _PRUNE_ROWS * m:
         alive = _survivors(base, draws).reshape(rows, m)
@@ -199,7 +202,7 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
         order = np.argsort(-n_alive, kind="stable")
         n_live = np.count_nonzero(n_alive > 1)
         row, decided = order[:n_live], order[n_live:]
-        counts[decided, alive[decided].argmax(axis=1)] = k
+        ent.reshape(rows)[decided] = -0.0
         n_surv = n_alive[row]
         at, cand = np.nonzero(alive[row])
         rank = np.arange(len(at)) - np.repeat(np.cumsum(n_surv) - n_surv, n_surv)
@@ -222,7 +225,7 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
                 np.take(draws_flat, flat[r0:r0 + n, j], axis=0, out=v, mode="clip")
                 np.add(v, bval[r0:r0 + n, j:j + 1], out=v)
                 _step(top[:n], v, moved[:n], arg[:n], sidx[r0:r0 + n, j:j + 1])
-            counts[row[r0:r1]] = _counts(arg, m)
+            ent.reshape(rows)[row[r0:r1]] = _entropies(arg, m)
     else:
         l_blk = min(l_n, max(1, _BLOCK // k))
         g_blk = min(g_n, max(1, _BLOCK // (k * l_blk)))
@@ -241,11 +244,8 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
                 for j in range(1, m):
                     np.add(b[j], d[j], out=v)
                     _step(top, v, up, arg, j)
-                counts.reshape(g_n, l_n, m)[g0:g0 + gs, l0:l0 + ls] = _counts(arg, m)
-    p = counts.reshape(rows, m) / k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(p > 0, np.log(np.clip(p, 1e-300, None)), 0.0)
-    return -(p * logp).sum(axis=1).reshape(g_n, l_n)
+                ent[g0:g0 + gs, l0:l0 + ls] = _entropies(arg, m)
+    return ent
 
 
 def _summed_gains(h0: np.ndarray, ent: np.ndarray, per_branch: bool) -> np.ndarray:
