@@ -16,14 +16,14 @@ it never keeps more than that many queries' draws.  For each row and draw
 the kernel keeps a running maximum over the M candidates in cache-sized row
 blocks, updated on strict ``>``, so ties go to the lowest candidate index
 exactly as with ``np.argmax`` (which it uses directly on a block small
-enough to fit in one piece).  A non-finite block raises :class:`NumericalError`
-instead of being ranked.  Candidates that cannot win are dropped first: as
-``fl(b + d)`` is monotone in ``d``, candidate m stays strictly below row r's
-maximum in every draw, so it cannot even tie, when ``base[r, m] + max_k
-draws[m, k] < max_m' (base[r, m'] + min_k draws[m', k])``.  A row with one
-survivor is decided (entropy -0.0) and never scored.  Groups of fewer than
-``_PRUNE_ROWS`` rows, where the test costs too much next to the maximum, and
-groups whose first rows keep most candidates stay dense.
+enough to fit in one piece).  A non-finite block raises
+:class:`NumericalError` instead of being ranked.  First, candidates that
+cannot win are dropped: ``fl(b + d)`` is monotone in ``d``, so candidate m
+stays strictly below row r's maximum in every draw, and cannot even tie, when
+``base[r, m] + max_k draws[m, k] < max_m' (base[r, m'] + min_k draws[m', k])``.
+A row with one survivor is decided (entropy -0.0) and never scored.  Groups
+under ``_PRUNE_ROWS`` rows, where the test costs too much, stay dense, and so
+do groups whose first rows keep most candidates.
 """
 
 from __future__ import annotations
@@ -162,8 +162,7 @@ def _entropies(idx: np.ndarray, m: int) -> np.ndarray:
     lead, k = idx.shape[:-1], idx.shape[-1]
     lanes = np.arange(idx.size // k).reshape(lead + (1,)) * m
     p = np.bincount((idx + lanes).ravel(), minlength=lanes.size * m) / k
-    plogp = np.log(p, out=np.zeros_like(p), where=p > 0)
-    plogp *= p
+    plogp = p * np.log(p, out=np.zeros_like(p), where=p > 0)
     return -plogp.reshape(lead + (m,)).sum(axis=-1)
 
 
@@ -216,8 +215,7 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
         for r0 in range(0, n_live, len(best)):
             r1 = min(r0 + len(best), n_live)
             top, arg = best[:r1 - r0], args[:r1 - r0]
-            np.take(draws_flat, flat[r0:r1, 0], axis=0, out=top, mode="clip")
-            np.add(top, bval[r0:r1, :1], out=top)
+            np.add(np.take(draws_flat, flat[r0:r1, 0], axis=0), bval[r0:r1, :1], out=top)
             arg[...] = sidx[r0:r1, :1]
             for j in range(1, n_surv[r0]):
                 n = np.count_nonzero(n_surv[r0:r1] > j)
@@ -229,22 +227,24 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     else:
         l_blk = min(l_n, max(1, _BLOCK // k))
         g_blk = min(g_n, max(1, _BLOCK // (k * l_blk)))
-        best, val = np.empty((2, g_blk, l_blk, k))
+        best = np.empty((g_blk, l_blk, k))
+        val = np.empty_like(best)
         moved = np.empty(best.shape, dtype=idx_type)
         base_m = base.transpose(2, 0, 1)[..., None]     # (M, G, L, 1)
         draws_m = draws.transpose(1, 0, 2)[:, :, None]  # (M, G, 1, K)
         for g0 in range(0, g_n, g_blk):
+            args = np.zeros((min(g_blk, g_n - g0), l_n, k), dtype=idx_type)
             for l0 in range(0, l_n, l_blk):
                 b = base_m[:, g0:g0 + g_blk, l0:l0 + l_blk]
                 d = draws_m[:, g0:g0 + g_blk]
                 gs, ls = b.shape[1:3]
                 top, v, up = best[:gs, :ls], val[:gs, :ls], moved[:gs, :ls]
-                arg = np.zeros((gs, ls, k), dtype=idx_type)
+                arg = args[:, l0:l0 + ls]
                 np.add(b[0], d[0], out=top)
                 for j in range(1, m):
                     np.add(b[j], d[j], out=v)
                     _step(top, v, up, arg, j)
-                ent[g0:g0 + gs, l0:l0 + ls] = _entropies(arg, m)
+            ent[g0:g0 + len(args)] = _entropies(args, m)
     return ent
 
 
