@@ -150,10 +150,9 @@ _BLOCK = 1 << 15
 _PRUNE_ROWS = 32
 
 
-def _survivors(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Mask of the candidates some draw can make their row's maximum."""
-    floor = (base + draws.min(axis=2)[:, None]).max(axis=2, keepdims=True)
-    return base + draws.max(axis=2)[:, None] >= floor
+def _survivors(base: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Mask of the candidates a draw in [lo, hi] (G, 1, M) can make their row's maximum."""
+    return base + hi >= (base + lo).max(axis=2, keepdims=True)
 
 
 def _entropies(idx: np.ndarray, m: int) -> np.ndarray:
@@ -193,9 +192,10 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     ent = np.empty((g_n, l_n))
     if rows * m * k <= _BLOCK:
         ent = _entropies(np.argmax(base[:, :, :, None] + draws[:, None], axis=2), m)
-    elif l_n >= _PRUNE_ROWS and 2 * np.count_nonzero(  # most survive: dense
-            _survivors(base[:, :_PRUNE_ROWS], draws)) <= g_n * _PRUNE_ROWS * m:
-        alive = _survivors(base, draws).reshape(rows, m)
+    elif l_n >= _PRUNE_ROWS and 2 * np.count_nonzero(_survivors(  # most survive: dense
+            base[:, :_PRUNE_ROWS], lo := draws.min(axis=2)[:, None],
+            hi := draws.max(axis=2)[:, None])) <= g_n * _PRUNE_ROWS * m:
+        alive = _survivors(base, lo, hi).reshape(rows, m)
         n_alive = np.count_nonzero(alive, axis=1)
         # most survivors first, so each step updates a prefix of the row block
         order = np.argsort(-n_alive, kind="stable")
@@ -210,7 +210,7 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
         bval = np.take_along_axis(base.reshape(rows, m)[row], sidx, axis=1)
         flat = (row // l_n)[:, None] * m + sidx
         draws_flat = draws.reshape(g_n * m, k)
-        best, val = np.empty((2, min(max(1, _BLOCK // k), n_live), k))
+        best, val = np.empty((2, max(1, min(_BLOCK // k, n_live)), k))
         moved, args = np.empty((2,) + best.shape, dtype=idx_type)
         for r0 in range(0, n_live, len(best)):
             r1 = min(r0 + len(best), n_live)

@@ -549,6 +549,25 @@ def test_kernel_prunes_dominated_candidates_exactly(g_n, l_n, m, k, seed, coarse
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("block", [1, 37, None])
+@pytest.mark.parametrize("shape", [(1, 200, 20, 150), (3, 40, 7, 60)])
+def test_kernel_with_every_row_decided(shape, block):
+    # one candidate per row leads the rest by more than the draws' spread, as
+    # at EnsembleEsEngine construction once the posterior means settle
+    g_n, l_n, m, k = shape
+    rng = np.random.default_rng(sum(shape))
+    base = 10.0 * rng.standard_normal((g_n, l_n, m))
+    lead = rng.integers(0, m, size=(g_n, l_n, 1))
+    np.put_along_axis(base, lead, 100.0, axis=2)
+    draws = rng.uniform(-1.0, 1.0, size=(g_n, m, k))
+    assert (_survivors(base, draws) == 1).all()
+    expected = _oracle_entropies(base, draws)
+    with mock.patch.object(acquisition, "_BLOCK", block or acquisition._BLOCK):
+        got = acquisition._argmax_entropies(base, draws)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), np.full((g_n, l_n), -0.0).view(np.uint64))
+
+
 def test_faces_size_engine_prunes_and_matches_oracle_loop():
     # the active-cannon shape: 200 representer targets over 3-d inputs, 20
     # Latin-hypercube candidates, 150 draws and 3 fantasies per query
