@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import gp
 from .errors import ContractError, NumericalError
@@ -315,7 +314,7 @@ class JointEsEngine:
 
         if len(model):
             ks = gp.kernel_eval(pt, model.xt, h)
-            self._v = solve_triangular(model.chol, ks.T, lower=True)
+            self._v = gp._solve_lower(model.chol, ks.T)
             mu0 = (ks @ model.weights).reshape(c_n, m)
             v3 = self._v.reshape(-1, c_n, m)
             sigma = prior - np.einsum("ncm,ncl->cml", v3, v3)
@@ -341,7 +340,7 @@ class JointEsEngine:
         # the standardized fantasy normal u enters.
         if len(model):
             kq = gp.kernel_eval(qt, model.xt, h)
-            wq = solve_triangular(model.chol, kq.T, lower=True)
+            wq = gp._solve_lower(model.chol, kq.T)
             s2_lat = np.maximum(h.signal_variance - np.sum(wq**2, axis=0), 0.0)
             cross = (gp.kernel_eval(self._pt, qt, h) - self._v.T @ wq)
         else:
@@ -406,7 +405,7 @@ class EnsembleEsEngine:
         prior = gp.kernel_eval(pt, pt, h)
         if ensemble.n_points:
             ks = gp.kernel_eval(pt, ensemble.xt, h)
-            self._v = solve_triangular(ensemble.chol, ks.T, lower=True)
+            self._v = gp._solve_lower(ensemble.chol, ks.T)
             self.mu0 = (ks @ ensemble.alphas).T  # (C, M)
             self.sigma = prior - self._v.T @ self._v
         else:
@@ -429,7 +428,7 @@ class EnsembleEsEngine:
         # u/sd, so branch predictive means cancel just as in JointEsEngine.
         if ens.n_points:
             kq = gp.kernel_eval(qt, ens.xt, h)
-            wq = solve_triangular(ens.chol, kq.T, lower=True)
+            wq = gp._solve_lower(ens.chol, kq.T)
             s2_lat = np.maximum(h.signal_variance - np.sum(wq**2, axis=0), 0.0)
             cross = gp.kernel_eval(self._pt, qt, h) - self._v.T @ wq  # (M, B)
         else:

@@ -84,15 +84,20 @@ def _cmd_study(args) -> int:
     return 0
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two arrays hold the same values bit for bit: unlike ``==``,
+    -0.0 differs from 0.0 and NaN matches NaN."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _cmd_replay(args) -> int:
     saved = harness.load_results(args.config)
     all_match = True
     report = []
     for config, stored in saved:
         fresh = harness.run(config)
-        match = bool(
-            np.array_equal(fresh.online_rewards, stored.online_rewards)
-            and np.array_equal(fresh.offline_rewards, stored.offline_rewards))
+        match = (_same_bits(fresh.online_rewards, stored.online_rewards)
+                 and _same_bits(fresh.offline_rewards, stored.offline_rewards))
         all_match &= match
         report.append({"algorithm": config.algorithm, "match": match})
     print(json.dumps({"command": "replay", "match": all_match,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import lapack
 from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import ContractError, NumericalError
@@ -23,6 +23,11 @@ from .optim import SearchSpace
 
 _JITTER_START = 1e-10
 _JITTER_LIMIT = 1e-4
+
+# The LAPACK routines behind scipy.linalg's cholesky, cho_solve and
+# solve_triangular, fetched once: at the model sizes here the wrappers'
+# batching and validation cost more than the call itself.
+_POTRF, _POTRS, _TRTRS = lapack.dpotrf, lapack.dpotrs, lapack.dtrtrs
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +140,55 @@ def kernel_eval(a, b, h: KernelHyperparams) -> np.ndarray:
     return _kernel_scaled(_scaled_rows(a, h), _scaled_rows(b, h), h)
 
 
+def _check_finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _check_info(info: int, routine: str) -> None:
+    """Raise as scipy does on a LAPACK status: ``LinAlgError`` when the
+    matrix is not positive definite (potrf) or singular (trtrs)."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} failed at diagonal {info}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cholesky(a, lower=True)`` on a float64 matrix."""
+    _check_finite(a)
+    c, info = _POTRF(a, lower=1)
+    _check_info(info, "potrf")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((c, True), b)`` on float64 arrays."""
+    _check_finite(c, b)
+    x, info = _POTRS(c, b, lower=1)
+    _check_info(info, "potrs")
+    return x
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray, *, check_finite: bool = True) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(L, b, lower=True)`` on float64 arrays.
+
+    As there, an F-ordered factor goes to trtrs as it is and any other, such
+    as the C-ordered factors ``fantasize`` makes, as its transpose with the
+    transposed system.  The two paths can differ in the last bits, so the
+    choice has to stay scipy's for the results to stay the same.
+    """
+    if check_finite:
+        _check_finite(L, b)
+    if L.flags.f_contiguous:
+        x, info = _TRTRS(L, b, lower=1)
+    else:
+        x, info = _TRTRS(L.T, b, lower=0, trans=1)
+    _check_info(info, "trtrs")
+    return x
+
+
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with escalating diagonal jitter.
 
@@ -151,7 +205,7 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     jitter = 0.0
     while True:
         try:
-            L = cholesky(K + jitter * np.eye(n), lower=True)
+            L = _cholesky(K + jitter * np.eye(n))
             return L, jitter
         except np.linalg.LinAlgError:
             pass
@@ -178,7 +232,7 @@ def _assemble(inputs, targets, h, x_lo, x_span, y_shift, y_scale) -> GpModel:
     if len(xt):
         K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(len(xt))
         L, jitter = _chol_with_jitter(K)
-        weights = cho_solve((L, True), yt)
+        weights = _cho_solve(L, yt)
     else:
         L = np.zeros((0, 0))
         weights = np.zeros(0)
@@ -229,7 +283,7 @@ def predict_batch(m: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
     else:
         ks = _kernel_scaled(_scaled_rows(m.transform_inputs(x), h), m.scaled_xt, h)
         mean_t = ks @ m.weights
-        v = solve_triangular(m.chol, ks.T, lower=True, check_finite=False)
+        v = _solve_lower(m.chol, ks.T, check_finite=False)
         var_t = h.signal_variance - np.sum(v**2, axis=0)
         np.maximum(var_t, 0.0, out=var_t)
     return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * var_t
@@ -273,14 +327,14 @@ def nlml(inputs, targets, h: KernelHyperparams, *,
     kf = kernel_eval(inputs, inputs, h)
     K = kf + h.noise_variance * np.eye(n)
     try:
-        L = cholesky(K, lower=True)
+        L = _cholesky(K)
     except np.linalg.LinAlgError:
         return np.inf, np.zeros(d + 2)
-    alpha = cho_solve((L, True), targets)
+    alpha = _cho_solve(L, targets)
     value = (0.5 * targets @ alpha + np.sum(np.log(np.diag(L)))
              + 0.5 * n * np.log(2.0 * np.pi))
 
-    kinv = cho_solve((L, True), np.eye(n))
+    kinv = _cho_solve(L, np.eye(n))
     A = np.outer(alpha, alpha) - kinv
     akf = A * kf
     if sq_diffs is None:
@@ -453,7 +507,7 @@ def fit_shared_inputs(inputs, target_matrix, h: KernelHyperparams, *,
     if n:
         K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(n)
         L, jitter = _chol_with_jitter(K)
-        alphas = cho_solve((L, True), yt)
+        alphas = _cho_solve(L, yt)
     else:
         L = np.zeros((0, 0))
         alphas = np.zeros((0, c))
@@ -496,7 +550,7 @@ def fantasize(m: GpModel, x, y: float) -> GpModel:
     xt_new = m.transform_inputs(x)
     k_vec = kernel_eval(m.xt, xt_new, h)[:, 0]
     k_ss = h.signal_variance + h.noise_variance + m.jitter
-    b = solve_triangular(m.chol, k_vec, lower=True)
+    b = _solve_lower(m.chol, k_vec)
     c_sq = k_ss - b @ b
     if c_sq <= 1e-12 * k_ss:
         return _assemble(new_inputs, new_targets, h, m.x_lo, m.x_span,
@@ -508,6 +562,6 @@ def fantasize(m: GpModel, x, y: float) -> GpModel:
     L[n, :n] = b
     L[n, n] = np.sqrt(c_sq)
     yt = np.append(m.yt, (float(y) - m.y_shift) / m.y_scale)
-    weights = cho_solve((L, True), yt)
+    weights = _cho_solve(L, yt)
     return GpModel(new_inputs, new_targets, h, m.x_lo, m.x_span, m.y_shift,
                    m.y_scale, np.vstack([m.xt, xt_new]), yt, L, weights, m.jitter)

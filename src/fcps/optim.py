@@ -4,16 +4,20 @@ The global stage is a DIRECT-style rectangle subdivision on the unit cube
 with trisection along the longest side only (ties broken by the lowest
 dimension index), which keeps the search fully deterministic.  Its state is
 a set of arrays preallocated to the evaluation budget, one row per
-rectangle: center, trisection counts, value, half-diagonal and size-class
-key; a row changes only when its rectangle is split.  Each iteration picks
-the potentially optimal rectangles with one sort by size class and value
-and one slope matrix over the class representatives.  The local stage wraps
+rectangle: center, value and split count; a row changes only when its
+rectangle is split.  Since every split takes the lowest trisection level,
+lowest dimension first, the split count fixes a rectangle's levels, so its
+half-diagonal, size-class key and whether it can still be split are read
+from tables by count, built once per dimension.  Each iteration picks the
+potentially optimal rectangles with one sort by size class and value and
+one slope matrix over the class representatives.  The local stage wraps
 scipy's bounded L-BFGS with central finite differences when no analytic
-gradient is supplied.
+gradient is supplied, and scores each point it visits once.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -122,22 +126,40 @@ def _as_batch(f, vectorized: bool):
 _THIRDS = np.array([3.0 ** -(np.int64(level) + 1) for level in range(_MIN_LEVEL + 1)])
 
 
+@functools.cache
+def _count_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-diagonal, size-class key and splittability by split count.
+
+    After ``t`` splits a rectangle in ``dim`` dimensions has trisection
+    level ``t // dim`` on every side, plus one on the first ``t % dim``;
+    the tables cover every count up to ``_MIN_LEVEL * dim``, the first one
+    that is not split again.
+    """
+    counts = np.arange(_MIN_LEVEL * dim + 1)[:, None]
+    levels = counts // dim + (np.arange(dim) < counts % dim)
+    measures = 0.5 * np.sqrt(np.sum(9.0 ** (-levels.astype(float)), axis=1))
+    tables = (measures, np.round(measures, 14), levels.min(axis=1) < _MIN_LEVEL)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 class _DirectState:
     """Rectangle bookkeeping for one DIRECT run, in unit-cube coordinates.
 
     Rows ``[0, n)`` hold the rectangles made so far; a size class is the
-    half-diagonal (``measures``) rounded to 14 decimals (``keys``).
+    half-diagonal (``measure_of`` by split count) rounded to 14 decimals
+    (``key_of``).
     """
 
     def __init__(self, dim: int, capacity: int):
         self.n = 0
+        self.dim = dim
         self.centers = np.empty((capacity, dim))
-        self.levels = np.empty((capacity, dim), dtype=np.int64)
+        self.counts = np.empty(capacity, dtype=np.int64)
         self.values = np.empty(capacity)
-        self.measures = np.empty(capacity)
-        self.keys = np.empty(capacity)
-        self.splittable = np.empty(capacity, dtype=bool)
         self.best_index = 0
+        self.measure_of, self.key_of, self.splittable_of = _count_tables(dim)
 
     @property
     def best_value(self) -> float:
@@ -147,21 +169,14 @@ class _DirectState:
     def best_center(self) -> np.ndarray:
         return self.centers[self.best_index]
 
-    def _set_levels(self, rows, levels: np.ndarray) -> None:
-        measures = 0.5 * np.sqrt(np.sum(9.0 ** (-levels.astype(float)), axis=1))
-        self.levels[rows] = levels
-        self.measures[rows] = measures
-        self.keys[rows] = np.round(measures, 14)
-        self.splittable[rows] = levels.min(axis=1) < _MIN_LEVEL
-
-    def add(self, centers: np.ndarray, levels: np.ndarray, values: np.ndarray) -> None:
+    def add(self, centers: np.ndarray, counts: np.ndarray, values: np.ndarray) -> None:
         """Append rectangles; the incumbent moves only on strict improvement,
         to the first of equal best values."""
         start, m = self.n, len(values)
         rows = slice(start, start + m)
         self.centers[rows] = centers
+        self.counts[rows] = counts
         self.values[rows] = values
-        self._set_levels(rows, levels)
         self.n = start + m
         j = int(np.argmax(values))
         if start == 0 or values[j] > self.values[self.best_index]:
@@ -170,17 +185,17 @@ class _DirectState:
     def split(self, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Trisect each chosen rectangle along its longest side (lowest
         dimension on ties); returns the two new centers per rectangle, low
-        side first, and their trisection counts."""
-        levels = self.levels[chosen]
+        side first, and their split counts."""
+        counts = self.counts[chosen]
+        side = counts % self.dim
+        delta = _THIRDS[counts // self.dim]
+        counts += 1
+        self.counts[chosen] = counts
         rows = np.arange(len(chosen))
-        side = np.argmin(levels, axis=1)
-        delta = _THIRDS[levels[rows, side]]
-        levels[rows, side] += 1
-        self._set_levels(chosen, levels)
         points = np.repeat(self.centers[chosen], 2, axis=0)
         points[2 * rows, side] -= delta
         points[2 * rows + 1, side] += delta
-        return points, np.repeat(levels, 2, axis=0)
+        return points, np.repeat(counts, 2)
 
     def ranked_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Centers and values ordered by decreasing value (stable)."""
@@ -199,11 +214,12 @@ def _potentially_optimal(state: _DirectState) -> np.ndarray:
     that come out NaN (between two -inf values) constrain nothing.
     """
     n = state.n
-    candidates = np.flatnonzero(state.splittable[:n])
+    counts = state.counts[:n]
+    candidates = np.flatnonzero(state.splittable_of[counts])
     if candidates.size == 0:
         return candidates
     vals = state.values[:n]
-    keys = state.keys[candidates]
+    keys = state.key_of[counts[candidates]]
     # by size class, then best value first; the stable sort keeps the
     # lowest index first among equal values
     order = np.lexsort((-vals[candidates], keys))
@@ -212,7 +228,7 @@ def _potentially_optimal(state: _DirectState) -> np.ndarray:
     first[1:] = sorted_keys[1:] != sorted_keys[:-1]
     idx = candidates[order[first]]
     f = vals[idx]
-    dd = state.measures[idx]
+    dd = state.measure_of[counts[idx]]
     f_max = vals.max()
     # every value so far -inf: the margin would make the threshold NaN
     threshold = f_max + _PO_EPSILON * abs(f_max) if np.isfinite(f_max) else f_max
@@ -236,20 +252,20 @@ def _direct_search(f_batch, dim: int, max_evals: int) -> _DirectState:
     if not np.isfinite(v):
         _log.warning("objective returned non-finite value at the box center")
         v = -np.inf
-    state.add(center, np.zeros((1, dim), dtype=np.int64), np.array([v], dtype=float))
+    state.add(center, np.zeros(1, dtype=np.int64), np.array([v], dtype=float))
 
     while state.n + 2 <= max_evals:
         chosen = _potentially_optimal(state)
         if not chosen.size:
             break
         chosen = chosen[:(max_evals - state.n) // 2]
-        points, levels = state.split(chosen)
+        points, counts = state.split(chosen)
         vals = f_batch(points)
         bad = ~np.isfinite(vals)
         if bad.any():
             _log.warning("objective returned %d non-finite values; treated as -inf", int(bad.sum()))
             vals = np.where(bad, -np.inf, vals)
-        state.add(points, levels, vals)
+        state.add(points, counts, vals)
     return state
 
 
@@ -301,7 +317,17 @@ def lbfgs_refine(f, space: SearchSpace, x0, max_iters: int = 100, *, grad=None,
     x0 = space.clip(x0)
     if x0.shape != (space.dim,):
         raise ContractError("x0 dimension does not match the search space")
-    f0 = float(batch(x0[None, :])[0])
+    # single-point scores by the point's bytes: f0, scipy's first call at
+    # x0 and the re-score of its end point would otherwise repeat a call
+    scores: dict[bytes, float] = {}
+
+    def score(x: np.ndarray) -> float:
+        key = x.tobytes()
+        if key not in scores:
+            scores[key] = float(batch(x[None, :])[0])
+        return scores[key]
+
+    f0 = score(x0)
 
     if grad is None:
         jac = lambda x: -_central_gradient(batch, x, space)
@@ -309,7 +335,7 @@ def lbfgs_refine(f, space: SearchSpace, x0, max_iters: int = 100, *, grad=None,
         jac = lambda x: -np.asarray(grad(x), dtype=float)
 
     res = _scipy_minimize(
-        lambda x: -float(batch(x[None, :])[0]),
+        lambda x: -score(x),
         x0,
         jac=jac,
         method="L-BFGS-B",
@@ -317,7 +343,7 @@ def lbfgs_refine(f, space: SearchSpace, x0, max_iters: int = 100, *, grad=None,
         options={"maxiter": max_iters, "maxcor": 10},
     )
     x = space.clip(res.x)
-    val = float(batch(x[None, :])[0])
+    val = score(x)
     if not np.isfinite(val) or val < f0:
         return x0, f0
     return x, val

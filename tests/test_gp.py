@@ -399,6 +399,99 @@ def test_chol_with_jitter_gives_up_eventually():
     assert len(exc.value.jitters) > 0
 
 
+# -- the LAPACK helpers against scipy's wrappers -----------------------------
+
+
+def _factor_and_rhs(n, rhs, order, seed):
+    rng = np.random.default_rng(seed)
+    h = KernelHyperparams(1.0, rng.uniform(0.05, 2.0, 2), 10.0 ** rng.uniform(-8, -1))
+    x = rng.uniform(0.0, 1.0, (n, 2))
+    K = kernel_eval(x, x, h) + (h.noise_variance + 1e-8) * np.eye(n)
+    k = {"1-d": None, "(n, 1)": 1, "(n, k)": int(rng.integers(2, 9))}[rhs]
+    b = rng.normal(size=n if k is None else (k, n))
+    if k is not None:
+        b = b.T  # F-ordered, as ks.T in predict_batch
+        if order == "C":
+            b = np.ascontiguousarray(b)
+    return K, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 200), rhs=st.sampled_from(["1-d", "(n, 1)", "(n, k)"]),
+       order=st.sampled_from(["F", "C"]), seed=st.integers(0, 2**32 - 1))
+@example(n=200, rhs="(n, k)", order="C", seed=0)
+@example(n=1, rhs="1-d", order="C", seed=0)
+def test_lapack_helpers_equal_scipys_wrappers_bit_for_bit(n, rhs, order, seed):
+    K, b = _factor_and_rhs(n, rhs, order, seed)
+    L = gp._cholesky(K)
+    assert np.array_equal(L, cholesky(K, lower=True))
+    L = np.asfortranarray(L) if order == "F" else np.ascontiguousarray(L)
+    x = gp._cho_solve(L, b)
+    assert x.shape == b.shape and np.array_equal(x, cho_solve((L, True), b))
+    for check_finite in (True, False):
+        x = gp._solve_lower(L, b, check_finite=check_finite)
+        ref = solve_triangular(L, b, lower=True, check_finite=check_finite)
+        assert x.shape == b.shape and np.array_equal(x, ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lapack_helpers_reject_non_finite_input_as_scipy_does(bad):
+    K, b = _factor_and_rhs(4, "1-d", "F", 0)
+    L = gp._cholesky(K)
+    K_bad, L_bad, b_bad = K.copy(), L.copy(order="F"), b.copy()
+    K_bad[3, 0] = K_bad[0, 3] = bad
+    L_bad[3, 0] = bad
+    b_bad[3] = bad
+    for call in (lambda: cholesky(K_bad, lower=True), lambda: gp._cholesky(K_bad)):
+        with pytest.raises(ValueError):
+            call()
+    for c, rhs in ((L_bad, b), (L, b_bad)):
+        for call in (lambda: cho_solve((c, True), rhs), lambda: gp._cho_solve(c, rhs),
+                     lambda: solve_triangular(c, rhs, lower=True),
+                     lambda: gp._solve_lower(c, rhs)):
+            with pytest.raises(ValueError):
+                call()
+        # predict_batch skips the check, as it did through scipy
+        assert np.array_equal(gp._solve_lower(c, rhs, check_finite=False),
+                              solve_triangular(c, rhs, lower=True, check_finite=False),
+                              equal_nan=True)
+
+
+def test_lapack_helpers_raise_linalg_error_as_scipy_does():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for call in (lambda: cholesky(indefinite, lower=True),
+                 lambda: gp._cholesky(indefinite)):
+        with pytest.raises(np.linalg.LinAlgError):
+            call()
+    singular = np.array([[1.0, 0.0], [3.0, 0.0]])
+    for factor in (singular, np.asfortranarray(singular)):
+        for call in (lambda: solve_triangular(factor, np.ones(2), lower=True),
+                     lambda: gp._solve_lower(factor, np.ones(2))):
+            with pytest.raises(np.linalg.LinAlgError):
+                call()
+
+
+@pytest.mark.parametrize("K", [
+    np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite: gives up
+    np.ones((3, 3)),  # singular: factors after a jitter
+])
+def test_chol_with_jitter_tries_the_jitters_it_tried_through_scipy(monkeypatch, K):
+    def outcome():
+        try:
+            L, jitter = _chol_with_jitter(K)
+        except NumericalError as err:
+            return err.jitters
+        return L, jitter
+
+    direct = outcome()
+    monkeypatch.setattr(gp, "_cholesky", lambda a: cholesky(a, lower=True))
+    wrapped = outcome()
+    if isinstance(wrapped, list):
+        assert direct == wrapped and len(wrapped) == 7
+    else:
+        assert np.array_equal(direct[0], wrapped[0]) and direct[1] == wrapped[1] > 0
+
+
 def test_refit_improves_or_keeps_nlml():
     rng = np.random.default_rng(11)
     x, y, _ = random_instance(rng, n=18, d=2)

@@ -351,6 +351,30 @@ def test_cli_run_and_replay(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["match"] is True
 
 
+@pytest.mark.parametrize("stored, fresh, match", [
+    (-0.0, 0.0, False),  # equal under ==, different bits
+    (np.nan, np.nan, True),  # the same bits, unequal under ==
+])
+def test_cli_replay_compares_bits(tmp_path, capsys, monkeypatch, stored, fresh,
+                                  match):
+    config_path = write_cli_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    runs = out / "runs.json"
+    entries = json.loads(runs.read_text())
+    entries[0]["offline_rewards"][0][0] = stored
+    runs.write_text(json.dumps(entries))
+    (_, result), = harness.load_results(runs)
+    offline = result.offline_rewards.copy()
+    offline[0, 0] = fresh
+    monkeypatch.setattr(harness, "run", lambda config: replace(
+        result, offline_rewards=offline))
+    assert cli.main(["replay", "--config", str(runs)]) == (0 if match else 1)
+    assert json.loads(capsys.readouterr().out)["match"] is match
+
+
 def test_cli_overrides(tmp_path, capsys):
     config_path = write_cli_config(tmp_path)
     out = tmp_path / "out"

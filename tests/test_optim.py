@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize as _scipy_minimize
 
-from fcps import optim
+from fcps import gp, optim
 from fcps.errors import ContractError
 from fcps.optim import SearchSpace, direct_maximize, global_then_local, lbfgs_refine
 
@@ -413,6 +414,18 @@ def _recorded(f):
     return f_batch, calls
 
 
+def _canonical_levels(counts, dim: int) -> np.ndarray:
+    """Trisection levels per dimension after each number of splits, each
+    split taking the lowest level, lowest dimension first, as the
+    list-based search splits."""
+    counts = np.asarray(counts)
+    table = np.zeros((int(counts.max(initial=0)) + 1, dim), dtype=np.int64)
+    for t in range(1, len(table)):
+        table[t] = table[t - 1]
+        table[t, np.argmin(table[t])] += 1
+    return table[counts]
+
+
 def _assert_same_search(f, dim: int, budget: int):
     new_batch, new_calls = _recorded(f)
     old_batch, old_calls = _recorded(f)
@@ -428,8 +441,11 @@ def _assert_same_search(f, dim: int, budget: int):
     assert np.array_equal(new.best_center, old.best_center)
     for a, b in zip(new.ranked_centers(), old.ranked_centers()):
         assert np.array_equal(a, b)
-    assert np.array_equal(new.levels[:new.n], np.array(old.levels))
-    assert np.array_equal(new.measures[:new.n], old.measures())
+    old_levels = np.array(old.levels)
+    # every level vector the oracle makes is the one its split count implies
+    assert np.array_equal(old_levels, _canonical_levels(old_levels.sum(axis=1), dim))
+    assert np.array_equal(_canonical_levels(new.counts[:new.n], dim), old_levels)
+    assert np.array_equal(new.measure_of[new.counts[:new.n]], old.measures())
     return new
 
 
@@ -450,8 +466,8 @@ def test_direct_search_matches_in_six_dimensions(kind):
 
 def test_direct_search_matches_when_a_rectangle_reaches_the_minimum_size():
     state = _assert_same_search(lambda u: -np.abs(u[:, 0] - 0.5), 1, 399)
-    assert state.levels[:state.n].max() == optim._MIN_LEVEL
-    assert not state.splittable[state.best_index]
+    assert state.counts[:state.n].max() == optim._MIN_LEVEL  # one dimension
+    assert not state.splittable_of[state.counts[state.best_index]]
 
 
 def test_direct_search_matches_with_a_non_finite_center():
@@ -474,6 +490,126 @@ def test_direct_search_recovers_from_a_non_finite_center_alone():
     assert state.best_index > 0
 
 
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_count_tables_equal_the_per_row_formula(dim):
+    measures, keys, splittable = optim._count_tables(dim)
+    counts = np.arange(optim._MIN_LEVEL * dim + 1)
+    levels = _canonical_levels(counts, dim)
+
+    def formula(lev):  # the per-row expression the tables replaced
+        return 0.5 * np.sqrt(np.sum(9.0 ** (-lev.astype(float)), axis=1))
+
+    whole = formula(levels)
+    assert np.array_equal(measures, whole)
+    assert all(formula(levels[t:t + 1])[0] == measures[t] for t in counts)
+    assert np.array_equal(keys, np.round(whole, 14))
+    assert np.array_equal(splittable, levels.min(axis=1) < optim._MIN_LEVEL)
+    # the last count is the first that is never split, so none lies beyond
+    assert splittable[:-1].all() and not splittable[-1]
+
+
 def test_trisection_offsets_equal_the_scalar_powers():
     for level in range(optim._MIN_LEVEL + 1):
         assert optim._THIRDS[level] == 3.0 ** (-(np.int64(level) + 1))
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS refinement against the version that scored points more than once
+# ---------------------------------------------------------------------------
+
+
+def _lbfgs_refine_rescoring(f, space: SearchSpace, x0, max_iters: int = 100, *,
+                            grad=None, vectorized: bool = False):
+    """``lbfgs_refine`` as it was before it kept its single-point scores,
+    verbatim: the oracle for its bits."""
+    if max_iters < 1:
+        raise ContractError("max_iters must be positive")
+    batch = optim._as_batch(f, vectorized)
+    x0 = space.clip(x0)
+    if x0.shape != (space.dim,):
+        raise ContractError("x0 dimension does not match the search space")
+    f0 = float(batch(x0[None, :])[0])
+
+    if grad is None:
+        jac = lambda x: -optim._central_gradient(batch, x, space)
+    else:
+        jac = lambda x: -np.asarray(grad(x), dtype=float)
+
+    res = _scipy_minimize(
+        lambda x: -float(batch(x[None, :])[0]),
+        x0,
+        jac=jac,
+        method="L-BFGS-B",
+        bounds=list(zip(space.lower, space.upper)),
+        options={"maxiter": max_iters, "maxcor": 10},
+    )
+    x = space.clip(res.x)
+    val = float(batch(x[None, :])[0])
+    if not np.isfinite(val) or val < f0:
+        return x0, f0
+    return x, val
+
+
+def _ucb_on_a_model(seed: int):
+    """A GP-UCB objective on a fitted model, as the learners maximize."""
+    rng = np.random.default_rng(seed)
+    space = SearchSpace([-1.0, 0.0, 2.0], [1.0, 3.0, 2.5])
+    x = space.sample_uniform(25, rng)
+    y = np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2]
+    model = gp.fit(x, y, gp.KernelHyperparams(1.0, [0.5, 1.0, 0.3], 1e-3),
+                   input_space=space, standardize=True)
+
+    def ucb(pts):
+        mean, var = gp.predict_batch(model, pts)
+        return mean + 2.0 * np.sqrt(var)
+    return ucb, space, space.sample_uniform(1, rng)[0]
+
+
+def _refine_cases():
+    """``(f, space, x0, vectorized, keywords)`` for each refinement case."""
+    quad_c = np.array([0.1, 0.3, -0.2])
+    A = np.array([[2.0, 0.3], [0.3, 1.0]])
+    box2 = SearchSpace([-1.0] * 2, [1.0] * 2)
+
+    def holes(x):  # NaN past x[0] = 0.4, where the ascent heads
+        return np.nan if x[0] > 0.4 else -float((x[0] - 0.7) ** 2 + x[1] ** 2)
+
+    cases = [(*_ucb_on_a_model(seed), True, {}) for seed in range(3)]
+    cases += [
+        (lambda x: -float(np.sum((x - quad_c) ** 2)), SearchSpace([-1.0] * 3, [1.0] * 3),
+         np.array([0.8, -0.8, 0.5]), False, {}),
+        (lambda x: -float(np.sum((x - [2.0, -3.0]) ** 2)), box2, np.zeros(2), False, {}),
+        (lambda x: -abs(x[0] - 0.5), SearchSpace([0.0], [1.0]), np.array([0.5]), False,
+         {"max_iters": 30}),
+        (holes, SearchSpace([0.0, -1.0], [1.0, 1.0]), np.array([0.3, 0.6]), False, {}),
+        (lambda x: -float((x - 0.2) @ A @ (x - 0.2)), box2, np.array([0.9, 0.9]), False,
+         {"grad": lambda x: -2.0 * (A @ (x - 0.2))}),
+    ]
+    return cases
+
+
+def _single_points(batch):
+    """``batch``, recording the bytes of every point scored alone (the
+    finite-difference gradient's rows come 2 * dim at a time)."""
+    seen = []
+
+    def recorded(pts):
+        if len(pts) == 1:
+            seen.append(pts[0].tobytes())
+        return batch(pts)
+    return recorded, seen
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_lbfgs_refine_equals_the_rescoring_version_and_scores_each_point_once(case):
+    f, space, x0, vectorized, kw = _refine_cases()[case]
+    batch = optim._as_batch(f, vectorized)
+    new_f, new_seen = _single_points(batch)
+    old_f, old_seen = _single_points(batch)
+    x, val = lbfgs_refine(new_f, space, x0, vectorized=True, **kw)
+    ref_x, ref_val = _lbfgs_refine_rescoring(old_f, space, x0, vectorized=True, **kw)
+    assert np.array_equal(x, ref_x) and val == ref_val
+    assert len(set(new_seen)) == len(new_seen)
+    assert set(new_seen) == set(old_seen) and len(new_seen) < len(old_seen)
+    x, val = lbfgs_refine(f, space, x0, vectorized=vectorized, **kw)
+    assert np.array_equal(x, ref_x) and val == ref_val
