@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fcps import sim
 from fcps.errors import ContractError
 from fcps.experience import (
     AugmentedSample,
@@ -183,6 +186,49 @@ def test_reevaluate_targets_grid():
         assert np.array_equal(out[j], reevaluate(store, fn, t)[1])
     with pytest.raises(ContractError):
         reevaluate_targets(store, fn, np.zeros(2))
+
+
+# (reward, target space, env space, param space, stats width) per task
+TASK_REWARDS = {
+    "cannon": (sim.CannonReward(), sim.CANNON_TARGET_SPACE,
+               SearchSpace(np.zeros(0), np.zeros(0)), sim.CANNON_PARAM_SPACE, 3),
+    "active-cannon": (sim.ActiveCannonReward(), sim.ACTIVE_CANNON_TARGET_SPACE,
+                      SearchSpace(np.zeros(0), np.zeros(0)),
+                      sim.CANNON_PARAM_SPACE, 3),
+    "thrower": (sim.ThrowerReward(), sim.THROWER_TARGET_SPACE,
+                sim.THROWER_START_SPACE, sim.THROWER_PARAM_SPACE, 2),
+}
+
+
+@settings(max_examples=60)
+@given(task=st.sampled_from(sorted(TASK_REWARDS)), n=st.integers(0, 40),
+       n_targets=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_batched_rescoring_matches_per_record_scalar_reward(task, n, n_targets,
+                                                            seed):
+    reward_fn, target_space, env_space, param_space, width = TASK_REWARDS[task]
+    rng = np.random.default_rng(seed)
+    store = ExperienceStore(env_space, param_space)
+    records = []
+    for _ in range(n):
+        stats = rng.uniform(-12.0, 12.0, width)
+        record = RolloutRecord(env_context=env_space.sample_uniform(1, rng)[0],
+                               params=param_space.sample_uniform(1, rng)[0],
+                               outcome=Outcome(stats, stats[:2]),
+                               actual_reward=float(rng.standard_normal()))
+        store.append(record)
+        records.append(record)
+    targets = target_space.sample_uniform(n_targets, rng)
+    if task == "active-cannon":
+        # shoot indicators on both sides of the threshold, and on it
+        targets[:, 2] = rng.choice([0.0, 0.05, 0.1, 0.1000001, 0.5, 1.0],
+                                   n_targets)
+    oracle = np.array([[reward_fn(t, r.outcome, r.params) for r in records]
+                       for t in targets]).reshape(n_targets, n)
+    batched = reevaluate_targets(store, reward_fn, targets)
+    assert batched.shape == oracle.shape and batched.dtype == oracle.dtype
+    assert batched.tobytes() == oracle.tobytes()
+    _, first = reevaluate(store, reward_fn, targets[0])
+    assert first.tobytes() == oracle[0].tobytes()
 
 
 def test_empty_store_reevaluate():
