@@ -208,8 +208,6 @@ def faces_select(store: ExperienceStore, reward_fn,
                                  cfg.acquisition.n_candidates, rng,
                                  env_dim=env_space.dim)
     inputs = store.reduced_inputs()
-    if len(store) == 0:
-        inputs = np.zeros((0, env_space.dim + theta_space.dim))
     reward_matrix = reevaluate_targets(store, reward_fn, reps.target_contexts)
     input_space = env_space.concat(theta_space)
     ensemble = gp.fit_shared_inputs(inputs, reward_matrix.T, hyperparams,
@@ -471,10 +469,7 @@ class BoLearner:
     def dataset(self, target) -> tuple[np.ndarray, np.ndarray]:
         """The (inputs, rewards) training set for a query at ``target``."""
         if self.factored:
-            inputs, rewards = reevaluate(self.store, self.reward_fn, target)
-            if len(self.store) == 0:
-                inputs = np.zeros((0, self.input_space.dim))
-            return inputs, rewards
+            return reevaluate(self.store, self.reward_fn, target)
         if not self._contexts_full:
             return np.zeros((0, self.input_space.dim)), np.zeros(0)
         inputs = np.hstack([np.array(self._contexts_full), self.store.params()])

@@ -11,10 +11,8 @@ performance accounting is unaffected by later re-evaluations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -116,124 +114,83 @@ class AugmentedSample:
 
 
 class ExperienceStore:
-    """Append-only rollout log; iteration order is insertion order."""
+    """Append-only rollout log kept as growing columns, in insertion order.
 
-    def __init__(self, env_space: SearchSpace | None = None,
-                 param_space: SearchSpace | None = None):
+    Row i holds rollout i: its (env context, params) inputs, its outcome
+    statistics and its collection-time reward.  The matrix views are
+    read-only and cover the rows appended so far; a later append writes past
+    them, or into a fresh buffer, never into them.
+    """
+
+    def __init__(self, env_space: SearchSpace, param_space: SearchSpace):
         self.env_space = env_space
         self.param_space = param_space
-        self._records: list[RolloutRecord] = []
+        self._box = env_space.concat(param_space)
+        self._n = 0
+        rows = 16  # doubled whenever the columns are full
+        self._inputs = np.empty((rows, self._box.dim))
+        self._stats = np.empty((rows, 0))  # width set by the first append
+        self._rewards = np.empty(rows)
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[RolloutRecord]:
-        return iter(self._records)
-
-    def __getitem__(self, index: int) -> RolloutRecord:
-        return self._records[index]
-
-    @property
-    def records(self) -> tuple[RolloutRecord, ...]:
-        return tuple(self._records)
+        return self._n
 
     def append(self, record: RolloutRecord) -> None:
-        if self.env_space is not None:
-            if record.env_context.shape != (self.env_space.dim,):
-                raise ContractError(
-                    f"env context has shape {record.env_context.shape}, store "
-                    f"expects ({self.env_space.dim},)")
-            if not self.env_space.contains(record.env_context, atol=1e-9):
-                raise ContractError("env context outside the store's box")
-        if self.param_space is not None:
-            if record.params.shape != (self.param_space.dim,):
-                raise ContractError(
-                    f"params has shape {record.params.shape}, store expects "
-                    f"({self.param_space.dim},)")
-            if not self.param_space.contains(record.params, atol=1e-9):
-                raise ContractError("params outside the store's box")
-        if self._records:
-            first = self._records[0]
-            if record.env_context.shape != first.env_context.shape:
-                raise ContractError("env context dimension changed mid-store")
-            if record.params.shape != first.params.shape:
-                raise ContractError("parameter dimension changed mid-store")
-            if record.outcome.stats.shape != first.outcome.stats.shape:
-                raise ContractError("outcome dimension changed mid-store")
-        self._records.append(record)
+        parts = ((record.env_context, self.env_space, "env context"),
+                 (record.params, self.param_space, "params"))
+        for value, space, name in parts:
+            if value.shape != (space.dim,):
+                raise ContractError(f"{name} has shape {value.shape}, store "
+                                    f"expects ({space.dim},)")
+        row = np.concatenate([record.env_context, record.params])
+        if not self._box.contains(row, atol=1e-9):
+            name = next(name for value, space, name in parts
+                        if not space.contains(value, atol=1e-9))
+            raise ContractError(f"{name} outside the store's box")
+        stats = record.outcome.stats
+        n = self._n
+        if n == 0:
+            self._stats = np.empty((len(self._rewards), stats.size))
+        elif stats.shape != self._stats.shape[1:]:
+            raise ContractError("outcome dimension changed mid-store")
+        if n == len(self._rewards):
+            self._inputs, self._stats, self._rewards = (
+                np.concatenate([column, np.empty_like(column)]) for column in
+                (self._inputs, self._stats, self._rewards))
+        self._inputs[n] = row
+        self._stats[n] = stats
+        self._rewards[n] = record.actual_reward
+        self._n = n + 1
 
-    # -- matrix views -------------------------------------------------------
-
-    def env_contexts(self) -> np.ndarray:
-        if not self._records:
-            return np.zeros((0, 0))
-        return np.array([r.env_context for r in self._records])
-
-    def params(self) -> np.ndarray:
-        if not self._records:
-            return np.zeros((0, 0))
-        return np.array([r.params for r in self._records])
-
-    def actual_rewards(self) -> np.ndarray:
-        return np.array([r.actual_reward for r in self._records])
-
-    def outcome_stats(self) -> np.ndarray:
-        if not self._records:
-            return np.zeros((0, 0))
-        return np.array([r.outcome.stats for r in self._records])
-
-    def achieved_targets(self) -> np.ndarray:
-        if not self._records:
-            return np.zeros((0, 0))
-        return np.array([r.outcome.achieved_target for r in self._records])
+    def _view(self, column: np.ndarray) -> np.ndarray:
+        view = column[:self._n]
+        view.flags.writeable = False
+        return view
 
     def reduced_inputs(self) -> np.ndarray:
         """The (env context, params) input matrix shared by all query targets."""
-        if not self._records:
-            return np.zeros((0, 0))
-        return np.hstack([self.env_contexts(), self.params()])
+        return self._view(self._inputs)
 
-    # -- persistence --------------------------------------------------------
+    def env_contexts(self) -> np.ndarray:
+        return self._view(self._inputs[:, :self.env_space.dim])
 
-    def save_jsonl(self, path) -> None:
-        lines = []
-        for r in self._records:
-            lines.append(json.dumps({
-                "env_context": r.env_context.tolist(),
-                "params": r.params.tolist(),
-                "stats": r.outcome.stats.tolist(),
-                "achieved_target": r.outcome.achieved_target.tolist(),
-                "actual_reward": r.actual_reward,
-            }))
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    def params(self) -> np.ndarray:
+        return self._view(self._inputs[:, self.env_space.dim:])
 
-    @classmethod
-    def load_jsonl(cls, path, env_space: SearchSpace | None = None,
-                   param_space: SearchSpace | None = None) -> "ExperienceStore":
-        store = cls(env_space, param_space)
-        for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ContractError(f"line {line_no} is not valid JSON: {exc}") from exc
-            store.append(RolloutRecord(
-                env_context=np.array(obj["env_context"], dtype=float),
-                params=np.array(obj["params"], dtype=float),
-                outcome=Outcome(np.array(obj["stats"], dtype=float),
-                                np.array(obj["achieved_target"], dtype=float)),
-                actual_reward=float(obj["actual_reward"]),
-            ))
-        return store
+    def outcome_stats(self) -> np.ndarray:
+        return self._view(self._stats)
+
+    def actual_rewards(self) -> np.ndarray:
+        return self._view(self._rewards)
 
 
 # ---------------------------------------------------------------------------
 # re-evaluation
 # ---------------------------------------------------------------------------
 
-# reward_fn(target, outcome, params) -> float; an optional reward_fn.batch
-# taking (targets, stats, params) matrices must agree with it bit-for-bit.
+# reward_fn(target, outcome, params) -> float, and reward_fn.batch(targets,
+# stats, params) over matrices with one row per (target, record) pair; every
+# task reward has both, and they agree bit for bit.
 RewardFn = Callable[[np.ndarray, Outcome, np.ndarray], float]
 
 
@@ -246,26 +203,26 @@ def reevaluate(store: ExperienceStore, reward_fn: RewardFn,
     inputs are identical whatever the target.
     """
     target = _clean_vector(target, "target")
-    inputs = store.reduced_inputs()
-    if len(store) == 0:
-        return inputs, np.zeros(0)
-    batch = getattr(reward_fn, "batch", None)
-    if batch is not None:
-        tiled = np.broadcast_to(target, (len(store), target.shape[0]))
-        rewards = np.asarray(batch(tiled, store.outcome_stats(), store.params()),
-                             dtype=float)
-    else:
-        rewards = np.array([reward_fn(target, r.outcome, r.params) for r in store])
-    return inputs, rewards
+    return (store.reduced_inputs(),
+            reevaluate_targets(store, reward_fn, target[None, :])[0])
 
 
 def reevaluate_targets(store: ExperienceStore, reward_fn: RewardFn,
                        targets) -> np.ndarray:
-    """Reward matrix of shape (n_targets, n_records), one row per target."""
+    """Reward matrix of shape (n_targets, n_records), one row per target,
+    from one ``reward_fn.batch`` call over every (target, record) pair."""
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2:
         raise ContractError("targets must be a (n, d) matrix")
-    return np.array([reevaluate(store, reward_fn, t)[1] for t in targets])
+    if not np.all(np.isfinite(targets)):
+        raise ContractError("targets contain non-finite entries")
+    k, n = len(targets), len(store)
+    if n == 0:
+        return np.zeros((k, 0))
+    rewards = reward_fn.batch(np.repeat(targets, n, axis=0),
+                              np.tile(store.outcome_stats(), (k, 1)),
+                              np.tile(store.params(), (k, 1)))
+    return np.asarray(rewards, dtype=float).reshape(k, n)
 
 
 # ---------------------------------------------------------------------------

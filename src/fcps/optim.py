@@ -82,9 +82,6 @@ class SearchSpace:
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
-    def to_unit(self, x) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.lower) / self.span
-
     def from_unit(self, u) -> np.ndarray:
         return self.lower + np.asarray(u, dtype=float) * self.span
 

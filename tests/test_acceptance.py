@@ -355,13 +355,13 @@ def test_criterion_8_replay_premise(announce):
                            environment.target_space, environment.env_space,
                            environment.theta_space, environment.reward_fn)
     ctx_rng = np.random.default_rng(5)
-    for _ in range(40):
-        run_episode(learner, environment, sample_context(environment, ctx_rng),
-                    ctx_rng)
+    records = [run_episode(learner, environment,
+                           sample_context(environment, ctx_rng), ctx_rng)
+               for _ in range(40)]
     target = np.array([4.0, -7.5])
     _, batch_rewards = reevaluate(learner.store, environment.reward_fn, target)
     naive = np.array([environment.reward_fn(target, rec.outcome, rec.params)
-                      for rec in learner.store])
+                      for rec in records])
     rescore_ok = batch_rewards.tobytes() == naive.tobytes()
 
     ok = premise_ok and rescore_ok

@@ -69,12 +69,15 @@ def seeded_echo_learner(algorithm, **kw):
 
 
 def feed_latin_rollouts(learner, n, seed=2):
+    """Observe n latin-sampled echo rollouts; returns their records."""
     rng = np.random.default_rng(seed)
     reward = TargetDistanceReward()
+    records = []
     for p in THETA2.sample_latin(n, rng):
         ctx = Context(target=TARGET2.sample_uniform(1, rng)[0], env=np.zeros(0))
         out = Outcome(stats=p.copy(), achieved_target=p.copy())
-        learner.observe(ctx, p, out, reward(ctx.target, out))
+        records.append(learner.observe(ctx, p, out, reward(ctx.target, out)))
+    return records
 
 
 # -- config and dispatch ----------------------------------------------------
@@ -198,7 +201,7 @@ def test_factored_inputs_ignore_collection_targets():
 def test_factored_select_rescores_the_store_once(monkeypatch):
     # the refit and the selection share one re-scored training set
     learner = seeded_echo_learner("bo-fcps", init_episodes=0)
-    feed_latin_rollouts(learner, 6)
+    records = feed_latin_rollouts(learner, 6)
     targets = []
     rescore = algorithms.reevaluate
 
@@ -214,7 +217,7 @@ def test_factored_select_rescores_the_store_once(monkeypatch):
     assert np.array_equal(inputs, learner.store.reduced_inputs())
     reward = TargetDistanceReward()
     assert np.array_equal(rewards, [reward(query.target, r.outcome)
-                                    for r in learner.store])
+                                    for r in records])
 
 
 # -- hindsight relabeling ---------------------------------------------------
@@ -240,11 +243,11 @@ def test_relabel_disabled_matches_plain_select():
 
 def test_relabeled_dataset_layout():
     learner = seeded_echo_learner("bo-fcps-her")
-    feed_latin_rollouts(learner, 6)
+    records = feed_latin_rollouts(learner, 6)
     inputs, rewards = learner.dataset(np.zeros(2))
     assert inputs.shape == (12, 4)
     assert rewards.shape == (12,)
-    for i, record in enumerate(learner.store.records):
+    for i, record in enumerate(records):
         original = inputs[2 * i]
         relabeled = inputs[2 * i + 1]
         assert np.array_equal(original[2:], record.params)

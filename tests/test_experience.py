@@ -33,6 +33,10 @@ class DistanceReward:
         return -dist - 0.05 * stats[:, 2] * stats[:, 2]
 
 
+ENV1 = SearchSpace([0.0], [1.0])
+PARAMS3 = SearchSpace([0.0] * 3, [1.0] * 3)
+
+
 def make_record(i):
     outcome = Outcome(stats=[1.0 + i, 2.0, 0.5 + 0.1 * i],
                       achieved_target=[1.0 + i, 2.0])
@@ -40,6 +44,13 @@ def make_record(i):
                               np.array([0.3, 0.4, 0.5 + 0.1 * i]))
     return RolloutRecord(env_context=[0.2 * i], params=[0.3, 0.4, 0.5 + 0.1 * i],
                          outcome=outcome, actual_reward=reward)
+
+
+def make_store(n):
+    store = ExperienceStore(ENV1, PARAMS3)
+    for i in range(n):
+        store.append(make_record(i))
+    return store
 
 
 def test_context_split_and_round_trip():
@@ -83,22 +94,46 @@ def test_record_validation_and_immutability():
 
 
 def test_store_append_order_and_views():
-    store = ExperienceStore()
-    for i in range(4):
-        store.append(make_record(i))
+    store = make_store(4)
     assert len(store) == 4
     assert store.env_contexts().shape == (4, 1)
     assert store.params().shape == (4, 3)
     assert store.outcome_stats().shape == (4, 3)
-    assert store.achieved_targets().shape == (4, 2)
     assert store.reduced_inputs().shape == (4, 4)
     assert np.array_equal(store.reduced_inputs()[:, 0], store.env_contexts()[:, 0])
-    assert np.allclose([r.env_context[0] for r in store], [0.0, 0.2, 0.4, 0.6])
+    assert np.allclose(store.env_contexts()[:, 0], [0.0, 0.2, 0.4, 0.6])
+
+
+def test_store_views_are_read_only_and_never_overwritten():
+    # 40 appends cross the initial capacity at least once
+    store = ExperienceStore(ENV1, PARAMS3)
+    records = [make_record(i % 6) for i in range(40)]
+    store.append(records[0])
+    names = ("reduced_inputs", "env_contexts", "params", "outcome_stats",
+             "actual_rewards")
+    old = {name: getattr(store, name)() for name in names}
+    old_bytes = {name: view.tobytes() for name, view in old.items()}
+    for record in records[1:]:
+        store.append(record)
+    fresh = {
+        "env_contexts": np.array([r.env_context for r in records]),
+        "params": np.array([r.params for r in records]),
+        "outcome_stats": np.array([r.outcome.stats for r in records]),
+        "actual_rewards": np.array([r.actual_reward for r in records]),
+    }
+    fresh["reduced_inputs"] = np.hstack([fresh["env_contexts"], fresh["params"]])
+    for name in names:
+        assert old[name].tobytes() == old_bytes[name]
+        new = getattr(store, name)()
+        assert new.shape == fresh[name].shape
+        assert new.tobytes() == fresh[name].tobytes()
+        for view in (old[name], new):
+            with pytest.raises(ValueError):
+                view[0] = 0.0
 
 
 def test_store_space_validation():
-    store = ExperienceStore(env_space=SearchSpace([0.0], [1.0]),
-                            param_space=SearchSpace([0.0] * 3, [1.0] * 3))
+    store = make_store(0)
     store.append(make_record(1))
     with pytest.raises(ContractError):
         store.append(RolloutRecord(env_context=[2.0], params=[0.0] * 3,
@@ -113,30 +148,31 @@ def test_store_space_validation():
 
 
 def test_store_rejects_dimension_drift():
-    store = ExperienceStore()
-    store.append(make_record(0))
+    store = make_store(1)
     with pytest.raises(ContractError):
         store.append(RolloutRecord(env_context=[0.0, 0.0], params=[0.0] * 3,
                                    outcome=Outcome([0.0] * 3, [0.0] * 2),
                                    actual_reward=0.0))
+    with pytest.raises(ContractError):
+        store.append(RolloutRecord(env_context=[0.0], params=[0.0] * 3,
+                                   outcome=Outcome([0.0] * 2, [0.0] * 2),
+                                   actual_reward=0.0))
+    assert len(store) == 1
 
 
 def test_reevaluate_batched_matches_naive_loop_bitwise():
-    store = ExperienceStore()
-    for i in range(6):
-        store.append(make_record(i))
+    store = make_store(6)
     fn = DistanceReward()
     target = np.array([1.5, 2.5])
     inputs, batched = reevaluate(store, fn, target)
-    naive = np.array([fn(target, r.outcome, r.params) for r in store])
+    naive = np.array([fn(target, r.outcome, r.params)
+                      for r in map(make_record, range(6))])
     assert np.array_equal(batched, naive)
     assert inputs.shape == (6, 4)
 
 
 def test_reevaluate_inputs_do_not_depend_on_target():
-    store = ExperienceStore()
-    for i in range(5):
-        store.append(make_record(i))
+    store = make_store(5)
     fn = DistanceReward()
     in1, r1 = reevaluate(store, fn, [0.0, 0.0])
     in2, r2 = reevaluate(store, fn, [5.0, -3.0])
@@ -145,9 +181,7 @@ def test_reevaluate_inputs_do_not_depend_on_target():
 
 
 def test_reevaluate_at_collection_target_recovers_actual_reward():
-    store = ExperienceStore()
-    for i in range(4):
-        store.append(make_record(i))
+    store = make_store(4)
     _, rewards = reevaluate(store, DistanceReward(), [0.0, 0.0])
     assert np.array_equal(rewards, store.actual_rewards())
 
@@ -155,37 +189,34 @@ def test_reevaluate_at_collection_target_recovers_actual_reward():
 def test_reevaluate_known_arithmetic():
     # achieved (1,1), v = 1, query target (1,2): distance 1 plus 0.05
     outcome = Outcome(stats=[1.0, 1.0, 1.0], achieved_target=[1.0, 1.0])
-    store = ExperienceStore()
+    store = ExperienceStore(SearchSpace(np.zeros(0), np.zeros(0)), PARAMS3)
     store.append(RolloutRecord(env_context=[], params=[0.0, 0.0, 1.0],
                                outcome=outcome, actual_reward=-0.05))
     _, rewards = reevaluate(store, DistanceReward(), [1.0, 2.0])
     assert rewards[0] == pytest.approx(-1.05, abs=1e-12)
 
 
-def test_reevaluate_scalar_fallback_without_batch():
-    store = ExperienceStore()
-    for i in range(3):
-        store.append(make_record(i))
-    fn = DistanceReward()
-    plain = lambda t, o, p: fn(t, o, p)  # noqa: E731 - hides the batch attribute
-    target = np.array([0.3, 0.7])
-    _, with_batch = reevaluate(store, fn, target)
-    _, without_batch = reevaluate(store, plain, target)
-    assert np.array_equal(with_batch, without_batch)
-
-
 def test_reevaluate_targets_grid():
-    store = ExperienceStore()
-    for i in range(4):
-        store.append(make_record(i))
+    store = make_store(4)
     fn = DistanceReward()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return DistanceReward.batch(fn, *args)
+
+    fn.batch = counted
     grid = np.array([[0.0, 0.0], [1.0, 2.0]])
     out = reevaluate_targets(store, fn, grid)
     assert out.shape == (2, 4)
+    # one batched call over every (target, record) pair
+    assert len(calls) == 1 and calls[0][0].shape == (8, 2)
     for j, t in enumerate(grid):
         assert np.array_equal(out[j], reevaluate(store, fn, t)[1])
     with pytest.raises(ContractError):
         reevaluate_targets(store, fn, np.zeros(2))
+    with pytest.raises(ContractError):
+        reevaluate_targets(store, fn, np.array([[0.0, np.nan]]))
 
 
 # (reward, target space, env space, param space, stats width) per task
@@ -232,8 +263,8 @@ def test_batched_rescoring_matches_per_record_scalar_reward(task, n, n_targets,
 
 
 def test_empty_store_reevaluate():
-    inputs, rewards = reevaluate(ExperienceStore(), DistanceReward(), [0.0, 0.0])
-    assert inputs.shape == (0, 0) and rewards.shape == (0,)
+    inputs, rewards = reevaluate(make_store(0), DistanceReward(), [0.0, 0.0])
+    assert inputs.shape == (0, 4) and rewards.shape == (0,)
 
 
 def test_her_augment_uses_achieved_target():
@@ -249,33 +280,3 @@ def test_her_augment_uses_achieved_target():
     assert sample.reward == pytest.approx(-0.05 * v * v, abs=1e-12)
     # source record untouched
     assert record.outcome.achieved_target[0] == 3.0
-
-
-def test_jsonl_round_trip_is_exact(tmp_path):
-    store = ExperienceStore()
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        stats = rng.standard_normal(3) * 10
-        store.append(RolloutRecord(
-            env_context=rng.standard_normal(1),
-            params=rng.standard_normal(3) / 7,
-            outcome=Outcome(stats, stats[:2]),
-            actual_reward=float(rng.standard_normal()),
-        ))
-    path = tmp_path / "rollouts.jsonl"
-    store.save_jsonl(path)
-    back = ExperienceStore.load_jsonl(path)
-    assert len(back) == 5
-    for a, b in zip(store, back):
-        assert np.array_equal(a.env_context, b.env_context)
-        assert np.array_equal(a.params, b.params)
-        assert np.array_equal(a.outcome.stats, b.outcome.stats)
-        assert np.array_equal(a.outcome.achieved_target, b.outcome.achieved_target)
-        assert a.actual_reward == b.actual_reward
-
-
-def test_jsonl_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text("not json\n")
-    with pytest.raises(ContractError):
-        ExperienceStore.load_jsonl(path)

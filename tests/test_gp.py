@@ -153,10 +153,10 @@ def test_input_space_scaling_equivalence():
     y = rng.normal(size=10)
     h = KernelHyperparams(1.2, np.array([0.5, 0.5]), 1e-4)
     scaled = fit(x, y, h, input_space=space)
-    manual = fit(space.to_unit(x), y, h)
+    manual = fit((x - space.lower) / space.span, y, h)
     q = space.sample_uniform(5, rng)
     ms, vs = predict_batch(scaled, q)
-    mm, vm = predict_batch(manual, space.to_unit(q))
+    mm, vm = predict_batch(manual, (q - space.lower) / space.span)
     assert np.allclose(ms, mm, atol=1e-10)
     assert np.allclose(vs, vm, atol=1e-10)
 
