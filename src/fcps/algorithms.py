@@ -83,8 +83,11 @@ class LearnerConfig:
             raise ContractError("init_episodes must be non-negative")
         if self.refit_warmup < 0 or self.refit_period < 1:
             raise ContractError("refit schedule must be non-negative/positive")
-        if self.refine_starts < 1 or self.refine_iters < 0:
-            raise ContractError("refinement settings out of range")
+        if self.refit_restarts < 1:
+            raise ContractError("refit_restarts must be at least 1")
+        if self.refine_starts < 1 or self.refine_iters < 1:
+            raise ContractError("refine_starts and refine_iters must be at "
+                                "least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +411,15 @@ def creps_update(contexts, params, rewards, policy: CrepsPolicy,
 # ---------------------------------------------------------------------------
 
 
+def _append(store: ExperienceStore, context: Context, theta, outcome: Outcome,
+            reward: float) -> RolloutRecord:
+    """Record one rollout in the store, which checks it against its boxes."""
+    record = RolloutRecord(target=context.target, env_context=context.env,
+                           params=theta, outcome=outcome, actual_reward=reward)
+    store.append(record)
+    return record
+
+
 class BoLearner:
     """GP-based learner for every model-based tag; the tag picks the
     training set, the query prefix, and whether the learner is active.
@@ -437,10 +449,8 @@ class BoLearner:
         if not self.requires_context:
             self.select_query = (self._factored_query if self.factored
                                  else self._joint_query)
-        self.store = ExperienceStore(env_space, theta_space)
-        self.episodes = 0
-        self._contexts_full: list[np.ndarray] = []
-        self._relabels: list[tuple[np.ndarray, float]] | None = (
+        self.store = ExperienceStore(target_space, env_space, theta_space)
+        self._relabel_rewards: list[float] | None = (
             [] if cfg.algorithm == "bo-fcps-her" else None)
         self._rng = np.random.default_rng(cfg.rng_seed)
         n_init = cfg.init_episodes
@@ -453,34 +463,25 @@ class BoLearner:
 
     def observe(self, context: Context, theta, outcome: Outcome,
                 reward: float) -> RolloutRecord:
-        context.validate(self.target_space, self.env_space)
-        record = RolloutRecord(env_context=context.env, params=theta,
-                              outcome=outcome, actual_reward=reward)
-        self.store.append(record)
-        self._contexts_full.append(context.full)
-        self.episodes += 1
-        if self._relabels is not None:
-            sample = her_augment(record, self.reward_fn)
-            self._relabels.append(
-                (np.concatenate([sample.context, sample.params]),
-                 sample.reward))
+        record = _append(self.store, context, theta, outcome, reward)
+        if self._relabel_rewards is not None:
+            self._relabel_rewards.append(her_augment(record, self.reward_fn))
         return record
 
     def dataset(self, target) -> tuple[np.ndarray, np.ndarray]:
         """The (inputs, rewards) training set for a query at ``target``."""
+        store = self.store
         if self.factored:
-            return reevaluate(self.store, self.reward_fn, target)
-        if not self._contexts_full:
-            return np.zeros((0, self.input_space.dim)), np.zeros(0)
-        inputs = np.hstack([np.array(self._contexts_full), self.store.params()])
-        rewards = self.store.actual_rewards()
-        if self._relabels is None:
+            return reevaluate(store, self.reward_fn, target)
+        inputs = np.hstack([store.targets(), store.reduced_inputs()])
+        rewards = store.actual_rewards()
+        if self._relabel_rewards is None:
             return inputs, rewards
-        # each relabel follows the rollout it came from
-        rows = np.array([row for row, _ in self._relabels])
-        values = np.array([value for _, value in self._relabels])
-        return (np.stack([inputs, rows], axis=1).reshape(-1, inputs.shape[1]),
-                np.stack([rewards, values], axis=1).ravel())
+        # each relabel follows the rollout it came from, with the achieved
+        # target in place of the commanded one
+        relabeled = np.hstack([store.achieved_targets(), store.reduced_inputs()])
+        return (np.stack([inputs, relabeled], axis=1).reshape(-1, inputs.shape[1]),
+                np.stack([rewards, self._relabel_rewards], axis=1).ravel())
 
     def _prefix(self, context: Context) -> np.ndarray:
         return context.env if self.factored else context.full
@@ -583,29 +584,25 @@ class BoLearner:
 
 
 class CrepsLearner:
-    """Episodic relative-entropy policy search baseline."""
+    """Episodic relative-entropy policy search baseline; the reward function
+    is unused, as the policy learns from the collection-time rewards."""
 
     requires_context = True
 
     def __init__(self, target_space: SearchSpace, env_space: SearchSpace,
                  theta_space: SearchSpace, reward_fn, cfg: LearnerConfig):
-        self.target_space = target_space
-        self.env_space = env_space
         self.theta_space = theta_space
-        self.context_space = target_space.concat(env_space)
-        self.reward_fn = reward_fn
         self.cfg = cfg
-        feature_dim = creps_feature_dim(self.context_space.dim)
+        context_dim = target_space.dim + env_space.dim
+        feature_dim = creps_feature_dim(context_dim)
         if cfg.creps_period < feature_dim + 1:
             raise ContractError(
                 f"creps_period must be at least {feature_dim + 1} for "
-                f"{self.context_space.dim}-dimensional contexts")
-        self.store = ExperienceStore(env_space, theta_space)
-        self.policy = CrepsPolicy.initial(self.context_space.dim, theta_space)
-        self.episodes = 0
+                f"{context_dim}-dimensional contexts")
+        self.store = ExperienceStore(target_space, env_space, theta_space)
+        self.policy = CrepsPolicy.initial(context_dim, theta_space)
         self.kl_history: list[float] = []
         self._rng = np.random.default_rng(cfg.rng_seed)
-        self._batch: list[tuple[np.ndarray, np.ndarray, float]] = []
 
     def select(self, context: Context) -> np.ndarray:
         theta = self.policy.sample(context.full, self._rng)
@@ -616,23 +613,17 @@ class CrepsLearner:
 
     def observe(self, context: Context, theta, outcome: Outcome,
                 reward: float) -> RolloutRecord:
-        context.validate(self.target_space, self.env_space)
-        record = RolloutRecord(env_context=context.env, params=theta,
-                              outcome=outcome, actual_reward=reward)
-        self.store.append(record)
-        self._batch.append((context.full, np.asarray(theta, dtype=float),
-                            float(reward)))
-        self.episodes += 1
-        if len(self._batch) >= self.cfg.creps_period:
-            contexts = np.array([b[0] for b in self._batch])
-            params = np.array([b[1] for b in self._batch])
-            rewards = np.array([b[2] for b in self._batch])
-            self.policy, info = creps_update(contexts, params, rewards,
+        record = _append(self.store, context, theta, outcome, reward)
+        store, k = self.store, self.cfg.creps_period
+        if len(store) % k == 0:
+            # the batch is the last k rollouts, each context target then env
+            contexts = np.hstack([store.targets()[-k:], store.env_contexts()[-k:]])
+            self.policy, info = creps_update(contexts, store.params()[-k:],
+                                             store.actual_rewards()[-k:],
                                              self.policy,
                                              self.cfg.creps_epsilon)
             if info.get("applied", False):
                 self.kl_history.append(info["kl"])
-            self._batch = []
         return record
 
 

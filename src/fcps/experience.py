@@ -1,12 +1,14 @@
 """Factored experience store: rollout records, re-evaluation, relabeling.
 
 A context splits into a target part (enters only the reward) and an
-environment part (enters only the dynamics).  Because of that split a
-rollout record needs to keep just the environment context, the controller
-parameters, and the outcome's reward-sufficient statistics: the whole store
-can then be re-scored under any query target without touching the
-simulator.  The collection-time reward is cached on the record so online
-performance accounting is unaffected by later re-evaluations.
+environment part (enters only the dynamics).  Because of that split the
+environment context, the controller parameters and the outcome's
+reward-sufficient statistics are enough to re-score the whole store under
+any query target without touching the simulator.  The commanded target, the
+achieved target and the collection-time reward are kept too: the joint
+learners train on the first with its reward, hindsight relabeling on the
+second, and online performance accounting is unaffected by later
+re-evaluations.
 """
 
 from __future__ import annotations
@@ -54,14 +56,6 @@ class Context:
         split = vector.shape[0] - env_dim
         return cls(target=vector[:split], env=vector[split:])
 
-    def validate(self, target_space: SearchSpace | None,
-                 env_space: SearchSpace | None) -> None:
-        if target_space is not None and not target_space.contains(self.target,
-                                                                  atol=1e-9):
-            raise ContractError("target context outside its box")
-        if env_space is not None and not env_space.contains(self.env, atol=1e-9):
-            raise ContractError("environment context outside its box")
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -81,15 +75,15 @@ class Outcome:
 class RolloutRecord:
     """One executed rollout: what ran, what happened, what it earned."""
 
+    target: np.ndarray
     env_context: np.ndarray
     params: np.ndarray
     outcome: Outcome
     actual_reward: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "env_context", _clean_vector(self.env_context, "env_context"))
-        object.__setattr__(self, "params", _clean_vector(self.params, "params"))
+        for name in ("target", "env_context", "params"):
+            object.__setattr__(self, name, _clean_vector(getattr(self, name), name))
         if not isinstance(self.outcome, Outcome):
             raise ContractError("outcome must be an Outcome")
         if not np.isfinite(self.actual_reward):
@@ -97,68 +91,70 @@ class RolloutRecord:
         object.__setattr__(self, "actual_reward", float(self.actual_reward))
 
 
-@dataclass(frozen=True)
-class AugmentedSample:
-    """A relabeled sample: the rollout treated as if it had been on target."""
-
-    context: np.ndarray
-    params: np.ndarray
-    reward: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "context", _clean_vector(self.context, "context"))
-        object.__setattr__(self, "params", _clean_vector(self.params, "params"))
-        if not np.isfinite(self.reward):
-            raise ContractError("reward must be finite")
-        object.__setattr__(self, "reward", float(self.reward))
-
-
 class ExperienceStore:
     """Append-only rollout log kept as growing columns, in insertion order.
 
-    Row i holds rollout i: its (env context, params) inputs, its outcome
-    statistics and its collection-time reward.  The matrix views are
-    read-only and cover the rows appended so far; a later append writes past
-    them, or into a fresh buffer, never into them.
+    Row i holds rollout i: its commanded target, its (env context, params)
+    inputs, its outcome statistics and achieved target, and its
+    collection-time reward.  The matrix views are read-only and cover the
+    rows appended so far; a later append writes past them, or into a fresh
+    buffer, never into them.
     """
 
-    def __init__(self, env_space: SearchSpace, param_space: SearchSpace):
+    def __init__(self, target_space: SearchSpace, env_space: SearchSpace,
+                 param_space: SearchSpace):
+        self.target_space = target_space
         self.env_space = env_space
         self.param_space = param_space
-        self._box = env_space.concat(param_space)
+        self._box = target_space.concat(env_space).concat(param_space)
         self._n = 0
         rows = 16  # doubled whenever the columns are full
-        self._inputs = np.empty((rows, self._box.dim))
-        self._stats = np.empty((rows, 0))  # width set by the first append
+        self._targets = np.empty((rows, target_space.dim))
+        self._inputs = np.empty((rows, env_space.dim + param_space.dim))
+        # the outcome columns take their widths from the first append, as an
+        # achieved target can be narrower than the commanded one; until then
+        # the achieved column is as wide as the target box, so that rows
+        # built from it on an empty store have their full width
+        self._stats = np.empty((rows, 0))
+        self._achieved = np.empty((rows, target_space.dim))
         self._rewards = np.empty(rows)
 
     def __len__(self) -> int:
         return self._n
 
     def append(self, record: RolloutRecord) -> None:
-        parts = ((record.env_context, self.env_space, "env context"),
+        parts = ((record.target, self.target_space, "target"),
+                 (record.env_context, self.env_space, "env context"),
                  (record.params, self.param_space, "params"))
         for value, space, name in parts:
             if value.shape != (space.dim,):
                 raise ContractError(f"{name} has shape {value.shape}, store "
                                     f"expects ({space.dim},)")
-        row = np.concatenate([record.env_context, record.params])
+        row = np.concatenate([record.target, record.env_context, record.params])
         if not self._box.contains(row, atol=1e-9):
             name = next(name for value, space, name in parts
                         if not space.contains(value, atol=1e-9))
             raise ContractError(f"{name} outside the store's box")
         stats = record.outcome.stats
+        achieved = record.outcome.achieved_target
         n = self._n
         if n == 0:
             self._stats = np.empty((len(self._rewards), stats.size))
-        elif stats.shape != self._stats.shape[1:]:
+            self._achieved = np.empty((len(self._rewards), achieved.size))
+        elif (stats.shape != self._stats.shape[1:]
+              or achieved.shape != self._achieved.shape[1:]):
             raise ContractError("outcome dimension changed mid-store")
         if n == len(self._rewards):
-            self._inputs, self._stats, self._rewards = (
+            (self._targets, self._inputs, self._stats, self._achieved,
+             self._rewards) = (
                 np.concatenate([column, np.empty_like(column)]) for column in
-                (self._inputs, self._stats, self._rewards))
-        self._inputs[n] = row
+                (self._targets, self._inputs, self._stats, self._achieved,
+                 self._rewards))
+        split = self.target_space.dim
+        self._targets[n] = row[:split]
+        self._inputs[n] = row[split:]
         self._stats[n] = stats
+        self._achieved[n] = achieved
         self._rewards[n] = record.actual_reward
         self._n = n + 1
 
@@ -177,8 +173,14 @@ class ExperienceStore:
     def params(self) -> np.ndarray:
         return self._view(self._inputs[:, self.env_space.dim:])
 
+    def targets(self) -> np.ndarray:
+        return self._view(self._targets)
+
     def outcome_stats(self) -> np.ndarray:
         return self._view(self._stats)
+
+    def achieved_targets(self) -> np.ndarray:
+        return self._view(self._achieved)
 
     def actual_rewards(self) -> np.ndarray:
         return self._view(self._rewards)
@@ -230,17 +232,12 @@ def reevaluate_targets(store: ExperienceStore, reward_fn: RewardFn,
 # ---------------------------------------------------------------------------
 
 
-def her_augment(record: RolloutRecord, reward_fn: RewardFn) -> AugmentedSample:
-    """Relabel one rollout with the target it actually achieved.
+def her_augment(record: RolloutRecord, reward_fn: RewardFn) -> float:
+    """The rollout's reward had its achieved target been the commanded one.
 
-    The sample's context is (achieved target, env context) and its reward is
-    the rollout's reward under that achieved target; for a pure-distance
-    reward the distance term vanishes.  The source record is not modified.
+    The relabeled row is (achieved target, env context, params); for a
+    pure-distance reward the distance term vanishes.  The source record is
+    not modified.
     """
     achieved = record.outcome.achieved_target
-    reward = reward_fn(achieved, record.outcome, record.params)
-    return AugmentedSample(
-        context=np.concatenate([achieved, record.env_context]),
-        params=record.params,
-        reward=float(reward),
-    )
+    return float(reward_fn(achieved, record.outcome, record.params))

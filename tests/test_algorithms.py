@@ -21,7 +21,8 @@ from fcps.algorithms import (
     ucb_select,
 )
 from fcps.errors import ContractError
-from fcps.experience import Context, ExperienceStore, Outcome, RolloutRecord
+from fcps.experience import Context, ExperienceStore, Outcome, RolloutRecord, \
+    her_augment
 from fcps.optim import SearchSpace
 
 TARGET2 = SearchSpace([-1.0, -1.0], [1.0, 1.0])
@@ -103,6 +104,11 @@ def test_config_rejects_bad_values():
         LearnerConfig(refit_period=0)
     with pytest.raises(ContractError):
         LearnerConfig(init_episodes=-1)
+    # the refinement and the refit need at least one step or restart; zero
+    # would otherwise fail only after the warm start, inside optim or gp
+    for field in ("refine_starts", "refine_iters", "refit_restarts"):
+        with pytest.raises(ContractError, match=field):
+            LearnerConfig(**{field: 0})
 
 
 def test_make_learner_rejects_too_few_direct_evals_for_its_search_space():
@@ -259,6 +265,30 @@ def test_relabeled_dataset_layout():
         assert rewards[2 * i] == record.actual_reward
 
 
+def test_relabeled_dataset_layout_with_env_context():
+    # rows 2i and 2i+1 are [target, env, theta] and [achieved, env, theta],
+    # with the record's reward and the relabel reward
+    learner = make_learner(small_config(algorithm="bo-fcps-her"), TARGET2,
+                           ENV1, THETA2, TargetDistanceReward())
+    assert learner.dataset(np.zeros(2))[0].shape == (0, 5)
+    rng = np.random.default_rng(4)
+    records = []
+    for p, e in zip(THETA2.sample_latin(5, rng), ENV1.sample_uniform(5, rng)):
+        ctx = Context(target=TARGET2.sample_uniform(1, rng)[0], env=e)
+        out = Outcome(stats=p[::-1].copy(), achieved_target=p[::-1].copy())
+        records.append(learner.observe(ctx, p, out,
+                                       learner.reward_fn(ctx.target, out)))
+    inputs, rewards = learner.dataset(np.zeros(2))
+    assert inputs.shape == (10, 5) and rewards.shape == (10,)
+    for i, r in enumerate(records):
+        assert inputs[2 * i].tobytes() == np.concatenate(
+            [r.target, r.env_context, r.params]).tobytes()
+        assert inputs[2 * i + 1].tobytes() == np.concatenate(
+            [r.outcome.achieved_target, r.env_context, r.params]).tobytes()
+        assert rewards[2 * i] == r.actual_reward
+        assert rewards[2 * i + 1] == her_augment(r, learner.reward_fn)
+
+
 # -- refit scheduling and greedy isolation ----------------------------------
 
 
@@ -397,12 +427,13 @@ def test_faces_query_works_on_empty_store():
 
 def test_faces_select_with_env_dimension():
     """The per-branch path (nonzero env dim) returns valid, repeatable picks."""
-    store = ExperienceStore(ENV1, THETA2)
+    store = ExperienceStore(TARGET2, ENV1, THETA2)
     rng = np.random.default_rng(6)
     reward = TargetDistanceReward()
     for p, e in zip(THETA2.sample_latin(6, rng), ENV1.sample_uniform(6, rng)):
         out = Outcome(stats=p.copy(), achieved_target=p.copy())
-        store.append(RolloutRecord(env_context=e, params=p, outcome=out,
+        store.append(RolloutRecord(target=np.zeros(2), env_context=e, params=p,
+                                   outcome=out,
                                    actual_reward=reward(np.zeros(2), out)))
     h = gp.KernelHyperparams(1.0, np.full(3, 0.3), 1e-2)
     cfg = small_config(n_representers=3, direct_evals=30)
@@ -578,6 +609,52 @@ def test_creps_learner_update_cadence():
         assert len(learner.kl_history) == episode // 7
     assert learner.policy is not initial
     assert all(k <= learner.cfg.creps_epsilon + 1e-3 for k in learner.kl_history)
+
+
+def test_creps_update_reads_the_last_period_of_records(monkeypatch):
+    # a 3-d context makes 7 features, so 8 is the smallest period
+    learner = make_learner(small_config(algorithm="c-reps", creps_period=8),
+                           TARGET2, ENV1, THETA2, TargetDistanceReward())
+    batches = []
+    update = algorithms.creps_update
+
+    def recorded(contexts, params, rewards, policy, epsilon):
+        batches.append((contexts.copy(), params.copy(), rewards.copy()))
+        return update(contexts, params, rewards, policy, epsilon)
+
+    monkeypatch.setattr(algorithms, "creps_update", recorded)
+    env = EchoEnv()
+    rng = np.random.default_rng(5)
+    records = []
+    for _ in range(17):
+        ctx = Context(target=TARGET2.sample_uniform(1, rng)[0],
+                      env=ENV1.sample_uniform(1, rng)[0])
+        records.append(run_episode(learner, env, ctx, rng))
+    assert len(batches) == 2
+    for j, (contexts, params, rewards) in enumerate(batches):
+        batch = records[8 * j:8 * (j + 1)]
+        want = (np.array([np.concatenate([r.target, r.env_context])
+                          for r in batch]),
+                np.array([r.params for r in batch]),
+                np.array([r.actual_reward for r in batch]))
+        for got, expected in zip((contexts, params, rewards), want):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ["bo-cps", "bo-fcps", "c-reps"])
+def test_observe_rejects_out_of_box_contexts(algorithm):
+    learner = make_learner(small_config(algorithm=algorithm), TARGET2, ENV1,
+                           THETA2, TargetDistanceReward())
+    theta = THETA2.center
+    out = Outcome(stats=theta.copy(), achieved_target=theta.copy())
+    learner.observe(Context(target=np.zeros(2), env=np.zeros(1)), theta, out,
+                    0.0)
+    for ctx in (Context(target=np.array([0.0, 1.5]), env=np.zeros(1)),
+                Context(target=np.zeros(2), env=np.array([-1.5]))):
+        with pytest.raises(ContractError, match="outside"):
+            learner.observe(ctx, theta, out, 0.0)
+        assert len(learner.store) == 1
 
 
 def test_creps_period_must_cover_features():

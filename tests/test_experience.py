@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fcps import sim
 from fcps.errors import ContractError
 from fcps.experience import (
-    AugmentedSample,
     Context,
     ExperienceStore,
     Outcome,
@@ -33,6 +32,8 @@ class DistanceReward:
         return -dist - 0.05 * stats[:, 2] * stats[:, 2]
 
 
+TARGET2 = SearchSpace([-5.0, -5.0], [5.0, 5.0])
+ENV0 = SearchSpace(np.zeros(0), np.zeros(0))
 ENV1 = SearchSpace([0.0], [1.0])
 PARAMS3 = SearchSpace([0.0] * 3, [1.0] * 3)
 
@@ -42,12 +43,19 @@ def make_record(i):
                       achieved_target=[1.0 + i, 2.0])
     reward = DistanceReward()(np.array([0.0, 0.0]), outcome,
                               np.array([0.3, 0.4, 0.5 + 0.1 * i]))
-    return RolloutRecord(env_context=[0.2 * i], params=[0.3, 0.4, 0.5 + 0.1 * i],
+    return RolloutRecord(target=[0.0, 0.1 * i], env_context=[0.2 * i],
+                         params=[0.3, 0.4, 0.5 + 0.1 * i],
                          outcome=outcome, actual_reward=reward)
 
 
+def plain_record(target=(0.0, 0.0), env=(0.0,), params=(0.0, 0.0, 0.0),
+                 stats=(0.0, 0.0, 0.0), achieved=(0.0, 0.0)):
+    return RolloutRecord(target=target, env_context=env, params=params,
+                         outcome=Outcome(stats, achieved), actual_reward=0.0)
+
+
 def make_store(n):
-    store = ExperienceStore(ENV1, PARAMS3)
+    store = ExperienceStore(TARGET2, ENV1, PARAMS3)
     for i in range(n):
         store.append(make_record(i))
     return store
@@ -68,29 +76,43 @@ def test_context_split_and_round_trip():
 
 
 def test_context_validate_against_boxes():
-    c = Context(target=[0.5, 0.5], env=[2.0])
-    c.validate(SearchSpace([0.0, 0.0], [1.0, 1.0]), SearchSpace([0.0], [3.0]))
-    with pytest.raises(ContractError):
-        c.validate(SearchSpace([0.0, 0.0], [0.4, 1.0]), None)
-    with pytest.raises(ContractError):
-        c.validate(None, SearchSpace([0.0], [1.0]))
+    """The store checks a rollout's target and env context against its boxes,
+    and a refused append leaves it empty."""
+    record = plain_record(target=[0.5, 0.5], env=[2.0])
+    unit2 = SearchSpace([0.0, 0.0], [1.0, 1.0])
+    store = ExperienceStore(unit2, SearchSpace([0.0], [3.0]), PARAMS3)
+    store.append(record)
+    assert len(store) == 1
+    for target_space, env_space, name in (
+            (SearchSpace([0.0, 0.0], [0.4, 1.0]), SearchSpace([0.0], [3.0]),
+             "target"),
+            (unit2, SearchSpace([0.0], [1.0]), "env context")):
+        store = ExperienceStore(target_space, env_space, PARAMS3)
+        with pytest.raises(ContractError, match=f"^{name} outside"):
+            store.append(record)
+        assert len(store) == 0
 
 
 def test_record_validation_and_immutability():
     r = make_record(0)
     assert not r.params.flags.writeable
     assert not r.outcome.stats.flags.writeable
+    assert not r.target.flags.writeable
     with pytest.raises(ContractError):
-        RolloutRecord(env_context=[0.0], params=[0.0], outcome="not an outcome",
-                      actual_reward=0.0)
+        RolloutRecord(target=[0.0], env_context=[0.0], params=[0.0],
+                      outcome="not an outcome", actual_reward=0.0)
     with pytest.raises(ContractError):
-        RolloutRecord(env_context=[0.0], params=[0.0],
+        RolloutRecord(target=[0.0], env_context=[0.0], params=[0.0],
                       outcome=Outcome([0.0], [0.0]), actual_reward=np.nan)
+    with pytest.raises(ContractError):
+        RolloutRecord(target=[np.inf], env_context=[0.0], params=[0.0],
+                      outcome=Outcome([0.0], [0.0]), actual_reward=0.0)
     raw = np.array([1.0, 2.0])
-    rec = RolloutRecord(env_context=raw, params=[0.0],
+    rec = RolloutRecord(target=raw, env_context=raw, params=[0.0],
                         outcome=Outcome([0.0], [0.0]), actual_reward=0.0)
     raw[0] = 99.0
-    assert rec.env_context[0] == 1.0 and raw.flags.writeable
+    assert rec.env_context[0] == 1.0 and rec.target[0] == 1.0
+    assert raw.flags.writeable
 
 
 def test_store_append_order_and_views():
@@ -99,23 +121,29 @@ def test_store_append_order_and_views():
     assert store.env_contexts().shape == (4, 1)
     assert store.params().shape == (4, 3)
     assert store.outcome_stats().shape == (4, 3)
+    assert store.targets().shape == (4, 2)
+    assert store.achieved_targets().shape == (4, 2)
     assert store.reduced_inputs().shape == (4, 4)
+    assert np.allclose(store.targets()[:, 1], [0.0, 0.1, 0.2, 0.3])
     assert np.array_equal(store.reduced_inputs()[:, 0], store.env_contexts()[:, 0])
     assert np.allclose(store.env_contexts()[:, 0], [0.0, 0.2, 0.4, 0.6])
 
 
 def test_store_views_are_read_only_and_never_overwritten():
     # 40 appends cross the initial capacity at least once
-    store = ExperienceStore(ENV1, PARAMS3)
+    store = ExperienceStore(TARGET2, ENV1, PARAMS3)
     records = [make_record(i % 6) for i in range(40)]
     store.append(records[0])
-    names = ("reduced_inputs", "env_contexts", "params", "outcome_stats",
-             "actual_rewards")
+    names = ("targets", "reduced_inputs", "env_contexts", "params",
+             "outcome_stats", "achieved_targets", "actual_rewards")
     old = {name: getattr(store, name)() for name in names}
     old_bytes = {name: view.tobytes() for name, view in old.items()}
     for record in records[1:]:
         store.append(record)
     fresh = {
+        "targets": np.array([r.target for r in records]),
+        "achieved_targets": np.array([r.outcome.achieved_target
+                                      for r in records]),
         "env_contexts": np.array([r.env_context for r in records]),
         "params": np.array([r.params for r in records]),
         "outcome_stats": np.array([r.outcome.stats for r in records]),
@@ -135,29 +163,35 @@ def test_store_views_are_read_only_and_never_overwritten():
 def test_store_space_validation():
     store = make_store(0)
     store.append(make_record(1))
-    with pytest.raises(ContractError):
-        store.append(RolloutRecord(env_context=[2.0], params=[0.0] * 3,
-                                   outcome=Outcome([0.0] * 3, [0.0] * 2),
-                                   actual_reward=0.0))
-    bad_params = RolloutRecord(env_context=[0.0], params=[0.0, 0.0, 7.0],
-                               outcome=Outcome([0.0] * 3, [0.0] * 2),
-                               actual_reward=0.0)
-    with pytest.raises(ContractError):
-        store.append(bad_params)
+    before = store.targets().tobytes(), store.reduced_inputs().tobytes()
+    for bad in (plain_record(target=[0.0, 6.0]), plain_record(env=[2.0]),
+                plain_record(params=[0.0, 0.0, 7.0])):
+        with pytest.raises(ContractError, match="outside the store's box"):
+            store.append(bad)
     assert len(store) == 1
+    assert (store.targets().tobytes(), store.reduced_inputs().tobytes()) == before
 
 
 def test_store_rejects_dimension_drift():
     store = make_store(1)
-    with pytest.raises(ContractError):
-        store.append(RolloutRecord(env_context=[0.0, 0.0], params=[0.0] * 3,
-                                   outcome=Outcome([0.0] * 3, [0.0] * 2),
-                                   actual_reward=0.0))
-    with pytest.raises(ContractError):
-        store.append(RolloutRecord(env_context=[0.0], params=[0.0] * 3,
-                                   outcome=Outcome([0.0] * 2, [0.0] * 2),
-                                   actual_reward=0.0))
+    for bad in (plain_record(target=[0.0]), plain_record(env=[0.0, 0.0]),
+                plain_record(stats=[0.0] * 2), plain_record(achieved=[0.0])):
+        with pytest.raises(ContractError):
+            store.append(bad)
     assert len(store) == 1
+
+
+def test_store_achieved_column_takes_its_width_from_the_first_append():
+    # before any append it is as wide as the target box, so an empty
+    # relabeled dataset keeps its (0, d) shape; active-cannon then achieves
+    # a 2-d landing point under a 3-d commanded target
+    target3 = SearchSpace([0.0] * 3, [1.0] * 3)
+    store = ExperienceStore(target3, ENV0, PARAMS3)
+    assert store.achieved_targets().shape == (0, 3)
+    assert store.targets().shape == (0, 3)
+    store.append(plain_record(target=[0.5] * 3, env=[], achieved=[4.0, 5.0]))
+    assert store.achieved_targets().tobytes() == np.array([[4.0, 5.0]]).tobytes()
+    assert store.targets().shape == (1, 3)
 
 
 def test_reevaluate_batched_matches_naive_loop_bitwise():
@@ -189,9 +223,10 @@ def test_reevaluate_at_collection_target_recovers_actual_reward():
 def test_reevaluate_known_arithmetic():
     # achieved (1,1), v = 1, query target (1,2): distance 1 plus 0.05
     outcome = Outcome(stats=[1.0, 1.0, 1.0], achieved_target=[1.0, 1.0])
-    store = ExperienceStore(SearchSpace(np.zeros(0), np.zeros(0)), PARAMS3)
-    store.append(RolloutRecord(env_context=[], params=[0.0, 0.0, 1.0],
-                               outcome=outcome, actual_reward=-0.05))
+    store = ExperienceStore(TARGET2, ENV0, PARAMS3)
+    store.append(RolloutRecord(target=[1.0, 1.0], env_context=[],
+                               params=[0.0, 0.0, 1.0], outcome=outcome,
+                               actual_reward=-0.05))
     _, rewards = reevaluate(store, DistanceReward(), [1.0, 2.0])
     assert rewards[0] == pytest.approx(-1.05, abs=1e-12)
 
@@ -238,11 +273,12 @@ def test_batched_rescoring_matches_per_record_scalar_reward(task, n, n_targets,
                                                             seed):
     reward_fn, target_space, env_space, param_space, width = TASK_REWARDS[task]
     rng = np.random.default_rng(seed)
-    store = ExperienceStore(env_space, param_space)
+    store = ExperienceStore(target_space, env_space, param_space)
     records = []
     for _ in range(n):
         stats = rng.uniform(-12.0, 12.0, width)
-        record = RolloutRecord(env_context=env_space.sample_uniform(1, rng)[0],
+        record = RolloutRecord(target=target_space.center,
+                               env_context=env_space.sample_uniform(1, rng)[0],
                                params=param_space.sample_uniform(1, rng)[0],
                                outcome=Outcome(stats, stats[:2]),
                                actual_reward=float(rng.standard_normal()))
@@ -269,14 +305,13 @@ def test_empty_store_reevaluate():
 
 def test_her_augment_uses_achieved_target():
     record = make_record(2)
-    sample = her_augment(record, DistanceReward())
-    assert isinstance(sample, AugmentedSample)
-    # context = (achieved target, env context)
-    assert np.array_equal(sample.context[:2], record.outcome.achieved_target)
-    assert np.array_equal(sample.context[2:], record.env_context)
-    assert np.array_equal(sample.params, record.params)
+    fn = DistanceReward()
+    reward = her_augment(record, fn)
+    assert type(reward) is float
+    assert reward == fn(record.outcome.achieved_target, record.outcome,
+                        record.params)
     # distance term vanishes, only the speed penalty remains
     v = record.outcome.stats[2]
-    assert sample.reward == pytest.approx(-0.05 * v * v, abs=1e-12)
+    assert reward == pytest.approx(-0.05 * v * v, abs=1e-12)
     # source record untouched
     assert record.outcome.achieved_target[0] == 3.0
