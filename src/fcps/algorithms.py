@@ -158,16 +158,14 @@ def _prefixed(prefix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return pts
 
 
-def ucb_select(dataset, prefix, input_space: SearchSpace,
-               theta_space: SearchSpace, hyperparams, cfg: LearnerConfig,
-               *, kappa: float | None = None) -> np.ndarray:
+def ucb_select(model: gp.GpModel, prefix, theta_space: SearchSpace,
+               cfg: LearnerConfig, *, kappa: float | None = None) -> np.ndarray:
     """GP-UCB over theta with the query prefix held fixed.
 
-    The dataset is an (inputs, rewards) pair whose inputs are the prefix
-    columns followed by theta, over ``input_space``: (context, theta) for
-    a joint model, (env context, theta) for a target-specific one.
+    The model's inputs are the prefix columns followed by theta:
+    (context, theta) for a joint model, (env context, theta) for a
+    target-specific one.
     """
-    model = _fit(dataset, hyperparams, input_space)
     prefix = np.asarray(prefix, dtype=float)
     k = cfg.acquisition.kappa if kappa is None else kappa
 
@@ -460,6 +458,8 @@ class BoLearner:
                            if n_init > 0 else np.zeros((0, theta_space.dim)))
         self._hyperparams: gp.KernelHyperparams | None = None
         self._last_refit = 0
+        # (store size, hyperparameter object, model) of the last greedy fit
+        self._greedy_fit: tuple[int, gp.KernelHyperparams | None, gp.GpModel] | None = None
 
     def observe(self, context: Context, theta, outcome: Outcome,
                 reward: float) -> RolloutRecord:
@@ -531,8 +531,8 @@ class BoLearner:
         prefix = self._prefix(context)
         if kind == "es":
             return self._select_es(dataset, prefix, hyperparams)
-        return ucb_select(dataset, prefix, self.input_space, self.theta_space,
-                          hyperparams, self.cfg)
+        return ucb_select(_fit(dataset, hyperparams, self.input_space), prefix,
+                          self.theta_space, self.cfg)
 
     def _select_es(self, dataset, prefix: np.ndarray,
                    hyperparams: gp.KernelHyperparams) -> np.ndarray:
@@ -545,11 +545,28 @@ class BoLearner:
                          self.theta_space, self.cfg)
 
     def select_greedy(self, context: Context) -> np.ndarray:
+        return ucb_select(self._greedy_model(context.target),
+                          self._prefix(context), self.theta_space, self.cfg,
+                          kappa=0.0)
+
+    def _greedy_model(self, target) -> gp.GpModel:
+        # An evaluation grid asks for many targets between two changes of
+        # the training data, so the fit is kept until the store grows or a
+        # refit replaces the hyperparameter object.  The joint tags' model
+        # does not depend on the target; the factored tags keep the factor
+        # and compute the target's standardization and weights.
+        kept = self._greedy_fit
+        if (kept is not None and kept[0] == len(self.store)
+                and kept[1] is self._hyperparams):
+            if not self.factored:
+                return kept[2]
+            return gp.fit_targets(kept[2], self.dataset(target)[1],
+                                  standardize=True)
         hyperparams = self._hyperparams or _initial_hyperparams(
             self.input_space.dim)
-        return ucb_select(self.dataset(context.target), self._prefix(context),
-                          self.input_space, self.theta_space, hyperparams,
-                          self.cfg, kappa=0.0)
+        model = _fit(self.dataset(target), hyperparams, self.input_space)
+        self._greedy_fit = (len(self.store), self._hyperparams, model)
+        return model
 
     def _joint_query(self) -> tuple[Context, np.ndarray]:
         # aces: a (context, theta) query under the joint model

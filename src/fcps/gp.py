@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.optimize import fmin_l_bfgs_b
 
 from .errors import ContractError, NumericalError
 from .optim import SearchSpace
@@ -241,21 +241,35 @@ def _assemble(inputs, targets, h, x_lo, x_span, y_shift, y_scale) -> GpModel:
                    xt, yt, L, weights, jitter)
 
 
+def _standardization(targets: np.ndarray, standardize: bool) -> tuple[float, float]:
+    """Target shift and scale: mean and standard deviation (1 when below
+    1e-12) if ``standardize`` and there are targets, else 0 and 1."""
+    if not (standardize and len(targets)):
+        return 0.0, 1.0
+    sd = float(np.std(targets))
+    return float(np.mean(targets)), sd if sd > 1e-12 else 1.0
+
+
+def _checked_targets(targets, n: int) -> np.ndarray:
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    if targets.shape != (n,):
+        raise ContractError("targets must be one value per input row")
+    if targets.size and not np.all(np.isfinite(targets)):
+        raise ContractError("targets must be finite")
+    return targets
+
+
 def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace | None = None,
         standardize: bool = False) -> GpModel:
     """Build a model from (possibly empty) data under fixed hyperparameters."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if inputs.size == 0:
         inputs = inputs.reshape(0, h.dim)
     if inputs.ndim != 2 or inputs.shape[1] != h.dim:
         raise ContractError("inputs must be (n, d) with d matching the kernel")
-    if targets.shape != (inputs.shape[0],):
-        raise ContractError("targets must be one value per input row")
+    targets = _checked_targets(targets, inputs.shape[0])
     if inputs.size and not np.all(np.isfinite(inputs)):
         raise ContractError("inputs must be finite")
-    if targets.size and not np.all(np.isfinite(targets)):
-        raise ContractError("targets must be finite")
 
     x_lo = x_span = None
     if input_space is not None:
@@ -263,12 +277,20 @@ def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace | Non
             raise ContractError("input_space dimension does not match the kernel")
         x_lo = input_space.lower
         x_span = input_space.span
-    y_shift, y_scale = 0.0, 1.0
-    if standardize and len(targets):
-        y_shift = float(np.mean(targets))
-        sd = float(np.std(targets))
-        y_scale = sd if sd > 1e-12 else 1.0
-    return _assemble(inputs, targets, h, x_lo, x_span, y_shift, y_scale)
+    return _assemble(inputs, targets, h, x_lo, x_span,
+                     *_standardization(targets, standardize))
+
+
+def fit_targets(m: GpModel, targets, *, standardize: bool = False) -> GpModel:
+    """``fit`` on ``m``'s inputs, hyperparameters and input transform with
+    other targets, bit for bit, from ``m``'s Cholesky factor: only the
+    target standardization and the weights are computed."""
+    targets = _checked_targets(targets, len(m))
+    y_shift, y_scale = _standardization(targets, standardize)
+    yt = (targets - y_shift) / y_scale
+    weights = _cho_solve(m.chol, yt) if len(m) else np.zeros(0)
+    return GpModel(m.inputs, targets, m.hyperparams, m.x_lo, m.x_span, y_shift,
+                   y_scale, m.xt, yt, m.chol, weights, m.jitter)
 
 
 def predict_batch(m: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -419,9 +441,9 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
     best_val, _ = objective(init.as_log_vector())
     best = init
     for s in starts:
-        res = _scipy_minimize(objective, s, jac=True, method="L-BFGS-B",
-                              bounds=bounds, options={"maxiter": 200, "maxcor": 10})
-        cand = KernelHyperparams.from_log_vector(np.clip(res.x, lo, hi))
+        # the objective returns (value, gradient), as minimize's jac=True
+        x, _, _ = fmin_l_bfgs_b(objective, s, bounds=bounds, m=10, maxiter=200)
+        cand = KernelHyperparams.from_log_vector(np.clip(x, lo, hi))
         val, _ = objective(cand.as_log_vector())
         if val < best_val:
             best_val, best = val, cand

@@ -8,21 +8,24 @@ rectangle: center, value and split count; a row changes only when its
 rectangle is split.  Since every split takes the lowest trisection level,
 lowest dimension first, the split count fixes a rectangle's levels, so its
 half-diagonal, size-class key and whether it can still be split are read
-from tables by count, built once per dimension.  Each iteration picks the
-potentially optimal rectangles with one sort by size class and value and
-one slope matrix over the class representatives.  The local stage wraps
-scipy's bounded L-BFGS with central finite differences when no analytic
-gradient is supplied, and scores each point it visits once.
+from tables by count, built once per dimension.  The splittable rectangles
+of each size class sit in a heap ordered by value, so each iteration reads
+the class representatives off the heap tops and runs the slope test over
+those few.  The local stage calls scipy's bounded L-BFGS with central
+finite differences when no analytic gradient is supplied, and scores each
+point it visits once.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.optimize import fmin_l_bfgs_b
 
 from .errors import ContractError
 
@@ -146,7 +149,9 @@ class _DirectState:
 
     Rows ``[0, n)`` hold the rectangles made so far; a size class is the
     half-diagonal (``measure_of`` by split count) rounded to 14 decimals
-    (``key_of``).
+    (``key_of``).  ``heaps`` maps each size-class key to a heap of
+    ``(-value, row)`` over its splittable rectangles, so a heap's top is its
+    class's best value, lowest row first among equal values.
     """
 
     def __init__(self, dim: int, capacity: int):
@@ -157,6 +162,10 @@ class _DirectState:
         self.values = np.empty(capacity)
         self.best_index = 0
         self.measure_of, self.key_of, self.splittable_of = _count_tables(dim)
+        # the same tables as Python lists, for the per-rectangle loops
+        self._measures, self._keys, self._splittable = (
+            t.tolist() for t in (self.measure_of, self.key_of, self.splittable_of))
+        self.heaps: dict[float, list[tuple[float, int]]] = {}
 
     @property
     def best_value(self) -> float:
@@ -165,6 +174,13 @@ class _DirectState:
     @property
     def best_center(self) -> np.ndarray:
         return self.centers[self.best_index]
+
+    def _push(self, rows, counts, neg_values) -> None:
+        """File rectangles under the size class of their split counts."""
+        keys, splittable = self._keys, self._splittable
+        for row, count, neg in zip(rows, counts, neg_values):
+            if splittable[count]:
+                heapq.heappush(self.heaps.setdefault(keys[count], []), (neg, row))
 
     def add(self, centers: np.ndarray, counts: np.ndarray, values: np.ndarray) -> None:
         """Append rectangles; the incumbent moves only on strict improvement,
@@ -178,16 +194,30 @@ class _DirectState:
         j = int(np.argmax(values))
         if start == 0 or values[j] > self.values[self.best_index]:
             self.best_index = start + j
+        self._push(range(start, start + m), counts.tolist(), (-values).tolist())
 
-    def split(self, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Trisect each chosen rectangle along its longest side (lowest
-        dimension on ties); returns the two new centers per rectangle, low
-        side first, and their split counts."""
+    def split(self, chosen: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Trisect each chosen rectangle, the top of its class's heap, along
+        its longest side (lowest dimension on ties); returns the two new
+        centers per rectangle, low side first, and their split counts.
+
+        Every chosen rectangle leaves its heap before any goes back under
+        its new count: a split one may move to the class of another chosen
+        rectangle and outrank it there.
+        """
         counts = self.counts[chosen]
+        neg_values = []
+        for count in counts.tolist():
+            key = self._keys[count]
+            heap = self.heaps[key]
+            neg_values.append(heapq.heappop(heap)[0])
+            if not heap:
+                del self.heaps[key]
         side = counts % self.dim
         delta = _THIRDS[counts // self.dim]
         counts += 1
         self.counts[chosen] = counts
+        self._push(chosen, counts.tolist(), neg_values)
         rows = np.arange(len(chosen))
         points = np.repeat(self.centers[chosen], 2, axis=0)
         points[2 * rows, side] -= delta
@@ -201,45 +231,42 @@ class _DirectState:
         return self.centers[:self.n][order], vals[order]
 
 
-def _potentially_optimal(state: _DirectState) -> np.ndarray:
-    """Indices of rectangles to subdivide this iteration, by increasing size.
+def _potentially_optimal(state: _DirectState) -> list[int]:
+    """Rows of the rectangles to subdivide this iteration, by increasing size.
 
     A rectangle is potentially optimal when some slope K > 0 makes its
     value-plus-K-times-size bound dominate every other rectangle and clear
     the current best by the usual epsilon margin.  Only the best (lowest
-    creation index) rectangle of each size class is considered.  Slopes
-    that come out NaN (between two -inf values) constrain nothing.
+    row) rectangle of each size class is considered.  Slopes that come out
+    NaN (between two -inf values) constrain nothing.
     """
-    n = state.n
-    counts = state.counts[:n]
-    candidates = np.flatnonzero(state.splittable_of[counts])
-    if candidates.size == 0:
-        return candidates
-    vals = state.values[:n]
-    keys = state.key_of[counts[candidates]]
-    # by size class, then best value first; the stable sort keeps the
-    # lowest index first among equal values
-    order = np.lexsort((-vals[candidates], keys))
-    sorted_keys = keys[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    idx = candidates[order[first]]
-    f = vals[idx]
-    dd = state.measure_of[counts[idx]]
-    f_max = vals.max()
+    tops = [heap[0] for _, heap in sorted(state.heaps.items())]
+    rows = [row for _, row in tops]
+    f = [-neg for neg, _ in tops]
+    dd = [state._measures[c] for c in state.counts[rows].tolist()]
+    f_max = state.best_value
     # every value so far -inf: the margin would make the threshold NaN
-    threshold = f_max + _PO_EPSILON * abs(f_max) if np.isfinite(f_max) else f_max
+    threshold = f_max + _PO_EPSILON * abs(f_max) if math.isfinite(f_max) else f_max
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # slope[j, i] = (f[i] - f[j]) / (dd[j] - dd[i]); its transpose holds
-        # the slopes toward larger classes
-        slope = (f[None, :] - f[:, None]) / (dd[:, None] - dd[None, :])
-        smaller = np.tri(idx.size, k=-1, dtype=bool)  # [j, i]: i < j
-        k_lo = np.fmax.reduce(np.where(smaller, slope, 0.0), axis=1)
-        k_hi = np.fmin.reduce(np.where(smaller, slope, np.inf), axis=0)
-        bound = np.where(np.isfinite(k_hi), f + k_hi * dd, np.inf)
-    keep = (k_hi >= k_lo) & (k_hi > 0.0) & (bound >= threshold)
-    return idx[keep]
+    # the slope between a smaller class i and a larger class j bounds K from
+    # above for i and from below for j; a NaN slope fails both comparisons
+    m = len(rows)
+    k_lo = [0.0] * m
+    k_hi = [math.inf] * m
+    for j in range(1, m):
+        for i in range(j):
+            slope = (f[i] - f[j]) / (dd[j] - dd[i])
+            if slope > k_lo[j]:
+                k_lo[j] = slope
+            if slope < k_hi[i]:
+                k_hi[i] = slope
+    chosen = []
+    for j in range(m):
+        k = k_hi[j]
+        if k >= k_lo[j] and k > 0.0 and (
+                not math.isfinite(k) or f[j] + k * dd[j] >= threshold):
+            chosen.append(rows[j])
+    return chosen
 
 
 def _direct_search(f_batch, dim: int, max_evals: int) -> _DirectState:
@@ -253,7 +280,7 @@ def _direct_search(f_batch, dim: int, max_evals: int) -> _DirectState:
 
     while state.n + 2 <= max_evals:
         chosen = _potentially_optimal(state)
-        if not chosen.size:
+        if not chosen:
             break
         chosen = chosen[:(max_evals - state.n) // 2]
         points, counts = state.split(chosen)
@@ -331,15 +358,12 @@ def lbfgs_refine(f, space: SearchSpace, x0, max_iters: int = 100, *, grad=None,
     else:
         jac = lambda x: -np.asarray(grad(x), dtype=float)
 
-    res = _scipy_minimize(
-        lambda x: -score(x),
-        x0,
-        jac=jac,
-        method="L-BFGS-B",
-        bounds=list(zip(space.lower, space.upper)),
-        options={"maxiter": max_iters, "maxcor": 10},
-    )
-    x = space.clip(res.x)
+    # scipy's direct entry to the solver that minimize(method="L-BFGS-B")
+    # runs, with the same defaults and without minimize's bound conversions
+    res_x, _, _ = fmin_l_bfgs_b(lambda x: -score(x), x0, fprime=jac,
+                                bounds=list(zip(space.lower, space.upper)),
+                                m=10, maxiter=max_iters)
+    x = space.clip(res_x)
     val = score(x)
     if not np.isfinite(val) or val < f0:
         return x0, f0

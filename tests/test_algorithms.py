@@ -143,8 +143,9 @@ def test_empty_dataset_selects_box_center():
     h = gp.KernelHyperparams(1.0, np.full(4, 0.3), 1e-2)
     dataset = (np.zeros((0, 4)), np.zeros(0))
     query = Context(target=np.array([0.2, -0.3]), env=np.zeros(0))
-    theta = ucb_select(dataset, query.full, TARGET2.concat(THETA2), THETA2, h,
-                       small_config())
+    model = gp.fit(*dataset, h, input_space=TARGET2.concat(THETA2),
+                   standardize=True)
+    theta = ucb_select(model, query.full, THETA2, small_config())
     assert np.array_equal(theta, THETA2.center)
 
 
@@ -158,11 +159,10 @@ def test_selected_ucb_beats_dense_grid():
     h = gp.KernelHyperparams(1.0, np.full(4, 0.3), 1e-2)
     cfg = small_config(direct_evals=300, refine_starts=2, refine_iters=40)
     query = Context(target=np.array([0.1, 0.5]), env=np.zeros(0))
-    theta = ucb_select((inputs, rewards), query.full, TARGET2.concat(THETA2),
-                       THETA2, h, cfg)
-
     model = gp.fit(inputs, rewards, h, input_space=TARGET2.concat(THETA2),
                    standardize=True)
+    theta = ucb_select(model, query.full, THETA2, cfg)
+
     axis = np.linspace(0.0, 1.0, 41)
     gx, gy = np.meshgrid(axis, axis)
     grid = np.column_stack([gx.ravel(), gy.ravel()])
@@ -239,11 +239,11 @@ def test_relabel_disabled_matches_plain_select():
     dataset = learner.dataset(query.target)
     h = learner._hyperparams
     assert h is not None
-    space = TARGET2.concat(THETA2)
-    expected = ucb_select(dataset, query.full, space, THETA2, h, learner.cfg,
-                          kappa=0.0)
+    model = gp.fit(*dataset, h, input_space=TARGET2.concat(THETA2),
+                   standardize=True)
+    expected = ucb_select(model, query.full, THETA2, learner.cfg, kappa=0.0)
     assert np.array_equal(learner.select_greedy(query), expected)
-    expected = ucb_select(dataset, query.full, space, THETA2, h, learner.cfg)
+    expected = ucb_select(model, query.full, THETA2, learner.cfg)
     assert np.array_equal(learner.select(query), expected)
 
 
@@ -345,6 +345,67 @@ def test_greedy_select_leaves_state_untouched():
     assert learner._hyperparams is h_before
     assert learner._rng.bit_generator.state == rng_before
     assert len(learner.store) == n_before
+
+
+# -- the greedy fit kept across an evaluation grid --------------------------
+
+GREEDY_TINY = dict(acquisition=AcqConfig(n_candidates=4, n_function_draws=100,
+                                         n_fantasies=2),
+                   n_representers=3, init_episodes=2, refit_restarts=1,
+                   direct_evals=30, refine_starts=1, refine_iters=4)
+
+
+def _fresh_greedy(learner, context) -> np.ndarray:
+    """Greedy selection from a model fitted for this call alone."""
+    hyperparams = learner._hyperparams or algorithms._initial_hyperparams(
+        learner.input_space.dim)
+    model = gp.fit(*learner.dataset(context.target), hyperparams,
+                   input_space=learner.input_space, standardize=True)
+    return ucb_select(model, learner._prefix(context), learner.theta_space,
+                      learner.cfg, kappa=0.0)
+
+
+@pytest.mark.parametrize("environment, tag", [
+    ("cannon", "bo-cps"), ("cannon", "bo-fcps-her"), ("cannon", "bo-fcps"),
+    ("thrower", "bo-fcps"), ("active-cannon", "aces"),
+    ("active-cannon", "faces")])
+def test_greedy_fit_reuse_equals_a_fresh_fit_between_refits_and_appends(
+        environment, tag):
+    config = harness.ExperimentConfig(environment=environment, grid_shape=(2, 2),
+                                      learner=LearnerConfig(algorithm=tag,
+                                                            **GREEDY_TINY))
+    env = harness.build_environment(config)
+    grid = harness.evaluation_grid(env, config.grid_shape)
+    learner = make_learner(config.learner, env.target_space, env.env_space,
+                           env.theta_space, env.reward_fn)
+    rng = np.random.default_rng(3)
+    moved_in_place = 0
+
+    def sweep():
+        for context in grid:
+            assert learner.select_greedy(context).tobytes() == \
+                _fresh_greedy(learner, context).tobytes()
+
+    sweep()  # empty store, initial hyperparameters
+    for _ in range(6):
+        before = learner._hyperparams, len(learner.store)
+        # a selection refits without adding a row
+        context = harness.sample_context(env, rng) if learner.requires_context \
+            else None
+        if context is None:
+            learner.select_query()
+        else:
+            learner.select(context)
+        after = learner._hyperparams
+        if before[0] is not None and not np.array_equal(
+                before[0].as_log_vector(), after.as_log_vector()):
+            moved_in_place += 1
+        assert len(learner.store) == before[1]
+        sweep()
+        run_episode(learner, env, context, rng)
+        sweep()
+    # refits moved the hyperparameters between two sweeps on one store size
+    assert moved_in_place >= 2
 
 
 # -- acquisition variants ---------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.optimize import minimize as _scipy_minimize
 
 from fcps import gp
 from fcps.errors import ContractError, NumericalError
@@ -23,6 +24,7 @@ from fcps.gp import (
     fantasize,
     fit,
     fit_shared_inputs,
+    fit_targets,
     kernel_eval,
     nlml,
     optimize_hyperparams,
@@ -334,6 +336,140 @@ def test_optimize_hyperparams_equals_it_over_the_per_dimension_nlml(monkeypatch,
             assert np.array_equal(a, b)
             # the squared differences are made once per refit and shared
             assert sq is fast_calls[0][1] is not None
+
+
+# -- the refit's L-BFGS entry against minimize ------------------------------
+
+
+def _optimize_hyperparams_minimize(inputs, targets, init: KernelHyperparams, *,
+                                   restarts: int = 3,
+                                   rng: np.random.Generator | None = None,
+                                   bounds: list[tuple[float, float]] | None = None,
+                                   prior: list[tuple[float, float]] | None = None
+                                   ) -> KernelHyperparams:
+    """``optimize_hyperparams`` as it was when it called
+    ``minimize(method="L-BFGS-B")``, verbatim: the oracle for its bits."""
+    if restarts < 1:
+        raise ContractError("restarts must be positive")
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    if len(targets) <= 1:
+        return init
+    if bounds is None:
+        bounds = gp.default_hyperparam_bounds(inputs, targets)
+    if len(bounds) != init.dim + 2:
+        raise ContractError("bounds must cover every log-hyperparameter")
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    if prior is not None:
+        if len(prior) != init.dim + 2:
+            raise ContractError("prior must cover every log-hyperparameter")
+        p_mu = np.array([p[0] for p in prior], dtype=float)
+        p_sd = np.array([p[1] for p in prior], dtype=float)
+        if np.any(p_sd <= 0.0):
+            raise ContractError("prior widths must be positive")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    sq_diffs = gp._squared_differences(inputs)
+
+    def objective(logv):
+        value, grad = nlml(inputs, targets, KernelHyperparams.from_log_vector(logv),
+                           sq_diffs=sq_diffs)
+        if prior is not None and np.isfinite(value):
+            z = (logv - p_mu) / p_sd
+            value += 0.5 * float(z @ z)
+            grad = grad + z / p_sd
+        return value, grad
+
+    starts = [np.clip(init.as_log_vector(), lo, hi)]
+    for _ in range(restarts - 1):
+        starts.append(rng.uniform(lo, hi))
+
+    best_val, _ = objective(init.as_log_vector())
+    best = init
+    for s in starts:
+        res = _scipy_minimize(objective, s, jac=True, method="L-BFGS-B",
+                              bounds=bounds, options={"maxiter": 200, "maxcor": 10})
+        cand = KernelHyperparams.from_log_vector(np.clip(res.x, lo, hi))
+        val, _ = objective(cand.as_log_vector())
+        if val < best_val:
+            best_val, best = val, cand
+    return best
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 6),
+       kind=st.sampled_from(["spread", "repeated rows", "constant targets"]),
+       search=st.sampled_from(["default", "learner box", "learner box and prior"]),
+       restarts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=40, d=6, kind="spread", search="learner box and prior", restarts=3, seed=0)
+def test_optimize_hyperparams_equals_the_minimize_version_bit_for_bit(
+        n, d, kind, search, restarts, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, d))
+    if kind == "repeated rows":
+        x = x[rng.integers(0, n, n)]
+    y = np.full(n, 0.25) if kind == "constant targets" else rng.normal(size=n)
+    init = KernelHyperparams.from_log_vector(rng.uniform(-3.0, 1.0, d + 2))
+    kw = {"restarts": restarts}
+    if search != "default":
+        # the learners' refit box and prior, in standardized coordinates
+        kw["bounds"] = ([(np.log(1e-2), np.log(1e2))] + [(np.log(0.03), np.log(10.0))] * d
+                        + [(np.log(1.5e-3), np.log(1.0))])
+    if search == "learner box and prior":
+        kw["prior"] = [(0.0, 2.0)] + [(np.log(0.4), 1.0)] * d + [(np.log(3e-3), 1.5)]
+    got = optimize_hyperparams(x, y, init, rng=np.random.default_rng(seed), **kw)
+    want = _optimize_hyperparams_minimize(x, y, init, rng=np.random.default_rng(seed),
+                                          **kw)
+    assert got.as_log_vector().tobytes() == want.as_log_vector().tobytes()
+    assert (got is init) == (want is init)
+
+
+# -- a fit's factor reused for other targets --------------------------------
+
+
+def _assert_same_model(a: GpModel, b: GpModel) -> None:
+    for field in dataclasses.fields(GpModel):
+        u, v = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(u, np.ndarray):
+            assert u.dtype == v.dtype and u.shape == v.shape, field.name
+            assert u.tobytes() == v.tobytes(), field.name
+        else:
+            assert type(u) is type(v) and u == v, field.name
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+@pytest.mark.parametrize("case", ["random", "constant", "one row", "empty"])
+def test_fit_targets_equals_fit_bit_for_bit(case, standardize):
+    rng = np.random.default_rng(21)
+    x, y, h = random_instance(rng, n=1 if case == "one row" else 25, d=3)
+    if case == "empty":
+        x, y = np.zeros((0, 3)), np.zeros(0)
+    space = SearchSpace([-2.0] * 3, [2.0] * 3)
+    base = fit(x, y, h, input_space=space, standardize=standardize)
+    for _ in range(3):
+        other = rng.normal(size=len(y)) * rng.uniform(0.1, 10.0)
+        if case == "constant":  # standard deviation 0: the scale stays 1
+            other = np.full(len(y), other[0])
+        got = fit_targets(base, other, standardize=standardize)
+        want = fit(x, other, h, input_space=space, standardize=standardize)
+        _assert_same_model(got, want)
+        assert got.chol is base.chol and got.xt is base.xt  # the factor is kept
+        if case == "constant" and standardize:
+            assert got.y_scale == 1.0
+        q = rng.uniform(-2.0, 2.0, (7, 3))
+        for a, b in zip(predict_batch(got, q), predict_batch(want, q)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_fit_targets_rejects_targets_that_do_not_fit_the_model():
+    rng = np.random.default_rng(22)
+    x, y, h = random_instance(rng, n=6, d=2)
+    m = fit(x, y, h)
+    with pytest.raises(ContractError):
+        fit_targets(m, y[:-1])
+    with pytest.raises(ContractError):
+        fit_targets(m, np.where(np.arange(6) == 2, np.nan, y))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Pinned reward digests: every learner path, end to end, on tiny settings.
 
-Each case is one single-seed ``harness.run`` of 8 episodes (3 of them the
-space-filling warm start) with one greedy evaluation on a 2x2 grid.  The
+Each case in ``PINS`` is one single-seed ``harness.run`` of 8 episodes (3
+of them the space-filling warm start) with one greedy evaluation on a 2x2
+grid; the cases in ``LONGER_PINS`` run longer or evaluate more often.  The
 digest covers the online and the offline reward bits, so a change to the
 training set, the query prefix, the refit schedule or the order of a
-learner's rng draws shows up here.  The digests were recorded before the
-BO learners were merged into one class; a refactor keeps them, a change
+learner's rng draws shows up here.  ``PINS`` was recorded before the BO
+learners were merged into one class, ``LONGER_PINS`` before the greedy
+evaluation kept its fit across a grid; a refactor keeps them, a change
 that moves result bits re-records them and says so.
 """
 
@@ -44,12 +46,25 @@ PINS = {
 }
 
 
-def reward_digest(environment, algorithm, kind, creps_period) -> str:
+# longer runs: (environment, algorithm, acquisition kind, creps_period,
+# episodes, evaluation_period) -> digest.  The thrower's C-REPS case spans
+# two policy updates over 5-d contexts (target and env context), each
+# followed by a greedy evaluation; the BO cases evaluate twice, with a
+# refit and four appends between the two sweeps.
+LONGER_PINS = {
+    ("thrower", "c-reps", "ucb", 12, 24, 12): "4be9c78f11b874c4",
+    ("cannon", "bo-fcps-her", "ucb", 30, 8, 4): "1c3e5946b44d0f67",
+    ("thrower", "bo-fcps", "ucb", 30, 8, 4): "9ae67d60b3d9092e",
+}
+
+
+def reward_digest(environment, algorithm, kind, creps_period, episodes=8,
+                  evaluation_period=8) -> str:
     learner = LearnerConfig(algorithm=algorithm, acquisition_kind=kind,
                             creps_period=creps_period, **TINY_LEARNER)
     config = harness.ExperimentConfig(
-        environment=environment, seeds=(0,), episodes=8, evaluation_period=8,
-        grid_shape=(2, 2), learner=learner)
+        environment=environment, seeds=(0,), episodes=episodes,
+        evaluation_period=evaluation_period, grid_shape=(2, 2), learner=learner)
     result = harness.run(config)
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(result.online_rewards).tobytes())
@@ -61,3 +76,9 @@ def reward_digest(environment, algorithm, kind, creps_period) -> str:
                          ids=lambda c: "-".join(map(str, c)))
 def test_learner_rewards_match_their_pinned_digest(case):
     assert reward_digest(*case) == PINS[case]
+
+
+@pytest.mark.parametrize("case", list(LONGER_PINS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_longer_runs_match_their_pinned_digest(case):
+    assert reward_digest(*case) == LONGER_PINS[case]

@@ -514,6 +514,107 @@ def test_trisection_offsets_equal_the_scalar_powers():
 
 
 # ---------------------------------------------------------------------------
+# DIRECT's class heaps against the sort-based selection they replaced
+# ---------------------------------------------------------------------------
+
+
+def _lexsort_potentially_optimal(state) -> np.ndarray:
+    """``optim._potentially_optimal`` as it was before the size classes were
+    kept in heaps, verbatim: the oracle for the selection on a state."""
+    _PO_EPSILON = optim._PO_EPSILON
+    n = state.n
+    counts = state.counts[:n]
+    candidates = np.flatnonzero(state.splittable_of[counts])
+    if candidates.size == 0:
+        return candidates
+    vals = state.values[:n]
+    keys = state.key_of[counts[candidates]]
+    # by size class, then best value first; the stable sort keeps the
+    # lowest index first among equal values
+    order = np.lexsort((-vals[candidates], keys))
+    sorted_keys = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    idx = candidates[order[first]]
+    f = vals[idx]
+    dd = state.measure_of[counts[idx]]
+    f_max = vals.max()
+    # every value so far -inf: the margin would make the threshold NaN
+    threshold = f_max + _PO_EPSILON * abs(f_max) if np.isfinite(f_max) else f_max
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # slope[j, i] = (f[i] - f[j]) / (dd[j] - dd[i]); its transpose holds
+        # the slopes toward larger classes
+        slope = (f[None, :] - f[:, None]) / (dd[:, None] - dd[None, :])
+        smaller = np.tri(idx.size, k=-1, dtype=bool)  # [j, i]: i < j
+        k_lo = np.fmax.reduce(np.where(smaller, slope, 0.0), axis=1)
+        k_hi = np.fmin.reduce(np.where(smaller, slope, np.inf), axis=0)
+        bound = np.where(np.isfinite(k_hi), f + k_hi * dd, np.inf)
+    keep = (k_hi >= k_lo) & (k_hi > 0.0) & (bound >= threshold)
+    return idx[keep]
+
+
+def _checked_selections(monkeypatch, f, dim: int, budget: int):
+    """Run the search with every selection compared to the oracle's on the
+    same state; returns the final state and the selections made."""
+    heap_select = optim._potentially_optimal
+    selections = []
+
+    def compared(state):
+        chosen = heap_select(state)
+        assert chosen == _lexsort_potentially_optimal(state).tolist()
+        # the heaps hold exactly the splittable rows, each under its key
+        filed = sorted(row for heap in state.heaps.values() for _, row in heap)
+        counts = state.counts[:state.n]
+        assert filed == np.flatnonzero(state.splittable_of[counts]).tolist()
+        for key, heap in state.heaps.items():
+            assert heap and all(state.key_of[state.counts[row]] == key
+                                and -neg == state.values[row] for neg, row in heap)
+        selections.append((state.n, chosen))
+        return chosen
+
+    monkeypatch.setattr(optim, "_potentially_optimal", compared)
+    return optim._direct_search(f, dim, budget), selections
+
+
+def _truncated(selections, budget: int) -> bool:
+    return any(len(chosen) > (budget - n) // 2 for n, chosen in selections)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 4),
+       budget=st.integers(1, 199).map(lambda k: 2 * k + 1),
+       kind=st.sampled_from(["smooth", "coarse", "constant", "holes",
+                             "mostly_inf"]),
+       seed=st.integers(0, 2**16))
+def test_heap_selection_equals_the_lexsort_selection(dim, budget, kind, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _checked_selections(monkeypatch, _objective(kind, dim, seed), dim, budget)
+
+
+def test_heap_selection_equals_it_when_choices_are_truncated(monkeypatch):
+    # a coarse landscape picks many classes at once; the budget cuts them
+    budget = 41
+    _, selections = _checked_selections(monkeypatch, _objective("coarse", 3, 5), 3,
+                                        budget)
+    assert _truncated(selections, budget)
+
+
+def test_heap_selection_equals_it_on_merged_size_classes(monkeypatch):
+    # rounding the half-diagonals to 3 decimals puts every count from 7 on
+    # in one 1-d size class, so a class holds rectangles of several sizes
+    tables = optim._count_tables(1)
+    merged = (tables[0], np.round(tables[0], 3), tables[2])
+    monkeypatch.setattr(optim, "_count_tables", lambda dim: merged)
+    state, selections = _checked_selections(
+        monkeypatch, lambda u: -np.abs(u[:, 0] - 0.5), 1, 399)
+    counts = state.counts[:state.n]
+    assert counts.max() == optim._MIN_LEVEL
+    assert len(set(counts[merged[1][counts] == 0.0].tolist())) > 1
+    assert len(state.heaps[0.0]) > 1
+
+
+# ---------------------------------------------------------------------------
 # L-BFGS refinement against the version that scored points more than once
 # ---------------------------------------------------------------------------
 
