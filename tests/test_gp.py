@@ -397,7 +397,7 @@ def _optimize_hyperparams_minimize(inputs, targets, init: KernelHyperparams, *,
     return best
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(n=st.integers(1, 40), d=st.integers(1, 6),
        kind=st.sampled_from(["spread", "repeated rows", "constant targets"]),
        search=st.sampled_from(["default", "learner box", "learner box and prior"]),

@@ -49,8 +49,8 @@ PINS = {
 # longer runs: (environment, algorithm, acquisition kind, creps_period,
 # episodes, evaluation_period) -> digest.  The thrower's C-REPS case spans
 # two policy updates over 5-d contexts (target and env context), each
-# followed by a greedy evaluation; the BO cases evaluate twice, with a
-# refit and four appends between the two sweeps.
+# followed by a greedy evaluation; the BO cases evaluate twice, with four
+# refits and four appends between the two sweeps.
 LONGER_PINS = {
     ("thrower", "c-reps", "ucb", 12, 24, 12): "4be9c78f11b874c4",
     ("cannon", "bo-fcps-her", "ucb", 30, 8, 4): "1c3e5946b44d0f67",

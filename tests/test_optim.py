@@ -581,7 +581,7 @@ def _truncated(selections, budget: int) -> bool:
     return any(len(chosen) > (budget - n) // 2 for n, chosen in selections)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(dim=st.integers(1, 4),
        budget=st.integers(1, 199).map(lambda k: 2 * k + 1),
        kind=st.sampled_from(["smooth", "coarse", "constant", "holes",
