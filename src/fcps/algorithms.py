@@ -560,8 +560,7 @@ class BoLearner:
                 and kept[1] is self._hyperparams):
             if not self.factored:
                 return kept[2]
-            return gp.fit_targets(kept[2], self.dataset(target)[1],
-                                  standardize=True)
+            return gp.fit_targets(kept[2], self.dataset(target)[1])
         hyperparams = self._hyperparams or _initial_hyperparams(
             self.input_space.dim)
         model = _fit(self.dataset(target), hyperparams, self.input_space)

@@ -281,12 +281,13 @@ def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace | Non
                      *_standardization(targets, standardize))
 
 
-def fit_targets(m: GpModel, targets, *, standardize: bool = False) -> GpModel:
-    """``fit`` on ``m``'s inputs, hyperparameters and input transform with
-    other targets, bit for bit, from ``m``'s Cholesky factor: only the
-    target standardization and the weights are computed."""
+def fit_targets(m: GpModel, targets) -> GpModel:
+    """``fit(..., standardize=True)`` on ``m``'s inputs, hyperparameters and
+    input transform with other targets, bit for bit, from ``m``'s Cholesky
+    factor: only the target standardization and the weights are computed.
+    The targets are always standardized, as the learners fit them."""
     targets = _checked_targets(targets, len(m))
-    y_shift, y_scale = _standardization(targets, standardize)
+    y_shift, y_scale = _standardization(targets, True)
     yt = (targets - y_shift) / y_scale
     weights = _cho_solve(m.chol, yt) if len(m) else np.zeros(0)
     return GpModel(m.inputs, targets, m.hyperparams, m.x_lo, m.x_span, y_shift,

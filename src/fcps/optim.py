@@ -127,8 +127,10 @@ _THIRDS = np.array([3.0 ** -(np.int64(level) + 1) for level in range(_MIN_LEVEL 
 
 
 @functools.cache
-def _count_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half-diagonal, size-class key and splittability by split count.
+def _count_tables(dim: int) -> tuple[tuple[float, ...], tuple[float, ...],
+                                     tuple[bool, ...]]:
+    """Half-diagonal, size-class key and splittability by split count, as
+    Python values for the per-rectangle loops.
 
     After ``t`` splits a rectangle in ``dim`` dimensions has trisection
     level ``t // dim`` on every side, plus one on the first ``t % dim``;
@@ -138,18 +140,16 @@ def _count_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     counts = np.arange(_MIN_LEVEL * dim + 1)[:, None]
     levels = counts // dim + (np.arange(dim) < counts % dim)
     measures = 0.5 * np.sqrt(np.sum(9.0 ** (-levels.astype(float)), axis=1))
-    tables = (measures, np.round(measures, 14), levels.min(axis=1) < _MIN_LEVEL)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return tuple(tuple(t.tolist()) for t in (
+        measures, np.round(measures, 14), levels.min(axis=1) < _MIN_LEVEL))
 
 
 class _DirectState:
     """Rectangle bookkeeping for one DIRECT run, in unit-cube coordinates.
 
     Rows ``[0, n)`` hold the rectangles made so far; a size class is the
-    half-diagonal (``measure_of`` by split count) rounded to 14 decimals
-    (``key_of``).  ``heaps`` maps each size-class key to a heap of
+    half-diagonal (``measures`` by split count) rounded to 14 decimals
+    (``keys``).  ``heaps`` maps each size-class key to a heap of
     ``(-value, row)`` over its splittable rectangles, so a heap's top is its
     class's best value, lowest row first among equal values.
     """
@@ -161,10 +161,7 @@ class _DirectState:
         self.counts = np.empty(capacity, dtype=np.int64)
         self.values = np.empty(capacity)
         self.best_index = 0
-        self.measure_of, self.key_of, self.splittable_of = _count_tables(dim)
-        # the same tables as Python lists, for the per-rectangle loops
-        self._measures, self._keys, self._splittable = (
-            t.tolist() for t in (self.measure_of, self.key_of, self.splittable_of))
+        self.measures, self.keys, self.splittable = _count_tables(dim)
         self.heaps: dict[float, list[tuple[float, int]]] = {}
 
     @property
@@ -177,7 +174,7 @@ class _DirectState:
 
     def _push(self, rows, counts, neg_values) -> None:
         """File rectangles under the size class of their split counts."""
-        keys, splittable = self._keys, self._splittable
+        keys, splittable = self.keys, self.splittable
         for row, count, neg in zip(rows, counts, neg_values):
             if splittable[count]:
                 heapq.heappush(self.heaps.setdefault(keys[count], []), (neg, row))
@@ -208,7 +205,7 @@ class _DirectState:
         counts = self.counts[chosen]
         neg_values = []
         for count in counts.tolist():
-            key = self._keys[count]
+            key = self.keys[count]
             heap = self.heaps[key]
             neg_values.append(heapq.heappop(heap)[0])
             if not heap:
@@ -243,7 +240,7 @@ def _potentially_optimal(state: _DirectState) -> list[int]:
     tops = [heap[0] for _, heap in sorted(state.heaps.items())]
     rows = [row for _, row in tops]
     f = [-neg for neg, _ in tops]
-    dd = [state._measures[c] for c in state.counts[rows].tolist()]
+    dd = [state.measures[c] for c in state.counts[rows].tolist()]
     f_max = state.best_value
     # every value so far -inf: the margin would make the threshold NaN
     threshold = f_max + _PO_EPSILON * abs(f_max) if math.isfinite(f_max) else f_max

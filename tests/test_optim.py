@@ -445,7 +445,7 @@ def _assert_same_search(f, dim: int, budget: int):
     # every level vector the oracle makes is the one its split count implies
     assert np.array_equal(old_levels, _canonical_levels(old_levels.sum(axis=1), dim))
     assert np.array_equal(_canonical_levels(new.counts[:new.n], dim), old_levels)
-    assert np.array_equal(new.measure_of[new.counts[:new.n]], old.measures())
+    assert np.array_equal(np.asarray(new.measures)[new.counts[:new.n]], old.measures())
     return new
 
 
@@ -467,7 +467,7 @@ def test_direct_search_matches_in_six_dimensions(kind):
 def test_direct_search_matches_when_a_rectangle_reaches_the_minimum_size():
     state = _assert_same_search(lambda u: -np.abs(u[:, 0] - 0.5), 1, 399)
     assert state.counts[:state.n].max() == optim._MIN_LEVEL  # one dimension
-    assert not state.splittable_of[state.counts[state.best_index]]
+    assert not state.splittable[state.counts[state.best_index]]
 
 
 def test_direct_search_matches_with_a_non_finite_center():
@@ -492,7 +492,7 @@ def test_direct_search_recovers_from_a_non_finite_center_alone():
 
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_count_tables_equal_the_per_row_formula(dim):
-    measures, keys, splittable = optim._count_tables(dim)
+    measures, keys, splittable = map(np.asarray, optim._count_tables(dim))
     counts = np.arange(optim._MIN_LEVEL * dim + 1)
     levels = _canonical_levels(counts, dim)
 
@@ -520,15 +520,18 @@ def test_trisection_offsets_equal_the_scalar_powers():
 
 def _lexsort_potentially_optimal(state) -> np.ndarray:
     """``optim._potentially_optimal`` as it was before the size classes were
-    kept in heaps, verbatim: the oracle for the selection on a state."""
+    kept in heaps, verbatim but for wrapping the count tables as arrays: the
+    oracle for the selection on a state."""
     _PO_EPSILON = optim._PO_EPSILON
     n = state.n
     counts = state.counts[:n]
-    candidates = np.flatnonzero(state.splittable_of[counts])
+    measure_of, key_of, splittable_of = map(np.asarray, (
+        state.measures, state.keys, state.splittable))
+    candidates = np.flatnonzero(splittable_of[counts])
     if candidates.size == 0:
         return candidates
     vals = state.values[:n]
-    keys = state.key_of[counts[candidates]]
+    keys = key_of[counts[candidates]]
     # by size class, then best value first; the stable sort keeps the
     # lowest index first among equal values
     order = np.lexsort((-vals[candidates], keys))
@@ -537,7 +540,7 @@ def _lexsort_potentially_optimal(state) -> np.ndarray:
     first[1:] = sorted_keys[1:] != sorted_keys[:-1]
     idx = candidates[order[first]]
     f = vals[idx]
-    dd = state.measure_of[counts[idx]]
+    dd = measure_of[counts[idx]]
     f_max = vals.max()
     # every value so far -inf: the margin would make the threshold NaN
     threshold = f_max + _PO_EPSILON * abs(f_max) if np.isfinite(f_max) else f_max
@@ -566,9 +569,10 @@ def _checked_selections(monkeypatch, f, dim: int, budget: int):
         # the heaps hold exactly the splittable rows, each under its key
         filed = sorted(row for heap in state.heaps.values() for _, row in heap)
         counts = state.counts[:state.n]
-        assert filed == np.flatnonzero(state.splittable_of[counts]).tolist()
+        assert filed == [row for row in range(state.n)
+                         if state.splittable[state.counts[row]]]
         for key, heap in state.heaps.items():
-            assert heap and all(state.key_of[state.counts[row]] == key
+            assert heap and all(state.keys[state.counts[row]] == key
                                 and -neg == state.values[row] for neg, row in heap)
         selections.append((state.n, chosen))
         return chosen
@@ -604,13 +608,13 @@ def test_heap_selection_equals_it_on_merged_size_classes(monkeypatch):
     # rounding the half-diagonals to 3 decimals puts every count from 7 on
     # in one 1-d size class, so a class holds rectangles of several sizes
     tables = optim._count_tables(1)
-    merged = (tables[0], np.round(tables[0], 3), tables[2])
+    merged = (tables[0], tuple(np.round(tables[0], 3).tolist()), tables[2])
     monkeypatch.setattr(optim, "_count_tables", lambda dim: merged)
     state, selections = _checked_selections(
         monkeypatch, lambda u: -np.abs(u[:, 0] - 0.5), 1, 399)
     counts = state.counts[:state.n]
     assert counts.max() == optim._MIN_LEVEL
-    assert len(set(counts[merged[1][counts] == 0.0].tolist())) > 1
+    assert len(set(counts[np.asarray(merged[1])[counts] == 0.0].tolist())) > 1
     assert len(state.heaps[0.0]) > 1
 
 
