@@ -134,7 +134,7 @@ def gp_ucb(mean, std, kappa: float):
     if kappa < 0:
         raise ContractError("kappa must be nonnegative")
     std = np.asarray(std, dtype=float)
-    if np.any(std < 0):
+    if (std < 0).any():
         raise ContractError("std must be nonnegative")
     return np.asarray(mean, dtype=float) + kappa * std
 

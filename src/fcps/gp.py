@@ -120,15 +120,19 @@ class GpModel:
 
 def _scaled_rows(x: np.ndarray, h: KernelHyperparams) -> tuple[np.ndarray, np.ndarray]:
     s = x / h.lengthscales
-    return s, np.sum(s**2, axis=1)
+    return s, np.add.reduce(np.square(s), axis=1)
 
 
 def _kernel_scaled(a, b, h: KernelHyperparams) -> np.ndarray:
     """Kernel matrix from two ``_scaled_rows`` pairs."""
     (sa, sa_sq), (sb, sb_sq) = a, b
-    sq = sa_sq[:, None] + sb_sq[None, :] - 2.0 * (sa @ sb.T)
+    sq = sa_sq[:, None] + sb_sq[None, :]
+    sq -= 2.0 * (sa @ sb.T)
     np.maximum(sq, 0.0, out=sq)
-    return h.signal_variance * np.exp(-0.5 * sq)
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= h.signal_variance
+    return sq
 
 
 def kernel_eval(a, b, h: KernelHyperparams) -> np.ndarray:
@@ -307,7 +311,7 @@ def predict_batch(m: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
         ks = _kernel_scaled(_scaled_rows(m.transform_inputs(x), h), m.scaled_xt, h)
         mean_t = ks @ m.weights
         v = _solve_lower(m.chol, ks.T, check_finite=False)
-        var_t = h.signal_variance - np.sum(v**2, axis=0)
+        var_t = h.signal_variance - np.add.reduce(np.square(v, out=v), axis=0)
         np.maximum(var_t, 0.0, out=var_t)
     return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * var_t
 

@@ -130,6 +130,9 @@ class ExperimentConfig:
         if len(self.grid_shape) != 2 or min(self.grid_shape) < 1:
             raise ContractError("grid shape must be two positive integers")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        # numpy's seed sequences take no negative entropy
+        if min(self.master_seed, self.environment_seed, *self.seeds) < 0:
+            raise ContractError("master_seed, environment_seed and seeds must be non-negative")
         object.__setattr__(self, "grid_shape",
                            tuple(int(g) for g in self.grid_shape))
         if self.context_boxes is not None:

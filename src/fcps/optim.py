@@ -3,17 +3,17 @@
 The global stage is a DIRECT-style rectangle subdivision on the unit cube
 with trisection along the longest side only (ties broken by the lowest
 dimension index), which keeps the search fully deterministic.  Its state is
-a set of arrays preallocated to the evaluation budget, one row per
-rectangle: center, value and split count; a row changes only when its
-rectangle is split.  Since every split takes the lowest trisection level,
-lowest dimension first, the split count fixes a rectangle's levels, so its
-half-diagonal, size-class key and whether it can still be split are read
-from tables by count, built once per dimension.  The splittable rectangles
+kept in Python lists, one row per rectangle: center, value and split count;
+a row changes only when its rectangle is split, and the lists meet numpy
+only where the objective is called.  Since every split takes the lowest
+trisection level, lowest dimension first, the split count fixes a
+rectangle's levels, so its half-diagonal, size-class key and whether it can
+still be split are read from tables by count, built once per dimension.  The splittable rectangles
 of each size class sit in a heap ordered by value, so each iteration reads
 the class representatives off the heap tops and runs the slope test over
 those few.  The local stage calls scipy's bounded L-BFGS with central
-finite differences when no analytic gradient is supplied, and scores each
-point it visits once.
+finite differences (step rows built from Python floats) when no analytic
+gradient is supplied, and scores each point it visits once.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ def _as_batch(f, vectorized: bool):
 
 
 # trisection offsets 3**-(level + 1) by level, each from numpy's int64
-# scalar power: at level 20 it rounds differently from Python's float power
-_THIRDS = np.array([3.0 ** -(np.int64(level) + 1) for level in range(_MIN_LEVEL + 1)])
+# scalar power (at level 20 it rounds differently from Python's float
+# power), kept as Python floats for the per-rectangle loops
+_THIRDS = tuple(float(3.0 ** -(np.int64(level) + 1)) for level in range(_MIN_LEVEL + 1))
 
 
 @functools.cache
@@ -147,53 +148,54 @@ def _count_tables(dim: int) -> tuple[tuple[float, ...], tuple[float, ...],
 class _DirectState:
     """Rectangle bookkeeping for one DIRECT run, in unit-cube coordinates.
 
-    Rows ``[0, n)`` hold the rectangles made so far; a size class is the
+    Row ``i`` of the Python lists ``centers`` (each a list of floats),
+    ``counts`` (split counts) and ``values`` is the ``i``-th rectangle made;
+    a row changes only when its rectangle is split.  A size class is the
     half-diagonal (``measures`` by split count) rounded to 14 decimals
     (``keys``).  ``heaps`` maps each size-class key to a heap of
     ``(-value, row)`` over its splittable rectangles, so a heap's top is its
     class's best value, lowest row first among equal values.
     """
 
-    def __init__(self, dim: int, capacity: int):
-        self.n = 0
+    def __init__(self, dim: int):
         self.dim = dim
-        self.centers = np.empty((capacity, dim))
-        self.counts = np.empty(capacity, dtype=np.int64)
-        self.values = np.empty(capacity)
+        self.centers: list[list[float]] = []
+        self.counts: list[int] = []
+        self.values: list[float] = []
         self.best_index = 0
         self.measures, self.keys, self.splittable = _count_tables(dim)
         self.heaps: dict[float, list[tuple[float, int]]] = {}
 
     @property
+    def n(self) -> int:
+        return len(self.values)
+
+    @property
     def best_value(self) -> float:
-        return float(self.values[self.best_index])
+        return self.values[self.best_index]
 
     @property
     def best_center(self) -> np.ndarray:
-        return self.centers[self.best_index]
+        return np.array(self.centers[self.best_index])
 
-    def _push(self, rows, counts, neg_values) -> None:
-        """File rectangles under the size class of their split counts."""
-        keys, splittable = self.keys, self.splittable
-        for row, count, neg in zip(rows, counts, neg_values):
+    def add(self, centers: list[list[float]], counts: list[int],
+            values: list[float]) -> None:
+        """Append rectangles and file the splittable ones under their size
+        class; the incumbent moves only on strict improvement, to the first
+        of equal best values."""
+        keys, splittable, heaps = self.keys, self.splittable, self.heaps
+        start = self.n
+        best = self.values[self.best_index] if start else -math.inf
+        self.centers += centers
+        self.counts += counts
+        self.values += values
+        for row, (count, value) in enumerate(zip(counts, values), start):
+            if value > best:
+                best, self.best_index = value, row
             if splittable[count]:
-                heapq.heappush(self.heaps.setdefault(keys[count], []), (neg, row))
+                heapq.heappush(heaps.setdefault(keys[count], []), (-value, row))
 
-    def add(self, centers: np.ndarray, counts: np.ndarray, values: np.ndarray) -> None:
-        """Append rectangles; the incumbent moves only on strict improvement,
-        to the first of equal best values."""
-        start, m = self.n, len(values)
-        rows = slice(start, start + m)
-        self.centers[rows] = centers
-        self.counts[rows] = counts
-        self.values[rows] = values
-        self.n = start + m
-        j = int(np.argmax(values))
-        if start == 0 or values[j] > self.values[self.best_index]:
-            self.best_index = start + j
-        self._push(range(start, start + m), counts.tolist(), (-values).tolist())
-
-    def split(self, chosen: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def split(self, chosen: list[int]) -> tuple[list[list[float]], list[int]]:
         """Trisect each chosen rectangle, the top of its class's heap, along
         its longest side (lowest dimension on ties); returns the two new
         centers per rectangle, low side first, and their split counts.
@@ -202,30 +204,30 @@ class _DirectState:
         its new count: a split one may move to the class of another chosen
         rectangle and outrank it there.
         """
-        counts = self.counts[chosen]
+        counts, keys, heaps = self.counts, self.keys, self.heaps
         neg_values = []
-        for count in counts.tolist():
-            key = self.keys[count]
-            heap = self.heaps[key]
+        for row in chosen:
+            key = keys[counts[row]]
+            heap = heaps[key]
             neg_values.append(heapq.heappop(heap)[0])
             if not heap:
-                del self.heaps[key]
-        side = counts % self.dim
-        delta = _THIRDS[counts // self.dim]
-        counts += 1
-        self.counts[chosen] = counts
-        self._push(chosen, counts.tolist(), neg_values)
-        rows = np.arange(len(chosen))
-        points = np.repeat(self.centers[chosen], 2, axis=0)
-        points[2 * rows, side] -= delta
-        points[2 * rows + 1, side] += delta
-        return points, np.repeat(counts, 2)
-
-    def ranked_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centers and values ordered by decreasing value (stable)."""
-        vals = self.values[:self.n]
-        order = np.argsort(-vals, kind="stable")
-        return self.centers[:self.n][order], vals[order]
+                del heaps[key]
+        points, new_counts = [], []
+        for row, neg in zip(chosen, neg_values):
+            count = counts[row]
+            side = count % self.dim
+            delta = _THIRDS[count // self.dim]
+            count += 1
+            counts[row] = count
+            if self.splittable[count]:
+                heapq.heappush(heaps.setdefault(keys[count], []), (neg, row))
+            center = self.centers[row]
+            low, high = center.copy(), center.copy()
+            low[side] = center[side] - delta
+            high[side] = center[side] + delta
+            points += (low, high)
+            new_counts += (count, count)
+        return points, new_counts
 
 
 def _potentially_optimal(state: _DirectState) -> list[int]:
@@ -240,7 +242,7 @@ def _potentially_optimal(state: _DirectState) -> list[int]:
     tops = [heap[0] for _, heap in sorted(state.heaps.items())]
     rows = [row for _, row in tops]
     f = [-neg for neg, _ in tops]
-    dd = [state.measures[c] for c in state.counts[rows].tolist()]
+    dd = [state.measures[state.counts[row]] for row in rows]
     f_max = state.best_value
     # every value so far -inf: the margin would make the threshold NaN
     threshold = f_max + _PO_EPSILON * abs(f_max) if math.isfinite(f_max) else f_max
@@ -267,13 +269,13 @@ def _potentially_optimal(state: _DirectState) -> list[int]:
 
 
 def _direct_search(f_batch, dim: int, max_evals: int) -> _DirectState:
-    state = _DirectState(dim, max_evals)
-    center = np.full((1, dim), 0.5)
-    v = f_batch(center)[0]
-    if not np.isfinite(v):
+    state = _DirectState(dim)
+    center = [0.5] * dim
+    v = float(f_batch(np.array([center]))[0])
+    if not math.isfinite(v):
         _log.warning("objective returned non-finite value at the box center")
-        v = -np.inf
-    state.add(center, np.zeros(1, dtype=np.int64), np.array([v], dtype=float))
+        v = -math.inf
+    state.add([center], [0], [v])
 
     while state.n + 2 <= max_evals:
         chosen = _potentially_optimal(state)
@@ -281,13 +283,28 @@ def _direct_search(f_batch, dim: int, max_evals: int) -> _DirectState:
             break
         chosen = chosen[:(max_evals - state.n) // 2]
         points, counts = state.split(chosen)
-        vals = f_batch(points)
+        vals = f_batch(np.array(points))
         bad = ~np.isfinite(vals)
         if bad.any():
             _log.warning("objective returned %d non-finite values; treated as -inf", int(bad.sum()))
             vals = np.where(bad, -np.inf, vals)
-        state.add(points, counts, vals)
+        state.add(points, counts, vals.tolist())
     return state
+
+
+def _refine_starts(state: _DirectState, count: int) -> list[list[float]]:
+    """Up to ``count`` centers to refine from: the incumbent's, then the
+    others by decreasing value (stable), each more than 1e-12 away from
+    every one taken along some axis."""
+    centers, values = state.centers, state.values
+    starts = [centers[state.best_index]]
+    for row in sorted(range(len(values)), key=values.__getitem__, reverse=True):
+        if len(starts) >= count:
+            break
+        c = centers[row]
+        if all(max(abs(a - b) for a, b in zip(c, s)) > 1e-12 for s in starts):
+            starts.append(c)
+    return starts
 
 
 def direct_maximize(f, space: SearchSpace, max_evals: int, *, vectorized: bool = False):
@@ -311,18 +328,21 @@ def direct_maximize(f, space: SearchSpace, max_evals: int, *, vectorized: bool =
 
 def _central_gradient(batch_f, x: np.ndarray, space: SearchSpace) -> np.ndarray:
     """Central finite differences with step 1e-6 * span, one-sided at bounds."""
-    h = 1e-6 * space.span
-    d = space.dim
-    diag = np.arange(d)
-    steps = np.repeat(x[None, :], 2 * d, axis=0)  # forward rows, then backward
-    steps[diag, diag] = np.minimum(x + h, space.upper)
-    steps[d + diag, diag] = np.maximum(x - h, space.lower)
-    vals = batch_f(steps)
-    denom = steps[diag, diag] - steps[d + diag, diag]
-    grad = np.zeros(d)
-    ok = denom > 0
-    grad[ok] = (vals[:d][ok] - vals[d:][ok]) / denom[ok]
-    return grad
+    xs = x.tolist()
+    ahead, behind, denoms = [], [], []
+    for i, (xi, lo, hi) in enumerate(zip(xs, space.lower.tolist(), space.upper.tolist())):
+        h = 1e-6 * (hi - lo)
+        up, down = xi + h, xi - h
+        # np.minimum and np.maximum: the bound wins a tie, NaN stays NaN
+        up = hi if up >= hi else up
+        down = lo if down <= lo else down
+        ahead.append(xs[:i] + [up] + xs[i + 1:])
+        behind.append(xs[:i] + [down] + xs[i + 1:])
+        denoms.append(up - down)
+    vals = batch_f(np.array(ahead + behind)).tolist()  # forward rows, then backward
+    d = len(xs)
+    return np.array([(vals[i] - vals[d + i]) / denom if denom > 0 else 0.0
+                     for i, denom in enumerate(denoms)])
 
 
 def lbfgs_refine(f, space: SearchSpace, x0, max_iters: int = 100, *, grad=None,
@@ -358,7 +378,7 @@ def lbfgs_refine(f, space: SearchSpace, x0, max_iters: int = 100, *, grad=None,
     # scipy's direct entry to the solver that minimize(method="L-BFGS-B")
     # runs, with the same defaults and without minimize's bound conversions
     res_x, _, _ = fmin_l_bfgs_b(lambda x: -score(x), x0, fprime=jac,
-                                bounds=list(zip(space.lower, space.upper)),
+                                bounds=list(zip(space.lower.tolist(), space.upper.tolist())),
                                 m=10, maxiter=max_iters)
     x = space.clip(res_x)
     val = score(x)
@@ -389,17 +409,9 @@ def global_then_local(f, space: SearchSpace, *, direct_evals: int | None = None,
     batch = _as_batch(f, vectorized)
     state = _direct_search(lambda u: batch(space.from_unit(u)), space.dim, direct_evals)
 
-    starts = [state.best_center]
-    ranked_centers, _ = state.ranked_centers()
-    for c in ranked_centers:
-        if len(starts) >= refine_starts:
-            break
-        if all(np.max(np.abs(c - s)) > 1e-12 for s in starts):
-            starts.append(c)
-
     best_x = space.from_unit(state.best_center)
     best_val = state.best_value
-    for u in starts:
+    for u in _refine_starts(state, refine_starts):
         x, val = lbfgs_refine(f, space, space.from_unit(u), refine_iters,
                               grad=grad, vectorized=vectorized)
         if val > best_val:

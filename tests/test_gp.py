@@ -721,3 +721,83 @@ def test_kept_scaled_rows_leave_model_equality_and_repr_alone():
     sb, sb_sq = m.scaled_xt
     assert np.array_equal(sb, m.xt / m.hyperparams.lengthscales)
     assert np.array_equal(sb_sq, np.sum(sb**2, axis=1))
+
+
+# -- the in-place predict path against the allocating one ------------------
+
+
+def _allocating_scaled_rows(x, h):
+    """``gp._scaled_rows`` as it was before it reduced with ``np.add``."""
+    s = x / h.lengthscales
+    return s, np.sum(s**2, axis=1)
+
+
+def _allocating_kernel_scaled(a, b, h):
+    """``gp._kernel_scaled`` as it was before it worked in place, verbatim."""
+    (sa, sa_sq), (sb, sb_sq) = a, b
+    sq = sa_sq[:, None] + sb_sq[None, :] - 2.0 * (sa @ sb.T)
+    np.maximum(sq, 0.0, out=sq)
+    return h.signal_variance * np.exp(-0.5 * sq)
+
+
+def _allocating_predict_batch(m, x):
+    """``predict_batch`` as it was before it squared in place, verbatim but
+    for scaling the training rows with the oracle's helper instead of
+    reading the model's kept ones."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != m.hyperparams.dim:
+        raise ContractError("query dimension does not match the model")
+    h = m.hyperparams
+    if len(m) == 0:
+        mean_t = np.zeros(len(x))
+        var_t = np.full(len(x), h.signal_variance)
+    else:
+        ks = _allocating_kernel_scaled(_allocating_scaled_rows(m.transform_inputs(x), h),
+                                       _allocating_scaled_rows(m.xt, h), h)
+        mean_t = ks @ m.weights
+        v = gp._solve_lower(m.chol, ks.T, check_finite=False)
+        var_t = h.signal_variance - np.sum(v**2, axis=0)
+        np.maximum(var_t, 0.0, out=var_t)
+    return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * var_t
+
+
+@settings(max_examples=80)
+@given(n=st.integers(0, 150), m=st.integers(1, 8), d=st.integers(1, 5),
+       origin=st.sampled_from(["fit", "fit scaled", "fantasize", "ensemble branch"]),
+       seed=st.integers(0, 2**16))
+@example(n=0, m=1, d=1, origin="fit", seed=0)
+@example(n=150, m=8, d=5, origin="fit scaled", seed=1)
+def test_predict_batch_equals_the_allocating_path_bit_for_bit(n, m, d, origin, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2, 2, size=(n, d))
+    y = rng.normal(size=n)
+    h = KernelHyperparams(float(rng.uniform(0.3, 3.0)), rng.uniform(0.05, 2.0, size=d),
+                          float(rng.uniform(1e-6, 0.3)))
+    space = SearchSpace(np.full(d, -2.5), np.full(d, 2.5))
+    if origin == "fit":
+        model = fit(x, y, h)
+    elif origin == "fit scaled":
+        model = fit(x, y, h, input_space=space, standardize=True)
+    elif origin == "fantasize":
+        model = fantasize(fit(x, y, h, input_space=space, standardize=True),
+                          rng.uniform(-2, 2, size=d), 0.3)
+    else:
+        ens = fit_shared_inputs(x, np.column_stack([y, 1.0 - 2.0 * y]), h,
+                                input_space=space)
+        model = ensemble_branch_model(ens, 1)
+    # queries near the data, far from it, and on a training row
+    q = rng.uniform(-3, 3, size=(m, d))
+    if len(model):
+        q[0] = model.inputs[0]
+    for _ in range(2):  # the second call reads the kept training rows
+        mean, var = predict_batch(model, q)
+        ref_mean, ref_var = _allocating_predict_batch(model, q)
+        assert mean.tobytes() == ref_mean.tobytes() and var.tobytes() == ref_var.tobytes()
+    rows = model.scaled_xt
+    ref_rows = _allocating_scaled_rows(model.xt, h)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, ref_rows))
+    qt = model.transform_inputs(q)
+    for a, b in ((qt, model.xt), (model.xt, model.xt), (qt, qt)):
+        assert (kernel_eval(a, b, h).tobytes()
+                == _allocating_kernel_scaled(_allocating_scaled_rows(a, h),
+                                             _allocating_scaled_rows(b, h), h).tobytes())

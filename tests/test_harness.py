@@ -71,6 +71,15 @@ def test_config_validation():
         tiny_config(grid_shape=(0, 5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("master_seed", -1), ("environment_seed", -1), ("seeds", (0, -3)),
+])
+def test_negative_seeds_are_rejected(field, value):
+    with pytest.raises(ContractError, match="non-negative"):
+        tiny_config(**{field: value})
+    tiny_config(**{field: 0 if field != "seeds" else (0, 3)})
+
+
 def test_unknown_algorithm_fails_before_any_rollout():
     data = config_to_dict(tiny_config())
     data["learner"]["algorithm"] = "dqn"
@@ -395,6 +404,11 @@ def test_cli_error_paths(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "ContractError"
+    code = cli.main(["run", "--config", str(config_path),
+                     "--out", str(tmp_path / "o3"), "--seed", "-1"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "ContractError"
+    assert not (tmp_path / "o3").exists()
     code = cli.main(["run", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o2")])
     assert code == 1

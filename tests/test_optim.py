@@ -4,6 +4,10 @@ Expected values come from closed forms (Branin's optimum, quadratic peaks,
 boundary projections), not from the implementation under test.
 """
 
+import heapq
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -439,13 +443,16 @@ def _assert_same_search(f, dim: int, budget: int):
     assert new.best_value == old.best_value or (
         np.isneginf(new.best_value) and np.isneginf(old.best_value))
     assert np.array_equal(new.best_center, old.best_center)
-    for a, b in zip(new.ranked_centers(), old.ranked_centers()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(np.array(new.centers), np.array(old.centers))
+    assert np.array_equal(np.array(new.values), np.array(old.values))
+    for count in range(1, 5):
+        assert np.array_equal(np.array(optim._refine_starts(new, count)),
+                              np.array(_argsort_refine_starts(old, count)))
     old_levels = np.array(old.levels)
     # every level vector the oracle makes is the one its split count implies
     assert np.array_equal(old_levels, _canonical_levels(old_levels.sum(axis=1), dim))
-    assert np.array_equal(_canonical_levels(new.counts[:new.n], dim), old_levels)
-    assert np.array_equal(np.asarray(new.measures)[new.counts[:new.n]], old.measures())
+    assert np.array_equal(_canonical_levels(new.counts, dim), old_levels)
+    assert np.array_equal(np.asarray(new.measures)[new.counts], old.measures())
     return new
 
 
@@ -466,7 +473,7 @@ def test_direct_search_matches_in_six_dimensions(kind):
 
 def test_direct_search_matches_when_a_rectangle_reaches_the_minimum_size():
     state = _assert_same_search(lambda u: -np.abs(u[:, 0] - 0.5), 1, 399)
-    assert state.counts[:state.n].max() == optim._MIN_LEVEL  # one dimension
+    assert max(state.counts) == optim._MIN_LEVEL  # one dimension
     assert not state.splittable[state.counts[state.best_index]]
 
 
@@ -520,17 +527,17 @@ def test_trisection_offsets_equal_the_scalar_powers():
 
 def _lexsort_potentially_optimal(state) -> np.ndarray:
     """``optim._potentially_optimal`` as it was before the size classes were
-    kept in heaps, verbatim but for wrapping the count tables as arrays: the
-    oracle for the selection on a state."""
+    kept in heaps, verbatim but for wrapping the count tables and the state's
+    lists as arrays: the oracle for the selection on a state."""
     _PO_EPSILON = optim._PO_EPSILON
     n = state.n
-    counts = state.counts[:n]
+    counts = np.asarray(state.counts[:n])
     measure_of, key_of, splittable_of = map(np.asarray, (
         state.measures, state.keys, state.splittable))
     candidates = np.flatnonzero(splittable_of[counts])
     if candidates.size == 0:
         return candidates
-    vals = state.values[:n]
+    vals = np.asarray(state.values[:n])
     keys = key_of[counts[candidates]]
     # by size class, then best value first; the stable sort keeps the
     # lowest index first among equal values
@@ -568,7 +575,6 @@ def _checked_selections(monkeypatch, f, dim: int, budget: int):
         assert chosen == _lexsort_potentially_optimal(state).tolist()
         # the heaps hold exactly the splittable rows, each under its key
         filed = sorted(row for heap in state.heaps.values() for _, row in heap)
-        counts = state.counts[:state.n]
         assert filed == [row for row in range(state.n)
                          if state.splittable[state.counts[row]]]
         for key, heap in state.heaps.items():
@@ -612,10 +618,304 @@ def test_heap_selection_equals_it_on_merged_size_classes(monkeypatch):
     monkeypatch.setattr(optim, "_count_tables", lambda dim: merged)
     state, selections = _checked_selections(
         monkeypatch, lambda u: -np.abs(u[:, 0] - 0.5), 1, 399)
-    counts = state.counts[:state.n]
+    counts = np.asarray(state.counts)
     assert counts.max() == optim._MIN_LEVEL
     assert len(set(counts[np.asarray(merged[1])[counts] == 0.0].tolist())) > 1
     assert len(state.heaps[0.0]) > 1
+
+
+# ---------------------------------------------------------------------------
+# DIRECT on Python lists against the array-based state it replaced
+# ---------------------------------------------------------------------------
+
+# the oracle's trisection offsets, as the array-based state indexed them
+_ARRAY_THIRDS = np.array([3.0 ** -(np.int64(level) + 1)
+                          for level in range(optim._MIN_LEVEL + 1)])
+
+
+class _ArrayDirectState:
+    """``optim._DirectState`` as it was when it kept numpy arrays
+    preallocated to the evaluation budget, verbatim: the oracle for the
+    list-based state."""
+
+    def __init__(self, dim: int, capacity: int):
+        self.n = 0
+        self.dim = dim
+        self.centers = np.empty((capacity, dim))
+        self.counts = np.empty(capacity, dtype=np.int64)
+        self.values = np.empty(capacity)
+        self.best_index = 0
+        self.measures, self.keys, self.splittable = optim._count_tables(dim)
+        self.heaps: dict[float, list[tuple[float, int]]] = {}
+
+    @property
+    def best_value(self) -> float:
+        return float(self.values[self.best_index])
+
+    @property
+    def best_center(self) -> np.ndarray:
+        return self.centers[self.best_index]
+
+    def _push(self, rows, counts, neg_values) -> None:
+        """File rectangles under the size class of their split counts."""
+        keys, splittable = self.keys, self.splittable
+        for row, count, neg in zip(rows, counts, neg_values):
+            if splittable[count]:
+                heapq.heappush(self.heaps.setdefault(keys[count], []), (neg, row))
+
+    def add(self, centers: np.ndarray, counts: np.ndarray, values: np.ndarray) -> None:
+        """Append rectangles; the incumbent moves only on strict improvement,
+        to the first of equal best values."""
+        start, m = self.n, len(values)
+        rows = slice(start, start + m)
+        self.centers[rows] = centers
+        self.counts[rows] = counts
+        self.values[rows] = values
+        self.n = start + m
+        j = int(np.argmax(values))
+        if start == 0 or values[j] > self.values[self.best_index]:
+            self.best_index = start + j
+        self._push(range(start, start + m), counts.tolist(), (-values).tolist())
+
+    def split(self, chosen: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Trisect each chosen rectangle, the top of its class's heap, along
+        its longest side (lowest dimension on ties); returns the two new
+        centers per rectangle, low side first, and their split counts.
+
+        Every chosen rectangle leaves its heap before any goes back under
+        its new count: a split one may move to the class of another chosen
+        rectangle and outrank it there.
+        """
+        counts = self.counts[chosen]
+        neg_values = []
+        for count in counts.tolist():
+            key = self.keys[count]
+            heap = self.heaps[key]
+            neg_values.append(heapq.heappop(heap)[0])
+            if not heap:
+                del self.heaps[key]
+        side = counts % self.dim
+        delta = _ARRAY_THIRDS[counts // self.dim]
+        counts += 1
+        self.counts[chosen] = counts
+        self._push(chosen, counts.tolist(), neg_values)
+        rows = np.arange(len(chosen))
+        points = np.repeat(self.centers[chosen], 2, axis=0)
+        points[2 * rows, side] -= delta
+        points[2 * rows + 1, side] += delta
+        return points, np.repeat(counts, 2)
+
+    def ranked_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and values ordered by decreasing value (stable)."""
+        vals = self.values[:self.n]
+        order = np.argsort(-vals, kind="stable")
+        return self.centers[:self.n][order], vals[order]
+
+
+def _array_potentially_optimal(state: _ArrayDirectState) -> list[int]:
+    """``optim._potentially_optimal`` on the array-based state, verbatim."""
+    tops = [heap[0] for _, heap in sorted(state.heaps.items())]
+    rows = [row for _, row in tops]
+    f = [-neg for neg, _ in tops]
+    dd = [state.measures[c] for c in state.counts[rows].tolist()]
+    f_max = state.best_value
+    # every value so far -inf: the margin would make the threshold NaN
+    threshold = f_max + optim._PO_EPSILON * abs(f_max) if math.isfinite(f_max) else f_max
+
+    # the slope between a smaller class i and a larger class j bounds K from
+    # above for i and from below for j; a NaN slope fails both comparisons
+    m = len(rows)
+    k_lo = [0.0] * m
+    k_hi = [math.inf] * m
+    for j in range(1, m):
+        for i in range(j):
+            slope = (f[i] - f[j]) / (dd[j] - dd[i])
+            if slope > k_lo[j]:
+                k_lo[j] = slope
+            if slope < k_hi[i]:
+                k_hi[i] = slope
+    chosen = []
+    for j in range(m):
+        k = k_hi[j]
+        if k >= k_lo[j] and k > 0.0 and (
+                not math.isfinite(k) or f[j] + k * dd[j] >= threshold):
+            chosen.append(rows[j])
+    return chosen
+
+
+def _array_direct_search(f_batch, dim: int, max_evals: int) -> _ArrayDirectState:
+    """``optim._direct_search`` on the array-based state, verbatim."""
+    state = _ArrayDirectState(dim, max_evals)
+    center = np.full((1, dim), 0.5)
+    v = f_batch(center)[0]
+    if not np.isfinite(v):
+        v = -np.inf
+    state.add(center, np.zeros(1, dtype=np.int64), np.array([v], dtype=float))
+
+    while state.n + 2 <= max_evals:
+        chosen = _array_potentially_optimal(state)
+        if not chosen:
+            break
+        chosen = chosen[:(max_evals - state.n) // 2]
+        points, counts = state.split(chosen)
+        vals = f_batch(points)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            vals = np.where(bad, -np.inf, vals)
+        state.add(points, counts, vals)
+    return state
+
+
+def _argsort_refine_starts(state, refine_starts: int) -> list[np.ndarray]:
+    """The refine starts as ``global_then_local`` picked them from
+    ``ranked_centers``, verbatim: the oracle for ``optim._refine_starts``."""
+    starts = [state.best_center]
+    ranked_centers, _ = state.ranked_centers()
+    for c in ranked_centers:
+        if len(starts) >= refine_starts:
+            break
+        if all(np.max(np.abs(c - s)) > 1e-12 for s in starts):
+            starts.append(c)
+    return starts
+
+
+def _state_bytes(state) -> tuple:
+    """Everything a DIRECT state holds, as bytes and Python values; the list
+    and the array states of the same search give equal tuples."""
+    n = state.n
+    return (
+        n,
+        np.asarray(state.centers[:n], dtype=float).tobytes(),
+        np.asarray(state.values[:n], dtype=float).tobytes(),
+        np.asarray(state.counts[:n], dtype=np.int64).tobytes(),
+        state.best_index,
+        {key: (np.array([neg for neg, _ in heap]).tobytes(), [row for _, row in heap])
+         for key, heap in state.heaps.items()},
+    )
+
+
+def _snapshots(monkeypatch, owner, name: str, search, f, dim: int, budget: int):
+    """Run ``search`` with its selection function (``owner.name``) wrapped to
+    record the state before and the rows chosen at every iteration."""
+    select = getattr(owner, name)
+    steps = []
+
+    def recorded(state):
+        before = _state_bytes(state)
+        chosen = select(state)
+        steps.append((before, list(chosen)))
+        return chosen
+
+    monkeypatch.setattr(owner, name, recorded)
+    return search(f, dim, budget), steps
+
+
+def _assert_same_as_the_array_state(f, dim: int, budget: int):
+    new_batch, new_calls = _recorded(f)
+    old_batch, old_calls = _recorded(f)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        new, new_steps = _snapshots(monkeypatch, optim, "_potentially_optimal",
+                                    optim._direct_search, new_batch, dim, budget)
+        old, old_steps = _snapshots(monkeypatch, sys.modules[__name__],
+                                    "_array_potentially_optimal", _array_direct_search,
+                                    old_batch, dim, budget)
+    assert len(new_steps) == len(old_steps)
+    for step, (a, b) in enumerate(zip(new_steps, old_steps)):
+        assert a == b, step
+    assert [c.tobytes() for c in new_calls] == [c.tobytes() for c in old_calls]
+    assert _state_bytes(new) == _state_bytes(old)
+    assert new.best_value == old.best_value or (
+        np.isneginf(new.best_value) and np.isneginf(old.best_value))
+    assert new.best_center.tobytes() == old.best_center.tobytes()
+    for count in range(1, 7):
+        assert (np.array(optim._refine_starts(new, count)).tobytes()
+                == np.array(_argsort_refine_starts(old, count)).tobytes())
+    return new, new_steps
+
+
+def _signed_zeros(dim: int, seed: int):
+    """0.0 and -0.0 by the sign of a smooth landscape: every value ties."""
+    smooth = _objective("smooth", dim, seed)
+    return lambda u: np.copysign(0.0, smooth(u))
+
+
+@settings(max_examples=120)
+@given(dim=st.integers(1, 4),
+       budget=st.integers(1, 199).map(lambda k: 2 * k + 1),
+       kind=st.sampled_from(["smooth", "coarse", "constant", "holes",
+                             "mostly_inf", "signed_zeros"]),
+       seed=st.integers(0, 2**16))
+def test_list_state_equals_the_array_state_at_every_iteration(dim, budget, kind, seed):
+    f = _signed_zeros(dim, seed) if kind == "signed_zeros" else _objective(kind, dim, seed)
+    _assert_same_as_the_array_state(f, dim, budget)
+
+
+@pytest.mark.parametrize("budget", [41, 42, 97])
+def test_list_state_equals_it_when_choices_are_truncated(budget):
+    _, steps = _assert_same_as_the_array_state(_objective("coarse", 3, 5), 3, budget)
+    assert _truncated([(before[0], chosen) for before, chosen in steps], budget)
+
+
+def test_list_state_equals_it_down_to_the_minimum_size():
+    state, _ = _assert_same_as_the_array_state(lambda u: -np.abs(u[:, 0] - 0.5), 1, 399)
+    assert max(state.counts) == optim._MIN_LEVEL
+    assert not state.splittable[state.counts[state.best_index]]
+
+
+@pytest.mark.parametrize("dim, budget", [(2, 41), (3, 7)])
+def test_list_state_equals_it_on_non_finite_centers(dim, budget):
+    smooth = _objective("smooth", dim, 3)
+
+    def center_nan(u):
+        out = smooth(u)
+        out[np.all(u == 0.5, axis=1)] = np.nan
+        return out
+
+    _assert_same_as_the_array_state(lambda u: np.full(len(u), np.nan), dim, budget)
+    _assert_same_as_the_array_state(center_nan, dim, budget)
+
+
+_NEAR = [0.0, 5e-13, 1e-12, 1.0000000000000002e-12, 1.5e-12, 3e-12, 0.25]
+
+
+@settings(max_examples=150)
+@given(dim=st.integers(1, 3),
+       base=st.lists(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0),
+                     min_size=3, max_size=3),
+       rows=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                               st.sampled_from(_NEAR), st.sampled_from([1.0, -1.0]),
+                               st.sampled_from([0.0, -1.0, 2.0, -np.inf])),
+                     min_size=1, max_size=12),
+       count=st.integers(1, 6))
+def test_refine_starts_equal_the_argsort_selection_on_near_duplicates(dim, base, rows,
+                                                                      count):
+    # centers a few 1e-12 apart along one axis, with tied and -inf values
+    centers, values = [], []
+    for origin, axis, offset, sign, value in rows:
+        c = [base[(origin + j) % 3] for j in range(dim)]
+        c[axis % dim] += sign * offset
+        centers.append(c)
+        values.append(value)
+    counts = [0] * len(rows)
+    new = optim._DirectState(dim)
+    new.add(centers, counts, values)
+    old = _ArrayDirectState(dim, len(rows))
+    old.add(np.array(centers), np.array(counts, dtype=np.int64), np.array(values))
+    assert new.best_index == old.best_index
+    assert (np.array(optim._refine_starts(new, count)).tobytes()
+            == np.array(_argsort_refine_starts(old, count)).tobytes())
+
+
+def test_refine_starts_keep_only_centers_more_than_1e_12_apart():
+    # from 0.0 the offsets are exact: 1e-12 is a duplicate, the next float up is not
+    centers = [[0.0], [1e-12], [1.0000000000000002e-12], [5e-13]]
+    new = optim._DirectState(1)
+    new.add(centers, [0] * 4, [1.0, 1.0, 1.0, 1.0])
+    starts = optim._refine_starts(new, 4)
+    assert starts == [[0.0], [1.0000000000000002e-12]]
+    old = _ArrayDirectState(1, 4)
+    old.add(np.array(centers), np.zeros(4, dtype=np.int64), np.ones(4))
+    assert np.array(starts).tobytes() == np.array(_argsort_refine_starts(old, 4)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -718,3 +1018,92 @@ def test_lbfgs_refine_equals_the_rescoring_version_and_scores_each_point_once(ca
     assert set(new_seen) == set(old_seen) and len(new_seen) < len(old_seen)
     x, val = lbfgs_refine(f, space, x0, vectorized=vectorized, **kw)
     assert np.array_equal(x, ref_x) and val == ref_val
+
+
+# ---------------------------------------------------------------------------
+# central differences from Python floats against the numpy version
+# ---------------------------------------------------------------------------
+
+
+def _numpy_central_gradient(batch_f, x: np.ndarray, space: SearchSpace) -> np.ndarray:
+    """``optim._central_gradient`` as it was when it built its step rows with
+    numpy, verbatim: the oracle for its bits."""
+    h = 1e-6 * space.span
+    d = space.dim
+    diag = np.arange(d)
+    steps = np.repeat(x[None, :], 2 * d, axis=0)  # forward rows, then backward
+    steps[diag, diag] = np.minimum(x + h, space.upper)
+    steps[d + diag, diag] = np.maximum(x - h, space.lower)
+    vals = batch_f(steps)
+    denom = steps[diag, diag] - steps[d + diag, diag]
+    grad = np.zeros(d)
+    ok = denom > 0
+    grad[ok] = (vals[:d][ok] - vals[d:][ok]) / denom[ok]
+    return grad
+
+
+def _assert_same_gradient(f, x, space):
+    new_batch, new_calls = _recorded(f)
+    old_batch, old_calls = _recorded(f)
+    grad = optim._central_gradient(new_batch, np.asarray(x, dtype=float), space)
+    ref = _numpy_central_gradient(old_batch, np.asarray(x, dtype=float), space)
+    assert grad.dtype == ref.dtype and grad.shape == ref.shape
+    assert grad.tobytes() == ref.tobytes()
+    assert [c.tobytes() for c in new_calls] == [c.tobytes() for c in old_calls]
+
+
+# where a coordinate sits: inside, on a bound, or within one step of one
+_PLACES = ["inside", "lower", "upper", "near lower", "near upper", "one step in"]
+
+
+def _place(where: str, frac: float, lo: float, hi: float) -> float:
+    h = 1e-6 * (hi - lo)
+    return {"inside": lo + frac * (hi - lo), "lower": lo, "upper": hi,
+            "near lower": lo + frac * h, "near upper": hi - frac * h,
+            "one step in": lo + h if frac < 0.5 else hi - h}[where]
+
+
+@settings(max_examples=200)
+@given(dim=st.integers(1, 4),
+       box=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(1e-3, 10.0)),
+                    min_size=4, max_size=4),
+       places=st.lists(st.tuples(st.sampled_from(_PLACES), st.floats(0.0, 1.0)),
+                       min_size=4, max_size=4),
+       values=st.sampled_from(["smooth", "nan", "inf", "mixed", "signed_zeros"]),
+       seed=st.integers(0, 2**16))
+def test_central_gradient_equals_the_numpy_version(dim, box, places, values, seed):
+    lower = [lo for lo, _ in box[:dim]]
+    upper = [lo + width for lo, width in box[:dim]]
+    space = SearchSpace(lower, upper)
+    x = [_place(where, frac, lo, hi)
+         for (where, frac), lo, hi in zip(places, space.lower.tolist(),
+                                          space.upper.tolist())]
+    smooth = _objective("smooth", dim, seed)
+
+    def f(pts):
+        out = smooth(pts)
+        if values == "nan":
+            out[0] = np.nan
+        elif values == "inf":
+            out[-1] = np.inf
+        elif values == "mixed":
+            out[::2] = -np.inf
+            out[1::3] = np.nan
+        elif values == "signed_zeros":
+            out = np.copysign(0.0, out)
+        return out
+
+    _assert_same_gradient(f, x, space)
+
+
+@pytest.mark.parametrize("lower, upper, x", [
+    ([-0.0], [1.0], [1e-6]),  # x - h ties the -0.0 bound at 0.0
+    ([-1.0], [-0.0], [-1e-6]),  # x + h ties the -0.0 bound
+    ([-0.0, 0.0], [1.0, 1.0], [-0.0, 1.0]),  # on both bounds
+    ([0.0, 0.0], [1.0, 1.0], [np.nan, 0.5]),  # NaN stays NaN, as numpy keeps it
+])
+def test_central_gradient_equals_it_on_signed_zero_and_nan_ties(lower, upper, x):
+    def f(pts):
+        return 1.0 / np.where(pts[:, 0] == 0.0, np.copysign(1.0, pts[:, 0]), 1.0) + pts[:, -1]
+
+    _assert_same_gradient(f, x, SearchSpace(lower, upper))
