@@ -8,10 +8,10 @@ a row changes only when its rectangle is split, and the lists meet numpy
 only where the objective is called.  Since every split takes the lowest
 trisection level, lowest dimension first, the split count fixes a
 rectangle's levels, so its half-diagonal, size-class key and whether it can
-still be split are read from tables by count, built once per dimension.  The splittable rectangles
-of each size class sit in a heap ordered by value, so each iteration reads
-the class representatives off the heap tops and runs the slope test over
-those few.  The local stage calls scipy's bounded L-BFGS with central
+still be split are read from tables by count, built once per dimension.
+The splittable rectangles of each size class sit in a heap ordered by
+value, so each iteration reads the class representatives off the heap tops
+and runs the slope test over those few.  The local stage calls scipy's bounded L-BFGS with central
 finite differences (step rows built from Python floats) when no analytic
 gradient is supplied, and scores each point it visits once.
 """
