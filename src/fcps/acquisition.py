@@ -7,19 +7,23 @@ evaluation context and shared across fantasy branches and representers
 (common random numbers), which keeps objectives deterministic for the
 optimizer and makes a duplicated representer contribute exactly twice.
 
-Both engines hand the queries of a ``gains`` call together to one entropy
-kernel over grouped blocks: ``base`` (G, L, M) of fantasy-shifted candidate
-means and ``draws`` (G, M, K) of posterior draws.  The factored engine passes
-one group of C x L rows per query; the joint engine one group of L rows per
-(query, branch), and only as many queries per call as one block holds, so
-it never keeps more than that many queries' draws.  For each row and draw
-the kernel keeps a running maximum over the M candidates in cache-sized row
-blocks, updated on strict ``>``, so ties go to the lowest candidate index
-exactly as with ``np.argmax`` (which it uses directly on a block small
-enough to fit in one piece).  A non-finite block raises
-:class:`NumericalError` instead of being ranked.  First, candidates that
-cannot win are dropped: ``fl(b + d)`` is monotone in ``d``, so candidate m
-stays strictly below row r's maximum in every draw, and cannot even tie, when
+One engine serves every entropy-search learner.  Its branches score blocks
+of candidate rows: one block per branch (aces' representer contexts, es'
+query prefix, faces' environment contexts), or one block that all of
+faces' branches share when there is no environment context.  It hands the
+queries of a ``gains`` call to one entropy kernel over grouped rows:
+``base`` (G, L, M) of fantasy-shifted candidate means and ``draws``
+(G, M, K) of posterior draws.  Each (query, block) pair is one group, with
+L rows for each branch on the block, and a call passes only as many queries
+as ``_BLOCK`` holds, so the engine never keeps more than that many queries'
+draws.  For each row and draw the kernel keeps a running maximum over the M
+candidates in cache-sized row blocks, updated on strict ``>``, so ties go
+to the lowest candidate index exactly as with ``np.argmax`` (which it uses
+directly on a block small enough to fit in one piece).  A non-finite block
+raises :class:`NumericalError` instead of being ranked.  First, candidates
+that cannot win are dropped: ``fl(b + d)`` is monotone in ``d``, so
+candidate m stays strictly below row r's maximum in every draw, and cannot
+even tie, when
 ``base[r, m] + max_k draws[m, k] < max_m' (base[r, m'] + min_k draws[m', k])``.
 A row with one survivor is decided (entropy -0.0) and never scored.  Groups
 under ``_PRUNE_ROWS`` rows, where the test costs too much, stay dense, and so
@@ -92,27 +96,12 @@ class RepresenterSet:
         object.__setattr__(self, "candidates", cand)
 
     @property
-    def n_contexts(self) -> int:
-        return self.contexts.shape[0]
-
-    @property
-    def n_candidates(self) -> int:
-        return self.candidates.shape[1]
-
-    @property
     def env_contexts(self) -> np.ndarray:
         return self.contexts[:, self.contexts.shape[1] - self.env_dim:]
 
     @property
     def target_contexts(self) -> np.ndarray:
         return self.contexts[:, : self.contexts.shape[1] - self.env_dim]
-
-    def shared_candidates(self) -> np.ndarray | None:
-        """The single candidate matrix if all contexts share one, else None."""
-        first = self.candidates[0]
-        if np.array_equal(self.candidates, np.broadcast_to(first, self.candidates.shape)):
-            return first
-        return None
 
     @classmethod
     def sample(cls, context_space: SearchSpace, theta_space: SearchSpace,
@@ -275,177 +264,104 @@ def _stacked_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
         jitter = min(1e-10 * scale if jitter == 0.0 else jitter * 10.0, cap)
 
 
-class JointEsEngine:
-    """Entropy-search gains under one joint model, many representer branches.
+class EnsembleEsEngine:
+    """Entropy-search gains over (branch, candidate) blocks.
 
-    Draws (the candidate-draw matrix and the fantasy normals) are made once at
-    construction, so :meth:`gains` is a deterministic function of the query.
+    ``points`` (P, M, d) holds P blocks of M candidate rows in the model's
+    input space, and ``model`` gives the weight columns: one for a joint
+    :class:`gp.GpModel`, one per branch for a :class:`gp.GpEnsemble`.
+    Branch c scores block c under column c, and a single block or a single
+    column serves every branch, so there are C = max(P, columns) branches.
+    aces gives one block per representer context and es one prefixed block
+    under a joint model; faces gives one shared block, or one env-context
+    block per branch, under an ensemble.  Kernel quantities are computed
+    once per block.
+
+    Draws (the candidate-draw matrix and the fantasy normals) are made once
+    at construction and shared by every branch, so :meth:`gains` is a
+    deterministic function of the query.
     """
 
-    def __init__(self, model: gp.GpModel, reps: RepresenterSet, cfg: AcqConfig,
-                 rng: np.random.Generator | None = None,
-                 draws: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, model: gp.GpModel | gp.GpEnsemble, points: np.ndarray,
+                 cfg: AcqConfig, rng: np.random.Generator | None = None):
         h = model.hyperparams
-        c_n = reps.n_contexts
-        m = reps.n_candidates
-        if draws is not None:
-            self.z, self.u = draws
-        else:
-            if rng is None:
-                rng = np.random.default_rng(cfg.rng_seed)
-            self.z = rng.standard_normal((m, cfg.n_function_draws))
-            self.u = rng.standard_normal(cfg.n_fantasies)
+        pts = np.asarray(points, dtype=float)
+        p_n, m = pts.shape[:2]
+        n = len(model.xt)
+        columns = np.atleast_2d(model.weights.T)  # (W, N)
+        c_n = max(p_n, len(columns))
+        if p_n not in (1, c_n) or len(columns) not in (1, c_n):
+            raise ContractError("blocks and weight columns must pair up, or one be single")
+        if rng is None:
+            rng = np.random.default_rng(cfg.rng_seed)
+        self.z = rng.standard_normal((m, cfg.n_function_draws))
+        self.u = rng.standard_normal(cfg.n_fantasies)
         self.model = model
         self.cfg = cfg
-        self.c_n, self.m = c_n, m
 
-        points = np.concatenate(
-            [np.repeat(reps.contexts, m, axis=0),
-             reps.candidates.reshape(c_n * m, -1)], axis=1)
-        pt = model.transform_inputs(points)
-        self._pt = pt
-        pts3 = pt.reshape(c_n, m, -1)
-        scaled = pts3 / h.lengthscales
-        sq = (np.sum(scaled**2, axis=2)[:, :, None]
-              + np.sum(scaled**2, axis=2)[:, None, :]
-              - 2.0 * np.einsum("cmd,cnd->cmn", scaled, scaled))
-        np.maximum(sq, 0.0, out=sq)
-        prior = h.signal_variance * np.exp(-0.5 * sq)
-
-        if len(model):
-            ks = gp.kernel_eval(pt, model.xt, h)
+        self._pt = model.transform_inputs(pts.reshape(p_n * m, -1))
+        pt3 = self._pt.reshape(p_n, m, -1)
+        prior = gp.kernel_eval(pt3, pt3, h)
+        if n:
+            ks = gp.kernel_eval(self._pt, model.xt, h)
             self._v = gp._solve_lower(model.chol, ks.T)
-            mu0 = (ks @ model.weights).reshape(c_n, m)
-            v3 = self._v.reshape(-1, c_n, m)
-            sigma = prior - np.einsum("ncm,ncl->cml", v3, v3)
+            # one product per pairing: a column shared by every block, or a
+            # block shared by every column, is one product; paired blocks
+            # and columns are one product each
+            g_n = p_n if p_n == len(columns) else 1
+            mu0 = ks.reshape(g_n, -1, n) @ columns.reshape(g_n, -1, n).transpose(0, 2, 1)
+            self.mu0 = mu0.transpose(0, 2, 1).reshape(c_n, m)
+            v3 = self._v.T.reshape(p_n, m, n)
+            self.sigma = prior - v3 @ v3.transpose(0, 2, 1)
         else:
             self._v = None
-            mu0 = np.zeros((c_n, m))
-            sigma = prior
-        self.mu0 = mu0
-        self.sigma = sigma
+            self.mu0 = np.zeros((c_n, m))
+            self.sigma = prior
         self._scale = h.signal_variance + h.noise_variance
-        l0 = _stacked_cholesky(sigma, self._scale)
-        s0 = np.einsum("cml,lk->cmk", l0, self.z)
-        self.h0 = _argmax_entropies(mu0[:, None, :], s0)[:, 0]
+        s0 = _stacked_cholesky(self.sigma, self._scale) @ self.z
+        self.h0 = _argmax_entropies(self.mu0.reshape(p_n, -1, m), s0).reshape(c_n)
 
     def gains(self, queries: np.ndarray, per_branch: bool = False) -> np.ndarray:
-        """Summed information gain for each query row."""
+        """Summed information gain for each query row, or (B, C) per branch."""
         model, h = self.model, self.model.hyperparams
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         b_n = len(q)
         qt = model.transform_inputs(q)
         # The fantasy y = mu_q + sd*u shifts candidate means by cross*(y-mu_q)
         # / s2_obs = cross*u/sd, so the predictive mean itself cancels and only
-        # the standardized fantasy normal u enters.
-        if len(model):
+        # the standardized fantasy normal u enters; every branch's fantasy
+        # shares it.
+        if self._v is not None:
             kq = gp.kernel_eval(qt, model.xt, h)
             wq = gp._solve_lower(model.chol, kq.T)
             s2_lat = np.maximum(h.signal_variance - np.sum(wq**2, axis=0), 0.0)
-            cross = (gp.kernel_eval(self._pt, qt, h) - self._v.T @ wq)
+            cross = gp.kernel_eval(self._pt, qt, h) - self._v.T @ wq
         else:
             s2_lat = np.full(b_n, h.signal_variance)
             cross = gp.kernel_eval(self._pt, qt, h)
-        cross = cross.reshape(self.c_n, self.m, b_n)
+        p_n, m, _ = self.sigma.shape
+        cross = cross.reshape(p_n, m, b_n)
         s2_obs = np.maximum(s2_lat + h.noise_variance, 1e-12 * self._scale)
         sd_obs = np.sqrt(s2_obs)
 
-        c_n, m, l_n = self.c_n, self.m, self.cfg.n_fantasies
-        k = self.z.shape[1]
+        c_n, l_n, k = len(self.h0), self.cfg.n_fantasies, self.z.shape[1]
         shift = ((self.u[None, None, :, None] / sd_obs[:, None, None, None])
-                 * cross.transpose(2, 0, 1)[:, :, None, :])  # (B, C, L, M)
-        base = (self.mu0[None, :, None, :] + shift).reshape(b_n, c_n * l_n, m)
-        ent = np.empty((b_n, c_n * l_n))
-        # queries per kernel call: as many as one block holds, at least one;
-        # few-branch engines batch a whole call, many-branch ones hold one
-        # query's C draw matrices at a time
-        step = max(1, _BLOCK // (c_n * l_n * k))
+                 * cross.transpose(2, 0, 1)[:, :, None, :])  # (B, P, L, M)
+        # one kernel group per (query, block): the block's branches x L rows
+        base = (self.mu0.reshape(p_n, -1, 1, m) + shift[:, :, None]).reshape(
+            b_n * p_n, -1, m)
+        ent = np.empty(base.shape[:2])
+        # queries per kernel call: as many as _BLOCK holds at P x L rows of
+        # K draws each, at least one; one-block engines batch a call's
+        # queries, many-block ones hold one query's P draw matrices at a time
+        step = max(1, _BLOCK // (p_n * l_n * k))
         for lo in range(0, b_n, step):
             hi = min(lo + step, b_n)
-            draws = np.empty((hi - lo, c_n, m, k))
+            draws = np.empty((hi - lo, p_n, m, k))
             for b in range(lo, hi):
                 cb = cross[:, :, b]
-                sig_plus = self.sigma - np.einsum("cm,cn->cmn", cb, cb) / s2_obs[b]
-                l_plus = _stacked_cholesky(sig_plus, self._scale)
-                draws[b - lo] = np.einsum("cml,lk->cmk", l_plus, self.z)
-            ent[lo:hi] = _argmax_entropies(
-                base[lo:hi].reshape(-1, l_n, m), draws.reshape(-1, m, k)
-            ).reshape(hi - lo, -1)
-        return _summed_gains(self.h0, ent.reshape(b_n, c_n, l_n), per_branch)
-
-
-class EnsembleEsEngine:
-    """Entropy-search gains for per-branch targets over shared inputs.
-
-    All branches share training inputs, hyperparameters, and one candidate
-    matrix; only the target columns differ.  Kernel quantities are therefore
-    computed once and reused, which is what makes per-episode evaluation with
-    hundreds of representer contexts affordable.
-    """
-
-    def __init__(self, ensemble: "gp.GpEnsemble", candidates: np.ndarray,
-                 cfg: AcqConfig, rng: np.random.Generator | None = None,
-                 draws: tuple[np.ndarray, np.ndarray] | None = None):
-        h = ensemble.hyperparams
-        cand = np.atleast_2d(np.asarray(candidates, dtype=float))
-        m = len(cand)
-        if draws is not None:
-            self.z, self.u = draws
-        else:
-            if rng is None:
-                rng = np.random.default_rng(cfg.rng_seed)
-            self.z = rng.standard_normal((m, cfg.n_function_draws))
-            self.u = rng.standard_normal(cfg.n_fantasies)
-        self.ensemble = ensemble
-        self.cfg = cfg
-        self.m = m
-
-        pt = ensemble.transform_inputs(cand)
-        self._pt = pt
-        prior = gp.kernel_eval(pt, pt, h)
-        if ensemble.n_points:
-            ks = gp.kernel_eval(pt, ensemble.xt, h)
-            self._v = gp._solve_lower(ensemble.chol, ks.T)
-            self.mu0 = (ks @ ensemble.alphas).T  # (C, M)
-            self.sigma = prior - self._v.T @ self._v
-        else:
-            self._v = None
-            self.mu0 = np.zeros((ensemble.n_branches, m))
-            self.sigma = prior
-        self._scale = h.signal_variance + h.noise_variance
-        l0 = _stacked_cholesky(self.sigma[None], self._scale)[0]
-        s0 = l0 @ self.z
-        self.h0 = _argmax_entropies(self.mu0[None], s0[None])[0]
-
-    def gains(self, queries: np.ndarray, per_branch: bool = False) -> np.ndarray:
-        ens = self.ensemble
-        h = ens.hyperparams
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
-        b_n = len(q)
-        c_n = ens.n_branches
-        qt = ens.transform_inputs(q)
-        # Per-branch fantasies y_c = mu_q_c + sd*u share the standardized shift
-        # u/sd, so branch predictive means cancel just as in JointEsEngine.
-        if ens.n_points:
-            kq = gp.kernel_eval(qt, ens.xt, h)
-            wq = gp._solve_lower(ens.chol, kq.T)
-            s2_lat = np.maximum(h.signal_variance - np.sum(wq**2, axis=0), 0.0)
-            cross = gp.kernel_eval(self._pt, qt, h) - self._v.T @ wq  # (M, B)
-        else:
-            s2_lat = np.full(b_n, h.signal_variance)
-            cross = gp.kernel_eval(self._pt, qt, h)
-        s2_obs = np.maximum(s2_lat + h.noise_variance, 1e-12 * self._scale)
-        sd_obs = np.sqrt(s2_obs)
-
-        l_n = self.cfg.n_fantasies
-        draws = np.empty((b_n, self.m, self.z.shape[1]))
-        for b in range(b_n):
-            cb = cross[:, b]
-            sig_plus = self.sigma - np.outer(cb, cb) / s2_obs[b]
-            l_plus = _stacked_cholesky(sig_plus[None], self._scale)[0]
-            draws[b] = l_plus @ self.z
-        shift = ((self.u[None, :, None] / sd_obs[:, None, None])
-                 * cross.T[:, None, :])  # (B, L, M)
-        base = self.mu0[None, :, None, :] + shift[:, None]  # (B, C, L, M)
-        ent = _argmax_entropies(base.reshape(b_n, c_n * l_n, self.m), draws)
+                sig_plus = self.sigma - cb[:, :, None] * cb[:, None, :] / s2_obs[b]
+                draws[b - lo] = _stacked_cholesky(sig_plus, self._scale) @ self.z
+            ent[lo * p_n:hi * p_n] = _argmax_entropies(
+                base[lo * p_n:hi * p_n], draws.reshape(-1, m, k))
         return _summed_gains(self.h0, ent.reshape(b_n, c_n, l_n), per_branch)

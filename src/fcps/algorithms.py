@@ -24,8 +24,7 @@ import numpy as np
 from scipy.special import logsumexp, softmax
 
 from . import gp, optim
-from .acquisition import AcqConfig, JointEsEngine, EnsembleEsEngine, \
-    RepresenterSet, gp_ucb
+from .acquisition import AcqConfig, EnsembleEsEngine, RepresenterSet, gp_ucb
 from .errors import ContractError
 from .experience import Context, ExperienceStore, Outcome, RolloutRecord, \
     her_augment, reevaluate, reevaluate_targets
@@ -150,11 +149,12 @@ def _fit(dataset, hyperparams, input_space: SearchSpace) -> gp.GpModel:
 
 
 def _prefixed(prefix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Query rows: the fixed prefix columns, then each row of thetas."""
-    n_prefix = prefix.shape[0]
-    pts = np.empty((thetas.shape[0], n_prefix + thetas.shape[1]))
-    pts[:, :n_prefix] = prefix
-    pts[:, n_prefix:] = thetas
+    """Rows of the prefix columns, then each row of thetas: one prefix (p,)
+    over thetas (B, d), or a stack of them, (..., p) over (..., M, d)."""
+    n_prefix = prefix.shape[-1]
+    pts = np.empty(thetas.shape[:-1] + (n_prefix + thetas.shape[-1],))
+    pts[..., :n_prefix] = prefix[..., None, :]
+    pts[..., n_prefix:] = thetas
     return pts
 
 
@@ -187,7 +187,8 @@ def aces_select(dataset, context_space: SearchSpace, theta_space: SearchSpace,
     reps = RepresenterSet.sample(context_space, theta_space,
                                  cfg.n_representers,
                                  cfg.acquisition.n_candidates, rng)
-    engine = JointEsEngine(model, reps, cfg.acquisition, rng=rng)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates),
+                              cfg.acquisition, rng=rng)
     best = _maximize(engine.gains, joint_space, cfg)
     d = context_space.dim
     return best[:d], best[d:]
@@ -213,29 +214,13 @@ def faces_select(store: ExperienceStore, reward_fn,
     input_space = env_space.concat(theta_space)
     ensemble = gp.fit_shared_inputs(inputs, reward_matrix.T, hyperparams,
                                     input_space=input_space, standardize=True)
-    acq = cfg.acquisition
+    # each branch scores its env context's block; with no env context every
+    # branch scores the same one
+    points = _prefixed(reps.env_contexts, reps.candidates)
     if env_space.dim == 0:
-        engine = EnsembleEsEngine(ensemble, reps.shared_candidates(), acq,
-                                  rng=rng)
-        objective = engine.gains
-    else:
-        # per-branch singleton engines share one set of common random draws
-        z = rng.standard_normal((acq.n_candidates, acq.n_function_draws))
-        u = rng.standard_normal(acq.n_fantasies)
-        engines = []
-        for c in range(reps.n_contexts):
-            branch = gp.ensemble_branch_model(ensemble, c)
-            singleton = RepresenterSet(reps.env_contexts[c][None, :],
-                                       reps.candidates[c][None, :, :])
-            engines.append(JointEsEngine(branch, singleton, acq, draws=(z, u)))
-
-        def objective(queries):
-            total = engines[0].gains(queries)
-            for engine in engines[1:]:
-                total = total + engine.gains(queries)
-            return total
-
-    best = _maximize(objective, input_space, cfg)
+        points = points[:1]
+    engine = EnsembleEsEngine(ensemble, points, cfg.acquisition, rng=rng)
+    best = _maximize(engine.gains, input_space, cfg)
     d = env_space.dim
     return best[:d], best[d:]
 
@@ -539,8 +524,8 @@ class BoLearner:
         model = _fit(dataset, hyperparams, self.input_space)
         acq = self.cfg.acquisition
         candidates = self.theta_space.sample_latin(acq.n_candidates, self._rng)
-        reps = RepresenterSet(prefix[None, :], candidates[None, :, :])
-        engine = JointEsEngine(model, reps, acq, rng=self._rng)
+        engine = EnsembleEsEngine(model, _prefixed(prefix, candidates[None]), acq,
+                                  rng=self._rng)
         return _maximize(lambda thetas: engine.gains(_prefixed(prefix, thetas)),
                          self.theta_space, self.cfg)
 

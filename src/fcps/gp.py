@@ -120,14 +120,14 @@ class GpModel:
 
 def _scaled_rows(x: np.ndarray, h: KernelHyperparams) -> tuple[np.ndarray, np.ndarray]:
     s = x / h.lengthscales
-    return s, np.add.reduce(np.square(s), axis=1)
+    return s, np.add.reduce(np.square(s), axis=-1)
 
 
 def _kernel_scaled(a, b, h: KernelHyperparams) -> np.ndarray:
     """Kernel matrix from two ``_scaled_rows`` pairs."""
     (sa, sa_sq), (sb, sb_sq) = a, b
-    sq = sa_sq[:, None] + sb_sq[None, :]
-    sq -= 2.0 * (sa @ sb.T)
+    sq = sa_sq[..., None] + sb_sq[..., None, :]
+    sq -= 2.0 * (sa @ sb.swapaxes(-1, -2))
     np.maximum(sq, 0.0, out=sq)
     sq *= -0.5
     np.exp(sq, out=sq)
@@ -136,10 +136,11 @@ def _kernel_scaled(a, b, h: KernelHyperparams) -> np.ndarray:
 
 
 def kernel_eval(a, b, h: KernelHyperparams) -> np.ndarray:
-    """Kernel matrix between row sets ``a`` (m, d) and ``b`` (n, d)."""
+    """Kernel matrix between row sets ``a`` (m, d) and ``b`` (n, d), or
+    between stacks of them, (..., m, d) and (..., n, d), per stack entry."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[1] != h.dim or b.shape[1] != h.dim:
+    if a.shape[-1] != h.dim or b.shape[-1] != h.dim:
         raise ContractError("input dimension does not match kernel lengthscales")
     return _kernel_scaled(_scaled_rows(a, h), _scaled_rows(b, h), h)
 
@@ -196,8 +197,9 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, *, check_finite: bool = True) -> 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with escalating diagonal jitter.
 
-    Jitter starts at 1e-10 * mean diagonal and grows tenfold up to
-    1e-4 * mean diagonal before giving up.
+    The first try adds no jitter; then jitter starts at 1e-10 * mean
+    diagonal and grows tenfold up to 1e-4 * mean diagonal before giving up.
+    The :class:`NumericalError` lists every level tried, 0.0 first.
     """
     n = K.shape[0]
     if n == 0:
@@ -212,7 +214,7 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
             L = _cholesky(K + jitter * np.eye(n))
             return L, jitter
         except np.linalg.LinAlgError:
-            pass
+            attempted.append(jitter)
         if jitter == 0.0:
             jitter = _JITTER_START * scale
         else:
@@ -222,7 +224,6 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
                 f"Cholesky factorization failed after jitter up to {attempted[-1]:.3e}",
                 jitters=attempted,
             )
-        attempted.append(jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +487,8 @@ class GpEnsemble:
     y_scale: np.ndarray  # (C,)
     xt: np.ndarray
     chol: np.ndarray
-    alphas: np.ndarray  # (N, C)
+    weights: np.ndarray  # (N, C)
     jitter: float
-
-    @property
-    def n_points(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def n_branches(self) -> int:
-        return self.targets.shape[1]
 
     def transform_inputs(self, x: np.ndarray) -> np.ndarray:
         if self.x_lo is None:
@@ -534,22 +527,13 @@ def fit_shared_inputs(inputs, target_matrix, h: KernelHyperparams, *,
     if n:
         K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(n)
         L, jitter = _chol_with_jitter(K)
-        alphas = _cho_solve(L, yt)
+        weights = _cho_solve(L, yt)
     else:
         L = np.zeros((0, 0))
-        alphas = np.zeros((0, c))
+        weights = np.zeros((0, c))
         jitter = 0.0
     return GpEnsemble(inputs, targets, h, x_lo, x_span, y_shift, y_scale,
-                      xt, L, alphas, jitter)
-
-
-def ensemble_branch_model(ens: GpEnsemble, branch: int) -> GpModel:
-    """Materialize one ensemble column as a standalone model."""
-    return GpModel(ens.inputs, ens.targets[:, branch], ens.hyperparams,
-                   ens.x_lo, ens.x_span, float(ens.y_shift[branch]),
-                   float(ens.y_scale[branch]), ens.xt,
-                   (ens.targets[:, branch] - ens.y_shift[branch]) / ens.y_scale[branch],
-                   ens.chol, ens.alphas[:, branch], ens.jitter)
+                      xt, L, weights, jitter)
 
 
 # ---------------------------------------------------------------------------

@@ -337,10 +337,6 @@ class DmpParams:
             raise ContractError("damping must equal 2*sqrt(spring)")
 
     @property
-    def n_basis(self) -> int:
-        return self.shape_weights.shape[0]
-
-    @property
     def dims(self) -> int:
         return self.shape_weights.shape[1]
 

@@ -4,8 +4,10 @@ The two-candidate information-gain oracle is computed from bivariate-normal
 algebra plus Gauss-Hermite quadrature, independently of the Monte-Carlo
 engine under test, over the dense joint posterior kept here as
 ``posterior_joint``.  The ``np.argmax`` entropy kernels, the per-query gain
-loops and the objective wrappers the engines replaced are kept here as
-oracles: the engines must reproduce them bit for bit.
+loops and the objective wrappers the engine replaced are kept here as
+oracles, and so are the joint and the ensemble engine that the one engine
+over (branch, candidate) blocks replaced, with faces' loop of per-branch
+joint engines: the engine must reproduce them bit for bit.
 """
 
 from unittest import mock
@@ -21,12 +23,14 @@ from fcps import acquisition, gp
 from fcps.acquisition import (
     AcqConfig,
     EnsembleEsEngine,
-    JointEsEngine,
     RepresenterSet,
     gp_ucb,
 )
+from fcps.algorithms import _prefixed
 from fcps.errors import ContractError, NumericalError
 from fcps.optim import SearchSpace
+
+from conftest import ensemble_branch_model
 
 def posterior_joint(m: gp.GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Joint posterior mean vector and covariance matrix at ``points``."""
@@ -120,22 +124,24 @@ def _query_terms(engine, model, queries):
     return cross, s2_obs, np.sqrt(s2_obs)
 
 
-def joint_gains_oracle(engine: JointEsEngine, queries, per_branch=False):
-    """The per-query loop of ``JointEsEngine.gains`` over the argmax kernel."""
+def joint_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
+    """The per-query loop of the joint engine's ``gains`` over the argmax
+    kernel, for an engine with one block per branch."""
     cross, s2_obs, sd_obs = _query_terms(engine, engine.model, queries)
     b_n = len(s2_obs)
-    cross = cross.reshape(engine.c_n, engine.m, b_n)
+    c_n, m = engine.mu0.shape
+    cross = cross.reshape(c_n, m, b_n)
     l_n = engine.cfg.n_fantasies
-    branch_of = np.repeat(np.arange(engine.c_n), l_n)
-    out = np.empty((b_n, engine.c_n)) if per_branch else np.empty(b_n)
+    branch_of = np.repeat(np.arange(c_n), l_n)
+    out = np.empty((b_n, c_n)) if per_branch else np.empty(b_n)
     for b in range(b_n):
         cb = cross[:, :, b]
         sig_plus = engine.sigma - np.einsum("cm,cn->cmn", cb, cb) / s2_obs[b]
         l_plus = _stacked_cholesky_oracle(sig_plus, engine._scale)
         s_plus = np.einsum("cml,lk->cmk", l_plus, engine.z)
         shift = (engine.u[None, :, None] / sd_obs[b]) * cb[:, None, :]
-        base = (engine.mu0[:, None, :] + shift).reshape(engine.c_n * l_n, engine.m)
-        ent = _entropies_stacked(base, s_plus, branch_of).reshape(engine.c_n, l_n)
+        base = (engine.mu0[:, None, :] + shift).reshape(c_n * l_n, m)
+        ent = _entropies_stacked(base, s_plus, branch_of).reshape(c_n, l_n)
         branch_gains = engine.h0 - ent.mean(axis=1)
         if per_branch:
             out[b] = branch_gains
@@ -145,19 +151,20 @@ def joint_gains_oracle(engine: JointEsEngine, queries, per_branch=False):
 
 
 def ensemble_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
-    """The per-query loop of ``EnsembleEsEngine.gains`` over the argmax kernel."""
-    ens = engine.ensemble
-    cross, s2_obs, sd_obs = _query_terms(engine, ens, queries)
-    b_n, c_n = len(s2_obs), ens.n_branches
+    """The per-query loop of the ensemble engine's ``gains`` over the argmax
+    kernel, for an engine whose branches share one block."""
+    cross, s2_obs, sd_obs = _query_terms(engine, engine.model, queries)
+    b_n = len(s2_obs)
+    c_n, m = engine.mu0.shape
     l_n = engine.cfg.n_fantasies
     out = np.empty((b_n, c_n)) if per_branch else np.empty(b_n)
     for b in range(b_n):
         cb = cross[:, b]
-        sig_plus = engine.sigma - np.outer(cb, cb) / s2_obs[b]
+        sig_plus = engine.sigma[0] - np.outer(cb, cb) / s2_obs[b]
         l_plus = _stacked_cholesky_oracle(sig_plus[None], engine._scale)[0]
         s_plus = l_plus @ engine.z
         shift = (engine.u[:, None] / sd_obs[b]) * cb[None, :]  # (L, M)
-        base = (engine.mu0[:, None, :] + shift[None, :, :]).reshape(c_n * l_n, engine.m)
+        base = (engine.mu0[:, None, :] + shift[None, :, :]).reshape(c_n * l_n, m)
         ent = _entropies_shared(base, s_plus).reshape(c_n, l_n)
         branch_gains = engine.h0 - ent.mean(axis=1)
         if per_branch:
@@ -165,6 +172,188 @@ def ensemble_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
         else:
             out[b] = branch_gains.sum()
     return out
+
+
+class JointEsOracle:
+    """The joint engine before the merge (aces, es and, one per branch with
+    shared draws, faces with an environment context), kept verbatim but for
+    the representer set's shape properties.
+
+    Entropy-search gains under one joint model, many representer branches.
+
+    Draws (the candidate-draw matrix and the fantasy normals) are made once at
+    construction, so :meth:`gains` is a deterministic function of the query.
+    """
+
+    def __init__(self, model: gp.GpModel, reps: RepresenterSet, cfg: AcqConfig,
+                 rng: np.random.Generator | None = None,
+                 draws: tuple[np.ndarray, np.ndarray] | None = None):
+        h = model.hyperparams
+        c_n, m = reps.candidates.shape[:2]
+        if draws is not None:
+            self.z, self.u = draws
+        else:
+            if rng is None:
+                rng = np.random.default_rng(cfg.rng_seed)
+            self.z = rng.standard_normal((m, cfg.n_function_draws))
+            self.u = rng.standard_normal(cfg.n_fantasies)
+        self.model = model
+        self.cfg = cfg
+        self.c_n, self.m = c_n, m
+
+        points = np.concatenate(
+            [np.repeat(reps.contexts, m, axis=0),
+             reps.candidates.reshape(c_n * m, -1)], axis=1)
+        pt = model.transform_inputs(points)
+        self._pt = pt
+        pts3 = pt.reshape(c_n, m, -1)
+        scaled = pts3 / h.lengthscales
+        sq = (np.sum(scaled**2, axis=2)[:, :, None]
+              + np.sum(scaled**2, axis=2)[:, None, :]
+              - 2.0 * np.einsum("cmd,cnd->cmn", scaled, scaled))
+        np.maximum(sq, 0.0, out=sq)
+        prior = h.signal_variance * np.exp(-0.5 * sq)
+
+        if len(model):
+            ks = gp.kernel_eval(pt, model.xt, h)
+            self._v = gp._solve_lower(model.chol, ks.T)
+            mu0 = (ks @ model.weights).reshape(c_n, m)
+            v3 = self._v.reshape(-1, c_n, m)
+            sigma = prior - np.einsum("ncm,ncl->cml", v3, v3)
+        else:
+            self._v = None
+            mu0 = np.zeros((c_n, m))
+            sigma = prior
+        self.mu0 = mu0
+        self.sigma = sigma
+        self._scale = h.signal_variance + h.noise_variance
+        l0 = acquisition._stacked_cholesky(sigma, self._scale)
+        s0 = np.einsum("cml,lk->cmk", l0, self.z)
+        self.h0 = acquisition._argmax_entropies(mu0[:, None, :], s0)[:, 0]
+
+    def gains(self, queries: np.ndarray, per_branch: bool = False) -> np.ndarray:
+        """Summed information gain for each query row."""
+        model, h = self.model, self.model.hyperparams
+        q = np.atleast_2d(np.asarray(queries, dtype=float))
+        b_n = len(q)
+        qt = model.transform_inputs(q)
+        # The fantasy y = mu_q + sd*u shifts candidate means by cross*(y-mu_q)
+        # / s2_obs = cross*u/sd, so the predictive mean itself cancels and only
+        # the standardized fantasy normal u enters.
+        if len(model):
+            kq = gp.kernel_eval(qt, model.xt, h)
+            wq = gp._solve_lower(model.chol, kq.T)
+            s2_lat = np.maximum(h.signal_variance - np.sum(wq**2, axis=0), 0.0)
+            cross = (gp.kernel_eval(self._pt, qt, h) - self._v.T @ wq)
+        else:
+            s2_lat = np.full(b_n, h.signal_variance)
+            cross = gp.kernel_eval(self._pt, qt, h)
+        cross = cross.reshape(self.c_n, self.m, b_n)
+        s2_obs = np.maximum(s2_lat + h.noise_variance, 1e-12 * self._scale)
+        sd_obs = np.sqrt(s2_obs)
+
+        c_n, m, l_n = self.c_n, self.m, self.cfg.n_fantasies
+        k = self.z.shape[1]
+        shift = ((self.u[None, None, :, None] / sd_obs[:, None, None, None])
+                 * cross.transpose(2, 0, 1)[:, :, None, :])  # (B, C, L, M)
+        base = (self.mu0[None, :, None, :] + shift).reshape(b_n, c_n * l_n, m)
+        ent = np.empty((b_n, c_n * l_n))
+        # queries per kernel call: as many as one block holds, at least one;
+        # few-branch engines batch a whole call, many-branch ones hold one
+        # query's C draw matrices at a time
+        step = max(1, acquisition._BLOCK // (c_n * l_n * k))
+        for lo in range(0, b_n, step):
+            hi = min(lo + step, b_n)
+            draws = np.empty((hi - lo, c_n, m, k))
+            for b in range(lo, hi):
+                cb = cross[:, :, b]
+                sig_plus = self.sigma - np.einsum("cm,cn->cmn", cb, cb) / s2_obs[b]
+                l_plus = acquisition._stacked_cholesky(sig_plus, self._scale)
+                draws[b - lo] = np.einsum("cml,lk->cmk", l_plus, self.z)
+            ent[lo:hi] = acquisition._argmax_entropies(
+                base[lo:hi].reshape(-1, l_n, m), draws.reshape(-1, m, k)
+            ).reshape(hi - lo, -1)
+        return acquisition._summed_gains(self.h0, ent.reshape(b_n, c_n, l_n), per_branch)
+
+
+class EnsembleEsOracle:
+    """The ensemble engine before the merge (faces without an environment
+    context), kept verbatim but for the ensemble's field names.
+
+    Entropy-search gains for per-branch targets over shared inputs.
+
+    All branches share training inputs, hyperparameters, and one candidate
+    matrix; only the target columns differ.  Kernel quantities are therefore
+    computed once and reused, which is what makes per-episode evaluation with
+    hundreds of representer contexts affordable.
+    """
+
+    def __init__(self, ensemble: "gp.GpEnsemble", candidates: np.ndarray,
+                 cfg: AcqConfig, rng: np.random.Generator | None = None,
+                 draws: tuple[np.ndarray, np.ndarray] | None = None):
+        h = ensemble.hyperparams
+        cand = np.atleast_2d(np.asarray(candidates, dtype=float))
+        m = len(cand)
+        if draws is not None:
+            self.z, self.u = draws
+        else:
+            if rng is None:
+                rng = np.random.default_rng(cfg.rng_seed)
+            self.z = rng.standard_normal((m, cfg.n_function_draws))
+            self.u = rng.standard_normal(cfg.n_fantasies)
+        self.ensemble = ensemble
+        self.cfg = cfg
+        self.m = m
+
+        pt = ensemble.transform_inputs(cand)
+        self._pt = pt
+        prior = gp.kernel_eval(pt, pt, h)
+        if len(ensemble.xt):
+            ks = gp.kernel_eval(pt, ensemble.xt, h)
+            self._v = gp._solve_lower(ensemble.chol, ks.T)
+            self.mu0 = (ks @ ensemble.weights).T  # (C, M)
+            self.sigma = prior - self._v.T @ self._v
+        else:
+            self._v = None
+            self.mu0 = np.zeros((ensemble.targets.shape[1], m))
+            self.sigma = prior
+        self._scale = h.signal_variance + h.noise_variance
+        l0 = acquisition._stacked_cholesky(self.sigma[None], self._scale)[0]
+        s0 = l0 @ self.z
+        self.h0 = acquisition._argmax_entropies(self.mu0[None], s0[None])[0]
+
+    def gains(self, queries: np.ndarray, per_branch: bool = False) -> np.ndarray:
+        ens = self.ensemble
+        h = ens.hyperparams
+        q = np.atleast_2d(np.asarray(queries, dtype=float))
+        b_n = len(q)
+        c_n = ens.targets.shape[1]
+        qt = ens.transform_inputs(q)
+        # Per-branch fantasies y_c = mu_q_c + sd*u share the standardized shift
+        # u/sd, so branch predictive means cancel just as in JointEsEngine.
+        if len(ens.xt):
+            kq = gp.kernel_eval(qt, ens.xt, h)
+            wq = gp._solve_lower(ens.chol, kq.T)
+            s2_lat = np.maximum(h.signal_variance - np.sum(wq**2, axis=0), 0.0)
+            cross = gp.kernel_eval(self._pt, qt, h) - self._v.T @ wq  # (M, B)
+        else:
+            s2_lat = np.full(b_n, h.signal_variance)
+            cross = gp.kernel_eval(self._pt, qt, h)
+        s2_obs = np.maximum(s2_lat + h.noise_variance, 1e-12 * self._scale)
+        sd_obs = np.sqrt(s2_obs)
+
+        l_n = self.cfg.n_fantasies
+        draws = np.empty((b_n, self.m, self.z.shape[1]))
+        for b in range(b_n):
+            cb = cross[:, b]
+            sig_plus = self.sigma - np.outer(cb, cb) / s2_obs[b]
+            l_plus = acquisition._stacked_cholesky(sig_plus[None], self._scale)[0]
+            draws[b] = l_plus @ self.z
+        shift = ((self.u[None, :, None] / sd_obs[:, None, None])
+                 * cross.T[:, None, :])  # (B, L, M)
+        base = self.mu0[None, :, None, :] + shift[:, None]  # (B, C, L, M)
+        ent = acquisition._argmax_entropies(base.reshape(b_n, c_n * l_n, self.m), draws)
+        return acquisition._summed_gains(self.h0, ent.reshape(b_n, c_n, l_n), per_branch)
 
 
 def info_gain(model: gp.GpModel, query, rep_context, candidates, cfg: AcqConfig,
@@ -176,16 +365,15 @@ def info_gain(model: gp.GpModel, query, rep_context, candidates, cfg: AcqConfig,
     """
     rep_context = np.atleast_1d(np.asarray(rep_context, dtype=float))
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    reps = RepresenterSet(rep_context[None, :], candidates[None, :, :],
-                          env_dim=0)
-    engine = JointEsEngine(model, reps, cfg, rng=rng)
+    engine = EnsembleEsEngine(model, _prefixed(rep_context, candidates[None]), cfg,
+                              rng=rng)
     return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
 
 
 def aces_objective(model: gp.GpModel, query, reps: RepresenterSet,
                    cfg: AcqConfig) -> float:
     """Total information gain across representer contexts under a joint model."""
-    engine = JointEsEngine(model, reps, cfg)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
     return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
 
 
@@ -197,10 +385,10 @@ def faces_objective(models, query, reps: RepresenterSet, cfg: AcqConfig) -> floa
     same space.  Draws are shared across representers.
     """
     models = list(models)
-    if len(models) != reps.n_contexts:
+    if len(models) != len(reps.contexts):
         raise ContractError("need exactly one model per representer context")
     rng = np.random.default_rng(cfg.rng_seed)
-    m = reps.n_candidates
+    m = reps.candidates.shape[1]
     z = rng.standard_normal((m, cfg.n_function_draws))
     u = rng.standard_normal(cfg.n_fantasies)
     env = reps.env_contexts
@@ -209,7 +397,7 @@ def faces_objective(models, query, reps: RepresenterSet, cfg: AcqConfig) -> floa
     for c, model in enumerate(models):
         single = RepresenterSet(env[c][None, :], reps.candidates[c][None, :, :],
                                 env_dim=env.shape[1])
-        engine = JointEsEngine(model, single, cfg, draws=(z, u))
+        engine = JointEsOracle(model, single, cfg, draws=(z, u))
         total += float(engine.gains(q)[0])
     return total
 
@@ -375,7 +563,7 @@ def test_joint_engine_batch_matches_single_queries():
     reps = RepresenterSet.sample(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                                  3, 6, np.random.default_rng(2))
     cfg = AcqConfig(n_candidates=6, n_function_draws=300, n_fantasies=4, rng_seed=3)
-    engine = JointEsEngine(model, reps, cfg)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
     queries = rng.uniform(0, 1, size=(5, 2))
     batch = engine.gains(queries)
     singles = np.array([engine.gains(q[None, :])[0] for q in queries])
@@ -389,7 +577,7 @@ def test_faces_objective_matches_ensemble_engine():
     targets = np.column_stack([np.sin(3 * theta[:, 0] + 0.3 * c) for c in range(c_n)])
     h = gp.KernelHyperparams(1.0, np.array([0.3]), 1e-3)
     ens = gp.fit_shared_inputs(theta, targets, h, standardize=True)
-    models = [gp.ensemble_branch_model(ens, c) for c in range(c_n)]
+    models = [ensemble_branch_model(ens, c) for c in range(c_n)]
 
     cand = np.linspace(0.05, 0.95, 6)[:, None]
     reps = RepresenterSet(np.zeros((c_n, 0)), np.broadcast_to(cand, (c_n, 6, 1)).copy(),
@@ -398,7 +586,7 @@ def test_faces_objective_matches_ensemble_engine():
     q = np.array([0.52])
 
     via_list = faces_objective(models, q, reps, cfg)
-    engine = EnsembleEsEngine(ens, cand, cfg, rng=np.random.default_rng(cfg.rng_seed))
+    engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(cfg.rng_seed))
     via_engine = float(engine.gains(q[None, :])[0])
     assert via_list == pytest.approx(via_engine, rel=1e-8, abs=1e-10)
 
@@ -419,7 +607,7 @@ def test_empty_model_engine_runs():
     reps = RepresenterSet.sample(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                                  3, 4, np.random.default_rng(0))
     cfg = AcqConfig(n_candidates=4, n_function_draws=200, n_fantasies=3)
-    engine = JointEsEngine(model, reps, cfg)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
     g = engine.gains(np.array([[0.5, 0.5]]))
     assert np.all(np.isfinite(g))
 
@@ -458,7 +646,8 @@ def test_representer_set_validation_and_sampling():
     assert reps.candidates.shape == (7, 5, 1)
     assert reps.env_contexts.shape == (7, 1)
     assert reps.target_contexts.shape == (7, 1)
-    assert reps.shared_candidates() is not None
+    assert np.array_equal(reps.candidates, np.broadcast_to(reps.candidates[0],
+                                                           reps.candidates.shape))
     assert np.all(reps.candidates >= 2.0) and np.all(reps.candidates <= 3.0)
 
 
@@ -553,7 +742,7 @@ def test_kernel_prunes_dominated_candidates_exactly(g_n, l_n, m, k, seed, coarse
 @pytest.mark.parametrize("shape", [(1, 200, 20, 150), (3, 40, 7, 60)])
 def test_kernel_with_every_row_decided(shape, block):
     # one candidate per row leads the rest by more than the draws' spread, as
-    # at EnsembleEsEngine construction once the posterior means settle
+    # at engine construction once the posterior means settle
     g_n, l_n, m, k = shape
     rng = np.random.default_rng(sum(shape))
     base = 10.0 * rng.standard_normal((g_n, l_n, m))
@@ -579,7 +768,7 @@ def test_faces_size_engine_prunes_and_matches_oracle_loop():
     ens = gp.fit_shared_inputs(inputs, targets, h, standardize=True)
     cand = SearchSpace([0.0] * 3, [1.0] * 3).sample_latin(20, rng)
     cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=4)
-    engine = EnsembleEsEngine(ens, cand, cfg, rng=np.random.default_rng(5))
+    engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(5))
     counts = []
     kernel = acquisition._argmax_entropies
 
@@ -627,8 +816,8 @@ def test_ensemble_engine_matches_oracle_loop(c_n):
     ens = shared_input_ensemble(rng, c_n=c_n)
     cand = np.linspace(0.05, 0.95, 20)[:, None]
     cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=4)
-    engine = EnsembleEsEngine(ens, cand, cfg, rng=np.random.default_rng(7))
-    s0 = _stacked_cholesky_oracle(engine.sigma[None], engine._scale)[0] @ engine.z
+    engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(7))
+    s0 = _stacked_cholesky_oracle(engine.sigma, engine._scale)[0] @ engine.z
     assert np.array_equal(engine.h0, _entropies_shared(engine.mu0, s0))
     for b_n in (1, 3, 14):
         queries = rng.uniform(0, 1, size=(b_n, 1))
@@ -644,7 +833,7 @@ def test_joint_engine_matches_oracle_loop(c_n):
     reps = RepresenterSet.sample(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                                  c_n, 20, np.random.default_rng(c_n))
     cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=5)
-    engine = JointEsEngine(model, reps, cfg)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
     s0 = np.einsum("cml,lk->cmk",
                    _stacked_cholesky_oracle(engine.sigma, engine._scale), engine.z)
     assert np.array_equal(engine.h0, _entropies_stacked(engine.mu0, s0, np.arange(c_n)))
@@ -658,11 +847,119 @@ def test_joint_engine_matches_oracle_loop(c_n):
 
 def test_engine_with_non_finite_mean_raises():
     rng = np.random.default_rng(2)
-    engine = EnsembleEsEngine(shared_input_ensemble(rng), np.linspace(0, 1, 6)[:, None],
+    engine = EnsembleEsEngine(shared_input_ensemble(rng), np.linspace(0, 1, 6)[None, :, None],
                               AcqConfig(n_candidates=6, n_function_draws=100))
     engine.mu0[1, 2] = np.nan
     with pytest.raises(NumericalError):
         engine.gains(np.array([[0.5]]))
+
+
+# ---------------------------------------------------------------------------
+# the one engine against the engines it replaced
+# ---------------------------------------------------------------------------
+
+
+class FacesLoopOracle:
+    """faces' path with an environment context before the merge: one joint
+    engine per branch, all on the same draws, their gains summed.
+
+    The loop summed the branches left to right; the engine sums them with
+    numpy's pairwise sum, which only agrees below eight branches, so this
+    oracle sums as the engine does.  The order on a run is pinned in
+    ``tests/test_learner_pins.py``.
+    """
+
+    def __init__(self, ens, env, cand, cfg, rng):
+        z = rng.standard_normal((len(cand), cfg.n_function_draws))
+        u = rng.standard_normal(cfg.n_fantasies)
+        self.engines = [
+            JointEsOracle(ensemble_branch_model(ens, c),
+                          RepresenterSet(env[c][None, :], cand[None, :, :]), cfg,
+                          draws=(z, u))
+            for c in range(len(env))]
+        self.h0 = np.concatenate([e.h0 for e in self.engines])
+
+    def gains(self, queries, per_branch=False):
+        per = np.column_stack([e.gains(queries) for e in self.engines])
+        return per if per_branch else per.sum(axis=1)
+
+
+MERGE_CFG = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=6)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _fitted_data(rng, d, n_targets, empty):
+    """Inputs in the unit box and ``n_targets`` smooth target columns."""
+    n = 0 if empty else 18
+    x = rng.uniform(0, 1, size=(n, d))
+    phase = rng.uniform(0, 2 * np.pi, size=n_targets)
+    y = np.sin(3 * x[:, :1] + phase) * np.cos(2 * x[:, 1:].sum(axis=1, keepdims=True))
+    h = gp.KernelHyperparams(1.3, rng.uniform(0.3, 0.6, size=d), 1e-3)
+    return x, y, h, SearchSpace(np.zeros(d), np.ones(d))
+
+
+def replaced_engines(kind, c_n, empty, rng):
+    """The engine and the engine or loop it replaced, on the same draws, for
+    one acquisition path, with the queries' fixed prefix and free width."""
+    cfg, m = MERGE_CFG, MERGE_CFG.n_candidates
+    seed = cfg.rng_seed
+    if kind in ("joint", "prefixed"):
+        ctx_dim = 1 if kind == "joint" else 2
+        x, y, h, space = _fitted_data(rng, ctx_dim + 1, 1, empty)
+        model = gp.fit(x, y[:, 0], h, input_space=space, standardize=True)
+        if kind == "joint":  # aces: one block per representer context
+            reps = RepresenterSet.sample(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
+                                         c_n, m, rng)
+            prefix = np.zeros(0)
+        else:  # es: the query prefix before the candidates
+            prefix = rng.uniform(0, 1, size=2)
+            cand = SearchSpace([0.0], [1.0]).sample_latin(m, rng)
+            reps = RepresenterSet(prefix[None, :], cand[None, :, :])
+        engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
+                                  rng=np.random.default_rng(seed))
+        old = JointEsOracle(model, reps, cfg, rng=np.random.default_rng(seed))
+        return engine, old, prefix, ctx_dim + 1 - len(prefix)
+    env_dim = 0 if kind == "shared" else int(kind[3:])
+    x, y, h, space = _fitted_data(rng, env_dim + 2, c_n, empty)
+    ens = gp.fit_shared_inputs(x, y, h, input_space=space, standardize=True)
+    cand = SearchSpace([0.0, 0.0], [1.0, 1.0]).sample_latin(m, rng)
+    if kind == "shared":  # faces, no env context: every branch on one block
+        engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(seed))
+        old = EnsembleEsOracle(ens, cand, cfg, rng=np.random.default_rng(seed))
+    else:  # faces: one env-context block per branch
+        env = rng.uniform(0, 1, size=(c_n, env_dim))
+        engine = EnsembleEsEngine(ens, _prefixed(env, np.broadcast_to(cand, (c_n, m, 2))),
+                                  cfg, rng=np.random.default_rng(seed))
+        old = FacesLoopOracle(ens, env, cand, cfg, np.random.default_rng(seed))
+    return engine, old, np.zeros(0), env_dim + 2
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["fitted", "empty"])
+@pytest.mark.parametrize("kind,c_n", [
+    ("joint", 1), ("joint", 4), ("joint", 20), ("joint", 200), ("prefixed", 1),
+    ("shared", 1), ("shared", 5), ("shared", 200), ("env1", 12), ("env3", 12)])
+def test_engine_matches_the_engines_it_replaced(kind, c_n, empty):
+    rng = np.random.default_rng([c_n, len(kind), empty])
+    engine, old, prefix, width = replaced_engines(kind, c_n, empty, rng)
+    assert engine.mu0.shape == (c_n, MERGE_CFG.n_candidates)
+    assert _bits(engine.h0) == _bits(old.h0)
+    if kind == "shared":
+        assert _bits(engine.mu0) == _bits(old.mu0)
+        assert _bits(engine.sigma[0]) == _bits(old.sigma)
+    for b_n in (1, 3, 14):
+        q = _prefixed(prefix, rng.uniform(0, 1, size=(b_n, width)))
+        for per_branch in (True, False):
+            assert _bits(engine.gains(q, per_branch)) == _bits(old.gains(q, per_branch))
+
+
+def test_engine_rejects_unpaired_blocks_and_columns():
+    rng = np.random.default_rng(3)
+    ens = shared_input_ensemble(rng, c_n=3)
+    with pytest.raises(ContractError):
+        EnsembleEsEngine(ens, rng.uniform(0, 1, size=(2, 4, 1)), MERGE_CFG)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from fcps.gp import (
     GpModel,
     KernelHyperparams,
     _chol_with_jitter,
-    ensemble_branch_model,
     fantasize,
     fit,
     fit_shared_inputs,
@@ -32,6 +31,8 @@ from fcps.gp import (
     refit,
 )
 from fcps.optim import SearchSpace
+
+from conftest import ensemble_branch_model
 
 # dense-oracle values for inputs {0, 1}, targets {0, 1}, ell=1, sf2=1, sn2=1e-6
 ORACLE_MEAN_AT_HALF = 0.5493180898423446
@@ -622,7 +623,7 @@ def test_chol_with_jitter_tries_the_jitters_it_tried_through_scipy(monkeypatch, 
     monkeypatch.setattr(gp, "_cholesky", lambda a: cholesky(a, lower=True))
     wrapped = outcome()
     if isinstance(wrapped, list):
-        assert direct == wrapped and len(wrapped) == 7
+        assert direct == wrapped and len(wrapped) == 8 and wrapped[0] == 0.0
     else:
         assert np.array_equal(direct[0], wrapped[0]) and direct[1] == wrapped[1] > 0
 

@@ -2,13 +2,15 @@
 
 Each case in ``PINS`` is one single-seed ``harness.run`` of 8 episodes (3
 of them the space-filling warm start) with one greedy evaluation on a 2x2
-grid; the cases in ``LONGER_PINS`` run longer or evaluate more often.  The
-digest covers the online and the offline reward bits, so a change to the
-training set, the query prefix, the refit schedule or the order of a
-learner's rng draws shows up here.  ``PINS`` was recorded before the BO
+grid; the cases in ``LONGER_PINS`` run longer or evaluate more often, and
+those in ``REPRESENTER_PINS`` score more representer contexts.  The digest
+covers the online and the offline reward bits, so a change to the training
+set, the query prefix, the refit schedule or the order of a learner's rng
+draws shows up here.  ``PINS`` was recorded before the BO
 learners were merged into one class, ``LONGER_PINS`` before the greedy
-evaluation kept its fit across a grid; a refactor keeps them, a change
-that moves result bits re-records them and says so.
+evaluation kept its fit across a grid, ``REPRESENTER_PINS`` before the
+entropy-search engines were merged into one; a refactor keeps them, a
+change that moves result bits re-records them and says so.
 """
 
 import hashlib
@@ -58,10 +60,22 @@ LONGER_PINS = {
 }
 
 
+# many representers: (environment, algorithm, acquisition kind, creps_period,
+# episodes, evaluation_period, n_representers) -> digest.  faces on the
+# thrower sums one information gain per representer for every query, and
+# numpy's pairwise sum orders more than eight terms differently from a
+# left-to-right sum, so this case tells the two apart where three
+# representers cannot.
+REPRESENTER_PINS = {
+    ("thrower", "faces", "ucb", 30, 12, 12, 20): "b80e7d0672b69a28",
+}
+
+
 def reward_digest(environment, algorithm, kind, creps_period, episodes=8,
-                  evaluation_period=8) -> str:
+                  evaluation_period=8, n_representers=3) -> str:
     learner = LearnerConfig(algorithm=algorithm, acquisition_kind=kind,
-                            creps_period=creps_period, **TINY_LEARNER)
+                            creps_period=creps_period,
+                            **dict(TINY_LEARNER, n_representers=n_representers))
     config = harness.ExperimentConfig(
         environment=environment, seeds=(0,), episodes=episodes,
         evaluation_period=evaluation_period, grid_shape=(2, 2), learner=learner)
@@ -82,3 +96,9 @@ def test_learner_rewards_match_their_pinned_digest(case):
                          ids=lambda c: "-".join(map(str, c)))
 def test_longer_runs_match_their_pinned_digest(case):
     assert reward_digest(*case) == LONGER_PINS[case]
+
+
+@pytest.mark.parametrize("case", list(REPRESENTER_PINS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_many_representer_runs_match_their_pinned_digest(case):
+    assert reward_digest(*case) == REPRESENTER_PINS[case]

@@ -386,7 +386,7 @@ def _dmp_integrate_array(p, y0, dt, n_steps, v0=None):
         raise ContractError(f"start velocity must have shape ({p.dims},)")
 
     du = dt / p.duration
-    centers, widths = sim._basis_centers(p.n_basis)
+    centers, widths = sim._basis_centers(p.shape_weights.shape[0])
     ramp = p.duration * p.goal_velocity  # goal speed in normalized time
 
     def accel(u, y, yd):
