@@ -268,21 +268,22 @@ class EnsembleEsEngine:
     """Entropy-search gains over (branch, candidate) blocks.
 
     ``points`` (P, M, d) holds P blocks of M candidate rows in the model's
-    input space, and ``model`` gives the weight columns: one for a joint
-    :class:`gp.GpModel`, one per branch for a :class:`gp.GpEnsemble`.
-    Branch c scores block c under column c, and a single block or a single
-    column serves every branch, so there are C = max(P, columns) branches.
-    aces gives one block per representer context and es one prefixed block
-    under a joint model; faces gives one shared block, or one env-context
-    block per branch, under an ensemble.  Kernel quantities are computed
-    once per block.
+    input space, and the :class:`gp.GpModel` gives the weight columns: one
+    for a one-target model, one per branch for a model with a target column
+    per branch.  Branch c scores block c under column c, and a single block
+    or a single column serves every branch, so there are C = max(P, columns)
+    branches.  aces gives one block per representer context and es one
+    prefixed block under a joint one-target model; faces gives one shared
+    block, or one env-context block per branch, under a model with one
+    target column per representer.  Kernel quantities are computed once per
+    block; the branches are the ensemble the name refers to.
 
     Draws (the candidate-draw matrix and the fantasy normals) are made once
     at construction and shared by every branch, so :meth:`gains` is a
     deterministic function of the query.
     """
 
-    def __init__(self, model: gp.GpModel | gp.GpEnsemble, points: np.ndarray,
+    def __init__(self, model: gp.GpModel, points: np.ndarray,
                  cfg: AcqConfig, rng: np.random.Generator | None = None):
         h = model.hyperparams
         pts = np.asarray(points, dtype=float)

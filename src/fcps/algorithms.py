@@ -180,10 +180,8 @@ def aces_select(dataset, context_space: SearchSpace, theta_space: SearchSpace,
                 hyperparams, cfg: LearnerConfig,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Joint (context, theta) query maximizing summed information gain."""
-    inputs, rewards = dataset
     joint_space = context_space.concat(theta_space)
-    model = gp.fit(inputs, rewards, hyperparams, input_space=joint_space,
-                   standardize=True)
+    model = _fit(dataset, hyperparams, joint_space)
     reps = RepresenterSet.sample(context_space, theta_space,
                                  cfg.n_representers,
                                  cfg.acquisition.n_candidates, rng)
@@ -200,9 +198,9 @@ def faces_select(store: ExperienceStore, reward_fn,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Factored active query: maximize summed gain of per-target models.
 
-    One shared-input model per representer context, each trained on the
-    store re-scored under that representer's target; the query ranges over
-    (env context, theta) only.
+    One model over the store's inputs with a target column per representer
+    context, the store re-scored under that representer's target; the query
+    ranges over (env context, theta) only.
     """
     context_space = target_space.concat(env_space)
     reps = RepresenterSet.sample(context_space, theta_space,
@@ -212,14 +210,14 @@ def faces_select(store: ExperienceStore, reward_fn,
     inputs = store.reduced_inputs()
     reward_matrix = reevaluate_targets(store, reward_fn, reps.target_contexts)
     input_space = env_space.concat(theta_space)
-    ensemble = gp.fit_shared_inputs(inputs, reward_matrix.T, hyperparams,
-                                    input_space=input_space, standardize=True)
+    model = gp.fit_shared_inputs(inputs, reward_matrix.T, hyperparams,
+                                 input_space=input_space)
     # each branch scores its env context's block; with no env context every
     # branch scores the same one
     points = _prefixed(reps.env_contexts, reps.candidates)
     if env_space.dim == 0:
         points = points[:1]
-    engine = EnsembleEsEngine(ensemble, points, cfg.acquisition, rng=rng)
+    engine = EnsembleEsEngine(model, points, cfg.acquisition, rng=rng)
     best = _maximize(engine.gains, input_space, cfg)
     d = env_space.dim
     return best[:d], best[d:]
@@ -569,7 +567,7 @@ class BoLearner:
         # faces: an (env context, theta) query; the commanded target is
         # indifferent for learning and drawn uniformly for logging, and
         # refits rotate over uniformly drawn targets, matching the
-        # distribution of representer branches the ensemble models
+        # distribution of representer branches the faces model fits
         refit_target = self.target_space.sample_uniform(1, self._rng)[0]
         hyperparams = self._scheduled_hyperparams(self.dataset(refit_target))
         theta = self._init_theta()

@@ -237,7 +237,13 @@ def her_augment(record: RolloutRecord, reward_fn: RewardFn) -> float:
 
     The relabeled row is (achieved target, env context, params); for a
     pure-distance reward the distance term vanishes.  The source record is
-    not modified.
+    not modified.  An achieved target shaped unlike the commanded one, such
+    as the active cannon's 2-d landing against its (x, y, indicator)
+    target, cannot stand in for it and raises :class:`ContractError`.
     """
     achieved = record.outcome.achieved_target
+    if achieved.shape != record.target.shape:
+        raise ContractError(
+            f"achieved target shape {achieved.shape} cannot relabel the "
+            f"commanded target shape {record.target.shape}")
     return float(reward_fn(achieved, record.outcome, record.params))

@@ -2,8 +2,11 @@
 
 Models use a zero-mean prior over possibly transformed coordinates: inputs
 may be scaled to the unit box via a :class:`~fcps.optim.SearchSpace` and
-targets may be standardized at fit time.  Hyperparameters always refer to the
-transformed coordinates; predictions are reported in the original units.
+targets may be standardized at fit time, per column.  A model holds one
+target or C targets over the same inputs (one weight column each, from one
+Cholesky factor; Rasmussen & Williams 2006, ch. 2).  Hyperparameters always
+refer to the transformed coordinates; predictions are reported in the
+original units.
 
 The marginal-likelihood gradient follows the standard trace identity
 d(nlml)/dt = -0.5 tr((alpha alpha^T - K^{-1}) dK/dt) over log-hyperparameters.
@@ -81,7 +84,9 @@ class GpModel:
 
     ``chol`` is the lower factor of K + noise*I (+ jitter) over transformed
     inputs ``xt``; ``weights`` solves that system against the transformed
-    targets ``yt``.
+    targets ``yt``.  ``targets``, ``yt`` and ``weights`` are (N,) for one
+    target and (N, C) for C targets over the same inputs; ``y_shift`` and
+    ``y_scale`` are then Python floats or (C,) arrays.
     """
 
     inputs: np.ndarray
@@ -89,8 +94,8 @@ class GpModel:
     hyperparams: KernelHyperparams
     x_lo: np.ndarray | None
     x_span: np.ndarray | None
-    y_shift: float
-    y_scale: float
+    y_shift: float | np.ndarray
+    y_scale: float | np.ndarray
     xt: np.ndarray
     yt: np.ndarray
     chol: np.ndarray
@@ -231,42 +236,44 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
+def _weights(chol: np.ndarray, yt: np.ndarray) -> np.ndarray:
+    return _cho_solve(chol, yt) if len(yt) else np.zeros(yt.shape)
+
+
 def _assemble(inputs, targets, h, x_lo, x_span, y_shift, y_scale) -> GpModel:
     xt = inputs if x_lo is None else (inputs - x_lo) / x_span
     yt = (targets - y_shift) / y_scale
-    if len(xt):
-        K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(len(xt))
-        L, jitter = _chol_with_jitter(K)
-        weights = _cho_solve(L, yt)
-    else:
-        L = np.zeros((0, 0))
-        weights = np.zeros(0)
-        jitter = 0.0
+    K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(len(xt))
+    L, jitter = _chol_with_jitter(K)
     return GpModel(inputs, targets, h, x_lo, x_span, y_shift, y_scale,
-                   xt, yt, L, weights, jitter)
+                   xt, yt, L, _weights(L, yt), jitter)
 
 
-def _standardization(targets: np.ndarray, standardize: bool) -> tuple[float, float]:
-    """Target shift and scale: mean and standard deviation (1 when below
-    1e-12) if ``standardize`` and there are targets, else 0 and 1."""
-    if not (standardize and len(targets)):
-        return 0.0, 1.0
-    sd = float(np.std(targets))
-    return float(np.mean(targets)), sd if sd > 1e-12 else 1.0
+def _standardization(targets: np.ndarray, standardize: bool):
+    """Per-column target shift and scale: mean and standard deviation (1
+    where below 1e-12) if ``standardize`` and there are targets, else 0 and
+    1; Python floats for (n,) targets, (C,) arrays for (n, C)."""
+    if standardize and len(targets):
+        shift, sd = targets.mean(axis=0), targets.std(axis=0)
+        scale = np.where(sd > 1e-12, sd, 1.0)
+    else:
+        shift, scale = np.zeros(targets.shape[1:]), np.ones(targets.shape[1:])
+    if targets.ndim == 1:
+        return float(shift), float(scale)
+    return shift, scale
 
 
 def _checked_targets(targets, n: int) -> np.ndarray:
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if targets.shape != (n,):
-        raise ContractError("targets must be one value per input row")
+    if targets.ndim > 2 or targets.shape[0] != n:
+        raise ContractError("targets must be one value or row per input row")
     if targets.size and not np.all(np.isfinite(targets)):
         raise ContractError("targets must be finite")
     return targets
 
 
-def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace | None = None,
-        standardize: bool = False) -> GpModel:
-    """Build a model from (possibly empty) data under fixed hyperparameters."""
+def _fit(inputs, targets, h: KernelHyperparams, input_space: SearchSpace | None,
+         standardize: bool) -> GpModel:
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.size == 0:
         inputs = inputs.reshape(0, h.dim)
@@ -286,6 +293,21 @@ def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace | Non
                      *_standardization(targets, standardize))
 
 
+def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace | None = None,
+        standardize: bool = False) -> GpModel:
+    """Build a model from (possibly empty) data under fixed hyperparameters:
+    targets (n,) for one target, (n, C) for C targets over the inputs."""
+    return _fit(inputs, targets, h, input_space, standardize)
+
+
+def fit_shared_inputs(inputs, target_matrix, h: KernelHyperparams, *,
+                      input_space: SearchSpace) -> GpModel:
+    """``fit(..., standardize=True)`` with one target column per branch, as
+    faces fits its representers; a function of its own, so that a trace
+    tells it from ``fit``."""
+    return _fit(inputs, target_matrix, h, input_space, True)
+
+
 def fit_targets(m: GpModel, targets) -> GpModel:
     """``fit(..., standardize=True)`` on ``m``'s inputs, hyperparameters and
     input transform with other targets, bit for bit, from ``m``'s Cholesky
@@ -294,16 +316,18 @@ def fit_targets(m: GpModel, targets) -> GpModel:
     targets = _checked_targets(targets, len(m))
     y_shift, y_scale = _standardization(targets, True)
     yt = (targets - y_shift) / y_scale
-    weights = _cho_solve(m.chol, yt) if len(m) else np.zeros(0)
     return GpModel(m.inputs, targets, m.hyperparams, m.x_lo, m.x_span, y_shift,
-                   y_scale, m.xt, yt, m.chol, weights, m.jitter)
+                   y_scale, m.xt, yt, m.chol, _weights(m.chol, yt), m.jitter)
 
 
 def predict_batch(m: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and (noise-free) variance at each row of ``x``."""
+    """Posterior mean and (noise-free) variance at each row of ``x``, for a
+    one-target model."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != m.hyperparams.dim:
         raise ContractError("query dimension does not match the model")
+    if m.weights.ndim != 1:
+        raise ContractError("predict_batch takes a one-target model")
     h = m.hyperparams
     if len(m) == 0:
         mean_t = np.zeros(len(x))
@@ -375,38 +399,20 @@ def nlml(inputs, targets, h: KernelHyperparams, *,
     return float(value), grad
 
 
-def default_hyperparam_bounds(inputs, targets) -> list[tuple[float, float]]:
-    """Log-space box for hyperparameter search, derived from the data.
-
-    Lengthscales range over [1e-3, 10] times the observed input span per
-    dimension; noise variance over [1e-8, observed target variance]; signal
-    variance over [1e-4, 1e2] times the observed target variance.
-    """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    spans = inputs.max(axis=0) - inputs.min(axis=0)
-    spans = np.where(spans > 1e-12, spans, 1.0)
-    vy = float(np.var(targets))
-    vy = max(vy, 1e-8)
-    bounds = [(np.log(1e-4 * vy), np.log(1e2 * vy))]
-    bounds += [(np.log(1e-3 * s), np.log(10.0 * s)) for s in spans]
-    bounds.append((np.log(1e-8), np.log(max(vy, 1e-7))))
-    return bounds
-
-
 def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
-                         restarts: int = 3, rng: np.random.Generator | None = None,
-                         bounds: list[tuple[float, float]] | None = None,
-                         prior: list[tuple[float, float]] | None = None) -> KernelHyperparams:
-    """Bounded likelihood maximization, warm-started plus random restarts.
+                         restarts: int, rng: np.random.Generator,
+                         bounds: list[tuple[float, float]],
+                         prior: list[tuple[float, float]]) -> KernelHyperparams:
+    """Bounded MAP search, warm-started plus random restarts.
 
-    ``prior`` optionally lists one (mean, width) Gaussian penalty per
-    log-hyperparameter, turning the search into a MAP fit under independent
-    lognormal priors; small datasets then stay near the prior means instead
-    of committing to whatever extreme the likelihood surface rewards first.
-    The returned hyperparameters never score worse than ``init`` under the
-    chosen objective.  With fewer than two observations the data says
-    nothing useful, so ``init`` comes back unchanged.
+    ``bounds`` is the log-space box and ``prior`` one (mean, width) Gaussian
+    penalty per log-hyperparameter: the objective is the negative log
+    marginal likelihood under independent lognormal priors, so small
+    datasets stay near the prior means instead of committing to whatever
+    extreme the likelihood surface rewards first.  The returned
+    hyperparameters never score worse than ``init`` under that objective.
+    With fewer than two observations the data says nothing useful, so
+    ``init`` comes back unchanged.
     """
     if restarts < 1:
         raise ContractError("restarts must be positive")
@@ -414,27 +420,22 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if len(targets) <= 1:
         return init
-    if bounds is None:
-        bounds = default_hyperparam_bounds(inputs, targets)
     if len(bounds) != init.dim + 2:
         raise ContractError("bounds must cover every log-hyperparameter")
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    if prior is not None:
-        if len(prior) != init.dim + 2:
-            raise ContractError("prior must cover every log-hyperparameter")
-        p_mu = np.array([p[0] for p in prior], dtype=float)
-        p_sd = np.array([p[1] for p in prior], dtype=float)
-        if np.any(p_sd <= 0.0):
-            raise ContractError("prior widths must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    if len(prior) != init.dim + 2:
+        raise ContractError("prior must cover every log-hyperparameter")
+    p_mu = np.array([p[0] for p in prior], dtype=float)
+    p_sd = np.array([p[1] for p in prior], dtype=float)
+    if np.any(p_sd <= 0.0):
+        raise ContractError("prior widths must be positive")
     sq_diffs = _squared_differences(inputs)
 
     def objective(logv):
         value, grad = nlml(inputs, targets, KernelHyperparams.from_log_vector(logv),
                            sq_diffs=sq_diffs)
-        if prior is not None and np.isfinite(value):
+        if np.isfinite(value):
             z = (logv - p_mu) / p_sd
             value += 0.5 * float(z @ z)
             grad = grad + z / p_sd
@@ -456,84 +457,13 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
     return best
 
 
-def refit(m: GpModel, *, restarts: int = 3, rng: np.random.Generator | None = None,
-          bounds: list[tuple[float, float]] | None = None,
-          prior: list[tuple[float, float]] | None = None) -> GpModel:
+def refit(m: GpModel, *, restarts: int, rng: np.random.Generator,
+          bounds: list[tuple[float, float]],
+          prior: list[tuple[float, float]]) -> GpModel:
     """Re-optimize hyperparameters on the model's transformed data in place."""
     h = optimize_hyperparams(m.xt, m.yt, m.hyperparams, restarts=restarts,
                              rng=rng, bounds=bounds, prior=prior)
     return _assemble(m.inputs, m.targets, h, m.x_lo, m.x_span, m.y_shift, m.y_scale)
-
-
-# ---------------------------------------------------------------------------
-# shared-input ensemble
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GpEnsemble:
-    """Many GPs sharing inputs and hyperparameters, one target column each.
-
-    The kernel matrix and its Cholesky factor are computed once; per-branch
-    state reduces to a weight column and a target standardization.
-    """
-
-    inputs: np.ndarray
-    targets: np.ndarray  # (N, C)
-    hyperparams: KernelHyperparams
-    x_lo: np.ndarray | None
-    x_span: np.ndarray | None
-    y_shift: np.ndarray  # (C,)
-    y_scale: np.ndarray  # (C,)
-    xt: np.ndarray
-    chol: np.ndarray
-    weights: np.ndarray  # (N, C)
-    jitter: float
-
-    def transform_inputs(self, x: np.ndarray) -> np.ndarray:
-        if self.x_lo is None:
-            return np.asarray(x, dtype=float)
-        return (np.asarray(x, dtype=float) - self.x_lo) / self.x_span
-
-
-def fit_shared_inputs(inputs, target_matrix, h: KernelHyperparams, *,
-                      input_space: SearchSpace | None = None,
-                      standardize: bool = True) -> GpEnsemble:
-    """Fit one GP per target column over a common input set."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_2d(np.asarray(target_matrix, dtype=float))
-    if inputs.size == 0:
-        inputs = inputs.reshape(0, h.dim)
-        if targets.size == 0:
-            keep = targets.shape[1] if targets.ndim == 2 and targets.shape[1] else 1
-            targets = targets.reshape(0, keep)
-    if inputs.shape[1] != h.dim or targets.shape[0] != inputs.shape[0]:
-        raise ContractError("target matrix must have one row per input")
-    x_lo = x_span = None
-    if input_space is not None:
-        if input_space.dim != h.dim:
-            raise ContractError("input_space dimension does not match the kernel")
-        x_lo, x_span = input_space.lower, input_space.span
-    n, c = targets.shape if targets.size else (0, targets.shape[1])
-    if standardize and n:
-        y_shift = targets.mean(axis=0)
-        sd = targets.std(axis=0)
-        y_scale = np.where(sd > 1e-12, sd, 1.0)
-    else:
-        y_shift = np.zeros(c)
-        y_scale = np.ones(c)
-    xt = inputs if x_lo is None else (inputs - x_lo) / x_span
-    yt = (targets - y_shift) / y_scale
-    if n:
-        K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(n)
-        L, jitter = _chol_with_jitter(K)
-        weights = _cho_solve(L, yt)
-    else:
-        L = np.zeros((0, 0))
-        weights = np.zeros((0, c))
-        jitter = 0.0
-    return GpEnsemble(inputs, targets, h, x_lo, x_span, y_shift, y_scale,
-                      xt, L, weights, jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +481,8 @@ def fantasize(m: GpModel, x, y: float) -> GpModel:
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != m.hyperparams.dim:
         raise ContractError("query dimension does not match the model")
+    if m.weights.ndim != 1:
+        raise ContractError("fantasize takes a one-target model")
     new_inputs = np.vstack([m.inputs, x]) if len(m) else x.copy()
     new_targets = np.append(m.targets, float(y))
     h = m.hyperparams

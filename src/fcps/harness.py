@@ -86,7 +86,7 @@ class ThrowerEnvironment:
 
     def rollout(self, env_context, theta, train_mode, rng):
         # the thrower has no training-time actuation noise
-        return sim.thrower_rollout(self.world, env_context, theta, rng=rng)
+        return sim.thrower_rollout(self.world, env_context, theta)
 
     def replay_metadata(self) -> dict:
         return {"id": self.id, "seed": self.seed,

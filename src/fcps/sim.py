@@ -44,6 +44,7 @@ ACTIVE_CANNON_TARGET_SPACE = SearchSpace([-11.0, -11.0, 0.0], [11.0, 11.0, 1.0])
 # stay outside the blend region so each keeps its nominal peak
 PAD_RADIUS = 1.5
 PAD_BLEND_RADIUS = 3.0
+CANNON_HILLS = 4
 
 
 # eq=False: ndarray fields; worlds compare by replay_metadata()
@@ -80,11 +81,12 @@ class CannonWorld:
             raise ContractError("launch noise must be non-negative")
 
     @classmethod
-    def generate(cls, seed: int, n_hills: int = 4, gravity: float = 1.0,
-                 launch_noise_deg: float = 1.0) -> "CannonWorld":
+    def generate(cls, seed: int) -> "CannonWorld":
+        """A world of ``CANNON_HILLS`` random hills, default gravity and
+        launch noise."""
         rng = np.random.default_rng(seed)
         hills = []
-        while len(hills) < n_hills:
+        while len(hills) < CANNON_HILLS:
             center = rng.uniform(CANNON_TARGET_SPACE.lower,
                                  CANNON_TARGET_SPACE.upper)
             if np.hypot(center[0], center[1]) < PAD_BLEND_RADIUS:
@@ -92,8 +94,7 @@ class CannonWorld:
             height = rng.uniform(0.5, 2.0)
             width = rng.uniform(1.5, 3.0)
             hills.append(Hill(center, height, width))
-        return cls(gravity=gravity, hills=tuple(hills),
-                   launch_noise_deg=launch_noise_deg, seed=seed)
+        return cls(hills=tuple(hills), seed=seed)
 
     def replay_metadata(self) -> dict:
         return {
@@ -559,13 +560,11 @@ def ballistic_landing(position, velocity, gravity: float) -> np.ndarray:
                      position[2] + velocity[2] * t])
 
 
-def thrower_rollout(world: ThrowerWorld, env_context, theta,
-                    rng: np.random.Generator | None = None) -> Outcome:
+def thrower_rollout(world: ThrowerWorld, env_context, theta) -> Outcome:
     """Run the DMP from the start position and release into free flight.
 
     theta stacks the commanded goal and goal velocity; the ball takes the
-    final DMP state exactly.  The rollout is deterministic; rng is accepted
-    for interface uniformity.
+    final DMP state exactly.  The rollout is deterministic.
     """
     start = np.asarray(env_context, dtype=float)
     if not THROWER_START_SPACE.contains(start, atol=1e-9):

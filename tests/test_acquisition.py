@@ -288,7 +288,7 @@ class EnsembleEsOracle:
     hundreds of representer contexts affordable.
     """
 
-    def __init__(self, ensemble: "gp.GpEnsemble", candidates: np.ndarray,
+    def __init__(self, ensemble: "gp.GpModel", candidates: np.ndarray,
                  cfg: AcqConfig, rng: np.random.Generator | None = None,
                  draws: tuple[np.ndarray, np.ndarray] | None = None):
         h = ensemble.hyperparams
@@ -576,7 +576,7 @@ def test_faces_objective_matches_ensemble_engine():
     theta = rng.uniform(0, 1, size=(n, 1))
     targets = np.column_stack([np.sin(3 * theta[:, 0] + 0.3 * c) for c in range(c_n)])
     h = gp.KernelHyperparams(1.0, np.array([0.3]), 1e-3)
-    ens = gp.fit_shared_inputs(theta, targets, h, standardize=True)
+    ens = gp.fit_shared_inputs(theta, targets, h, input_space=SearchSpace([0.0], [1.0]))
     models = [ensemble_branch_model(ens, c) for c in range(c_n)]
 
     cand = np.linspace(0.05, 0.95, 6)[:, None]
@@ -765,8 +765,9 @@ def test_faces_size_engine_prunes_and_matches_oracle_loop():
     phase = rng.uniform(0, 2 * np.pi, size=200)
     targets = np.sin(3 * inputs[:, :1] + phase) + inputs[:, 1:2] * np.cos(phase)
     h = gp.KernelHyperparams(1.0, np.array([0.4, 0.5, 0.6]), 1e-3)
-    ens = gp.fit_shared_inputs(inputs, targets, h, standardize=True)
-    cand = SearchSpace([0.0] * 3, [1.0] * 3).sample_latin(20, rng)
+    unit = SearchSpace([0.0] * 3, [1.0] * 3)
+    ens = gp.fit_shared_inputs(inputs, targets, h, input_space=unit)
+    cand = unit.sample_latin(20, rng)
     cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=4)
     engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(5))
     counts = []
@@ -807,7 +808,7 @@ def shared_input_ensemble(rng, n=14, c_n=5):
     theta = rng.uniform(0, 1, size=(n, 1))
     targets = np.column_stack([np.sin(3 * theta[:, 0] + 0.3 * c) for c in range(c_n)])
     h = gp.KernelHyperparams(1.0, np.array([0.3]), 1e-3)
-    return gp.fit_shared_inputs(theta, targets, h, standardize=True)
+    return gp.fit_shared_inputs(theta, targets, h, input_space=SearchSpace([0.0], [1.0]))
 
 
 @pytest.mark.parametrize("c_n", [1, 5, 200])
@@ -924,7 +925,7 @@ def replaced_engines(kind, c_n, empty, rng):
         return engine, old, prefix, ctx_dim + 1 - len(prefix)
     env_dim = 0 if kind == "shared" else int(kind[3:])
     x, y, h, space = _fitted_data(rng, env_dim + 2, c_n, empty)
-    ens = gp.fit_shared_inputs(x, y, h, input_space=space, standardize=True)
+    ens = gp.fit_shared_inputs(x, y, h, input_space=space)
     cand = SearchSpace([0.0, 0.0], [1.0, 1.0]).sample_latin(m, rng)
     if kind == "shared":  # faces, no env context: every branch on one block
         engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(seed))

@@ -315,3 +315,13 @@ def test_her_augment_uses_achieved_target():
     assert reward == pytest.approx(-0.05 * v * v, abs=1e-12)
     # source record untouched
     assert record.outcome.achieved_target[0] == 3.0
+
+
+def test_her_augment_refuses_an_achieved_target_of_another_shape():
+    # the active cannon's landing is (x, y); its target adds the shoot
+    # indicator, so the landing cannot stand in for it
+    record = RolloutRecord(target=[1.0, 2.0, 0.0], env_context=[],
+                           params=[0.3, 0.4, 0.5],
+                           outcome=Outcome([1.0, 2.0], [1.0, 2.0]), actual_reward=0.0)
+    with pytest.raises(ContractError, match="shape"):
+        her_augment(record, sim.ActiveCannonReward())

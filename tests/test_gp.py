@@ -15,6 +15,8 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize as _scipy_minimize
 
 from fcps import gp
+from fcps.algorithms import _hyperparam_bounds as learner_bounds
+from fcps.algorithms import _hyperparam_prior as learner_prior
 from fcps.errors import ContractError, NumericalError
 from fcps.gp import (
     GpModel,
@@ -44,6 +46,33 @@ ORACLE_NLML_SINGLE = 1.3770838991417502  # N=1, y=0, sf2=2, sn2=0.5
 def two_point_model():
     h = KernelHyperparams(1.0, np.array([1.0]), 1e-6)
     return fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), h)
+
+
+def default_hyperparam_bounds(inputs, targets) -> list[tuple[float, float]]:
+    """Log-space box for hyperparameter search, derived from the data.
+
+    Lengthscales range over [1e-3, 10] times the observed input span per
+    dimension; noise variance over [1e-8, observed target variance]; signal
+    variance over [1e-4, 1e2] times the observed target variance.
+    """
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    spans = inputs.max(axis=0) - inputs.min(axis=0)
+    spans = np.where(spans > 1e-12, spans, 1.0)
+    vy = float(np.var(targets))
+    vy = max(vy, 1e-8)
+    bounds = [(np.log(1e-4 * vy), np.log(1e2 * vy))]
+    bounds += [(np.log(1e-3 * s), np.log(10.0 * s)) for s in spans]
+    bounds.append((np.log(1e-8), np.log(max(vy, 1e-7))))
+    return bounds
+
+
+def map_objective(x, y, h, prior):
+    """``optimize_hyperparams``' objective: nlml plus the prior penalty."""
+    value, _ = nlml(x, y, h)
+    mu, sd = np.array(prior).T
+    z = (h.as_log_vector() - mu) / sd
+    return value + 0.5 * float(z @ z)
 
 
 def random_instance(rng, n=None, d=None):
@@ -221,11 +250,13 @@ def test_nlml_gradient_matches_finite_differences():
 def test_optimize_hyperparams_never_worse_than_init():
     rng = np.random.default_rng(8)
     x, y, _ = random_instance(rng, n=15, d=2)
-    init = KernelHyperparams(1.0, np.array([1.0, 1.0]), 0.01)
-    out = optimize_hyperparams(x, y, init, restarts=3, rng=rng)
-    v_init, _ = nlml(x, y, init)
-    v_out, _ = nlml(x, y, out)
-    assert v_out <= v_init + 1e-12
+    prior = learner_prior(2)
+    for init in (KernelHyperparams(1.0, np.array([1.0, 1.0]), 0.01),
+                 # an init outside the box, which the search starts clipped
+                 KernelHyperparams(1e3, np.array([1e-4, 50.0]), 1e-9)):
+        out = optimize_hyperparams(x, y, init, restarts=3, rng=rng,
+                                   bounds=default_hyperparam_bounds(x, y), prior=prior)
+        assert map_objective(x, y, out, prior) <= map_objective(x, y, init, prior) + 1e-12
 
 
 def test_optimize_hyperparams_recovers_lengthscale():
@@ -237,13 +268,18 @@ def test_optimize_hyperparams_recovers_lengthscale():
     K = kernel_eval(x, x, h_true) + 1e-4 * np.eye(60)
     y = np.linalg.cholesky(K) @ rng.standard_normal(60)
     init = KernelHyperparams(1.0, np.array([2.5]), 1e-2)
-    out = optimize_hyperparams(x, y, init, restarts=3, rng=rng)
+    # a prior this wide leaves the likelihood to decide
+    out = optimize_hyperparams(x, y, init, restarts=3, rng=rng,
+                               bounds=default_hyperparam_bounds(x, y),
+                               prior=[(0.0, 10.0)] * 3)
     assert true_ell / 2 <= out.lengthscales[0] <= true_ell * 2
 
 
 def test_optimize_hyperparams_degenerate_dataset():
     init = KernelHyperparams(1.0, np.array([1.0]), 0.01)
-    out = optimize_hyperparams(np.array([[0.0]]), np.array([1.0]), init)
+    out = optimize_hyperparams(np.array([[0.0]]), np.array([1.0]), init, restarts=3,
+                               rng=np.random.default_rng(0), bounds=learner_bounds(1),
+                               prior=learner_prior(1))
     assert out is init
 
 
@@ -310,13 +346,16 @@ def test_nlml_equals_the_per_dimension_gradient_bit_for_bit(n, d, kind, seed):
         assert ref_value == np.inf and not np.any(ref_grad)
 
 
-@pytest.mark.parametrize("prior", [False, True])
-def test_optimize_hyperparams_equals_it_over_the_per_dimension_nlml(monkeypatch, prior):
+@pytest.mark.parametrize("learner_box", [False, True])
+def test_optimize_hyperparams_equals_it_over_the_per_dimension_nlml(monkeypatch,
+                                                                    learner_box):
     fast = gp.nlml
     rng = np.random.default_rng(12)
     for n, d in ((2, 1), (30, 3), (80, 11)):
         x, y, init = random_instance(rng, n=n, d=d)
-        kw = {"restarts": 2, "prior": [(0.0, 1.0)] * (d + 2) if prior else None}
+        kw = {"restarts": 2, "prior": [(0.0, 1.0)] * (d + 2),
+              "bounds": learner_bounds(d) if learner_box
+              else default_hyperparam_bounds(x, y)}
         runs = {}
         for name in ("fast", "oracle"):
             calls = []
@@ -357,7 +396,7 @@ def _optimize_hyperparams_minimize(inputs, targets, init: KernelHyperparams, *,
     if len(targets) <= 1:
         return init
     if bounds is None:
-        bounds = gp.default_hyperparam_bounds(inputs, targets)
+        bounds = default_hyperparam_bounds(inputs, targets)
     if len(bounds) != init.dim + 2:
         raise ContractError("bounds must cover every log-hyperparameter")
     lo = np.array([b[0] for b in bounds])
@@ -401,24 +440,19 @@ def _optimize_hyperparams_minimize(inputs, targets, init: KernelHyperparams, *,
 @settings(max_examples=30)
 @given(n=st.integers(1, 40), d=st.integers(1, 6),
        kind=st.sampled_from(["spread", "repeated rows", "constant targets"]),
-       search=st.sampled_from(["default", "learner box", "learner box and prior"]),
+       box=st.sampled_from(["data", "learner"]),
        restarts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-@example(n=40, d=6, kind="spread", search="learner box and prior", restarts=3, seed=0)
+@example(n=40, d=6, kind="spread", box="learner", restarts=3, seed=0)
 def test_optimize_hyperparams_equals_the_minimize_version_bit_for_bit(
-        n, d, kind, search, restarts, seed):
+        n, d, kind, box, restarts, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, (n, d))
     if kind == "repeated rows":
         x = x[rng.integers(0, n, n)]
     y = np.full(n, 0.25) if kind == "constant targets" else rng.normal(size=n)
     init = KernelHyperparams.from_log_vector(rng.uniform(-3.0, 1.0, d + 2))
-    kw = {"restarts": restarts}
-    if search != "default":
-        # the learners' refit box and prior, in standardized coordinates
-        kw["bounds"] = ([(np.log(1e-2), np.log(1e2))] + [(np.log(0.03), np.log(10.0))] * d
-                        + [(np.log(1.5e-3), np.log(1.0))])
-    if search == "learner box and prior":
-        kw["prior"] = [(0.0, 2.0)] + [(np.log(0.4), 1.0)] * d + [(np.log(3e-3), 1.5)]
+    kw = {"restarts": restarts, "prior": learner_prior(d),
+          "bounds": learner_bounds(d) if box == "learner" else default_hyperparam_bounds(x, y)}
     got = optimize_hyperparams(x, y, init, rng=np.random.default_rng(seed), **kw)
     want = _optimize_hyperparams_minimize(x, y, init, rng=np.random.default_rng(seed),
                                           **kw)
@@ -470,6 +504,146 @@ def test_fit_targets_rejects_targets_that_do_not_fit_the_model():
         fit_targets(m, y[:-1])
     with pytest.raises(ContractError):
         fit_targets(m, np.where(np.arange(6) == 2, np.nan, y))
+
+
+# -- one model type against the shared-input ensemble it absorbed ----------
+
+
+@dataclasses.dataclass(frozen=True)
+class GpEnsembleOracle:
+    """``gp.GpEnsemble`` as it was before ``GpModel`` took (n, C) targets."""
+
+    inputs: np.ndarray
+    targets: np.ndarray  # (N, C)
+    hyperparams: KernelHyperparams
+    x_lo: np.ndarray | None
+    x_span: np.ndarray | None
+    y_shift: np.ndarray  # (C,)
+    y_scale: np.ndarray  # (C,)
+    xt: np.ndarray
+    chol: np.ndarray
+    weights: np.ndarray  # (N, C)
+    jitter: float
+
+
+def fit_shared_inputs_oracle(inputs, target_matrix, h: KernelHyperparams, *,
+                             input_space: SearchSpace | None = None,
+                             standardize: bool = True) -> GpEnsembleOracle:
+    """``gp.fit_shared_inputs`` as it was before the merge, verbatim."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    targets = np.atleast_2d(np.asarray(target_matrix, dtype=float))
+    if inputs.size == 0:
+        inputs = inputs.reshape(0, h.dim)
+        if targets.size == 0:
+            keep = targets.shape[1] if targets.ndim == 2 and targets.shape[1] else 1
+            targets = targets.reshape(0, keep)
+    if inputs.shape[1] != h.dim or targets.shape[0] != inputs.shape[0]:
+        raise ContractError("target matrix must have one row per input")
+    x_lo = x_span = None
+    if input_space is not None:
+        if input_space.dim != h.dim:
+            raise ContractError("input_space dimension does not match the kernel")
+        x_lo, x_span = input_space.lower, input_space.span
+    n, c = targets.shape if targets.size else (0, targets.shape[1])
+    if standardize and n:
+        y_shift = targets.mean(axis=0)
+        sd = targets.std(axis=0)
+        y_scale = np.where(sd > 1e-12, sd, 1.0)
+    else:
+        y_shift = np.zeros(c)
+        y_scale = np.ones(c)
+    xt = inputs if x_lo is None else (inputs - x_lo) / x_span
+    yt = (targets - y_shift) / y_scale
+    if n:
+        K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(n)
+        L, jitter = _chol_with_jitter(K)
+        weights = gp._cho_solve(L, yt)
+    else:
+        L = np.zeros((0, 0))
+        weights = np.zeros((0, c))
+        jitter = 0.0
+    return GpEnsembleOracle(inputs, targets, h, x_lo, x_span, y_shift, y_scale,
+                            xt, L, weights, jitter)
+
+
+def _standardization_oracle(targets, standardize):
+    """``gp._standardization`` of one target as it was before the merge."""
+    if not (standardize and len(targets)):
+        return 0.0, 1.0
+    sd = float(np.std(targets))
+    return float(np.mean(targets)), sd if sd > 1e-12 else 1.0
+
+
+def _same_bits(u, v) -> bool:
+    if isinstance(u, np.ndarray):
+        return (isinstance(v, np.ndarray) and u.dtype == v.dtype
+                and u.shape == v.shape and u.tobytes() == v.tobytes())
+    return type(u) is type(v) and np.float64(u).tobytes() == np.float64(v).tobytes()
+
+
+def _merge_case(n, c_n, d, constant, box, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, (n, d))
+    y = rng.normal(size=(n, c_n)) * rng.uniform(0.1, 10.0, c_n) + rng.uniform(-5, 5, c_n)
+    if constant:  # every other column constant: standard deviation below 1e-12
+        y[:, ::2] = rng.normal(size=(1, len(range(0, c_n, 2))))
+    h = KernelHyperparams(float(rng.uniform(0.3, 3.0)), rng.uniform(0.2, 2.0, d),
+                          float(rng.uniform(1e-6, 0.3)))
+    space = (SearchSpace(np.zeros(d), np.ones(d)) if box == "unit"
+             else SearchSpace(np.full(d, -2.5), np.full(d, 3.0)))
+    return x, y, h, space
+
+
+@settings(max_examples=40)
+@given(n=st.sampled_from([0, 1, 30]), c_n=st.sampled_from([1, 2, 200]),
+       d=st.integers(1, 4), constant=st.booleans(),
+       box=st.sampled_from(["unit", "wide"]), seed=st.integers(0, 2**16))
+@example(n=30, c_n=200, d=3, constant=True, box="wide", seed=0)
+@example(n=0, c_n=2, d=1, constant=False, box="unit", seed=0)
+@example(n=1, c_n=1, d=2, constant=True, box="unit", seed=1)
+def test_fit_shared_inputs_equals_the_ensemble_it_replaced_bit_for_bit(
+        n, c_n, d, constant, box, seed):
+    x, y, h, space = _merge_case(n, c_n, d, constant, box, seed)
+    got = fit_shared_inputs(x, y, h, input_space=space)
+    want = fit_shared_inputs_oracle(x, y, h, input_space=space)
+    assert isinstance(got, GpModel)
+    for name in ("inputs", "targets", "x_lo", "x_span", "xt", "chol", "jitter",
+                 "weights", "y_shift", "y_scale"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert got.hyperparams is want.hyperparams
+    assert _same_bits(got.yt, (want.targets - want.y_shift) / want.y_scale)
+    if constant and n:
+        assert got.y_scale[0] == 1.0
+    # no claim that a column fitted alone has the same shift: numpy sums a
+    # vector pairwise but a matrix's columns row by row, so the last bits
+    # of the two means can differ (they do at the n=30, C=200 example)
+
+
+@settings(max_examples=30)
+@given(n=st.sampled_from([0, 1, 2, 30]), constant=st.booleans(),
+       standardize=st.booleans(), seed=st.integers(0, 2**16))
+def test_one_target_standardization_keeps_python_floats_and_bits(
+        n, constant, standardize, seed):
+    x, y, h, space = _merge_case(n, 1, 2, constant, "wide", seed)
+    m = fit(x, y[:, 0], h, input_space=space, standardize=standardize)
+    shift, scale = _standardization_oracle(y[:, 0], standardize)
+    assert type(m.y_shift) is float and type(m.y_scale) is float
+    assert _same_bits(m.y_shift, shift) and _same_bits(m.y_scale, scale)
+    assert _same_bits(m.yt, (y[:, 0] - shift) / scale)
+    assert m.weights.shape == (n,)
+
+
+def test_prediction_and_fantasies_take_one_target_models_only():
+    x, y, h, space = _merge_case(20, 5, 2, False, "wide", 3)
+    m = fit_shared_inputs(x, y, h, input_space=space)
+    empty = fit_shared_inputs(np.zeros((0, 2)), np.zeros((0, 5)), h, input_space=space)
+    for model in (m, empty):
+        with pytest.raises(ContractError, match="one-target"):
+            predict_batch(model, x[:3])
+        with pytest.raises(ContractError, match="one-target"):
+            fantasize(model, x[0], 0.0)
+    with pytest.raises(ContractError):
+        fit(x, np.zeros((20, 2, 2)), h)
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +808,10 @@ def test_refit_improves_or_keeps_nlml():
     init = KernelHyperparams(1.0, np.array([1.0, 1.0]), 0.05)
     space = SearchSpace([-2.0, -2.0], [2.0, 2.0])
     m = fit(x, y, init, input_space=space, standardize=True)
-    m2 = refit(m, restarts=2, rng=rng)
-    v1, _ = nlml(m.xt, m.yt, m.hyperparams)
-    v2, _ = nlml(m2.xt, m2.yt, m2.hyperparams)
+    prior = learner_prior(2)
+    m2 = refit(m, restarts=2, rng=rng, bounds=learner_bounds(2), prior=prior)
+    v1 = map_objective(m.xt, m.yt, m.hyperparams, prior)
+    v2 = map_objective(m2.xt, m2.yt, m2.hyperparams, prior)
     assert v2 <= v1 + 1e-12
     assert isinstance(m2, GpModel)
 

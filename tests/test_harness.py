@@ -397,6 +397,21 @@ def test_cli_overrides(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_refuses_hindsight_relabels_on_the_active_cannon(tmp_path, capsys):
+    # its achieved landing has no shoot indicator to stand in for the target
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "environment": "active-cannon", "episodes": 4, "evaluation_period": 2,
+        "seeds": [0], "grid_shape": [2, 2],
+        "learner": {"algorithm": "bo-fcps-her", "init_episodes": 2}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ContractError" and "shape" in err["error"]
+    partial = json.loads((out / "partial_result.json").read_text())
+    assert partial["completed_seeds"] == [] and partial["error"] == err["error"]
+
+
 def test_cli_error_paths(tmp_path, capsys):
     config_path = write_cli_config(tmp_path)
     code = cli.main(["run", "--config", str(config_path),

@@ -20,7 +20,8 @@ import pytest
 
 from fcps import harness
 from fcps.acquisition import AcqConfig
-from fcps.algorithms import LearnerConfig
+from fcps.algorithms import ALGORITHMS, LearnerConfig
+from fcps.errors import ContractError
 
 TINY_ACQ = AcqConfig(n_candidates=4, n_function_draws=100, n_fantasies=2)
 TINY_LEARNER = dict(acquisition=TINY_ACQ, n_representers=3, init_episodes=3,
@@ -102,3 +103,24 @@ def test_longer_runs_match_their_pinned_digest(case):
                          ids=lambda c: "-".join(map(str, c)))
 def test_many_representer_runs_match_their_pinned_digest(case):
     assert reward_digest(*case) == REPRESENTER_PINS[case]
+
+
+# the one pair refused: bo-fcps-her relabels with the achieved landing,
+# which has no shoot indicator to stand in for the active cannon's target
+REFUSED = {("active-cannon", "bo-fcps-her")}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("environment", list(harness.ENVIRONMENTS))
+def test_every_environment_and_algorithm_runs_or_is_refused(environment, algorithm):
+    config = harness.ExperimentConfig(
+        environment=environment, seeds=(0,), episodes=8, evaluation_period=8,
+        grid_shape=(2, 2), learner=LearnerConfig(algorithm=algorithm, **TINY_LEARNER))
+    if (environment, algorithm) in REFUSED:
+        with pytest.raises(ContractError):
+            harness.run(config)
+        return
+    result = harness.run(config)
+    assert result.online_rewards.shape == (1, 8)
+    assert np.isfinite(result.online_rewards).all()
+    assert np.isfinite(result.offline_rewards).all()
