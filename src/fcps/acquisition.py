@@ -114,21 +114,6 @@ class RepresenterSet:
 
 
 # ---------------------------------------------------------------------------
-# simple acquisitions
-# ---------------------------------------------------------------------------
-
-
-def gp_ucb(mean, std, kappa: float):
-    """Upper confidence bound mean + kappa * std (elementwise)."""
-    if kappa < 0:
-        raise ContractError("kappa must be nonnegative")
-    std = np.asarray(std, dtype=float)
-    if (std < 0).any():
-        raise ContractError("std must be nonnegative")
-    return np.asarray(mean, dtype=float) + kappa * std
-
-
-# ---------------------------------------------------------------------------
 # entropy-search engine
 # ---------------------------------------------------------------------------
 

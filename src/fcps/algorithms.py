@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import logsumexp, softmax
 
 from . import gp, optim
-from .acquisition import AcqConfig, EnsembleEsEngine, RepresenterSet, gp_ucb
+from .acquisition import AcqConfig, EnsembleEsEngine, RepresenterSet
 from .errors import ContractError
 from .experience import Context, ExperienceStore, Outcome, RolloutRecord, \
     her_augment, reevaluate, reevaluate_targets
@@ -171,7 +171,7 @@ def ucb_select(model: gp.GpModel, prefix, theta_space: SearchSpace,
 
     def objective(thetas):
         mean, var = gp.predict_batch(model, _prefixed(prefix, thetas))
-        return gp_ucb(mean, np.sqrt(var), k)
+        return mean + k * np.sqrt(var)
 
     return _maximize(objective, theta_space, cfg)
 

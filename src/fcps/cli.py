@@ -44,18 +44,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args) -> harness.ExperimentConfig:
+    # the overrides go into the config's fields before it is built, so a
+    # file whose own tag is refused on its environment runs under --algo
+    data = {}
     if args.config is not None:
-        config = harness.load_config(args.config)
-    else:
-        config = harness.ExperimentConfig()
+        data = json.loads(args.config.read_text(encoding="utf-8"))
     if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+        data["master_seed"] = args.seed
     if args.episodes is not None:
-        config = replace(config, episodes=args.episodes)
+        data["episodes"] = args.episodes
     if args.algo is not None:
-        config = replace(config, learner=replace(config.learner,
-                                                 algorithm=args.algo))
-    return config
+        data["learner"] = {**data.get("learner", {}), "algorithm": args.algo}
+    return harness.config_from_dict(data)
 
 
 def _cmd_run(args) -> int:

@@ -190,9 +190,10 @@ class ExperienceStore:
 # re-evaluation
 # ---------------------------------------------------------------------------
 
-# reward_fn(target, outcome, params) -> float, and reward_fn.batch(targets,
-# stats, params) over matrices with one row per (target, record) pair; every
-# task reward has both, and they agree bit for bit.
+# reward_fn.batch(targets, stats, params) over matrices with one row per
+# (target, record) pair, and reward_fn(target, outcome, params) -> float;
+# the task rewards define the one-row call once (``sim.Reward``) as batch
+# on one row, so the two agree bit for bit.
 RewardFn = Callable[[np.ndarray, Outcome, np.ndarray], float]
 
 

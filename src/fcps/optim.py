@@ -314,8 +314,7 @@ def direct_maximize(f, space: SearchSpace, max_evals: int, *, vectorized: bool =
     evaluations; with a constant objective the box center is returned because
     the incumbent only moves on strict improvement.
     """
-    if max_evals < 2 * space.dim + 1:
-        raise ContractError(f"max_evals must be at least 2*dim+1 = {2 * space.dim + 1}")
+    check_direct_evals(max_evals, space)
     batch = _as_batch(f, vectorized)
     state = _direct_search(lambda u: batch(space.from_unit(u)), space.dim, max_evals)
     return space.from_unit(state.best_center), state.best_value
@@ -395,7 +394,7 @@ def check_direct_evals(direct_evals: int | None, space: SearchSpace) -> None:
 
 def global_then_local(f, space: SearchSpace, *, direct_evals: int | None = None,
                       refine_starts: int = 3, refine_iters: int = 100,
-                      grad=None, vectorized: bool = False):
+                      vectorized: bool = False):
     """DIRECT followed by L-BFGS restarts from the best distinct rectangles.
 
     Returns ``(x, value)`` with value at least the DIRECT incumbent's.
@@ -413,7 +412,7 @@ def global_then_local(f, space: SearchSpace, *, direct_evals: int | None = None,
     best_val = state.best_value
     for u in _refine_starts(state, refine_starts):
         x, val = lbfgs_refine(f, space, space.from_unit(u), refine_iters,
-                              grad=grad, vectorized=vectorized)
+                              vectorized=vectorized)
         if val > best_val:
             best_x, best_val = x, val
     return best_x, best_val

@@ -8,6 +8,13 @@ final state, and scores the ballistic landing point.  Both environments
 satisfy the factorization premise: the commanded target never enters the
 dynamics, so outcomes can be re-scored under arbitrary targets.
 
+Each task has one contract: a rollout takes the world, the environment
+context where there is one, and the parameter vector theta, checks theta's
+shape and box, and returns an ``Outcome``; a reward scores targets against
+outcome statistics (and theta) in ``batch``, and its one-row call is that
+batch on one row.  Gravity, launch noise and the DMP gains are module
+constants, which the worlds' ``replay_metadata`` records.
+
 A cannon landing is found by a vectorized scan of the arc on a 0.01 time
 grid, then bisection on Python floats that stops at its fixed point, the
 first step that leaves the bracket unchanged (after about 45 steps, at
@@ -45,6 +52,9 @@ ACTIVE_CANNON_TARGET_SPACE = SearchSpace([-11.0, -11.0, 0.0], [11.0, 11.0, 1.0])
 PAD_RADIUS = 1.5
 PAD_BLEND_RADIUS = 3.0
 CANNON_HILLS = 4
+CANNON_GRAVITY = 1.0
+# standard deviation of the train-mode perturbation of each launch angle
+LAUNCH_NOISE_DEG = 1.0
 
 
 # eq=False: ndarray fields; worlds compare by replay_metadata()
@@ -69,21 +79,12 @@ class Hill:
 # eq=False: ndarray fields; worlds compare by replay_metadata()
 @dataclass(frozen=True, eq=False)
 class CannonWorld:
-    gravity: float = 1.0
     hills: tuple[Hill, ...] = ()
-    launch_noise_deg: float = 1.0
     seed: int = 0
-
-    def __post_init__(self):
-        if self.gravity <= 0:
-            raise ContractError("gravity must be positive")
-        if self.launch_noise_deg < 0:
-            raise ContractError("launch noise must be non-negative")
 
     @classmethod
     def generate(cls, seed: int) -> "CannonWorld":
-        """A world of ``CANNON_HILLS`` random hills, default gravity and
-        launch noise."""
+        """A world of ``CANNON_HILLS`` random hills."""
         rng = np.random.default_rng(seed)
         hills = []
         while len(hills) < CANNON_HILLS:
@@ -99,34 +100,12 @@ class CannonWorld:
     def replay_metadata(self) -> dict:
         return {
             "kind": "cannon",
-            "gravity": self.gravity,
-            "launch_noise_deg": self.launch_noise_deg,
+            "gravity": CANNON_GRAVITY,
+            "launch_noise_deg": LAUNCH_NOISE_DEG,
             "seed": self.seed,
             "hills": [{"center": h.center.tolist(), "height": h.height,
                        "width": h.width} for h in self.hills],
         }
-
-
-@dataclass(frozen=True)
-class LaunchParams:
-    alpha: float
-    beta: float
-    v: float
-
-    def __post_init__(self):
-        if not CANNON_PARAM_SPACE.contains(self.as_vector, atol=1e-9):
-            raise ContractError("launch parameters outside their box")
-
-    @property
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta, self.v])
-
-    @classmethod
-    def from_vector(cls, theta) -> "LaunchParams":
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (3,):
-            raise ContractError("launch parameter vector must have 3 entries")
-        return cls(alpha=float(theta[0]), beta=float(theta[1]), v=float(theta[2]))
 
 
 def _pad_mask(r):
@@ -179,7 +158,7 @@ def _point_elevation(world: CannonWorld):
 
 def _first_landing_time(world: CannonWorld, vel: np.ndarray) -> float:
     """First t > 0 where the ballistic arc meets the terrain."""
-    g = world.gravity
+    g = CANNON_GRAVITY
     vx, vy, vz = (float(c) for c in vel)
     elevation = _point_elevation(world)
 
@@ -221,43 +200,50 @@ def _first_landing_time(world: CannonWorld, vel: np.ndarray) -> float:
     return t_land
 
 
-def cannon_rollout(world: CannonWorld, params, train_mode: bool = False,
+def cannon_rollout(world: CannonWorld, theta, train_mode: bool = False,
                    rng: np.random.Generator | None = None) -> Outcome:
     """Fire once; the outcome stores the landing point and commanded speed.
 
+    theta is (horizontal orientation alpha, vertical angle beta, speed v).
     In train mode both angles are perturbed by independent Gaussian noise of
-    ``world.launch_noise_deg`` degrees; the commanded target never enters.
+    ``LAUNCH_NOISE_DEG`` degrees; the commanded target never enters.
     """
-    if isinstance(params, LaunchParams):
-        launch = params
-    else:
-        launch = LaunchParams.from_vector(params)
-    alpha, beta = launch.alpha, launch.beta
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (3,):
+        raise ContractError("launch parameter vector must have 3 entries")
+    if not CANNON_PARAM_SPACE.contains(theta, atol=1e-9):
+        raise ContractError("launch parameters outside their box")
+    alpha, beta, v = theta.tolist()
     if train_mode:
         if rng is None:
             raise ContractError("train-mode rollouts need an rng")
-        sigma = math.radians(world.launch_noise_deg)
+        sigma = math.radians(LAUNCH_NOISE_DEG)
         alpha = alpha + sigma * rng.standard_normal()
         beta = beta + sigma * rng.standard_normal()
-    vel = launch.v * np.array([
+    vel = v * np.array([
         math.cos(beta) * math.cos(alpha),
         math.cos(beta) * math.sin(alpha),
         math.sin(beta),
     ])
     t_land = _first_landing_time(world, vel)
     landing = np.array([vel[0] * t_land, vel[1] * t_land])
-    return Outcome(stats=np.array([landing[0], landing[1], launch.v]),
+    return Outcome(stats=np.array([landing[0], landing[1], v]),
                    achieved_target=landing)
 
 
-class CannonReward:
-    """R = -||target - achieved|| - 0.05 v^2, with v the commanded speed."""
+class Reward:
+    """A reward's one-row call: ``batch`` on a single (target, outcome
+    statistics, params) row, so scalar and batched scores agree bit for
+    bit.  Subclasses define ``batch(targets, stats, params)``."""
 
-    def __call__(self, target, outcome: Outcome, params=None) -> float:
-        target = np.asarray(target, dtype=float)
-        return float(self.batch(target[None, :], outcome.stats[None, :],
-                                None if params is None
-                                else np.asarray(params)[None, :])[0])
+    def __call__(self, target, outcome: Outcome, params) -> float:
+        return float(self.batch(np.asarray(target, dtype=float)[None, :],
+                                outcome.stats[None, :],
+                                np.asarray(params, dtype=float)[None, :])[0])
+
+
+class CannonReward(Reward):
+    """R = -||target - achieved|| - 0.05 v^2, with v the commanded speed."""
 
     def batch(self, targets, stats, params=None):
         targets = np.asarray(targets, dtype=float)
@@ -267,7 +253,7 @@ class CannonReward:
         return -dist - 0.05 * stats[:, 2] * stats[:, 2]
 
 
-class ActiveCannonReward:
+class ActiveCannonReward(CannonReward):
     """Cannon reward gated by the shoot indicator in the target context.
 
     With the indicator above 0.1 the task is "don't shoot": the reward is
@@ -277,22 +263,12 @@ class ActiveCannonReward:
 
     indicator_threshold = 0.1
 
-    def __init__(self):
-        self._base = CannonReward()
-
-    def __call__(self, target, outcome: Outcome, params=None) -> float:
-        target = np.asarray(target, dtype=float)
-        if params is None:
-            raise ContractError("active cannon reward needs the parameter vector")
-        return float(self.batch(target[None, :], outcome.stats[None, :],
-                                np.asarray(params, dtype=float)[None, :])[0])
-
     def batch(self, targets, stats, params=None):
         targets = np.asarray(targets, dtype=float)
         if params is None:
             raise ContractError("active cannon reward needs the parameter matrix")
         params = np.asarray(params, dtype=float)
-        shoot = self._base.batch(targets[:, :2], stats)
+        shoot = super().batch(targets[:, :2], stats)
         hold = -np.sqrt(np.sum(params * params, axis=1))
         return np.where(targets[:, 2] <= self.indicator_threshold, shoot, hold)
 
@@ -301,6 +277,7 @@ class ActiveCannonReward:
 # dynamic movement primitives
 # ---------------------------------------------------------------------------
 
+# critically damped gains: DMP_DAMPING == 2 * sqrt(DMP_SPRING)
 DMP_SPRING = 625.0 / 4.0
 DMP_DAMPING = 25.0
 DMP_PHASE_DECAY = 25.0 / 3.0
@@ -315,8 +292,6 @@ class DmpParams:
     goal: np.ndarray
     goal_velocity: np.ndarray
     duration: float
-    spring: float = DMP_SPRING
-    damping: float = DMP_DAMPING
 
     def __post_init__(self):
         w = np.array(self.shape_weights, dtype=float)
@@ -334,8 +309,6 @@ class DmpParams:
         object.__setattr__(self, "goal_velocity", gvel)
         if not (self.duration > 0 and np.isfinite(self.duration)):
             raise ContractError("duration must be positive")
-        if abs(self.damping - 2.0 * math.sqrt(self.spring)) > 1e-9:
-            raise ContractError("damping must equal 2*sqrt(spring)")
 
     @property
     def dims(self) -> int:
@@ -395,7 +368,7 @@ def _rk4(p: DmpParams, table, y0, v0, dt: float,
     yd + damping * ramp + force``); the results equal it bit for bit.
     """
     rest, forcing = table
-    spring, damping, duration = p.spring, p.damping, p.duration
+    spring, damping, duration = DMP_SPRING, DMP_DAMPING, p.duration
     ramp = duration * p.goal_velocity  # goal speed in normalized time
     du = dt / duration
     half, sixth = du / 2, du / 6
@@ -514,14 +487,13 @@ def _minimum_jerk(start, end, n_samples: int) -> np.ndarray:
 # eq=False: ndarray fields; worlds compare by replay_metadata()
 @dataclass(frozen=True, eq=False)
 class ThrowerWorld:
-    gravity: float = THROWER_GRAVITY
     duration: float = 1.0
     dt: float = 0.01
     shape_weights: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.gravity <= 0 or self.duration <= 0 or self.dt <= 0:
-            raise ContractError("gravity, duration, and dt must be positive")
+        if self.duration <= 0 or self.dt <= 0:
+            raise ContractError("duration and dt must be positive")
         weights = self.shape_weights
         if weights is None:
             demo = _minimum_jerk(THROWER_START_SPACE.center,
@@ -544,7 +516,7 @@ class ThrowerWorld:
                             self.n_steps)
 
     def replay_metadata(self) -> dict:
-        return {"kind": "thrower", "gravity": self.gravity,
+        return {"kind": "thrower", "gravity": THROWER_GRAVITY,
                 "duration": self.duration, "dt": self.dt}
 
 
@@ -576,16 +548,13 @@ def thrower_rollout(world: ThrowerWorld, env_context, theta) -> Outcome:
                        goal_velocity=theta[3:], duration=world.duration)
     positions, velocities = _rk4(params, world.phase_table, start,
                                  np.zeros(3), world.dt, world.n_steps)
-    landing = ballistic_landing(positions[-1], velocities[-1], world.gravity)
+    landing = ballistic_landing(positions[-1], velocities[-1],
+                                THROWER_GRAVITY)
     return Outcome(stats=landing, achieved_target=landing)
 
 
-class ThrowerReward:
+class ThrowerReward(Reward):
     """R = -||target - achieved landing||."""
-
-    def __call__(self, target, outcome: Outcome, params=None) -> float:
-        target = np.asarray(target, dtype=float)
-        return float(self.batch(target[None, :], outcome.stats[None, :])[0])
 
     def batch(self, targets, stats, params=None):
         targets = np.asarray(targets, dtype=float)

@@ -24,7 +24,6 @@ from fcps.acquisition import (
     AcqConfig,
     EnsembleEsEngine,
     RepresenterSet,
-    gp_ucb,
 )
 from fcps.algorithms import _prefixed
 from fcps.errors import ContractError, NumericalError
@@ -425,16 +424,6 @@ def test_acq_config_validation():
         AcqConfig(n_function_draws=99)
     with pytest.raises(ContractError):
         AcqConfig(n_fantasies=0)
-
-
-def test_gp_ucb_values():
-    out = gp_ucb(np.array([1.0, -2.0]), np.array([0.5, 1.0]), 2.0)
-    assert np.allclose(out, [2.0, 0.0])
-    assert gp_ucb(3.0, 10.0, 0.0) == 3.0
-    with pytest.raises(ContractError):
-        gp_ucb(0.0, -1.0, 1.0)
-    with pytest.raises(ContractError):
-        gp_ucb(0.0, 1.0, -1.0)
 
 
 # ---------------------------------------------------------------------------

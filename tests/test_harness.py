@@ -16,7 +16,6 @@ from fcps.experience import Context
 from fcps.harness import (
     ExperimentConfig,
     RunResult,
-    active_study,
     build_environment,
     config_from_dict,
     config_to_dict,
@@ -61,6 +60,10 @@ def test_config_json_round_trip():
 def test_config_validation():
     with pytest.raises(ContractError):
         tiny_config(environment="lunar-lander")
+    with pytest.raises(ContractError, match="bo-fcps-her"):
+        tiny_config(environment="active-cannon",
+                    learner=LearnerConfig(algorithm="bo-fcps-her",
+                                          **TINY_LEARNER))
     with pytest.raises(ContractError):
         tiny_config(episodes=0)
     with pytest.raises(ContractError):
@@ -234,27 +237,93 @@ def test_generalization_report_shape():
         report["seen_mean"] - report["unseen_mean"], abs=1e-12)
 
 
-# -- active study -----------------------------------------------------------
+def _generalization_study_with_periodic_evaluations(config):
+    """``generalization_study`` as it was when each seed also ran, and
+    discarded, the periodic grid evaluations; the oracle for the study."""
+    environment = build_environment(config)
+    config = replace(config, context_boxes=quadrant_boxes(
+        environment.target_space))
+    boxes = harness._target_boxes(config, environment)
+    grid = evaluation_grid(environment, config.grid_shape)
+    seen_mask = np.array([in_seen_quadrant(c.target) for c in grid])
+    seen_rows, unseen_rows = [], []
+    for run_seed in config.seeds:
+        learner, _, _ = harness._run_one_seed(config, environment, boxes, grid,
+                                              run_seed)
+        rewards = harness.offline_eval_per_context(learner, grid, environment)
+        seen_rows.append(float(rewards[seen_mask].mean()))
+        unseen_rows.append(float(rewards[~seen_mask].mean()))
+    seen_mean = float(np.mean(seen_rows))
+    unseen_mean = float(np.mean(unseen_rows))
+    return {
+        "algorithm": config.algorithm,
+        "seen_per_seed": seen_rows,
+        "unseen_per_seed": unseen_rows,
+        "seen_mean": seen_mean,
+        "unseen_mean": unseen_mean,
+        "difference": seen_mean - unseen_mean,
+    }
 
 
-def test_active_study_contract_checks():
-    with pytest.raises(ContractError):
-        active_study(tiny_config(environment="active-cannon"))  # passive tag
-    with pytest.raises(ContractError):
-        active_study(tiny_config(
-            learner=LearnerConfig(algorithm="faces", n_representers=3,
-                                  **TINY_LEARNER)))  # wrong environment
+@pytest.mark.parametrize("algorithm", ["bo-fcps", "bo-cps"])
+def test_generalization_study_equals_the_loop_with_periodic_evaluations(
+        algorithm, monkeypatch):
+    config = tiny_config(seeds=(0, 1), episodes=12, evaluation_period=4,
+                         grid_shape=(4, 4),
+                         learner=LearnerConfig(algorithm=algorithm,
+                                               **TINY_LEARNER))
+    expected = _generalization_study_with_periodic_evaluations(config)
+    calls = []
+    original = harness.offline_eval
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(harness, "offline_eval", counted)
+    report = generalization_study(config)
+    assert calls == []  # no periodic evaluation ran
+    assert json.dumps(report, sort_keys=True) \
+        == json.dumps(expected, sort_keys=True)
 
 
-def test_active_study_runs_with_default_grid_override():
-    config = tiny_config(
-        environment="active-cannon", episodes=4, evaluation_period=2,
-        grid_shape=ExperimentConfig.grid_shape,
-        learner=LearnerConfig(algorithm="faces", n_representers=3,
-                              **TINY_LEARNER))
-    result = active_study(config)
-    assert result.replay["config"]["grid_shape"] == [8, 8]
-    assert result.online_rewards.shape == (1, 4)
+# -- replay metadata ----------------------------------------------------------
+
+CANNON_HILLS_AT_SEED = {
+    0: [{"center": [3.0131571210719947, -5.064692297194853],
+         "height": 0.5614602859042921, "width": 1.5247914532927935},
+        {"center": [6.891945262405994, 9.080622700109878],
+         "height": 1.4099536636507697, "width": 2.5942448414759975},
+        {"center": [0.9597498122393038, 9.571593323330902],
+         "height": 1.7237803311822981, "width": 1.5041077502552223},
+        {"center": [7.862894084926527, -10.261117343279784],
+         "height": 1.5944831696449162, "width": 1.7634834309038385}],
+    3: [{"center": [-9.115718322840264, -5.790168854885806],
+         "height": 1.7019116978095954, "width": 2.3732430540965517},
+        {"center": [-8.929169870711217, -1.4712073147975762],
+         "height": 1.218576947211251, "width": 1.739608371955618},
+        {"center": [5.160697331002719, -8.499215561729125],
+         "height": 1.0868422857434932, "width": 2.2751102739320457},
+        {"center": [5.232431320427523, 10.037879606394167],
+         "height": 0.9263017456231872, "width": 2.4728208106197376}],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("environment", list(harness.ENVIRONMENTS))
+def test_replay_metadata_records_the_physics_constants(environment, seed):
+    # the keys and values runs.json has always carried, gravity and launch
+    # noise included, now that they are module constants
+    if environment == "thrower":
+        world = {"kind": "thrower", "gravity": 9.81, "duration": 1.0,
+                 "dt": 0.01}
+    else:
+        world = {"kind": "cannon", "gravity": 1.0, "launch_noise_deg": 1.0,
+                 "seed": seed, "hills": CANNON_HILLS_AT_SEED[seed]}
+    expected = {"id": environment, "seed": seed, "world": world}
+    metadata = harness.ENVIRONMENTS[environment](seed).replay_metadata()
+    assert json.dumps(metadata, sort_keys=True) \
+        == json.dumps(expected, sort_keys=True)
 
 
 def test_representer_count_defaults_to_200():
@@ -407,9 +476,24 @@ def test_cli_refuses_hindsight_relabels_on_the_active_cannon(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["kind"] == "ContractError" and "shape" in err["error"]
-    partial = json.loads((out / "partial_result.json").read_text())
-    assert partial["completed_seeds"] == [] and partial["error"] == err["error"]
+    assert err["kind"] == "ContractError" and "bo-fcps-her" in err["error"]
+    # the config is refused as it is built, so nothing ran
+    assert not out.exists()
+    # --algo replaces the file's tag before the config is built
+    ok = tmp_path / "ok"
+    assert cli.main(["run", "--config", str(path), "--out", str(ok),
+                     "--algo", "bo-fcps"]) == 0
+    assert (ok / "runs.json").exists()
+
+
+def test_study_refuses_before_any_tag_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "run", lambda config, **kw: ran.append(config))
+    config = tiny_config(environment="active-cannon",
+                         algorithms=("bo-fcps", "bo-fcps-her"))
+    with pytest.raises(ContractError, match="bo-fcps-her"):
+        harness.study(config)
+    assert ran == []
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from fcps import sim
 from fcps.errors import ContractError
+from fcps.optim import SearchSpace
 from fcps.sim import (
     ActiveCannonReward,
     CannonReward,
     CannonWorld,
     DmpParams,
     Hill,
-    LaunchParams,
     PAD_BLEND_RADIUS,
     THROWER_GOAL_SPACE,
     THROWER_PARAM_SPACE,
@@ -31,7 +31,9 @@ from fcps.sim import (
     thrower_rollout,
 )
 
-FLAT = CannonWorld(gravity=1.0, hills=(), launch_noise_deg=1.0)
+FLAT = CannonWorld(hills=())
+# (landing x, landing y, commanded speed) statistics of a cannon outcome
+CANNON_STATS_BOX = sim.CANNON_TARGET_SPACE.concat(SearchSpace([0.1], [5.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -126,24 +128,24 @@ def test_worlds_compare_by_identity_and_replay_metadata_by_content():
 
 
 def test_flat_world_range_oracle():
-    out = cannon_rollout(FLAT, LaunchParams(alpha=0.0, beta=math.pi / 4, v=3.0))
+    out = cannon_rollout(FLAT, [0.0, math.pi / 4, 3.0])
     assert abs(out.achieved_target[0] - 9.0) <= 1e-6
     assert abs(out.achieved_target[1]) <= 1e-6
     assert out.stats[2] == 3.0
 
 
 def test_quarter_turn_swaps_axes_on_flat_ground():
-    a = cannon_rollout(FLAT, LaunchParams(0.0, 0.6, 2.5))
-    b = cannon_rollout(FLAT, LaunchParams(math.pi / 2, 0.6, 2.5))
+    a = cannon_rollout(FLAT, [0.0, 0.6, 2.5])
+    b = cannon_rollout(FLAT, [math.pi / 2, 0.6, 2.5])
     assert abs(a.achieved_target[0] - b.achieved_target[1]) <= 1e-9
     assert abs(a.achieved_target[1]) <= 1e-9
     assert abs(b.achieved_target[0]) <= 1e-9
 
 
 def test_hill_under_arc_shortens_range():
-    flat = cannon_rollout(FLAT, LaunchParams(0.0, math.pi / 4, 3.0))
+    flat = cannon_rollout(FLAT, [0.0, math.pi / 4, 3.0])
     hilly = CannonWorld(hills=(Hill([4.5, 0.0], height=1.8, width=2.0),))
-    blocked = cannon_rollout(hilly, LaunchParams(0.0, math.pi / 4, 3.0))
+    blocked = cannon_rollout(hilly, [0.0, math.pi / 4, 3.0])
     assert blocked.achieved_target[0] < flat.achieved_target[0] - 0.1
 
 
@@ -160,14 +162,14 @@ def test_landing_sits_on_terrain():
             t = np.hypot(x, y) / max(np.hypot(*(theta[2] * np.array([
                 math.cos(theta[1]) * math.cos(theta[0]),
                 math.cos(theta[1]) * math.sin(theta[0])]))), 1e-12)
-            z = v * math.sin(theta[1]) * t - 0.5 * world.gravity * t * t
+            z = v * math.sin(theta[1]) * t - 0.5 * sim.CANNON_GRAVITY * t * t
             assert abs(z - terrain_elevation(world, x, y)) <= 1e-6
-            assert np.hypot(x, y) <= v * v / world.gravity + 1e-6
+            assert np.hypot(x, y) <= v * v / sim.CANNON_GRAVITY + 1e-6
 
 
 def test_rollout_determinism_and_training_noise():
     world = CannonWorld.generate(seed=3)
-    theta = LaunchParams(1.0, 0.7, 4.0)
+    theta = np.array([1.0, 0.7, 4.0])
     clean1 = cannon_rollout(world, theta)
     clean2 = cannon_rollout(world, theta)
     assert np.array_equal(clean1.stats, clean2.stats)
@@ -182,15 +184,17 @@ def test_rollout_determinism_and_training_noise():
         cannon_rollout(world, theta, train_mode=True, rng=None)
 
 
-def test_launch_params_validation():
-    with pytest.raises(ContractError):
-        LaunchParams(alpha=0.0, beta=0.0, v=1.0)
-    with pytest.raises(ContractError):
-        LaunchParams(alpha=0.0, beta=0.5, v=9.0)
-    with pytest.raises(ContractError):
-        LaunchParams.from_vector([0.0, 0.5])
-    p = LaunchParams.from_vector([1.0, 0.5, 2.0])
-    assert np.array_equal(p.as_vector, [1.0, 0.5, 2.0])
+def test_cannon_rollout_checks_its_theta():
+    for theta in ([0.0, 0.0, 1.0],  # beta below its box
+                  [0.0, 0.5, 9.0],  # v above its box
+                  [0.0, 0.5]):  # a 2-vector
+        with pytest.raises(ContractError):
+            cannon_rollout(FLAT, theta)
+        with pytest.raises(ContractError):
+            cannon_rollout(FLAT, theta, train_mode=True,
+                           rng=np.random.default_rng(0))
+    out = cannon_rollout(FLAT, [1.0, 0.5, 2.0])
+    assert out.stats[2] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +206,35 @@ def test_cannon_reward_values():
     fn = CannonReward()
     from fcps.experience import Outcome
     hit = Outcome(stats=[3.0, 4.0, 2.0], achieved_target=[3.0, 4.0])
-    assert fn([3.0, 4.0], hit) == pytest.approx(-0.2, abs=1e-12)
+    theta = [1.0, 0.5, 2.0]  # the cannon reward reads the speed from stats
+    assert fn([3.0, 4.0], hit, theta) == pytest.approx(-0.2, abs=1e-12)
     miss = Outcome(stats=[3.0, 4.0, 0.1], achieved_target=[3.0, 4.0])
-    assert fn([0.0, 0.0], miss) == pytest.approx(-5.0005, abs=1e-12)
+    assert fn([0.0, 0.0], miss, theta) == pytest.approx(-5.0005, abs=1e-12)
     # translation consistency
     shifted = Outcome(stats=[4.0, 5.0, 0.1], achieved_target=[4.0, 5.0])
-    assert fn([1.0, 1.0], shifted) == fn([0.0, 0.0], miss)
+    assert fn([1.0, 1.0], shifted, theta) == fn([0.0, 0.0], miss, theta)
 
 
-def test_cannon_reward_batch_matches_scalar_bitwise():
-    fn = CannonReward()
+@pytest.mark.parametrize("fn,target_box,stats_box,theta_box", [
+    pytest.param(CannonReward(), sim.CANNON_TARGET_SPACE, CANNON_STATS_BOX,
+                 sim.CANNON_PARAM_SPACE, id="cannon"),
+    pytest.param(ActiveCannonReward(), sim.ACTIVE_CANNON_TARGET_SPACE,
+                 CANNON_STATS_BOX, sim.CANNON_PARAM_SPACE, id="active-cannon"),
+    pytest.param(ThrowerReward(), sim.THROWER_TARGET_SPACE,
+                 sim.THROWER_TARGET_SPACE, THROWER_PARAM_SPACE, id="thrower"),
+])
+def test_reward_batch_matches_scalar_bitwise(fn, target_box, stats_box,
+                                             theta_box):
     from fcps.experience import Outcome
     rng = np.random.default_rng(1)
-    targets = rng.uniform(-11, 11, size=(8, 2))
-    stats = np.column_stack([rng.uniform(-11, 11, size=(8, 2)),
-                             rng.uniform(0.1, 5.0, size=8)])
-    batched = fn.batch(targets, stats)
-    scalars = [fn(t, Outcome(stats=s, achieved_target=s[:2]))
-               for t, s in zip(targets, stats)]
+    targets = target_box.sample_uniform(16, rng)
+    stats = stats_box.sample_uniform(16, rng)
+    params = theta_box.sample_uniform(16, rng)
+    if isinstance(fn, ActiveCannonReward):
+        targets[::2, 2] = 0.0  # every other row shoots; most others hold
+    batched = fn.batch(targets, stats, params)
+    scalars = [fn(t, Outcome(stats=s, achieved_target=s[:2]), p)
+               for t, s, p in zip(targets, stats, params)]
     assert np.array_equal(batched, scalars)
 
 
@@ -230,11 +245,11 @@ def test_active_cannon_reward_branches():
     out = Outcome(stats=[3.0, 4.0, 1.0], achieved_target=[3.0, 4.0])
     theta = np.array([0.01, 0.01, 0.1])
     shoot = fn([0.0, 0.0, 0.05], out, theta)
-    assert shoot == base([0.0, 0.0], out)
+    assert shoot == base([0.0, 0.0], out, theta)
     hold = fn([0.0, 0.0, 0.5], out, theta)
     assert hold == pytest.approx(-np.linalg.norm(theta), abs=1e-12)
     with pytest.raises(ContractError):
-        fn([0.0, 0.0, 0.5], out, None)
+        fn.batch([[0.0, 0.0, 0.5]], out.stats[None, :])
 
 
 def test_active_reward_indicator_never_touches_rollout():
@@ -313,9 +328,6 @@ def test_dmp_validation():
     with pytest.raises(ContractError):
         DmpParams(shape_weights=np.zeros((25, 2)), goal=[0.0], goal_velocity=[0.0],
                   duration=1.0)
-    with pytest.raises(ContractError):
-        DmpParams(shape_weights=np.zeros((25, 2)), goal=[0.0, 0.0],
-                  goal_velocity=[0.0, 0.0], duration=1.0, damping=10.0)
     p = zero_dmp(goal=[0.0, 0.0])
     with pytest.raises(ContractError):
         dmp_integrate(p, np.zeros(2), dt=0.0, n_steps=10)
@@ -393,8 +405,8 @@ def _dmp_integrate_array(p, y0, dt, n_steps, v0=None):
         z = math.exp(-sim.DMP_PHASE_DECAY * u)
         moving_goal = p.goal - ramp * (1.0 - u)
         force = sim._forcing_features_for(z, centers, widths)[0] @ p.shape_weights
-        return p.spring * (moving_goal - y) - p.damping * yd \
-            + p.damping * ramp + force
+        return sim.DMP_SPRING * (moving_goal - y) - sim.DMP_DAMPING * yd \
+            + sim.DMP_DAMPING * ramp + force
 
     positions = np.empty((n_steps + 1, p.dims))
     velocities = np.empty((n_steps + 1, p.dims))
@@ -422,7 +434,7 @@ def _thrower_rollout_array(world, start, theta):
     params = DmpParams(shape_weights=world.shape_weights, goal=theta[:3],
                        goal_velocity=theta[3:], duration=world.duration)
     pos, vel = _dmp_integrate_array(params, start, world.dt, world.n_steps)
-    return ballistic_landing(pos[-1], vel[-1], world.gravity)
+    return ballistic_landing(pos[-1], vel[-1], sim.THROWER_GRAVITY)
 
 
 @settings(max_examples=100)
@@ -505,7 +517,7 @@ def test_thrower_release_matches_dmp_final_state():
     params = DP(shape_weights=world.shape_weights, goal=theta[:3],
                 goal_velocity=theta[3:], duration=world.duration)
     pos, vel = dmp_integrate(params, start, world.dt, world.n_steps)
-    expected = ballistic_landing(pos[-1], vel[-1], world.gravity)
+    expected = ballistic_landing(pos[-1], vel[-1], sim.THROWER_GRAVITY)
     out = thrower_rollout(world, start, theta)
     assert np.array_equal(out.achieved_target, expected)
 
@@ -522,9 +534,10 @@ def test_thrower_reward():
     fn = ThrowerReward()
     from fcps.experience import Outcome
     hit = Outcome(stats=[0.3, 0.4], achieved_target=[0.3, 0.4])
-    assert fn([0.3, 0.4], hit) == 0.0
-    assert fn([0.0, 0.0], hit) == pytest.approx(-0.5, abs=1e-12)
-    assert fn([0.6, 0.8], hit) == fn([0.0, 0.0], hit)
+    theta = THROWER_PARAM_SPACE.center  # the thrower reward ignores it
+    assert fn([0.3, 0.4], hit, theta) == 0.0
+    assert fn([0.0, 0.0], hit, theta) == pytest.approx(-0.5, abs=1e-12)
+    assert fn([0.6, 0.8], hit, theta) == fn([0.0, 0.0], hit, theta)
 
 
 # -- landing time against the fixed 100-step bisection ----------------------
@@ -534,7 +547,7 @@ def _first_landing_time_100_steps(world, vel):
     """The landing search as it was before the fixed-point exit: 100
     bisection steps on 0-d arrays through ``terrain_elevation``; the oracle
     for the faster search."""
-    g = world.gravity
+    g = sim.CANNON_GRAVITY
     vz = vel[2]
 
     def gap(t):
@@ -607,7 +620,7 @@ def test_landing_equals_the_100_step_bisection(world_seed, alpha, beta, v):
 def test_landing_edge_cases_equal_the_100_step_bisection(theta):
     vel_z = theta[2] * math.sin(theta[1])
     if theta[2] <= 0.2:
-        assert 2.0 * vel_z / STEEP.gravity <= sim._LANDING_DT
+        assert 2.0 * vel_z / sim.CANNON_GRAVITY <= sim._LANDING_DT
     for w in (FLAT, STEEP, CannonWorld.generate(seed=0)):
         fast = cannon_rollout(w, theta)
         slow = _rollout_with_oracle(w, theta)

@@ -19,7 +19,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "fcps"
 ENTRY_POINTS = frozenset({
     "fantasize", "direct_maximize", "dmp_integrate", "imitate_params",
-    "cumulative_online", "active_study", "generalization_study",
+    "cumulative_online", "generalization_study",
 })
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
