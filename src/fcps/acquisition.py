@@ -1,4 +1,4 @@
-"""Acquisition functions: GP-UCB and entropy search over representer contexts.
+"""Acquisition settings, and entropy search over representer contexts.
 
 Entropy search scores a hypothetical query by how much it is expected to
 shrink the entropy of the argmax distribution over a fixed candidate set,
@@ -7,8 +7,10 @@ evaluation context and shared across fantasy branches and representers
 (common random numbers), which keeps objectives deterministic for the
 optimizer and makes a duplicated representer contribute exactly twice.
 
-One engine serves every entropy-search learner.  Its branches score blocks
-of candidate rows: one block per branch (aces' representer contexts, es'
+One engine serves every entropy-search learner, through
+``algorithms.es_select``; the learner draws the representer contexts and
+candidates and builds the blocks.  The engine's branches score blocks of
+candidate rows: one block per branch (aces' representer contexts, es'
 query prefix, faces' environment contexts), or one block that all of
 faces' branches share when there is no environment context.  It hands the
 queries of a ``gains`` call to one entropy kernel over grouped rows:
@@ -38,7 +40,6 @@ import numpy as np
 
 from . import gp
 from .errors import ContractError, NumericalError
-from .optim import SearchSpace
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -69,48 +70,6 @@ class AcqConfig:
             raise ContractError("need at least 100 posterior draws")
         if self.n_fantasies < 1:
             raise ContractError("need at least 1 fantasy branch")
-
-
-@dataclass(frozen=True)
-class RepresenterSet:
-    """Contexts at which information gain is accounted, with candidate sets.
-
-    ``contexts`` is (C, d_ctx) where the trailing ``env_dim`` columns are
-    environment context; ``candidates`` is (C, M, d_theta).
-    """
-
-    contexts: np.ndarray
-    candidates: np.ndarray
-    env_dim: int = 0
-
-    def __post_init__(self):
-        ctx = np.atleast_2d(np.asarray(self.contexts, dtype=float))
-        cand = np.asarray(self.candidates, dtype=float)
-        if cand.ndim != 3 or cand.shape[0] != ctx.shape[0]:
-            raise ContractError("candidates must be (C, M, d_theta) matching contexts")
-        if cand.shape[1] < 2:
-            raise ContractError("need at least 2 candidates per context")
-        if not (0 <= self.env_dim <= ctx.shape[1]):
-            raise ContractError("env_dim out of range")
-        object.__setattr__(self, "contexts", ctx)
-        object.__setattr__(self, "candidates", cand)
-
-    @property
-    def env_contexts(self) -> np.ndarray:
-        return self.contexts[:, self.contexts.shape[1] - self.env_dim:]
-
-    @property
-    def target_contexts(self) -> np.ndarray:
-        return self.contexts[:, : self.contexts.shape[1] - self.env_dim]
-
-    @classmethod
-    def sample(cls, context_space: SearchSpace, theta_space: SearchSpace,
-               n_contexts: int, n_candidates: int, rng: np.random.Generator,
-               env_dim: int = 0) -> "RepresenterSet":
-        """Uniform contexts plus one Latin-hypercube candidate set shared by all."""
-        ctx = context_space.sample_uniform(n_contexts, rng)
-        cand = theta_space.sample_latin(n_candidates, rng)
-        return cls(ctx, np.broadcast_to(cand, (n_contexts,) + cand.shape).copy(), env_dim)
 
 
 # ---------------------------------------------------------------------------

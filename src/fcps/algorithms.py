@@ -2,10 +2,14 @@
 
 Passive learners receive a context and pick controller parameters; active
 learners pick the context too.  The selection rules are pure functions so
-they can be tested in isolation.  One GP learner class, ``BoLearner``,
-serves the five model-based tags and adds data bookkeeping and the
-hyperparameter refit schedule on top; its tag picks one of three training
-sets:
+they can be tested in isolation: ``ucb_select`` maximizes the confidence
+bound and ``es_select`` the entropy-search gain, the one query path of the
+es variant and the active learners.  Those learners draw the blocks the
+engine scores themselves: es one block of candidates behind its query
+prefix, aces and faces representer contexts and one candidate set they
+share.  One GP learner class, ``BoLearner``, serves the five model-based
+tags and adds data bookkeeping and the hyperparameter refit schedule on
+top; its tag picks one of three training sets:
 
 * bo-fcps and faces: the store re-scored at the query target, with rows on
   (env context, theta), so a query fixes the env context only;
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.special import logsumexp, softmax
 
 from . import gp, optim
-from .acquisition import AcqConfig, EnsembleEsEngine, RepresenterSet
+from .acquisition import AcqConfig, EnsembleEsEngine
 from .errors import ContractError
 from .experience import Context, ExperienceStore, Outcome, RolloutRecord, \
     her_augment, reevaluate, reevaluate_targets
@@ -176,51 +180,18 @@ def ucb_select(model: gp.GpModel, prefix, theta_space: SearchSpace,
     return _maximize(objective, theta_space, cfg)
 
 
-def aces_select(dataset, context_space: SearchSpace, theta_space: SearchSpace,
-                hyperparams, cfg: LearnerConfig,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Joint (context, theta) query maximizing summed information gain."""
-    joint_space = context_space.concat(theta_space)
-    model = _fit(dataset, hyperparams, joint_space)
-    reps = RepresenterSet.sample(context_space, theta_space,
-                                 cfg.n_representers,
-                                 cfg.acquisition.n_candidates, rng)
-    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates),
-                              cfg.acquisition, rng=rng)
-    best = _maximize(engine.gains, joint_space, cfg)
-    d = context_space.dim
-    return best[:d], best[d:]
+def es_select(model: gp.GpModel, blocks: np.ndarray, prefix,
+              space: SearchSpace, cfg: LearnerConfig,
+              rng: np.random.Generator) -> np.ndarray:
+    """Entropy search over ``space`` with the query prefix held fixed.
 
-
-def faces_select(store: ExperienceStore, reward_fn,
-                 target_space: SearchSpace, env_space: SearchSpace,
-                 theta_space: SearchSpace, hyperparams, cfg: LearnerConfig,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Factored active query: maximize summed gain of per-target models.
-
-    One model over the store's inputs with a target column per representer
-    context, the store re-scored under that representer's target; the query
-    ranges over (env context, theta) only.
+    The engine scores the (P, M, d) candidate ``blocks`` in the model's
+    input space; a query is the prefix columns followed by a point of
+    ``space``: es' context prefix over theta, or, with an empty prefix, an
+    active learner's whole query.
     """
-    context_space = target_space.concat(env_space)
-    reps = RepresenterSet.sample(context_space, theta_space,
-                                 cfg.n_representers,
-                                 cfg.acquisition.n_candidates, rng,
-                                 env_dim=env_space.dim)
-    inputs = store.reduced_inputs()
-    reward_matrix = reevaluate_targets(store, reward_fn, reps.target_contexts)
-    input_space = env_space.concat(theta_space)
-    model = gp.fit_shared_inputs(inputs, reward_matrix.T, hyperparams,
-                                 input_space=input_space)
-    # each branch scores its env context's block; with no env context every
-    # branch scores the same one
-    points = _prefixed(reps.env_contexts, reps.candidates)
-    if env_space.dim == 0:
-        points = points[:1]
-    engine = EnsembleEsEngine(model, points, cfg.acquisition, rng=rng)
-    best = _maximize(engine.gains, input_space, cfg)
-    d = env_space.dim
-    return best[:d], best[d:]
+    engine = EnsembleEsEngine(model, blocks, cfg.acquisition, rng=rng)
+    return _maximize(lambda x: engine.gains(_prefixed(prefix, x)), space, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -512,20 +483,13 @@ class BoLearner:
         if kind == "random":
             return self.theta_space.sample_uniform(1, self._rng)[0]
         prefix = self._prefix(context)
-        if kind == "es":
-            return self._select_es(dataset, prefix, hyperparams)
-        return ucb_select(_fit(dataset, hyperparams, self.input_space), prefix,
-                          self.theta_space, self.cfg)
-
-    def _select_es(self, dataset, prefix: np.ndarray,
-                   hyperparams: gp.KernelHyperparams) -> np.ndarray:
         model = _fit(dataset, hyperparams, self.input_space)
-        acq = self.cfg.acquisition
-        candidates = self.theta_space.sample_latin(acq.n_candidates, self._rng)
-        engine = EnsembleEsEngine(model, _prefixed(prefix, candidates[None]), acq,
-                                  rng=self._rng)
-        return _maximize(lambda thetas: engine.gains(_prefixed(prefix, thetas)),
-                         self.theta_space, self.cfg)
+        if kind == "es":
+            candidates = self.theta_space.sample_latin(
+                self.cfg.acquisition.n_candidates, self._rng)
+            return es_select(model, _prefixed(prefix, candidates[None]), prefix,
+                             self.theta_space, self.cfg, self._rng)
+        return ucb_select(model, prefix, self.theta_space, self.cfg)
 
     def select_greedy(self, context: Context) -> np.ndarray:
         return ucb_select(self._greedy_model(context.target),
@@ -550,18 +514,32 @@ class BoLearner:
         self._greedy_fit = (len(self.store), self._hyperparams, model)
         return model
 
+    def _representers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The active learners' representer contexts (C, d_ctx), env columns
+        trailing, uniform over the context box, and one Latin-hypercube
+        candidate set that every context shares, broadcast to (C, M, d_theta)."""
+        n = self.cfg.n_representers
+        contexts = self.context_space.sample_uniform(n, self._rng)
+        candidates = self.theta_space.sample_latin(
+            self.cfg.acquisition.n_candidates, self._rng)
+        return contexts, np.broadcast_to(candidates, (n,) + candidates.shape)
+
     def _joint_query(self) -> tuple[Context, np.ndarray]:
-        # aces: a (context, theta) query under the joint model
+        # aces: a (context, theta) query maximizing the information gain
+        # summed over the representer contexts, under the joint model
         dataset = self.dataset(None)
         hyperparams = self._scheduled_hyperparams(dataset)
-        planned = self._init_theta()
-        if planned is not None:
+        theta = self._init_theta()
+        if theta is not None:
             ctx_vec = self.context_space.sample_uniform(1, self._rng)[0]
-            return Context.from_full(ctx_vec, self.env_space.dim), planned
-        ctx_vec, theta = aces_select(dataset, self.context_space,
-                                     self.theta_space, hyperparams, self.cfg,
-                                     self._rng)
-        return Context.from_full(ctx_vec, self.env_space.dim), theta
+        else:
+            model = _fit(dataset, hyperparams, self.input_space)
+            contexts, candidates = self._representers()
+            best = es_select(model, _prefixed(contexts, candidates), np.zeros(0),
+                             self.input_space, self.cfg, self._rng)
+            ctx_vec, theta = np.split(best, [self.context_space.dim])
+        d = self.target_space.dim
+        return Context(target=ctx_vec[:d], env=ctx_vec[d:]), theta
 
     def _factored_query(self) -> tuple[Context, np.ndarray]:
         # faces: an (env context, theta) query; the commanded target is
@@ -574,10 +552,21 @@ class BoLearner:
         if theta is not None:
             env_q = self.env_space.sample_uniform(1, self._rng)[0]
         else:
-            env_q, theta = faces_select(self.store, self.reward_fn,
-                                        self.target_space, self.env_space,
-                                        self.theta_space, hyperparams, self.cfg,
-                                        self._rng)
+            # one model with a target column per representer context: the
+            # store re-scored at that context's target; each branch scores
+            # its env context's block, and with no env context every branch
+            # scores the same one
+            contexts, candidates = self._representers()
+            d = self.target_space.dim
+            rewards = reevaluate_targets(self.store, self.reward_fn, contexts[:, :d])
+            model = gp.fit_shared_inputs(self.store.reduced_inputs(), rewards.T,
+                                         hyperparams, input_space=self.input_space)
+            blocks = _prefixed(contexts[:, d:], candidates)
+            if self.env_space.dim == 0:
+                blocks = blocks[:1]
+            best = es_select(model, blocks, np.zeros(0), self.input_space,
+                             self.cfg, self._rng)
+            env_q, theta = np.split(best, [self.env_space.dim])
         target = self.target_space.sample_uniform(1, self._rng)[0]
         return Context(target=target, env=env_q), theta
 

@@ -48,14 +48,6 @@ class Context:
         """Concatenated (target, env) vector; env columns trail."""
         return np.concatenate([self.target, self.env])
 
-    @classmethod
-    def from_full(cls, vector, env_dim: int) -> "Context":
-        vector = np.asarray(vector, dtype=float)
-        if env_dim < 0 or env_dim > vector.shape[0]:
-            raise ContractError("env_dim out of range")
-        split = vector.shape[0] - env_dim
-        return cls(target=vector[:split], env=vector[split:])
-
 
 @dataclass(frozen=True)
 class Outcome:

@@ -354,9 +354,10 @@ def lbfgs_refine(f, space: SearchSpace, x0, max_iters: int = 100, *, grad=None,
     if max_iters < 1:
         raise ContractError("max_iters must be positive")
     batch = _as_batch(f, vectorized)
-    x0 = space.clip(x0)
+    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (space.dim,):
         raise ContractError("x0 dimension does not match the search space")
+    x0 = space.clip(x0)
     # single-point scores by the point's bytes: f0, scipy's first call at
     # x0 and the re-score of its end point would otherwise repeat a call
     scores: dict[bytes, float] = {}

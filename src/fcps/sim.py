@@ -539,9 +539,13 @@ def thrower_rollout(world: ThrowerWorld, env_context, theta) -> Outcome:
     final DMP state exactly.  The rollout is deterministic.
     """
     start = np.asarray(env_context, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if start.shape != (3,):
+        raise ContractError("start position must have 3 entries")
+    if theta.shape != (6,):
+        raise ContractError("thrower parameter vector must have 6 entries")
     if not THROWER_START_SPACE.contains(start, atol=1e-9):
         raise ContractError("start position outside its box")
-    theta = np.asarray(theta, dtype=float)
     if not THROWER_PARAM_SPACE.contains(theta, atol=1e-9):
         raise ContractError("thrower parameters outside their box")
     params = DmpParams(shape_weights=world.shape_weights, goal=theta[:3],

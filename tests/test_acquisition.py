@@ -10,6 +10,7 @@ over (branch, candidate) blocks replaced, with faces' loop of per-branch
 joint engines: the engine must reproduce them bit for bit.
 """
 
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -20,16 +21,29 @@ from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 from fcps import acquisition, gp
-from fcps.acquisition import (
-    AcqConfig,
-    EnsembleEsEngine,
-    RepresenterSet,
-)
+from fcps.acquisition import AcqConfig, EnsembleEsEngine
 from fcps.algorithms import _prefixed
 from fcps.errors import ContractError, NumericalError
 from fcps.optim import SearchSpace
 
 from conftest import ensemble_branch_model
+
+
+class Reps(NamedTuple):
+    """Representer contexts (C, d_ctx) with their candidate sets (C, M, d_theta)."""
+
+    contexts: np.ndarray
+    candidates: np.ndarray
+
+
+def sample_reps(context_space: SearchSpace, theta_space: SearchSpace,
+                n_contexts: int, n_candidates: int, rng) -> Reps:
+    """Uniform contexts, then one Latin-hypercube candidate set they share:
+    the active learners' draw order."""
+    ctx = context_space.sample_uniform(n_contexts, rng)
+    cand = theta_space.sample_latin(n_candidates, rng)
+    return Reps(ctx, np.broadcast_to(cand, (n_contexts,) + cand.shape))
+
 
 def posterior_joint(m: gp.GpModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Joint posterior mean vector and covariance matrix at ``points``."""
@@ -184,7 +198,7 @@ class JointEsOracle:
     construction, so :meth:`gains` is a deterministic function of the query.
     """
 
-    def __init__(self, model: gp.GpModel, reps: RepresenterSet, cfg: AcqConfig,
+    def __init__(self, model: gp.GpModel, reps: Reps, cfg: AcqConfig,
                  rng: np.random.Generator | None = None,
                  draws: tuple[np.ndarray, np.ndarray] | None = None):
         h = model.hyperparams
@@ -369,19 +383,20 @@ def info_gain(model: gp.GpModel, query, rep_context, candidates, cfg: AcqConfig,
     return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
 
 
-def aces_objective(model: gp.GpModel, query, reps: RepresenterSet,
+def aces_objective(model: gp.GpModel, query, reps: Reps,
                    cfg: AcqConfig) -> float:
     """Total information gain across representer contexts under a joint model."""
     engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
     return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
 
 
-def faces_objective(models, query, reps: RepresenterSet, cfg: AcqConfig) -> float:
+def faces_objective(models, query, reps: Reps, cfg: AcqConfig) -> float:
     """Total information gain with one specialized model per representer.
 
     ``models`` has one fitted model per representer context, each over the
-    (environment-context, parameter) input space.  The query lives in that
-    same space.  Draws are shared across representers.
+    (environment-context, parameter) input space, and the representer
+    contexts are their environment contexts.  The query lives in that same
+    space.  Draws are shared across representers.
     """
     models = list(models)
     if len(models) != len(reps.contexts):
@@ -390,12 +405,10 @@ def faces_objective(models, query, reps: RepresenterSet, cfg: AcqConfig) -> floa
     m = reps.candidates.shape[1]
     z = rng.standard_normal((m, cfg.n_function_draws))
     u = rng.standard_normal(cfg.n_fantasies)
-    env = reps.env_contexts
     total = 0.0
     q = np.asarray(query, dtype=float)[None, :]
     for c, model in enumerate(models):
-        single = RepresenterSet(env[c][None, :], reps.candidates[c][None, :, :],
-                                env_dim=env.shape[1])
+        single = Reps(reps.contexts[c][None, :], reps.candidates[c][None, :, :])
         engine = JointEsOracle(model, single, cfg, draws=(z, u))
         total += float(engine.gains(q)[0])
     return total
@@ -526,9 +539,8 @@ def test_aces_duplicated_representer_counts_twice():
     rng = np.random.default_rng(8)
     model = joint_model_2d(rng)
     cand = np.linspace(0, 1, 5)[:, None]
-    single = RepresenterSet(np.array([[0.4]]), cand[None, :, :])
-    double = RepresenterSet(np.array([[0.4], [0.4]]),
-                            np.broadcast_to(cand, (2, 5, 1)).copy())
+    single = Reps(np.array([[0.4]]), cand[None, :, :])
+    double = Reps(np.array([[0.4], [0.4]]), np.broadcast_to(cand, (2, 5, 1)))
     cfg = AcqConfig(n_candidates=5, n_function_draws=400, n_fantasies=5, rng_seed=9)
     q = np.array([0.4, 0.7])
     one = aces_objective(model, q, single, cfg)
@@ -539,8 +551,8 @@ def test_aces_duplicated_representer_counts_twice():
 def test_aces_objective_deterministic_across_calls():
     rng = np.random.default_rng(10)
     model = joint_model_2d(rng)
-    reps = RepresenterSet.sample(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
-                                 4, 5, np.random.default_rng(1))
+    reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
+                       4, 5, np.random.default_rng(1))
     cfg = AcqConfig(n_candidates=5, n_function_draws=300, n_fantasies=4, rng_seed=2)
     q = np.array([0.5, 0.5])
     assert aces_objective(model, q, reps, cfg) == aces_objective(model, q, reps, cfg)
@@ -549,8 +561,8 @@ def test_aces_objective_deterministic_across_calls():
 def test_joint_engine_batch_matches_single_queries():
     rng = np.random.default_rng(13)
     model = joint_model_2d(rng)
-    reps = RepresenterSet.sample(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
-                                 3, 6, np.random.default_rng(2))
+    reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
+                       3, 6, np.random.default_rng(2))
     cfg = AcqConfig(n_candidates=6, n_function_draws=300, n_fantasies=4, rng_seed=3)
     engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
     queries = rng.uniform(0, 1, size=(5, 2))
@@ -569,8 +581,7 @@ def test_faces_objective_matches_ensemble_engine():
     models = [ensemble_branch_model(ens, c) for c in range(c_n)]
 
     cand = np.linspace(0.05, 0.95, 6)[:, None]
-    reps = RepresenterSet(np.zeros((c_n, 0)), np.broadcast_to(cand, (c_n, 6, 1)).copy(),
-                          env_dim=0)
+    reps = Reps(np.zeros((c_n, 0)), np.broadcast_to(cand, (c_n, 6, 1)))
     cfg = AcqConfig(n_candidates=6, n_function_draws=400, n_fantasies=5, rng_seed=21)
     q = np.array([0.52])
 
@@ -584,7 +595,7 @@ def test_faces_objective_needs_one_model_per_context():
     h = gp.KernelHyperparams(1.0, np.array([0.3]), 1e-3)
     m = gp.fit(np.array([[0.5]]), np.array([0.0]), h)
     cand = np.array([[0.1], [0.9]])
-    reps = RepresenterSet(np.zeros((2, 0)), np.broadcast_to(cand, (2, 2, 1)).copy())
+    reps = Reps(np.zeros((2, 0)), np.broadcast_to(cand, (2, 2, 1)))
     cfg = AcqConfig(n_candidates=2, n_function_draws=100, n_fantasies=1)
     with pytest.raises(ContractError):
         faces_objective([m], np.array([0.5]), reps, cfg)
@@ -593,8 +604,8 @@ def test_faces_objective_needs_one_model_per_context():
 def test_empty_model_engine_runs():
     h = gp.KernelHyperparams(1.0, np.array([0.5, 0.5]), 1e-4)
     model = gp.fit(np.zeros((0, 2)), np.zeros(0), h)
-    reps = RepresenterSet.sample(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
-                                 3, 4, np.random.default_rng(0))
+    reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
+                       3, 4, np.random.default_rng(0))
     cfg = AcqConfig(n_candidates=4, n_function_draws=200, n_fantasies=3)
     engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
     g = engine.gains(np.array([[0.5, 0.5]]))
@@ -621,23 +632,6 @@ def test_conditional_update_matches_literal_fantasy():
     assert np.allclose(cov1, shortcut, atol=1e-8)
     expected_mean = mean0[:4] + cross * (y_fantasy - mean0[4]) / s2_obs
     assert np.allclose(mean1, expected_mean, atol=1e-8)
-
-
-def test_representer_set_validation_and_sampling():
-    with pytest.raises(ContractError):
-        RepresenterSet(np.zeros((2, 1)), np.zeros((3, 4, 1)))
-    with pytest.raises(ContractError):
-        RepresenterSet(np.zeros((2, 1)), np.zeros((2, 1, 1)))
-    rng = np.random.default_rng(1)
-    reps = RepresenterSet.sample(SearchSpace([0.0, -1.0], [1.0, 1.0]),
-                                 SearchSpace([2.0], [3.0]), 7, 5, rng, env_dim=1)
-    assert reps.contexts.shape == (7, 2)
-    assert reps.candidates.shape == (7, 5, 1)
-    assert reps.env_contexts.shape == (7, 1)
-    assert reps.target_contexts.shape == (7, 1)
-    assert np.array_equal(reps.candidates, np.broadcast_to(reps.candidates[0],
-                                                           reps.candidates.shape))
-    assert np.all(reps.candidates >= 2.0) and np.all(reps.candidates <= 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +814,8 @@ def test_ensemble_engine_matches_oracle_loop(c_n):
 def test_joint_engine_matches_oracle_loop(c_n):
     rng = np.random.default_rng(30 + c_n)
     model = joint_model_2d(rng)
-    reps = RepresenterSet.sample(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
-                                 c_n, 20, np.random.default_rng(c_n))
+    reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
+                       c_n, 20, np.random.default_rng(c_n))
     cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=5)
     engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
     s0 = np.einsum("cml,lk->cmk",
@@ -864,7 +858,7 @@ class FacesLoopOracle:
         u = rng.standard_normal(cfg.n_fantasies)
         self.engines = [
             JointEsOracle(ensemble_branch_model(ens, c),
-                          RepresenterSet(env[c][None, :], cand[None, :, :]), cfg,
+                          Reps(env[c][None, :], cand[None, :, :]), cfg,
                           draws=(z, u))
             for c in range(len(env))]
         self.h0 = np.concatenate([e.h0 for e in self.engines])
@@ -901,13 +895,13 @@ def replaced_engines(kind, c_n, empty, rng):
         x, y, h, space = _fitted_data(rng, ctx_dim + 1, 1, empty)
         model = gp.fit(x, y[:, 0], h, input_space=space, standardize=True)
         if kind == "joint":  # aces: one block per representer context
-            reps = RepresenterSet.sample(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
-                                         c_n, m, rng)
+            reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
+                               c_n, m, rng)
             prefix = np.zeros(0)
         else:  # es: the query prefix before the candidates
             prefix = rng.uniform(0, 1, size=2)
             cand = SearchSpace([0.0], [1.0]).sample_latin(m, rng)
-            reps = RepresenterSet(prefix[None, :], cand[None, :, :])
+            reps = Reps(prefix[None, :], cand[None, :, :])
         engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
                                   rng=np.random.default_rng(seed))
         old = JointEsOracle(model, reps, cfg, rng=np.random.default_rng(seed))

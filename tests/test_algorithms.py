@@ -15,14 +15,12 @@ from fcps.algorithms import (
     creps_dual,
     creps_features,
     creps_update,
-    faces_select,
     make_learner,
     run_episode,
     ucb_select,
 )
 from fcps.errors import ContractError
-from fcps.experience import Context, ExperienceStore, Outcome, RolloutRecord, \
-    her_augment
+from fcps.experience import Context, Outcome, her_augment
 from fcps.optim import SearchSpace
 
 TARGET2 = SearchSpace([-1.0, -1.0], [1.0, 1.0])
@@ -486,25 +484,69 @@ def test_faces_query_works_on_empty_store():
     assert len(learner.store) == 0
 
 
-def test_faces_select_with_env_dimension():
-    """The per-branch path (nonzero env dim) returns valid, repeatable picks."""
-    store = ExperienceStore(TARGET2, ENV1, THETA2)
+def env_faces_learner(**kw):
+    """A faces learner on a task with a 1-d env context, fed six rollouts."""
+    learner = make_learner(small_config(algorithm="faces", n_representers=3,
+                                        direct_evals=30, init_episodes=0, **kw),
+                           TARGET2, ENV1, THETA2, TargetDistanceReward())
     rng = np.random.default_rng(6)
-    reward = TargetDistanceReward()
     for p, e in zip(THETA2.sample_latin(6, rng), ENV1.sample_uniform(6, rng)):
         out = Outcome(stats=p.copy(), achieved_target=p.copy())
-        store.append(RolloutRecord(target=np.zeros(2), env_context=e, params=p,
-                                   outcome=out,
-                                   actual_reward=reward(np.zeros(2), out)))
-    h = gp.KernelHyperparams(1.0, np.full(3, 0.3), 1e-2)
-    cfg = small_config(n_representers=3, direct_evals=30)
-    out1 = faces_select(store, reward, TARGET2, ENV1, THETA2, h, cfg,
-                        np.random.default_rng(3))
-    out2 = faces_select(store, reward, TARGET2, ENV1, THETA2, h, cfg,
-                        np.random.default_rng(3))
-    env_q, theta = out1
-    assert ENV1.contains(env_q) and THETA2.contains(theta)
-    assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[1], out2[1])
+        learner.observe(Context(target=np.zeros(2), env=e), p, out,
+                        learner.reward_fn(np.zeros(2), out, p))
+    return learner
+
+
+def test_faces_select_with_env_dimension(monkeypatch):
+    """The per-branch path (nonzero env dim) returns valid, repeatable picks,
+    each branch scoring its own env-context block."""
+    blocks = []
+    es_select = algorithms.es_select
+
+    def recording(model, points, *args):
+        blocks.append(points.shape)
+        return es_select(model, points, *args)
+
+    monkeypatch.setattr(algorithms, "es_select", recording)
+    picks = []
+    for _ in range(2):
+        ctx, theta = env_faces_learner(rng_seed=3).select_query()
+        assert TARGET2.contains(ctx.target) and ENV1.contains(ctx.env)
+        assert THETA2.contains(theta)
+        picks.append(np.concatenate([ctx.full, theta]))
+    assert np.array_equal(picks[0], picks[1])
+    assert blocks == [(3, 6, 3)] * 2
+
+
+def test_representers_draw_contexts_then_one_shared_candidate_set():
+    learner = env_faces_learner(rng_seed=5)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = learner._rng.bit_generator.state
+    contexts, candidates = learner._representers()
+    assert np.array_equal(contexts, learner.context_space.sample_uniform(3, rng))
+    shared = THETA2.sample_latin(SMALL_ACQ.n_candidates, rng)
+    assert np.array_equal(candidates, np.broadcast_to(shared, (3,) + shared.shape))
+
+
+def test_aces_query_splits_its_vector_into_target_env_and_theta(monkeypatch):
+    # the thrower: a 2-d target, a 3-d env context and a 6-d theta
+    env = harness.build_environment(harness.ExperimentConfig(environment="thrower"))
+    learner = make_learner(small_config(algorithm="aces", n_representers=3,
+                                        direct_evals=30, init_episodes=0),
+                           env.target_space, env.env_space, env.theta_space,
+                           env.reward_fn)
+    v = np.arange(11.0) / 10.0
+    calls = []
+
+    def fixed(model, blocks, prefix, space, cfg, rng):
+        calls.append((blocks.shape, prefix.shape, space.dim))
+        return v.copy()
+
+    monkeypatch.setattr(algorithms, "es_select", fixed)
+    ctx, theta = learner.select_query()
+    assert calls == [((3, SMALL_ACQ.n_candidates, 11), (0,), 11)]
+    assert np.array_equal(ctx.target, v[:2]) and np.array_equal(ctx.env, v[2:5])
+    assert np.array_equal(theta, v[5:])
 
 
 # -- episode loop -----------------------------------------------------------

@@ -64,13 +64,8 @@ def make_store(n):
 def test_context_split_and_round_trip():
     c = Context(target=[1.0, 2.0], env=[3.0])
     assert np.array_equal(c.full, [1.0, 2.0, 3.0])
-    back = Context.from_full(c.full, env_dim=1)
-    assert np.array_equal(back.target, c.target)
-    assert np.array_equal(back.env, c.env)
     empty_env = Context(target=[1.0, 2.0], env=np.zeros(0))
     assert empty_env.full.shape == (2,)
-    with pytest.raises(ContractError):
-        Context.from_full(np.zeros(2), env_dim=3)
     with pytest.raises(ContractError):
         Context(target=[np.nan], env=[])
 

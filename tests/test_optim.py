@@ -221,6 +221,24 @@ def test_lbfgs_boundary_projection():
     assert abs(val - f(expected)) <= 1e-8
 
 
+def test_lbfgs_checks_the_start_shape_before_clipping():
+    # clipping broadcasts a 1-vector over the box and rejects a 2-vector
+    # with numpy's own error, so the start is checked as given
+    space = SearchSpace([0.0] * 3, [1.0] * 3)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -float(np.sum(x ** 2))
+
+    for x0 in ([0.5], [0.5, 0.5], [[0.5, 0.5, 0.5]]):
+        with pytest.raises(ContractError):
+            lbfgs_refine(f, space, x0)
+    assert not calls
+    x, _ = lbfgs_refine(f, space, [0.5, 0.5, 2.0], max_iters=5)
+    assert x.shape == (3,)
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------

@@ -528,6 +528,12 @@ def test_thrower_validation():
         thrower_rollout(world, [5.0, 1.0, 0.0], THROWER_PARAM_SPACE.center)
     with pytest.raises(ContractError):
         thrower_rollout(world, THROWER_START_SPACE.center, np.zeros(6) + 9.0)
+    center = THROWER_PARAM_SPACE.center
+    for start, theta in ((THROWER_START_SPACE.center, center[:3]),  # (3,) theta
+                         (THROWER_START_SPACE.center, np.stack([center, center])),
+                         (THROWER_START_SPACE.center[:2], center)):  # (2,) start
+        with pytest.raises(ContractError):
+            thrower_rollout(world, start, theta)
 
 
 def test_thrower_reward():
