@@ -53,6 +53,10 @@ class AcqConfig:
     ``n_candidates`` is the size of the per-context candidate set the argmax
     distribution lives on, ``n_function_draws`` the number of joint posterior draws,
     ``n_fantasies`` the number of fantasy observations per query.
+    ``rng_seed`` is unread: the engine draws from the generator it is
+    given.  The field stays only because ``harness.config_to_dict`` writes
+    it into every acceptance-cache key, until the cache is regenerated
+    (ROADMAP item 1(b)).
     """
 
     kappa: float = 0.1
@@ -180,12 +184,6 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return ent
 
 
-def _summed_gains(h0: np.ndarray, ent: np.ndarray, per_branch: bool) -> np.ndarray:
-    """Gains from prior entropies h0 (C,) and fantasy entropies (B, C, L)."""
-    branch_gains = h0 - ent.mean(axis=2)
-    return branch_gains if per_branch else branch_gains.sum(axis=1)
-
-
 def _stacked_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
     """Batched lower Cholesky with escalating jitter shared across the stack.
 
@@ -228,7 +226,7 @@ class EnsembleEsEngine:
     """
 
     def __init__(self, model: gp.GpModel, points: np.ndarray,
-                 cfg: AcqConfig, rng: np.random.Generator | None = None):
+                 cfg: AcqConfig, rng: np.random.Generator):
         h = model.hyperparams
         pts = np.asarray(points, dtype=float)
         p_n, m = pts.shape[:2]
@@ -237,8 +235,6 @@ class EnsembleEsEngine:
         c_n = max(p_n, len(columns))
         if p_n not in (1, c_n) or len(columns) not in (1, c_n):
             raise ContractError("blocks and weight columns must pair up, or one be single")
-        if rng is None:
-            rng = np.random.default_rng(cfg.rng_seed)
         self.z = rng.standard_normal((m, cfg.n_function_draws))
         self.u = rng.standard_normal(cfg.n_fantasies)
         self.model = model
@@ -266,8 +262,13 @@ class EnsembleEsEngine:
         s0 = _stacked_cholesky(self.sigma, self._scale) @ self.z
         self.h0 = _argmax_entropies(self.mu0.reshape(p_n, -1, m), s0).reshape(c_n)
 
-    def gains(self, queries: np.ndarray, per_branch: bool = False) -> np.ndarray:
-        """Summed information gain for each query row, or (B, C) per branch."""
+    def gains(self, queries: np.ndarray) -> np.ndarray:
+        """Information gain for each query row, summed over the branches."""
+        return self.branch_gains(queries).sum(axis=1)
+
+    def branch_gains(self, queries: np.ndarray) -> np.ndarray:
+        """(B, C) information gain of each query row on each branch: the
+        prior entropy less the mean over the fantasies."""
         model, h = self.model, self.model.hyperparams
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         b_n = len(q)
@@ -309,4 +310,4 @@ class EnsembleEsEngine:
                 draws[b - lo] = _stacked_cholesky(sig_plus, self._scale) @ self.z
             ent[lo * p_n:hi * p_n] = _argmax_entropies(
                 base[lo * p_n:hi * p_n], draws.reshape(-1, m, k))
-        return _summed_gains(self.h0, ent.reshape(b_n, c_n, l_n), per_branch)
+        return self.h0 - ent.reshape(b_n, c_n, l_n).mean(axis=2)

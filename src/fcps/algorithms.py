@@ -410,10 +410,10 @@ class BoLearner:
             n_init = DEFAULT_INIT_EPISODES[cfg.algorithm]
         self._init_plan = (theta_space.sample_latin(n_init, self._rng)
                            if n_init > 0 else np.zeros((0, theta_space.dim)))
-        self._hyperparams: gp.KernelHyperparams | None = None
+        self._hyperparams = _initial_hyperparams(self.input_space.dim)
         self._last_refit = 0
         # (store size, hyperparameter object, model) of the last greedy fit
-        self._greedy_fit: tuple[int, gp.KernelHyperparams | None, gp.GpModel] | None = None
+        self._greedy_fit: tuple[int, gp.KernelHyperparams, gp.GpModel] | None = None
 
     def observe(self, context: Context, theta, outcome: Outcome,
                 reward: float) -> RolloutRecord:
@@ -457,25 +457,21 @@ class BoLearner:
         return n <= self.cfg.refit_warmup \
             or n - self._last_refit >= self.cfg.refit_period
 
-    def _scheduled_hyperparams(self, dataset) -> gp.KernelHyperparams:
+    def _refit(self, dataset) -> None:
         # the factored tags tune on the store re-scored at a concrete query
         # target; a fixed reference point would bias the relevance estimates
         # toward whatever directions that one target ignores
         dim = self.input_space.dim
-        if self._hyperparams is None:
-            self._hyperparams = _initial_hyperparams(dim)
-        if self._refit_due():
-            model = _fit(dataset, self._hyperparams, self.input_space)
-            model = gp.refit(model, restarts=self.cfg.refit_restarts,
-                             rng=self._rng, bounds=_hyperparam_bounds(dim),
-                             prior=_hyperparam_prior(dim))
-            self._hyperparams = model.hyperparams
-            self._last_refit = len(self.store)
-        return self._hyperparams
+        self._hyperparams = gp.refit(
+            _fit(dataset, self._hyperparams, self.input_space),
+            restarts=self.cfg.refit_restarts, rng=self._rng,
+            bounds=_hyperparam_bounds(dim), prior=_hyperparam_prior(dim))
+        self._last_refit = len(self.store)
 
     def select(self, context: Context) -> np.ndarray:
         dataset = self.dataset(context.target)
-        hyperparams = self._scheduled_hyperparams(dataset)
+        if self._refit_due():
+            self._refit(dataset)
         planned = self._init_theta()
         if planned is not None:
             return planned
@@ -483,7 +479,7 @@ class BoLearner:
         if kind == "random":
             return self.theta_space.sample_uniform(1, self._rng)[0]
         prefix = self._prefix(context)
-        model = _fit(dataset, hyperparams, self.input_space)
+        model = _fit(dataset, self._hyperparams, self.input_space)
         if kind == "es":
             candidates = self.theta_space.sample_latin(
                 self.cfg.acquisition.n_candidates, self._rng)
@@ -508,9 +504,7 @@ class BoLearner:
             if not self.factored:
                 return kept[2]
             return gp.fit_targets(kept[2], self.dataset(target)[1])
-        hyperparams = self._hyperparams or _initial_hyperparams(
-            self.input_space.dim)
-        model = _fit(self.dataset(target), hyperparams, self.input_space)
+        model = _fit(self.dataset(target), self._hyperparams, self.input_space)
         self._greedy_fit = (len(self.store), self._hyperparams, model)
         return model
 
@@ -528,12 +522,13 @@ class BoLearner:
         # aces: a (context, theta) query maximizing the information gain
         # summed over the representer contexts, under the joint model
         dataset = self.dataset(None)
-        hyperparams = self._scheduled_hyperparams(dataset)
+        if self._refit_due():
+            self._refit(dataset)
         theta = self._init_theta()
         if theta is not None:
             ctx_vec = self.context_space.sample_uniform(1, self._rng)[0]
         else:
-            model = _fit(dataset, hyperparams, self.input_space)
+            model = _fit(dataset, self._hyperparams, self.input_space)
             contexts, candidates = self._representers()
             best = es_select(model, _prefixed(contexts, candidates), np.zeros(0),
                              self.input_space, self.cfg, self._rng)
@@ -545,9 +540,13 @@ class BoLearner:
         # faces: an (env context, theta) query; the commanded target is
         # indifferent for learning and drawn uniformly for logging, and
         # refits rotate over uniformly drawn targets, matching the
-        # distribution of representer branches the faces model fits
+        # distribution of representer branches the faces model fits; the
+        # target is drawn on every query, refit or not, which keeps the
+        # learner's random stream fixed, and the store is re-scored at it
+        # only for a refit
         refit_target = self.target_space.sample_uniform(1, self._rng)[0]
-        hyperparams = self._scheduled_hyperparams(self.dataset(refit_target))
+        if self._refit_due():
+            self._refit(self.dataset(refit_target))
         theta = self._init_theta()
         if theta is not None:
             env_q = self.env_space.sample_uniform(1, self._rng)[0]
@@ -560,7 +559,8 @@ class BoLearner:
             d = self.target_space.dim
             rewards = reevaluate_targets(self.store, self.reward_fn, contexts[:, :d])
             model = gp.fit_shared_inputs(self.store.reduced_inputs(), rewards.T,
-                                         hyperparams, input_space=self.input_space)
+                                         self._hyperparams,
+                                         input_space=self.input_space)
             blocks = _prefixed(contexts[:, d:], candidates)
             if self.env_space.dim == 0:
                 blocks = blocks[:1]

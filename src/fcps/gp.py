@@ -459,11 +459,11 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
 
 def refit(m: GpModel, *, restarts: int, rng: np.random.Generator,
           bounds: list[tuple[float, float]],
-          prior: list[tuple[float, float]]) -> GpModel:
-    """Re-optimize hyperparameters on the model's transformed data in place."""
-    h = optimize_hyperparams(m.xt, m.yt, m.hyperparams, restarts=restarts,
-                             rng=rng, bounds=bounds, prior=prior)
-    return _assemble(m.inputs, m.targets, h, m.x_lo, m.x_span, m.y_shift, m.y_scale)
+          prior: list[tuple[float, float]]) -> KernelHyperparams:
+    """MAP hyperparameters on the model's transformed data, starting from
+    its own."""
+    return optimize_hyperparams(m.xt, m.yt, m.hyperparams, restarts=restarts,
+                                rng=rng, bounds=bounds, prior=prior)
 
 
 # ---------------------------------------------------------------------------

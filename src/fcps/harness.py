@@ -178,16 +178,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
-    learner = data.pop("learner", {})
-    learner = dict(learner)
+    learner = dict(data.pop("learner", {}))
     acquisition = learner.pop("acquisition", {})
     learner_cfg = LearnerConfig(acquisition=AcqConfig(**acquisition), **learner)
-    for key in ("seeds", "grid_shape", "algorithms"):
-        if data.get(key) is not None:
-            data[key] = tuple(data[key])
-    if data.get("context_boxes") is not None:
-        data["context_boxes"] = tuple(
-            (tuple(lo), tuple(hi)) for lo, hi in data["context_boxes"])
     return ExperimentConfig(learner=learner_cfg, **data)
 
 

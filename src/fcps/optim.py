@@ -344,7 +344,7 @@ def _central_gradient(batch_f, x: np.ndarray, space: SearchSpace) -> np.ndarray:
                      for i, denom in enumerate(denoms)])
 
 
-def lbfgs_refine(f, space: SearchSpace, x0, max_iters: int = 100, *, grad=None,
+def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int, grad=None,
                  vectorized: bool = False):
     """Bounded L-BFGS ascent from ``x0``; never returns a worse point.
 
@@ -394,7 +394,7 @@ def check_direct_evals(direct_evals: int | None, space: SearchSpace) -> None:
 
 
 def global_then_local(f, space: SearchSpace, *, direct_evals: int | None = None,
-                      refine_starts: int = 3, refine_iters: int = 100,
+                      refine_starts: int, refine_iters: int,
                       vectorized: bool = False):
     """DIRECT followed by L-BFGS restarts from the best distinct rectangles.
 
@@ -412,7 +412,7 @@ def global_then_local(f, space: SearchSpace, *, direct_evals: int | None = None,
     best_x = space.from_unit(state.best_center)
     best_val = state.best_value
     for u in _refine_starts(state, refine_starts):
-        x, val = lbfgs_refine(f, space, space.from_unit(u), refine_iters,
+        x, val = lbfgs_refine(f, space, space.from_unit(u), max_iters=refine_iters,
                               vectorized=vectorized)
         if val > best_val:
             best_x, best_val = x, val

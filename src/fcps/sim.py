@@ -12,8 +12,10 @@ Each task has one contract: a rollout takes the world, the environment
 context where there is one, and the parameter vector theta, checks theta's
 shape and box, and returns an ``Outcome``; a reward scores targets against
 outcome statistics (and theta) in ``batch``, and its one-row call is that
-batch on one row.  Gravity, launch noise and the DMP gains are module
-constants, which the worlds' ``replay_metadata`` records.
+batch on one row.  Gravity, launch noise, the DMP gains and the thrower's
+clock and shape weights are module constants; the worlds'
+``replay_metadata`` records gravity, launch noise and the clock.  Every
+DMP starts at rest.
 
 A cannon landing is found by a vectorized scan of the arc on a 0.01 time
 grid, then bisection on Python floats that stops at its fixed point, the
@@ -30,7 +32,7 @@ the order of the array RK4 it replaced, and equals it bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -245,7 +247,7 @@ class Reward:
 class CannonReward(Reward):
     """R = -||target - achieved|| - 0.05 v^2, with v the commanded speed."""
 
-    def batch(self, targets, stats, params=None):
+    def batch(self, targets, stats, params):
         targets = np.asarray(targets, dtype=float)
         stats = np.asarray(stats, dtype=float)
         delta = targets - stats[:, :2]
@@ -263,12 +265,10 @@ class ActiveCannonReward(CannonReward):
 
     indicator_threshold = 0.1
 
-    def batch(self, targets, stats, params=None):
+    def batch(self, targets, stats, params):
         targets = np.asarray(targets, dtype=float)
-        if params is None:
-            raise ContractError("active cannon reward needs the parameter matrix")
         params = np.asarray(params, dtype=float)
-        shoot = super().batch(targets[:, :2], stats)
+        shoot = super().batch(targets[:, :2], stats, params)
         hold = -np.sqrt(np.sum(params * params, axis=1))
         return np.where(targets[:, 2] <= self.indicator_threshold, shoot, hold)
 
@@ -358,7 +358,7 @@ def _phase_table(shape_weights: np.ndarray, du: float,
     return [1.0 - u for u in phases], rows.T.tolist()
 
 
-def _rk4(p: DmpParams, table, y0, v0, dt: float,
+def _rk4(p: DmpParams, table, y0, dt: float,
          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """RK4 over a ``_phase_table``, one spatial dimension at a time.
 
@@ -379,8 +379,8 @@ def _rk4(p: DmpParams, table, y0, v0, dt: float,
         pull = damping * r
         moving_goal = [goal - r * q for q in rest]
         force = forcing[dim]
-        y, yd = float(y0[dim]), float(v0[dim]) * duration
-        ys, vs = [y], [yd / duration]
+        y, yd = float(y0[dim]), 0.0  # every DMP starts at rest
+        ys, vs = [y], [0.0]
         for i in range(0, 2 * n_steps, 2):
             a1 = spring * (moving_goal[i] - y) - damping * yd + pull + force[i]
             y2, v2 = y + half * yd, yd + half * a1
@@ -401,9 +401,10 @@ def _rk4(p: DmpParams, table, y0, v0, dt: float,
     return positions, velocities
 
 
-def dmp_integrate(p: DmpParams, y0, dt: float, n_steps: int,
-                  v0=None) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 integration; returns positions and real-time velocities per step.
+def dmp_integrate(p: DmpParams, y0, dt: float,
+                  n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 integration from rest at ``y0``; returns positions and real-time
+    velocities per step.
 
     The system runs in normalized time so that scaling ``duration`` and
     ``dt`` together reproduces the same path.  A goal moving linearly into
@@ -415,11 +416,8 @@ def dmp_integrate(p: DmpParams, y0, dt: float, n_steps: int,
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (p.dims,):
         raise ContractError(f"start state must have shape ({p.dims},)")
-    v0 = np.zeros(p.dims) if v0 is None else np.asarray(v0, dtype=float)
-    if v0.shape != (p.dims,):
-        raise ContractError(f"start velocity must have shape ({p.dims},)")
     table = _phase_table(p.shape_weights, dt / p.duration, n_steps)
-    return _rk4(p, table, y0, v0, dt, n_steps)
+    return _rk4(p, table, y0, dt, n_steps)
 
 
 def dmp_imitate(demo: np.ndarray, basis_count: int, duration: float) -> np.ndarray:
@@ -484,40 +482,33 @@ def _minimum_jerk(start, end, n_samples: int) -> np.ndarray:
                                                  - np.asarray(start))[None, :]
 
 
-# eq=False: ndarray fields; worlds compare by replay_metadata()
-@dataclass(frozen=True, eq=False)
+# the thrower's clock, and the shape weights of its one movement primitive:
+# they imitate a minimum-jerk path from the start box's center to the goal
+# box's
+THROWER_DURATION = 1.0
+THROWER_DT = 0.01
+THROWER_STEPS = round(THROWER_DURATION / THROWER_DT)
+THROWER_SHAPE_WEIGHTS = dmp_imitate(
+    _minimum_jerk(THROWER_START_SPACE.center, THROWER_GOAL_SPACE.center, 101),
+    DMP_BASIS_COUNT, THROWER_DURATION)
+THROWER_SHAPE_WEIGHTS.flags.writeable = False
+
+
 class ThrowerWorld:
-    duration: float = 1.0
-    dt: float = 0.01
-    shape_weights: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.duration <= 0 or self.dt <= 0:
-            raise ContractError("duration and dt must be positive")
-        weights = self.shape_weights
-        if weights is None:
-            demo = _minimum_jerk(THROWER_START_SPACE.center,
-                                 THROWER_GOAL_SPACE.center, 101)
-            weights = dmp_imitate(demo, DMP_BASIS_COUNT, self.duration)
-        weights = np.array(weights, dtype=float)
-        weights.flags.writeable = False
-        object.__setattr__(self, "shape_weights", weights)
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.duration / self.dt))
+    """The thrower's world, which keeps the phase table of the constant
+    movement primitive.  Worlds compare by identity, and their
+    ``replay_metadata()`` by content."""
 
     @cached_property
     def phase_table(self) -> tuple[list[float], list[list[float]]]:
-        """``_phase_table`` of this world's forcing, built on first use and
-        kept with the world (not a dataclass field, so equality and
-        ``repr`` ignore it)."""
-        return _phase_table(self.shape_weights, self.dt / self.duration,
-                            self.n_steps)
+        """``_phase_table`` of the thrower's forcing, built on first use and
+        kept with the world."""
+        return _phase_table(THROWER_SHAPE_WEIGHTS, THROWER_DT / THROWER_DURATION,
+                            THROWER_STEPS)
 
     def replay_metadata(self) -> dict:
         return {"kind": "thrower", "gravity": THROWER_GRAVITY,
-                "duration": self.duration, "dt": self.dt}
+                "duration": THROWER_DURATION, "dt": THROWER_DT}
 
 
 def ballistic_landing(position, velocity, gravity: float) -> np.ndarray:
@@ -548,10 +539,10 @@ def thrower_rollout(world: ThrowerWorld, env_context, theta) -> Outcome:
         raise ContractError("start position outside its box")
     if not THROWER_PARAM_SPACE.contains(theta, atol=1e-9):
         raise ContractError("thrower parameters outside their box")
-    params = DmpParams(shape_weights=world.shape_weights, goal=theta[:3],
-                       goal_velocity=theta[3:], duration=world.duration)
-    positions, velocities = _rk4(params, world.phase_table, start,
-                                 np.zeros(3), world.dt, world.n_steps)
+    params = DmpParams(shape_weights=THROWER_SHAPE_WEIGHTS, goal=theta[:3],
+                       goal_velocity=theta[3:], duration=THROWER_DURATION)
+    positions, velocities = _rk4(params, world.phase_table, start, THROWER_DT,
+                                 THROWER_STEPS)
     landing = ballistic_landing(positions[-1], velocities[-1],
                                 THROWER_GRAVITY)
     return Outcome(stats=landing, achieved_target=landing)
@@ -560,7 +551,7 @@ def thrower_rollout(world: ThrowerWorld, env_context, theta) -> Outcome:
 class ThrowerReward(Reward):
     """R = -||target - achieved landing||."""
 
-    def batch(self, targets, stats, params=None):
+    def batch(self, targets, stats, params):
         targets = np.asarray(targets, dtype=float)
         stats = np.asarray(stats, dtype=float)
         delta = targets - stats[:, :2]

@@ -190,7 +190,9 @@ def ensemble_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
 class JointEsOracle:
     """The joint engine before the merge (aces, es and, one per branch with
     shared draws, faces with an environment context), kept verbatim but for
-    the representer set's shape properties.
+    the representer set's shape properties, the generator it must be given
+    unless given the draws, and its per-branch gains as ``branch_gains``,
+    which ``gains`` sums.
 
     Entropy-search gains under one joint model, many representer branches.
 
@@ -206,8 +208,6 @@ class JointEsOracle:
         if draws is not None:
             self.z, self.u = draws
         else:
-            if rng is None:
-                rng = np.random.default_rng(cfg.rng_seed)
             self.z = rng.standard_normal((m, cfg.n_function_draws))
             self.u = rng.standard_normal(cfg.n_fantasies)
         self.model = model
@@ -244,8 +244,12 @@ class JointEsOracle:
         s0 = np.einsum("cml,lk->cmk", l0, self.z)
         self.h0 = acquisition._argmax_entropies(mu0[:, None, :], s0)[:, 0]
 
-    def gains(self, queries: np.ndarray, per_branch: bool = False) -> np.ndarray:
+    def gains(self, queries: np.ndarray) -> np.ndarray:
         """Summed information gain for each query row."""
+        return self.branch_gains(queries).sum(axis=1)
+
+    def branch_gains(self, queries: np.ndarray) -> np.ndarray:
+        """(B, C) information gain of each query row on each branch."""
         model, h = self.model, self.model.hyperparams
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         b_n = len(q)
@@ -286,12 +290,14 @@ class JointEsOracle:
             ent[lo:hi] = acquisition._argmax_entropies(
                 base[lo:hi].reshape(-1, l_n, m), draws.reshape(-1, m, k)
             ).reshape(hi - lo, -1)
-        return acquisition._summed_gains(self.h0, ent.reshape(b_n, c_n, l_n), per_branch)
+        return self.h0 - ent.reshape(b_n, c_n, l_n).mean(axis=2)
 
 
 class EnsembleEsOracle:
     """The ensemble engine before the merge (faces without an environment
-    context), kept verbatim but for the ensemble's field names.
+    context), kept verbatim but for the ensemble's field names, the
+    generator it must be given unless given the draws, and its per-branch
+    gains as ``branch_gains``, which ``gains`` sums.
 
     Entropy-search gains for per-branch targets over shared inputs.
 
@@ -310,8 +316,6 @@ class EnsembleEsOracle:
         if draws is not None:
             self.z, self.u = draws
         else:
-            if rng is None:
-                rng = np.random.default_rng(cfg.rng_seed)
             self.z = rng.standard_normal((m, cfg.n_function_draws))
             self.u = rng.standard_normal(cfg.n_fantasies)
         self.ensemble = ensemble
@@ -335,7 +339,10 @@ class EnsembleEsOracle:
         s0 = l0 @ self.z
         self.h0 = acquisition._argmax_entropies(self.mu0[None], s0[None])[0]
 
-    def gains(self, queries: np.ndarray, per_branch: bool = False) -> np.ndarray:
+    def gains(self, queries: np.ndarray) -> np.ndarray:
+        return self.branch_gains(queries).sum(axis=1)
+
+    def branch_gains(self, queries: np.ndarray) -> np.ndarray:
         ens = self.ensemble
         h = ens.hyperparams
         q = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -366,7 +373,7 @@ class EnsembleEsOracle:
                  * cross.T[:, None, :])  # (B, L, M)
         base = self.mu0[None, :, None, :] + shift[:, None]  # (B, C, L, M)
         ent = acquisition._argmax_entropies(base.reshape(b_n, c_n * l_n, self.m), draws)
-        return acquisition._summed_gains(self.h0, ent.reshape(b_n, c_n, l_n), per_branch)
+        return self.h0 - ent.reshape(b_n, c_n, l_n).mean(axis=2)
 
 
 def info_gain(model: gp.GpModel, query, rep_context, candidates, cfg: AcqConfig,
@@ -383,14 +390,15 @@ def info_gain(model: gp.GpModel, query, rep_context, candidates, cfg: AcqConfig,
     return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
 
 
-def aces_objective(model: gp.GpModel, query, reps: Reps,
-                   cfg: AcqConfig) -> float:
+def aces_objective(model: gp.GpModel, query, reps: Reps, cfg: AcqConfig,
+                   seed: int) -> float:
     """Total information gain across representer contexts under a joint model."""
-    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
+                              rng=np.random.default_rng(seed))
     return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
 
 
-def faces_objective(models, query, reps: Reps, cfg: AcqConfig) -> float:
+def faces_objective(models, query, reps: Reps, cfg: AcqConfig, seed: int) -> float:
     """Total information gain with one specialized model per representer.
 
     ``models`` has one fitted model per representer context, each over the
@@ -401,7 +409,7 @@ def faces_objective(models, query, reps: Reps, cfg: AcqConfig) -> float:
     models = list(models)
     if len(models) != len(reps.contexts):
         raise ContractError("need exactly one model per representer context")
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     m = reps.candidates.shape[1]
     z = rng.standard_normal((m, cfg.n_function_draws))
     u = rng.standard_normal(cfg.n_fantasies)
@@ -541,10 +549,10 @@ def test_aces_duplicated_representer_counts_twice():
     cand = np.linspace(0, 1, 5)[:, None]
     single = Reps(np.array([[0.4]]), cand[None, :, :])
     double = Reps(np.array([[0.4], [0.4]]), np.broadcast_to(cand, (2, 5, 1)))
-    cfg = AcqConfig(n_candidates=5, n_function_draws=400, n_fantasies=5, rng_seed=9)
+    cfg = AcqConfig(n_candidates=5, n_function_draws=400, n_fantasies=5)
     q = np.array([0.4, 0.7])
-    one = aces_objective(model, q, single, cfg)
-    two = aces_objective(model, q, double, cfg)
+    one = aces_objective(model, q, single, cfg, seed=9)
+    two = aces_objective(model, q, double, cfg, seed=9)
     assert two == pytest.approx(2 * one, rel=1e-12, abs=1e-12)
 
 
@@ -553,9 +561,10 @@ def test_aces_objective_deterministic_across_calls():
     model = joint_model_2d(rng)
     reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                        4, 5, np.random.default_rng(1))
-    cfg = AcqConfig(n_candidates=5, n_function_draws=300, n_fantasies=4, rng_seed=2)
+    cfg = AcqConfig(n_candidates=5, n_function_draws=300, n_fantasies=4)
     q = np.array([0.5, 0.5])
-    assert aces_objective(model, q, reps, cfg) == aces_objective(model, q, reps, cfg)
+    assert aces_objective(model, q, reps, cfg, seed=2) \
+        == aces_objective(model, q, reps, cfg, seed=2)
 
 
 def test_joint_engine_batch_matches_single_queries():
@@ -563,8 +572,9 @@ def test_joint_engine_batch_matches_single_queries():
     model = joint_model_2d(rng)
     reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                        3, 6, np.random.default_rng(2))
-    cfg = AcqConfig(n_candidates=6, n_function_draws=300, n_fantasies=4, rng_seed=3)
-    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
+    cfg = AcqConfig(n_candidates=6, n_function_draws=300, n_fantasies=4)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
+                              rng=np.random.default_rng(3))
     queries = rng.uniform(0, 1, size=(5, 2))
     batch = engine.gains(queries)
     singles = np.array([engine.gains(q[None, :])[0] for q in queries])
@@ -582,11 +592,11 @@ def test_faces_objective_matches_ensemble_engine():
 
     cand = np.linspace(0.05, 0.95, 6)[:, None]
     reps = Reps(np.zeros((c_n, 0)), np.broadcast_to(cand, (c_n, 6, 1)))
-    cfg = AcqConfig(n_candidates=6, n_function_draws=400, n_fantasies=5, rng_seed=21)
+    cfg = AcqConfig(n_candidates=6, n_function_draws=400, n_fantasies=5)
     q = np.array([0.52])
 
-    via_list = faces_objective(models, q, reps, cfg)
-    engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(cfg.rng_seed))
+    via_list = faces_objective(models, q, reps, cfg, seed=21)
+    engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(21))
     via_engine = float(engine.gains(q[None, :])[0])
     assert via_list == pytest.approx(via_engine, rel=1e-8, abs=1e-10)
 
@@ -598,7 +608,7 @@ def test_faces_objective_needs_one_model_per_context():
     reps = Reps(np.zeros((2, 0)), np.broadcast_to(cand, (2, 2, 1)))
     cfg = AcqConfig(n_candidates=2, n_function_draws=100, n_fantasies=1)
     with pytest.raises(ContractError):
-        faces_objective([m], np.array([0.5]), reps, cfg)
+        faces_objective([m], np.array([0.5]), reps, cfg, seed=0)
 
 
 def test_empty_model_engine_runs():
@@ -607,7 +617,8 @@ def test_empty_model_engine_runs():
     reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                        3, 4, np.random.default_rng(0))
     cfg = AcqConfig(n_candidates=4, n_function_draws=200, n_fantasies=3)
-    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
+                              rng=np.random.default_rng(0))
     g = engine.gains(np.array([[0.5, 0.5]]))
     assert np.all(np.isfinite(g))
 
@@ -751,7 +762,7 @@ def test_faces_size_engine_prunes_and_matches_oracle_loop():
     unit = SearchSpace([0.0] * 3, [1.0] * 3)
     ens = gp.fit_shared_inputs(inputs, targets, h, input_space=unit)
     cand = unit.sample_latin(20, rng)
-    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=4)
+    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
     engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(5))
     counts = []
     kernel = acquisition._argmax_entropies
@@ -763,7 +774,7 @@ def test_faces_size_engine_prunes_and_matches_oracle_loop():
     queries = rng.uniform(0, 1, size=(6, 3))
     with mock.patch.object(acquisition, "_argmax_entropies", spy):
         for per_branch in (False, True):
-            got = engine.gains(queries, per_branch=per_branch)
+            got = (engine.branch_gains if per_branch else engine.gains)(queries)
             expected = ensemble_gains_oracle(engine, queries, per_branch)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     counts = np.concatenate(counts)
@@ -799,15 +810,16 @@ def test_ensemble_engine_matches_oracle_loop(c_n):
     rng = np.random.default_rng(c_n)
     ens = shared_input_ensemble(rng, c_n=c_n)
     cand = np.linspace(0.05, 0.95, 20)[:, None]
-    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=4)
+    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
     engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(7))
     s0 = _stacked_cholesky_oracle(engine.sigma, engine._scale)[0] @ engine.z
     assert np.array_equal(engine.h0, _entropies_shared(engine.mu0, s0))
     for b_n in (1, 3, 14):
         queries = rng.uniform(0, 1, size=(b_n, 1))
-        for per_branch in (False, True):
-            assert np.array_equal(engine.gains(queries, per_branch=per_branch),
-                                  ensemble_gains_oracle(engine, queries, per_branch))
+        assert np.array_equal(engine.branch_gains(queries),
+                              ensemble_gains_oracle(engine, queries, per_branch=True))
+        assert np.array_equal(engine.gains(queries),
+                              ensemble_gains_oracle(engine, queries))
 
 
 @pytest.mark.parametrize("c_n", [1, 4, 20, 200])
@@ -816,14 +828,15 @@ def test_joint_engine_matches_oracle_loop(c_n):
     model = joint_model_2d(rng)
     reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                        c_n, 20, np.random.default_rng(c_n))
-    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=5)
-    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg)
+    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
+                              rng=np.random.default_rng(5))
     s0 = np.einsum("cml,lk->cmk",
                    _stacked_cholesky_oracle(engine.sigma, engine._scale), engine.z)
     assert np.array_equal(engine.h0, _entropies_stacked(engine.mu0, s0, np.arange(c_n)))
     for b_n in (1, 3, 14):
         queries = rng.uniform(0, 1, size=(b_n, 2))
-        assert np.array_equal(engine.gains(queries, per_branch=True),
+        assert np.array_equal(engine.branch_gains(queries),
                               joint_gains_oracle(engine, queries, per_branch=True))
         assert np.array_equal(engine.gains(queries),
                               joint_gains_oracle(engine, queries))
@@ -832,7 +845,7 @@ def test_joint_engine_matches_oracle_loop(c_n):
 def test_engine_with_non_finite_mean_raises():
     rng = np.random.default_rng(2)
     engine = EnsembleEsEngine(shared_input_ensemble(rng), np.linspace(0, 1, 6)[None, :, None],
-                              AcqConfig(n_candidates=6, n_function_draws=100))
+                              AcqConfig(n_candidates=6, n_function_draws=100), rng=rng)
     engine.mu0[1, 2] = np.nan
     with pytest.raises(NumericalError):
         engine.gains(np.array([[0.5]]))
@@ -863,12 +876,15 @@ class FacesLoopOracle:
             for c in range(len(env))]
         self.h0 = np.concatenate([e.h0 for e in self.engines])
 
-    def gains(self, queries, per_branch=False):
-        per = np.column_stack([e.gains(queries) for e in self.engines])
-        return per if per_branch else per.sum(axis=1)
+    def gains(self, queries):
+        return self.branch_gains(queries).sum(axis=1)
+
+    def branch_gains(self, queries):
+        return np.column_stack([e.gains(queries) for e in self.engines])
 
 
-MERGE_CFG = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3, rng_seed=6)
+MERGE_CFG = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
+MERGE_SEED = 6
 
 
 def _bits(a) -> bytes:
@@ -888,8 +904,7 @@ def _fitted_data(rng, d, n_targets, empty):
 def replaced_engines(kind, c_n, empty, rng):
     """The engine and the engine or loop it replaced, on the same draws, for
     one acquisition path, with the queries' fixed prefix and free width."""
-    cfg, m = MERGE_CFG, MERGE_CFG.n_candidates
-    seed = cfg.rng_seed
+    cfg, m, seed = MERGE_CFG, MERGE_CFG.n_candidates, MERGE_SEED
     if kind in ("joint", "prefixed"):
         ctx_dim = 1 if kind == "joint" else 2
         x, y, h, space = _fitted_data(rng, ctx_dim + 1, 1, empty)
@@ -935,15 +950,15 @@ def test_engine_matches_the_engines_it_replaced(kind, c_n, empty):
         assert _bits(engine.sigma[0]) == _bits(old.sigma)
     for b_n in (1, 3, 14):
         q = _prefixed(prefix, rng.uniform(0, 1, size=(b_n, width)))
-        for per_branch in (True, False):
-            assert _bits(engine.gains(q, per_branch)) == _bits(old.gains(q, per_branch))
+        assert _bits(engine.branch_gains(q)) == _bits(old.branch_gains(q))
+        assert _bits(engine.gains(q)) == _bits(old.gains(q))
 
 
 def test_engine_rejects_unpaired_blocks_and_columns():
     rng = np.random.default_rng(3)
     ens = shared_input_ensemble(rng, c_n=3)
     with pytest.raises(ContractError):
-        EnsembleEsEngine(ens, rng.uniform(0, 1, size=(2, 4, 1)), MERGE_CFG)
+        EnsembleEsEngine(ens, rng.uniform(0, 1, size=(2, 4, 1)), MERGE_CFG, rng=rng)
 
 
 # ---------------------------------------------------------------------------

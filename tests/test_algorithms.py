@@ -345,6 +345,50 @@ def test_greedy_select_leaves_state_untouched():
     assert len(learner.store) == n_before
 
 
+@pytest.mark.parametrize("tag", ["bo-cps", "bo-fcps-her", "bo-fcps"])
+def test_select_on_a_refit_step_factors_twice(tag, monkeypatch):
+    # the fit the refit starts from, then the selection's fit under the
+    # refitted hyperparameters; the refit returns hyperparameters, no model
+    learner = seeded_echo_learner(tag, init_episodes=2)
+    feed_latin_rollouts(learner, 3)
+    assert learner._refit_due()
+    factored = []
+    chol = gp._chol_with_jitter
+
+    def counted(K):
+        factored.append(len(K))
+        return chol(K)
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", counted)
+    h_before = learner._hyperparams
+    learner.select(Context(target=np.array([0.2, -0.4]), env=np.zeros(0)))
+    assert learner._last_refit == 3 and learner._hyperparams is not h_before
+    rows = 6 if tag == "bo-fcps-her" else 3
+    assert factored == [rows, rows]
+
+
+def test_faces_rescores_the_store_at_its_refit_target_only_to_refit(monkeypatch):
+    # past the warm-up (3) and 4 rows after the last refit, under a period
+    # of 5, the refit target is drawn but the store is not re-scored at it;
+    # one row later the refit re-scores it once
+    learner = active_learner("faces", refit_warmup=3, refit_period=5)
+    reward = TargetDistanceReward3()
+    rng = np.random.default_rng(4)
+    rescored = []
+    rescore = algorithms.reevaluate
+    monkeypatch.setattr(algorithms, "reevaluate",
+                        lambda *args: rescored.append(args[2]) or rescore(*args))
+    for n, theta in enumerate(THETA2.sample_latin(5, rng), start=1):
+        target = learner.target_space.sample_uniform(1, rng)[0]
+        out = Outcome(stats=theta.copy(), achieved_target=theta.copy())
+        learner.observe(Context(target=target, env=np.zeros(0)), theta, out,
+                        reward(target, out))
+        if n >= 4:
+            due = learner._refit_due()
+            learner.select_query()
+            assert due == (n == 5) and len(rescored) == int(due)
+
+
 # -- the greedy fit kept across an evaluation grid --------------------------
 
 GREEDY_TINY = dict(acquisition=AcqConfig(n_candidates=4, n_function_draws=100,
@@ -355,9 +399,7 @@ GREEDY_TINY = dict(acquisition=AcqConfig(n_candidates=4, n_function_draws=100,
 
 def _fresh_greedy(learner, context) -> np.ndarray:
     """Greedy selection from a model fitted for this call alone."""
-    hyperparams = learner._hyperparams or algorithms._initial_hyperparams(
-        learner.input_space.dim)
-    model = gp.fit(*learner.dataset(context.target), hyperparams,
+    model = gp.fit(*learner.dataset(context.target), learner._hyperparams,
                    input_space=learner.input_space, standardize=True)
     return ucb_select(model, learner._prefix(context), learner.theta_space,
                       learner.cfg, kappa=0.0)

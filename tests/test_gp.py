@@ -809,11 +809,11 @@ def test_refit_improves_or_keeps_nlml():
     space = SearchSpace([-2.0, -2.0], [2.0, 2.0])
     m = fit(x, y, init, input_space=space, standardize=True)
     prior = learner_prior(2)
-    m2 = refit(m, restarts=2, rng=rng, bounds=learner_bounds(2), prior=prior)
+    h2 = refit(m, restarts=2, rng=rng, bounds=learner_bounds(2), prior=prior)
     v1 = map_objective(m.xt, m.yt, m.hyperparams, prior)
-    v2 = map_objective(m2.xt, m2.yt, m2.hyperparams, prior)
+    v2 = map_objective(m.xt, m.yt, h2, prior)
     assert v2 <= v1 + 1e-12
-    assert isinstance(m2, GpModel)
+    assert isinstance(h2, KernelHyperparams)
 
 
 # -- predict_batch against the per-call kernel computation ------------------

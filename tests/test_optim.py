@@ -233,7 +233,7 @@ def test_lbfgs_checks_the_start_shape_before_clipping():
 
     for x0 in ([0.5], [0.5, 0.5], [[0.5, 0.5, 0.5]]):
         with pytest.raises(ContractError):
-            lbfgs_refine(f, space, x0)
+            lbfgs_refine(f, space, x0, max_iters=100)
     assert not calls
     x, _ = lbfgs_refine(f, space, [0.5, 0.5, 2.0], max_iters=5)
     assert x.shape == (3,)
@@ -997,16 +997,17 @@ def _refine_cases():
     def holes(x):  # NaN past x[0] = 0.4, where the ascent heads
         return np.nan if x[0] > 0.4 else -float((x[0] - 0.7) ** 2 + x[1] ** 2)
 
-    cases = [(*_ucb_on_a_model(seed), True, {}) for seed in range(3)]
+    full = {"max_iters": 100}
+    cases = [(*_ucb_on_a_model(seed), True, full) for seed in range(3)]
     cases += [
         (lambda x: -float(np.sum((x - quad_c) ** 2)), SearchSpace([-1.0] * 3, [1.0] * 3),
-         np.array([0.8, -0.8, 0.5]), False, {}),
-        (lambda x: -float(np.sum((x - [2.0, -3.0]) ** 2)), box2, np.zeros(2), False, {}),
+         np.array([0.8, -0.8, 0.5]), False, full),
+        (lambda x: -float(np.sum((x - [2.0, -3.0]) ** 2)), box2, np.zeros(2), False, full),
         (lambda x: -abs(x[0] - 0.5), SearchSpace([0.0], [1.0]), np.array([0.5]), False,
          {"max_iters": 30}),
-        (holes, SearchSpace([0.0, -1.0], [1.0, 1.0]), np.array([0.3, 0.6]), False, {}),
+        (holes, SearchSpace([0.0, -1.0], [1.0, 1.0]), np.array([0.3, 0.6]), False, full),
         (lambda x: -float((x - 0.2) @ A @ (x - 0.2)), box2, np.array([0.9, 0.9]), False,
-         {"grad": lambda x: -2.0 * (A @ (x - 0.2))}),
+         {**full, "grad": lambda x: -2.0 * (A @ (x - 0.2))}),
     ]
     return cases
 
