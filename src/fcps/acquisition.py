@@ -20,16 +20,14 @@ L rows for each branch on the block, and a call passes only as many queries
 as ``_BLOCK`` holds, so the engine never keeps more than that many queries'
 draws.  For each row and draw the kernel keeps a running maximum over the M
 candidates in cache-sized row blocks, updated on strict ``>``, so ties go
-to the lowest candidate index exactly as with ``np.argmax`` (which it uses
-directly on a block small enough to fit in one piece).  A non-finite block
-raises :class:`NumericalError` instead of being ranked.  First, candidates
-that cannot win are dropped: ``fl(b + d)`` is monotone in ``d``, so
-candidate m stays strictly below row r's maximum in every draw, and cannot
-even tie, when
+to the lowest candidate index exactly as with ``np.argmax``.  A non-finite
+block raises :class:`NumericalError` instead of being ranked.  In groups of
+``_PRUNE_ROWS`` rows or more, candidates that cannot win are dropped first:
+``fl(b + d)`` is monotone in ``d``, so candidate m stays strictly below row
+r's maximum in every draw, and cannot even tie, when
 ``base[r, m] + max_k draws[m, k] < max_m' (base[r, m'] + min_k draws[m', k])``.
-A row with one survivor is decided (entropy -0.0) and never scored.  Groups
-under ``_PRUNE_ROWS`` rows, where the test costs too much, stay dense, and so
-do groups whose first rows keep most candidates.
+A row with one survivor is decided (entropy -0.0) and never scored.  Smaller
+groups, where the test costs more than it saves, stay dense.
 """
 
 from __future__ import annotations
@@ -115,9 +113,11 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     ``base`` is (G, L, M) and ``draws`` (G, M, K): in draw k, row l of group
     g scores candidate m as ``base[g, l, m] + draws[g, m, k]``.  Returns the
     (G, L) entropies of the best candidate's distribution over the K draws,
-    with ties going to the lowest candidate index.  The pruned running-maximum
-    loop gathers each row's draws; the dense one, kept for blocks that do not
-    prune, broadcasts one candidate's draws over a block, costing less each.
+    with ties going to the lowest candidate index.  Groups of ``_PRUNE_ROWS``
+    rows or more take the pruned running-maximum loop, which gathers each
+    row's draws; smaller groups, where the survivor test costs more than it
+    saves, take the dense one, which broadcasts one candidate's draws over a
+    block and costs less per candidate.
     """
     g_n, l_n, m = base.shape
     k = draws.shape[2]
@@ -126,12 +126,9 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     rows = g_n * l_n
     idx_type = np.min_scalar_type(m - 1)
     ent = np.empty((g_n, l_n))
-    if rows * m * k <= _BLOCK:
-        ent = _entropies(np.argmax(base[:, :, :, None] + draws[:, None], axis=2), m)
-    elif l_n >= _PRUNE_ROWS and 2 * np.count_nonzero(_survivors(  # most survive: dense
-            base[:, :_PRUNE_ROWS], lo := draws.min(axis=2)[:, None],
-            hi := draws.max(axis=2)[:, None])) <= g_n * _PRUNE_ROWS * m:
-        alive = _survivors(base, lo, hi).reshape(rows, m)
+    if l_n >= _PRUNE_ROWS:
+        alive = _survivors(base, draws.min(axis=2)[:, None],
+                           draws.max(axis=2)[:, None]).reshape(rows, m)
         n_alive = np.count_nonzero(alive, axis=1)
         # most survivors first, so each step updates a prefix of the row block
         order = np.argsort(-n_alive, kind="stable")

@@ -61,7 +61,7 @@ class LearnerConfig:
     refit_restarts: int = 2
     creps_epsilon: float = 0.5
     creps_period: int = 30
-    direct_evals: int | None = 150
+    direct_evals: int = 150
     refine_starts: int = 2
     refine_iters: int = 25
     rng_seed: int = 0
@@ -144,12 +144,6 @@ def _maximize(objective, space: SearchSpace, cfg: LearnerConfig) -> np.ndarray:
         vectorized=True,
     )
     return best
-
-
-def _fit(dataset, hyperparams, input_space: SearchSpace) -> gp.GpModel:
-    inputs, rewards = dataset
-    return gp.fit(inputs, rewards, hyperparams, input_space=input_space,
-                  standardize=True)
 
 
 def _prefixed(prefix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -412,8 +406,8 @@ class BoLearner:
                            if n_init > 0 else np.zeros((0, theta_space.dim)))
         self._hyperparams = _initial_hyperparams(self.input_space.dim)
         self._last_refit = 0
-        # (store size, hyperparameter object, model) of the last greedy fit
-        self._greedy_fit: tuple[int, gp.KernelHyperparams, gp.GpModel] | None = None
+        # (store size, hyperparameter object, model) of the last fit
+        self._kept: tuple[int, gp.KernelHyperparams, gp.GpModel] | None = None
 
     def observe(self, context: Context, theta, outcome: Outcome,
                 reward: float) -> RolloutRecord:
@@ -450,28 +444,47 @@ class BoLearner:
             return self._init_plan[i].copy()
         return None
 
-    def _refit_due(self) -> bool:
+    def _refit_if_due(self, target) -> tuple[np.ndarray, np.ndarray] | None:
+        """Refit on the training set at ``target`` when due (at each store size
+        of the warm-up from 2 on, then once a period) and return it, else None."""
         n = len(self.store)
-        if n < 2:
-            return False
-        return n <= self.cfg.refit_warmup \
-            or n - self._last_refit >= self.cfg.refit_period
-
-    def _refit(self, dataset) -> None:
+        if n < 2 or (n > self.cfg.refit_warmup
+                     and n - self._last_refit < self.cfg.refit_period):
+            return None
         # the factored tags tune on the store re-scored at a concrete query
         # target; a fixed reference point would bias the relevance estimates
         # toward whatever directions that one target ignores
+        dataset = self.dataset(target)
         dim = self.input_space.dim
         self._hyperparams = gp.refit(
-            _fit(dataset, self._hyperparams, self.input_space),
+            *dataset, self._hyperparams, input_space=self.input_space,
             restarts=self.cfg.refit_restarts, rng=self._rng,
             bounds=_hyperparam_bounds(dim), prior=_hyperparam_prior(dim))
         self._last_refit = len(self.store)
+        return dataset
+
+    def _model(self, target, dataset) -> gp.GpModel:
+        """The GP at ``target`` under the current hyperparameters, on the
+        training set there: ``dataset``, or built here if None.  The fit is
+        kept until the store grows or a refit replaces the hyperparameter
+        object, as an evaluation grid asks for many targets in between; the
+        joint tags' model ignores the target, and the factored tags compute
+        the target's standardization and weights on the kept factor."""
+        kept = self._kept
+        reuse = (kept is not None and kept[0] == len(self.store)
+                 and kept[1] is self._hyperparams)
+        if reuse and not self.factored:
+            return kept[2]
+        inputs, rewards = self.dataset(target) if dataset is None else dataset
+        if reuse:
+            return gp.fit_targets(kept[2], rewards)
+        model = gp.fit(inputs, rewards, self._hyperparams,
+                       input_space=self.input_space, standardize=True)
+        self._kept = (len(self.store), self._hyperparams, model)
+        return model
 
     def select(self, context: Context) -> np.ndarray:
-        dataset = self.dataset(context.target)
-        if self._refit_due():
-            self._refit(dataset)
+        dataset = self._refit_if_due(context.target)
         planned = self._init_theta()
         if planned is not None:
             return planned
@@ -479,7 +492,7 @@ class BoLearner:
         if kind == "random":
             return self.theta_space.sample_uniform(1, self._rng)[0]
         prefix = self._prefix(context)
-        model = _fit(dataset, self._hyperparams, self.input_space)
+        model = self._model(context.target, dataset)
         if kind == "es":
             candidates = self.theta_space.sample_latin(
                 self.cfg.acquisition.n_candidates, self._rng)
@@ -488,25 +501,9 @@ class BoLearner:
         return ucb_select(model, prefix, self.theta_space, self.cfg)
 
     def select_greedy(self, context: Context) -> np.ndarray:
-        return ucb_select(self._greedy_model(context.target),
+        return ucb_select(self._model(context.target, None),
                           self._prefix(context), self.theta_space, self.cfg,
                           kappa=0.0)
-
-    def _greedy_model(self, target) -> gp.GpModel:
-        # An evaluation grid asks for many targets between two changes of
-        # the training data, so the fit is kept until the store grows or a
-        # refit replaces the hyperparameter object.  The joint tags' model
-        # does not depend on the target; the factored tags keep the factor
-        # and compute the target's standardization and weights.
-        kept = self._greedy_fit
-        if (kept is not None and kept[0] == len(self.store)
-                and kept[1] is self._hyperparams):
-            if not self.factored:
-                return kept[2]
-            return gp.fit_targets(kept[2], self.dataset(target)[1])
-        model = _fit(self.dataset(target), self._hyperparams, self.input_space)
-        self._greedy_fit = (len(self.store), self._hyperparams, model)
-        return model
 
     def _representers(self) -> tuple[np.ndarray, np.ndarray]:
         """The active learners' representer contexts (C, d_ctx), env columns
@@ -521,14 +518,12 @@ class BoLearner:
     def _joint_query(self) -> tuple[Context, np.ndarray]:
         # aces: a (context, theta) query maximizing the information gain
         # summed over the representer contexts, under the joint model
-        dataset = self.dataset(None)
-        if self._refit_due():
-            self._refit(dataset)
+        dataset = self._refit_if_due(None)
         theta = self._init_theta()
         if theta is not None:
             ctx_vec = self.context_space.sample_uniform(1, self._rng)[0]
         else:
-            model = _fit(dataset, self._hyperparams, self.input_space)
+            model = self._model(None, dataset)
             contexts, candidates = self._representers()
             best = es_select(model, _prefixed(contexts, candidates), np.zeros(0),
                              self.input_space, self.cfg, self._rng)
@@ -544,9 +539,7 @@ class BoLearner:
         # target is drawn on every query, refit or not, which keeps the
         # learner's random stream fixed, and the store is re-scored at it
         # only for a refit
-        refit_target = self.target_space.sample_uniform(1, self._rng)[0]
-        if self._refit_due():
-            self._refit(self.dataset(refit_target))
+        self._refit_if_due(self.target_space.sample_uniform(1, self._rng)[0])
         theta = self._init_theta()
         if theta is not None:
             env_q = self.env_space.sample_uniform(1, self._rng)[0]

@@ -72,9 +72,11 @@ def _cmd_run(args) -> int:
 def _cmd_study(args) -> int:
     config = _load_with_overrides(args)
     if config.algorithms is None:
-        # bare study invocations compare the full passive set
-        config = replace(config, algorithms=("c-reps", "bo-cps",
-                                             "bo-fcps-her", "bo-fcps"))
+        # bare study invocations compare the full passive set, or the active
+        # pair on the active cannon, which refuses hindsight relabels
+        passive = ("c-reps", "bo-cps", "bo-fcps-her", "bo-fcps")
+        config = replace(config, algorithms=harness.ACTIVE_ALGORITHMS if
+                         config.environment == "active-cannon" else passive)
     results = harness.study(config)
     paths = harness.emit(results, args.out)
     print(json.dumps({"command": "study",

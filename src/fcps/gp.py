@@ -240,9 +240,14 @@ def _weights(chol: np.ndarray, yt: np.ndarray) -> np.ndarray:
     return _cho_solve(chol, yt) if len(yt) else np.zeros(yt.shape)
 
 
-def _assemble(inputs, targets, h, x_lo, x_span, y_shift, y_scale) -> GpModel:
+def _transformed(inputs, targets, x_lo, x_span, y_shift, y_scale):
+    """The data as the kernel sees it, under the input and target transforms."""
     xt = inputs if x_lo is None else (inputs - x_lo) / x_span
-    yt = (targets - y_shift) / y_scale
+    return xt, (targets - y_shift) / y_scale
+
+
+def _assemble(h, inputs, targets, x_lo, x_span, y_shift, y_scale) -> GpModel:
+    xt, yt = _transformed(inputs, targets, x_lo, x_span, y_shift, y_scale)
     K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(len(xt))
     L, jitter = _chol_with_jitter(K)
     return GpModel(inputs, targets, h, x_lo, x_span, y_shift, y_scale,
@@ -272,12 +277,13 @@ def _checked_targets(targets, n: int) -> np.ndarray:
     return targets
 
 
-def _fit(inputs, targets, h: KernelHyperparams, input_space: SearchSpace | None,
-         standardize: bool) -> GpModel:
+def _prepared(inputs, targets, dim: int, input_space: SearchSpace | None,
+              standardize: bool):
+    """Checked data and its transforms, the arguments of ``_transformed``."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.size == 0:
-        inputs = inputs.reshape(0, h.dim)
-    if inputs.ndim != 2 or inputs.shape[1] != h.dim:
+        inputs = inputs.reshape(0, dim)
+    if inputs.ndim != 2 or inputs.shape[1] != dim:
         raise ContractError("inputs must be (n, d) with d matching the kernel")
     targets = _checked_targets(targets, inputs.shape[0])
     if inputs.size and not np.all(np.isfinite(inputs)):
@@ -285,19 +291,19 @@ def _fit(inputs, targets, h: KernelHyperparams, input_space: SearchSpace | None,
 
     x_lo = x_span = None
     if input_space is not None:
-        if input_space.dim != h.dim:
+        if input_space.dim != dim:
             raise ContractError("input_space dimension does not match the kernel")
         x_lo = input_space.lower
         x_span = input_space.span
-    return _assemble(inputs, targets, h, x_lo, x_span,
-                     *_standardization(targets, standardize))
+    return (inputs, targets, x_lo, x_span,
+            *_standardization(targets, standardize))
 
 
 def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace | None = None,
         standardize: bool = False) -> GpModel:
     """Build a model from (possibly empty) data under fixed hyperparameters:
     targets (n,) for one target, (n, C) for C targets over the inputs."""
-    return _fit(inputs, targets, h, input_space, standardize)
+    return _assemble(h, *_prepared(inputs, targets, h.dim, input_space, standardize))
 
 
 def fit_shared_inputs(inputs, target_matrix, h: KernelHyperparams, *,
@@ -305,7 +311,7 @@ def fit_shared_inputs(inputs, target_matrix, h: KernelHyperparams, *,
     """``fit(..., standardize=True)`` with one target column per branch, as
     faces fits its representers; a function of its own, so that a trace
     tells it from ``fit``."""
-    return _fit(inputs, target_matrix, h, input_space, True)
+    return _assemble(h, *_prepared(inputs, target_matrix, h.dim, input_space, True))
 
 
 def fit_targets(m: GpModel, targets) -> GpModel:
@@ -457,13 +463,16 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
     return best
 
 
-def refit(m: GpModel, *, restarts: int, rng: np.random.Generator,
+def refit(inputs, targets, init: KernelHyperparams, *, input_space: SearchSpace,
+          restarts: int, rng: np.random.Generator,
           bounds: list[tuple[float, float]],
           prior: list[tuple[float, float]]) -> KernelHyperparams:
-    """MAP hyperparameters on the model's transformed data, starting from
-    its own."""
-    return optimize_hyperparams(m.xt, m.yt, m.hyperparams, restarts=restarts,
-                                rng=rng, bounds=bounds, prior=prior)
+    """MAP hyperparameters from ``init`` on the data as ``fit(...,
+    standardize=True)`` transforms it.  The search scores the transformed
+    data alone, so no kernel matrix or factor is built here."""
+    xt, yt = _transformed(*_prepared(inputs, targets, init.dim, input_space, True))
+    return optimize_hyperparams(xt, yt, init, restarts=restarts, rng=rng,
+                                bounds=bounds, prior=prior)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +496,7 @@ def fantasize(m: GpModel, x, y: float) -> GpModel:
     new_targets = np.append(m.targets, float(y))
     h = m.hyperparams
     if len(m) == 0:
-        return _assemble(new_inputs, new_targets, h, m.x_lo, m.x_span,
+        return _assemble(h, new_inputs, new_targets, m.x_lo, m.x_span,
                          m.y_shift, m.y_scale)
 
     xt_new = m.transform_inputs(x)
@@ -496,7 +505,7 @@ def fantasize(m: GpModel, x, y: float) -> GpModel:
     b = _solve_lower(m.chol, k_vec)
     c_sq = k_ss - b @ b
     if c_sq <= 1e-12 * k_ss:
-        return _assemble(new_inputs, new_targets, h, m.x_lo, m.x_span,
+        return _assemble(h, new_inputs, new_targets, m.x_lo, m.x_span,
                          m.y_shift, m.y_scale)
 
     n = len(m)

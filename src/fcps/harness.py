@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sim
 from .acquisition import AcqConfig
-# ACTIVE_ALGORITHMS is unused here; perfbench/layers.py reads it from harness
+# ACTIVE_ALGORITHMS is unused here; cli and perfbench/layers.py read it from harness
 from .algorithms import ACTIVE_ALGORITHMS, LearnerConfig, make_learner, \
     run_episode
 from .errors import ContractError, NumericalError

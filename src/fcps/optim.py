@@ -387,13 +387,13 @@ def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int, grad=None,
     return x, val
 
 
-def check_direct_evals(direct_evals: int | None, space: SearchSpace) -> None:
-    """Raise unless DIRECT can start in ``space`` on ``direct_evals`` (None: default)."""
-    if direct_evals is not None and direct_evals < 2 * space.dim + 1:
+def check_direct_evals(direct_evals: int, space: SearchSpace) -> None:
+    """Raise unless DIRECT can start in ``space`` on ``direct_evals``."""
+    if direct_evals is None or direct_evals < 2 * space.dim + 1:
         raise ContractError(f"direct_evals must be at least 2*dim+1 = {2 * space.dim + 1}")
 
 
-def global_then_local(f, space: SearchSpace, *, direct_evals: int | None = None,
+def global_then_local(f, space: SearchSpace, *, direct_evals: int,
                       refine_starts: int, refine_iters: int,
                       vectorized: bool = False):
     """DIRECT followed by L-BFGS restarts from the best distinct rectangles.
@@ -402,8 +402,6 @@ def global_then_local(f, space: SearchSpace, *, direct_evals: int | None = None,
     """
     if refine_starts < 1:
         raise ContractError("refine_starts must be positive")
-    if direct_evals is None:
-        direct_evals = 500 * space.dim
     check_direct_evals(direct_evals, space)
 
     batch = _as_batch(f, vectorized)

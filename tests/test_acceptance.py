@@ -103,6 +103,81 @@ def passive_results():
 
 
 # ---------------------------------------------------------------------------
+# paired per-seed evidence
+# ---------------------------------------------------------------------------
+
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
+
+
+def paired_evidence(a, b) -> dict:
+    """Per-seed evidence that ``a`` is ahead of ``b``.
+
+    ``a`` and ``b`` hold one value per seed, in seed order.  Returns the
+    differences ``a - b`` by seed index, the number of seeds where ``a`` is
+    strictly ahead, the mean difference and a percentile bootstrap 95%
+    interval of it, resampling seeds with a fixed generator so that the
+    interval repeats.  Seed i of two tags shares the world and the master
+    seed, as every seed of a study does, but no random stream: the
+    learner, context and rollout streams are keyed by the tag.  So a pair
+    is two independent runs, and the interval is one of the difference of
+    the means; the win count says how often one run beat the other.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape or not len(a):
+        raise ValueError("need two equal-length, non-empty per-seed arrays")
+    diff = a - b
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    picks = rng.integers(0, len(diff), size=(BOOTSTRAP_RESAMPLES, len(diff)))
+    lo, hi = np.percentile(diff[picks].mean(axis=1), [2.5, 97.5])
+    return {"diff": diff, "wins": int(np.count_nonzero(diff > 0)),
+            "seeds": len(diff), "mean": float(diff.mean()),
+            "ci": (float(lo), float(hi))}
+
+
+def _paired_text(label: str, a, b, digits: int) -> str:
+    e = paired_evidence(a, b)
+    lo, hi = e["ci"]
+    return (f"{label} ahead {e['wins']}/{e['seeds']} seeds, mean "
+            f"{e['mean']:+.{digits}f} [{lo:+.{digits}f}, {hi:+.{digits}f}]")
+
+
+def _online_per_seed(result, t: int) -> np.ndarray:
+    """Each seed's summed first ``t`` online rewards."""
+    return result.online_rewards[:, :t].sum(axis=1)
+
+
+@pytest.mark.parametrize("a, b, wins, mean, ci", [
+    ([3.0, 5.0, 9.0], [1.0, 3.0, 7.0], 3, 2.0, (2.0, 2.0)),  # constant gap
+    ([1.0, -1.0], [0.0, 0.0], 1, 0.0, (-1.0, 1.0)),  # each mean has weight >= 1/4
+    ([0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], 0, 0.0, (0.0, 0.0)),  # ties never win
+    ([-4.0], [0.0], 0, -4.0, (-4.0, -4.0)),
+])
+def test_paired_evidence_on_known_cases(a, b, wins, mean, ci):
+    e = paired_evidence(a, b)
+    assert e["diff"].tolist() == (np.array(a) - np.array(b)).tolist()
+    assert (e["wins"], e["seeds"], e["mean"], e["ci"]) == (wins, len(a), mean, ci)
+
+
+def test_paired_evidence_is_deterministic_and_brackets_the_mean():
+    rng = np.random.default_rng(4)
+    a, b = rng.normal(size=10), rng.normal(size=10)
+    first, second = paired_evidence(a, b), paired_evidence(a, b)
+    assert first["ci"] == second["ci"] and first["mean"] == second["mean"]
+    lo, hi = first["ci"]
+    assert lo < first["mean"] < hi
+    # swapping the pair mirrors the differences and the interval
+    swapped = paired_evidence(b, a)
+    assert swapped["diff"].tolist() == (-first["diff"]).tolist()
+    assert swapped["wins"] == 10 - first["wins"]
+    assert swapped["ci"][0] == pytest.approx(-hi) and swapped["ci"][1] == pytest.approx(-lo)
+    with pytest.raises(ValueError):
+        paired_evidence(a, b[:9])
+    with pytest.raises(ValueError):
+        paired_evidence([], [])
+
+
+# ---------------------------------------------------------------------------
 # benchmark criteria
 # ---------------------------------------------------------------------------
 
@@ -116,8 +191,13 @@ def test_criterion_1_factored_dominance(passive_results, announce):
         fcps.offline_episodes.index(60)])
     at150 = float(cps.offline_rewards.mean(axis=0)[
         cps.offline_episodes.index(150)])
+    paired = _paired_text(
+        "factored@60 vs joint@150:",
+        fcps.offline_rewards[:, fcps.offline_episodes.index(60)],
+        cps.offline_rewards[:, cps.offline_episodes.index(150)], 3)
     announce("criterion 1, factored dominance", at60 >= at150,
-             f"factored@60 {at60:.3f} >= joint@150 {at150:.3f} ({provenance})")
+             f"factored@60 {at60:.3f} >= joint@150 {at150:.3f}; {paired} "
+             f"({provenance})")
 
 
 def test_criterion_2_online_reward_ordering(passive_results, announce):
@@ -132,8 +212,13 @@ def test_criterion_2_online_reward_ordering(passive_results, announce):
         ordered = f > h > c > r
         gap = abs(f) <= 0.8 * abs(c)
         ok = ok and ordered and gap
+        tags = ("bo-fcps", "bo-fcps-her", "bo-cps", "c-reps")
+        paired = ", ".join(
+            _paired_text(f"{x} vs {y}:", _online_per_seed(results[x], t),
+                         _online_per_seed(results[y], t), 0)
+            for x, y in zip(tags, tags[1:]))
         rows.append(f"t={t}: {f:.0f} > {h:.0f} > {c:.0f} > {r:.0f}"
-                    f" ordered={ordered} gap>=20%={gap}")
+                    f" ordered={ordered} gap>=20%={gap} ({paired})")
     announce("criterion 2, online ordering", ok,
              "; ".join(rows) + f" ({provenance})")
 
@@ -148,9 +233,17 @@ def test_criterion_3_generalization_transfer(announce):
     unseen_gain = (results["bo-fcps"]["unseen_mean"]
                    - results["bo-cps"]["unseen_mean"])
     ok = unseen_gain > seen_gain > 0.0
+    fcps, cps = results["bo-fcps"], results["bo-cps"]
+    gains = {half: np.subtract(fcps[f"{half}_per_seed"], cps[f"{half}_per_seed"])
+             for half in ("seen", "unseen")}
+    paired = "; ".join([
+        _paired_text("factored vs joint, seen:", fcps["seen_per_seed"],
+                     cps["seen_per_seed"], 3),
+        _paired_text("unseen:", fcps["unseen_per_seed"], cps["unseen_per_seed"], 3),
+        _paired_text("unseen gain vs seen gain:", gains["unseen"], gains["seen"], 3)])
     announce("criterion 3, generalization transfer", ok,
-             f"unseen gain {unseen_gain:.3f} > seen gain {seen_gain:.3f} > 0 "
-             f"({provenance})")
+             f"unseen gain {unseen_gain:.3f} > seen gain {seen_gain:.3f} > 0; "
+             f"{paired} ({provenance})")
 
 
 def test_criterion_4_active_factored_learning(announce):

@@ -123,6 +123,12 @@ def test_make_learner_rejects_too_few_direct_evals_for_its_search_space():
         make_learner(LearnerConfig(algorithm=tag, direct_evals=20), *spaces)
 
 
+def test_direct_evals_must_be_set():
+    # a config file can give null; the learner refuses it before any episode
+    with pytest.raises(ContractError, match="direct_evals"):
+        seeded_echo_learner("bo-fcps", direct_evals=None)
+
+
 def test_make_learner_dispatch():
     for tag in ALGORITHMS:
         learner = seeded_echo_learner(tag)
@@ -346,12 +352,11 @@ def test_greedy_select_leaves_state_untouched():
 
 
 @pytest.mark.parametrize("tag", ["bo-cps", "bo-fcps-her", "bo-fcps"])
-def test_select_on_a_refit_step_factors_twice(tag, monkeypatch):
-    # the fit the refit starts from, then the selection's fit under the
-    # refitted hyperparameters; the refit returns hyperparameters, no model
+def test_select_on_a_refit_step_factors_once(tag, monkeypatch):
+    # the selection's fit under the refitted hyperparameters; the refit
+    # scores the transformed data and builds no factor
     learner = seeded_echo_learner(tag, init_episodes=2)
-    feed_latin_rollouts(learner, 3)
-    assert learner._refit_due()
+    feed_latin_rollouts(learner, 3)  # the warm-up's last step: a refit is due
     factored = []
     chol = gp._chol_with_jitter
 
@@ -364,7 +369,59 @@ def test_select_on_a_refit_step_factors_twice(tag, monkeypatch):
     learner.select(Context(target=np.array([0.2, -0.4]), env=np.zeros(0)))
     assert learner._last_refit == 3 and learner._hyperparams is not h_before
     rows = 6 if tag == "bo-fcps-her" else 3
-    assert factored == [rows, rows]
+    assert factored == [rows]
+
+
+def test_random_variant_rescores_the_store_only_on_refit_steps(monkeypatch):
+    # the random draw reads no model, so only a refit reads the store
+    # re-scored at the query target
+    learner = seeded_echo_learner("bo-fcps", acquisition_kind="random",
+                                  refit_warmup=3, refit_period=3,
+                                  init_episodes=2)
+    rescored = []
+    rescore = algorithms.reevaluate
+    monkeypatch.setattr(algorithms, "reevaluate",
+                        lambda *args: rescored.append(args[2]) or rescore(*args))
+    env, rng = EchoEnv(), np.random.default_rng(6)
+    refits = []
+    for n in range(12):
+        context = Context(target=TARGET2.sample_uniform(1, rng)[0], env=np.zeros(0))
+        last, before = learner._last_refit, len(rescored)
+        run_episode(learner, env, context, rng)
+        refitted = learner._last_refit != last
+        assert len(rescored) - before == int(refitted)
+        if refitted:
+            refits.append(n)
+            assert rescored[-1] is context.target
+    # every store size of the warm-up from 2 on, then every third
+    assert refits == [2, 3, 6, 9]
+
+
+@pytest.mark.parametrize("tag", ["bo-cps", "bo-fcps-her", "bo-fcps"])
+def test_select_from_a_kept_greedy_fit_equals_one_from_a_fresh_fit(tag, monkeypatch):
+    # a greedy evaluation between two episodes keeps its fit; the next
+    # select, at the same store size and hyperparameters when no refit is
+    # due, reads that fit and returns the bits of a fresh fit
+    env, rng = EchoEnv(), np.random.default_rng(8)
+    learners = [seeded_echo_learner(tag, init_episodes=2, refit_warmup=3,
+                                    refit_period=4) for _ in range(2)]
+    fits = []
+    fit = gp.fit
+    monkeypatch.setattr(gp, "fit", lambda *a, **k: fits.append(1) or fit(*a, **k))
+    kept_reads = 0
+    for _ in range(9):
+        context = Context(target=TARGET2.sample_uniform(1, rng)[0], env=np.zeros(0))
+        greedy = Context(target=TARGET2.sample_uniform(1, rng)[0], env=np.zeros(0))
+        learners[0].select_greedy(greedy)
+        before = len(fits)
+        picks = [learner.select(context) for learner in learners]
+        assert picks[0].tobytes() == picks[1].tobytes()
+        kept_reads += len(learners[0].store) >= 2 and len(fits) == before + 1
+        outcome = env.rollout(None, picks[0], True, rng)
+        reward = env.reward_fn(context.target, outcome)
+        for learner in learners:
+            learner.observe(context, picks[0], outcome, reward)
+    assert kept_reads >= 2
 
 
 def test_faces_rescores_the_store_at_its_refit_target_only_to_refit(monkeypatch):
@@ -384,9 +441,10 @@ def test_faces_rescores_the_store_at_its_refit_target_only_to_refit(monkeypatch)
         learner.observe(Context(target=target, env=np.zeros(0)), theta, out,
                         reward(target, out))
         if n >= 4:
-            due = learner._refit_due()
+            last = learner._last_refit
             learner.select_query()
-            assert due == (n == 5) and len(rescored) == int(due)
+            refitted = learner._last_refit != last
+            assert refitted == (n == 5) and len(rescored) == int(refitted)
 
 
 # -- the greedy fit kept across an evaluation grid --------------------------

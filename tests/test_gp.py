@@ -807,13 +807,37 @@ def test_refit_improves_or_keeps_nlml():
     x, y, _ = random_instance(rng, n=18, d=2)
     init = KernelHyperparams(1.0, np.array([1.0, 1.0]), 0.05)
     space = SearchSpace([-2.0, -2.0], [2.0, 2.0])
-    m = fit(x, y, init, input_space=space, standardize=True)
     prior = learner_prior(2)
-    h2 = refit(m, restarts=2, rng=rng, bounds=learner_bounds(2), prior=prior)
-    v1 = map_objective(m.xt, m.yt, m.hyperparams, prior)
+    h2 = refit(x, y, init, input_space=space, restarts=2, rng=rng,
+               bounds=learner_bounds(2), prior=prior)
+    m = fit(x, y, init, input_space=space, standardize=True)
+    v1 = map_objective(m.xt, m.yt, init, prior)
     v2 = map_objective(m.xt, m.yt, h2, prior)
     assert v2 <= v1 + 1e-12
     assert isinstance(h2, KernelHyperparams)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_refit_on_data_equals_the_search_on_a_fitted_models_data(seed, monkeypatch):
+    # the oracle is the refit as it was: fit a whole model, then search on
+    # its transformed inputs and standardized targets; the refit takes the
+    # same transform and builds no factor
+    rng = np.random.default_rng(seed)
+    x, y, init = random_instance(rng, n=40)
+    n = [0, 1, 2, 9, 25, 40][seed]
+    x, y = x[:n], y[:n]
+    if seed == 3:
+        y[:] = 0.7  # a constant column keeps a scale of 1
+    d = x.shape[1]
+    space = SearchSpace(np.full(d, -2.0), np.full(d, 2.0))
+    kw = dict(restarts=2, bounds=learner_bounds(d), prior=learner_prior(d))
+    m = fit(x, y, init, input_space=space, standardize=True)
+    expected = optimize_hyperparams(m.xt, m.yt, m.hyperparams,
+                                    rng=np.random.default_rng(seed), **kw)
+    monkeypatch.setattr(gp, "_chol_with_jitter", None)
+    got = refit(x, y, init, input_space=space, rng=np.random.default_rng(seed), **kw)
+    assert got.as_log_vector().tobytes() == expected.as_log_vector().tobytes()
+    assert (got is init) == (expected is init)
 
 
 # -- predict_batch against the per-call kernel computation ------------------

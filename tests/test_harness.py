@@ -486,6 +486,23 @@ def test_cli_refuses_hindsight_relabels_on_the_active_cannon(tmp_path, capsys):
     assert (ok / "runs.json").exists()
 
 
+def test_cli_bare_study_on_the_active_cannon_compares_the_active_pair(tmp_path, capsys):
+    # the passive default set holds bo-fcps-her, which the active cannon
+    # refuses; a bare study there compares aces and faces
+    path = tmp_path / "config.json"
+    learner = dict(TINY_LEARNER, acquisition={"n_candidates": 4, "n_function_draws": 100,
+                                              "n_fantasies": 1},
+                   init_episodes=2, n_representers=2)
+    path.write_text(json.dumps({
+        "environment": "active-cannon", "episodes": 3, "evaluation_period": 3,
+        "seeds": [0], "grid_shape": [1, 1], "learner": learner}))
+    out = tmp_path / "out"
+    assert cli.main(["study", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["algorithms"] == ["aces", "faces"]
+    assert [e["config"]["learner"]["algorithm"] for e in
+            json.loads((out / "runs.json").read_text())] == ["aces", "faces"]
+
+
 def test_study_refuses_before_any_tag_runs(monkeypatch):
     ran = []
     monkeypatch.setattr(harness, "run", lambda config, **kw: ran.append(config))
