@@ -30,7 +30,7 @@ from scipy.special import logsumexp, softmax
 from . import gp, optim
 from .acquisition import AcqConfig, EnsembleEsEngine
 from .errors import ContractError
-from .experience import Context, ExperienceStore, Outcome, RolloutRecord, \
+from .experience import Context, ExperienceStore, RolloutRecord, \
     her_augment, reevaluate, reevaluate_targets
 from .optim import SearchSpace
 
@@ -357,11 +357,11 @@ def creps_update(contexts, params, rewards, policy: CrepsPolicy,
 # ---------------------------------------------------------------------------
 
 
-def _append(store: ExperienceStore, context: Context, theta, outcome: Outcome,
+def _append(store: ExperienceStore, context: Context, theta, landing,
             reward: float) -> RolloutRecord:
     """Record one rollout in the store, which checks it against its boxes."""
     record = RolloutRecord(target=context.target, env_context=context.env,
-                           params=theta, outcome=outcome, actual_reward=reward)
+                           params=theta, landing=landing, actual_reward=reward)
     store.append(record)
     return record
 
@@ -409,9 +409,9 @@ class BoLearner:
         # (store size, hyperparameter object, model) of the last fit
         self._kept: tuple[int, gp.KernelHyperparams, gp.GpModel] | None = None
 
-    def observe(self, context: Context, theta, outcome: Outcome,
+    def observe(self, context: Context, theta, landing,
                 reward: float) -> RolloutRecord:
-        record = _append(self.store, context, theta, outcome, reward)
+        record = _append(self.store, context, theta, landing, reward)
         if self._relabel_rewards is not None:
             self._relabel_rewards.append(her_augment(record, self.reward_fn))
         return record
@@ -425,9 +425,9 @@ class BoLearner:
         rewards = store.actual_rewards()
         if self._relabel_rewards is None:
             return inputs, rewards
-        # each relabel follows the rollout it came from, with the achieved
-        # target in place of the commanded one
-        relabeled = np.hstack([store.achieved_targets(), store.reduced_inputs()])
+        # each relabel follows the rollout it came from, with the landing in
+        # place of the commanded target
+        relabeled = np.hstack([store.landings(), store.reduced_inputs()])
         return (np.stack([inputs, relabeled], axis=1).reshape(-1, inputs.shape[1]),
                 np.stack([rewards, self._relabel_rewards], axis=1).ravel())
 
@@ -592,9 +592,9 @@ class CrepsLearner:
     def select_greedy(self, context: Context) -> np.ndarray:
         return self.theta_space.clip(self.policy.mean_params(context.full))
 
-    def observe(self, context: Context, theta, outcome: Outcome,
+    def observe(self, context: Context, theta, landing,
                 reward: float) -> RolloutRecord:
-        record = _append(self.store, context, theta, outcome, reward)
+        record = _append(self.store, context, theta, landing, reward)
         store, k = self.store, self.cfg.creps_period
         if len(store) % k == 0:
             # the batch is the last k rollouts, each context target then env
@@ -617,7 +617,7 @@ def make_learner(cfg: LearnerConfig, target_space: SearchSpace,
 
 def run_episode(learner, environment, context: Context | None,
                 rng: np.random.Generator) -> RolloutRecord:
-    """One learning episode: select, roll out with training noise, record.
+    """One learning episode: select, roll out with the rng's noise, record.
 
     Passive learners require the harness-sampled context; active learners
     are handed None and choose their own query.
@@ -631,6 +631,6 @@ def run_episode(learner, environment, context: Context | None,
     theta = np.asarray(theta, dtype=float)
     if not learner.theta_space.contains(theta, atol=1e-9):
         raise ContractError("selected parameters left their box")
-    outcome = environment.rollout(context.env, theta, train_mode=True, rng=rng)
-    reward = environment.reward_fn(context.target, outcome, theta)
-    return learner.observe(context, theta, outcome, float(reward))
+    landing = environment.rollout(context.env, theta, rng)
+    reward = environment.reward_fn(context.target, landing, theta)
+    return learner.observe(context, theta, landing, float(reward))

@@ -2,13 +2,12 @@
 
 A context splits into a target part (enters only the reward) and an
 environment part (enters only the dynamics).  Because of that split the
-environment context, the controller parameters and the outcome's
-reward-sufficient statistics are enough to re-score the whole store under
-any query target without touching the simulator.  The commanded target, the
-achieved target and the collection-time reward are kept too: the joint
-learners train on the first with its reward, hindsight relabeling on the
-second, and online performance accounting is unaffected by later
-re-evaluations.
+environment context, the controller parameters and the rollout's landing
+are enough to re-score the whole store under any query target without
+touching the simulator.  The commanded target and the collection-time
+reward are kept too: the joint learners train on them, hindsight
+relabeling reads the landing as the achieved target, and online
+performance accounting is unaffected by later re-evaluations.
 """
 
 from __future__ import annotations
@@ -50,34 +49,18 @@ class Context:
 
 
 @dataclass(frozen=True)
-class Outcome:
-    """Reward-sufficient statistics of one trajectory."""
-
-    stats: np.ndarray
-    achieved_target: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "stats", _clean_vector(self.stats, "stats"))
-        object.__setattr__(
-            self, "achieved_target",
-            _clean_vector(self.achieved_target, "achieved_target"))
-
-
-@dataclass(frozen=True)
 class RolloutRecord:
     """One executed rollout: what ran, what happened, what it earned."""
 
     target: np.ndarray
     env_context: np.ndarray
     params: np.ndarray
-    outcome: Outcome
+    landing: np.ndarray
     actual_reward: float
 
     def __post_init__(self):
-        for name in ("target", "env_context", "params"):
+        for name in ("target", "env_context", "params", "landing"):
             object.__setattr__(self, name, _clean_vector(getattr(self, name), name))
-        if not isinstance(self.outcome, Outcome):
-            raise ContractError("outcome must be an Outcome")
         if not np.isfinite(self.actual_reward):
             raise ContractError("actual_reward must be finite")
         object.__setattr__(self, "actual_reward", float(self.actual_reward))
@@ -87,10 +70,9 @@ class ExperienceStore:
     """Append-only rollout log kept as growing columns, in insertion order.
 
     Row i holds rollout i: its commanded target, its (env context, params)
-    inputs, its outcome statistics and achieved target, and its
-    collection-time reward.  The matrix views are read-only and cover the
-    rows appended so far; a later append writes past them, or into a fresh
-    buffer, never into them.
+    inputs, its landing and its collection-time reward.  The matrix views
+    are read-only and cover the rows appended so far; a later append writes
+    past them, or into a fresh buffer, never into them.
     """
 
     def __init__(self, target_space: SearchSpace, env_space: SearchSpace,
@@ -103,12 +85,11 @@ class ExperienceStore:
         rows = 16  # doubled whenever the columns are full
         self._targets = np.empty((rows, target_space.dim))
         self._inputs = np.empty((rows, env_space.dim + param_space.dim))
-        # the outcome columns take their widths from the first append, as an
-        # achieved target can be narrower than the commanded one; until then
-        # the achieved column is as wide as the target box, so that rows
-        # built from it on an empty store have their full width
-        self._stats = np.empty((rows, 0))
-        self._achieved = np.empty((rows, target_space.dim))
+        # the landing column takes its width from the first append, as a
+        # landing can be narrower than the commanded target; until then it
+        # is as wide as the target box, so that relabeled rows built from it
+        # on an empty store have their full width
+        self._landings = np.empty((rows, target_space.dim))
         self._rewards = np.empty(rows)
 
     def __len__(self) -> int:
@@ -127,26 +108,20 @@ class ExperienceStore:
             name = next(name for value, space, name in parts
                         if not space.contains(value, atol=1e-9))
             raise ContractError(f"{name} outside the store's box")
-        stats = record.outcome.stats
-        achieved = record.outcome.achieved_target
+        landing = record.landing
         n = self._n
         if n == 0:
-            self._stats = np.empty((len(self._rewards), stats.size))
-            self._achieved = np.empty((len(self._rewards), achieved.size))
-        elif (stats.shape != self._stats.shape[1:]
-              or achieved.shape != self._achieved.shape[1:]):
-            raise ContractError("outcome dimension changed mid-store")
+            self._landings = np.empty((len(self._rewards), landing.size))
+        elif landing.shape != self._landings.shape[1:]:
+            raise ContractError("landing dimension changed mid-store")
         if n == len(self._rewards):
-            (self._targets, self._inputs, self._stats, self._achieved,
-             self._rewards) = (
+            self._targets, self._inputs, self._landings, self._rewards = (
                 np.concatenate([column, np.empty_like(column)]) for column in
-                (self._targets, self._inputs, self._stats, self._achieved,
-                 self._rewards))
+                (self._targets, self._inputs, self._landings, self._rewards))
         split = self.target_space.dim
         self._targets[n] = row[:split]
         self._inputs[n] = row[split:]
-        self._stats[n] = stats
-        self._achieved[n] = achieved
+        self._landings[n] = landing
         self._rewards[n] = record.actual_reward
         self._n = n + 1
 
@@ -168,11 +143,8 @@ class ExperienceStore:
     def targets(self) -> np.ndarray:
         return self._view(self._targets)
 
-    def outcome_stats(self) -> np.ndarray:
-        return self._view(self._stats)
-
-    def achieved_targets(self) -> np.ndarray:
-        return self._view(self._achieved)
+    def landings(self) -> np.ndarray:
+        return self._view(self._landings)
 
     def actual_rewards(self) -> np.ndarray:
         return self._view(self._rewards)
@@ -182,11 +154,11 @@ class ExperienceStore:
 # re-evaluation
 # ---------------------------------------------------------------------------
 
-# reward_fn.batch(targets, stats, params) over matrices with one row per
-# (target, record) pair, and reward_fn(target, outcome, params) -> float;
+# reward_fn.batch(targets, landings, params) over matrices with one row per
+# (target, record) pair, and reward_fn(target, landing, params) -> float;
 # the task rewards define the one-row call once (``sim.Reward``) as batch
 # on one row, so the two agree bit for bit.
-RewardFn = Callable[[np.ndarray, Outcome, np.ndarray], float]
+RewardFn = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
 
 
 def reevaluate(store: ExperienceStore, reward_fn: RewardFn,
@@ -194,7 +166,7 @@ def reevaluate(store: ExperienceStore, reward_fn: RewardFn,
     """Score the whole store under a query target.
 
     Returns the (env context, params) input matrix and the per-record
-    rewards, in insertion order.  Outcomes are never re-simulated; the
+    rewards, in insertion order.  Rollouts are never re-simulated; the
     inputs are identical whatever the target.
     """
     target = _clean_vector(target, "target")
@@ -215,7 +187,7 @@ def reevaluate_targets(store: ExperienceStore, reward_fn: RewardFn,
     if n == 0:
         return np.zeros((k, 0))
     rewards = reward_fn.batch(np.repeat(targets, n, axis=0),
-                              np.tile(store.outcome_stats(), (k, 1)),
+                              np.tile(store.landings(), (k, 1)),
                               np.tile(store.params(), (k, 1)))
     return np.asarray(rewards, dtype=float).reshape(k, n)
 
@@ -226,17 +198,17 @@ def reevaluate_targets(store: ExperienceStore, reward_fn: RewardFn,
 
 
 def her_augment(record: RolloutRecord, reward_fn: RewardFn) -> float:
-    """The rollout's reward had its achieved target been the commanded one.
+    """The rollout's reward had its landing been the commanded target.
 
-    The relabeled row is (achieved target, env context, params); for a
+    The relabeled row is (landing, env context, params); for a
     pure-distance reward the distance term vanishes.  The source record is
-    not modified.  An achieved target shaped unlike the commanded one, such
-    as the active cannon's 2-d landing against its (x, y, indicator)
-    target, cannot stand in for it and raises :class:`ContractError`.
+    not modified.  A landing shaped unlike the commanded target, such as
+    the active cannon's 2-d landing against its (x, y, indicator) target,
+    cannot stand in for it and raises :class:`ContractError`.
     """
-    achieved = record.outcome.achieved_target
-    if achieved.shape != record.target.shape:
+    landing = record.landing
+    if landing.shape != record.target.shape:
         raise ContractError(
-            f"achieved target shape {achieved.shape} cannot relabel the "
-            f"commanded target shape {record.target.shape}")
-    return float(reward_fn(achieved, record.outcome, record.params))
+            f"landing shape {landing.shape} cannot relabel the commanded "
+            f"target shape {record.target.shape}")
+    return float(reward_fn(landing, landing, record.params))

@@ -6,9 +6,10 @@ runner executes every seed in the seed list with rng streams derived from
 of execution order.  Outputs are JSON plus two CSV shapes; bytes are
 deterministic so re-emitting is idempotent.
 
-An environment adapts one ``sim`` task to the runner: ``rollout(env
-context, theta, train_mode, rng)`` passes theta, the parameter vector, on
-to the task's rollout as it is, and ``reward_fn`` is the task's reward.
+An environment is one record per task: its world, its target, env and
+theta boxes, its reward, and ``rollout(env context, theta, rng)``, which
+calls the task's ``sim`` rollout and returns the landing.  An rng draws
+the rollout's noise; ``None`` is the noise-free shot.
 """
 
 from __future__ import annotations
@@ -41,65 +42,55 @@ DEFAULT_SEEDS = tuple(range(10))
 # ---------------------------------------------------------------------------
 
 
-class CannonEnvironment:
-    """Projectile task over one generated hilly world; no env context."""
+# eq=False: the boxes hold ndarrays; environments compare by
+# replay_metadata()
+@dataclass(frozen=True, eq=False)
+class Environment:
+    """One ``sim`` task over one world, as the runner sees it."""
 
-    id = "cannon"
+    id: str
+    seed: int
+    world: sim.CannonWorld | sim.ThrowerWorld
+    target_space: SearchSpace
+    env_space: SearchSpace
+    theta_space: SearchSpace
+    reward_fn: sim.Reward
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.world = sim.CannonWorld.generate(seed=self.seed)
-        self.target_space = sim.CANNON_TARGET_SPACE
-        self.env_space = SearchSpace(np.zeros(0), np.zeros(0))
-        self.theta_space = sim.CANNON_PARAM_SPACE
-        self.reward_fn = sim.CannonReward()
-
-    def rollout(self, env_context, theta, train_mode, rng):
-        return sim.cannon_rollout(self.world, theta, train_mode=train_mode,
-                                  rng=rng)
-
-    def replay_metadata(self) -> dict:
-        return {"id": self.id, "seed": self.seed,
-                "world": self.world.replay_metadata()}
-
-
-class ActiveCannonEnvironment(CannonEnvironment):
-    """Cannon task whose target context carries the shoot indicator."""
-
-    id = "active-cannon"
-
-    def __init__(self, seed: int):
-        super().__init__(seed)
-        self.target_space = sim.ACTIVE_CANNON_TARGET_SPACE
-        self.reward_fn = sim.ActiveCannonReward()
-
-
-class ThrowerEnvironment:
-    """Ball throwing via a movement primitive; start position is env context."""
-
-    id = "thrower"
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.world = sim.ThrowerWorld()
-        self.target_space = sim.THROWER_TARGET_SPACE
-        self.env_space = sim.THROWER_START_SPACE
-        self.theta_space = sim.THROWER_PARAM_SPACE
-        self.reward_fn = sim.ThrowerReward()
-
-    def rollout(self, env_context, theta, train_mode, rng):
-        # the thrower has no training-time actuation noise
-        return sim.thrower_rollout(self.world, env_context, theta)
+    def rollout(self, env_context, theta, rng):
+        # looked up on sim per call, so that a wrapped rollout is the one run
+        simulate = (sim.thrower_rollout if self.id == "thrower"
+                    else sim.cannon_rollout)
+        return simulate(self.world, env_context, theta, rng)
 
     def replay_metadata(self) -> dict:
         return {"id": self.id, "seed": self.seed,
                 "world": self.world.replay_metadata()}
 
 
+# perfbench's failure test wraps rollouts through this name
+CannonEnvironment = Environment
+
+
+def _cannon(env_id: str, seed: int, target_space: SearchSpace,
+            reward_fn: sim.Reward) -> Environment:
+    """The projectile task over one generated hilly world."""
+    return Environment(env_id, seed, sim.CannonWorld.generate(seed=seed),
+                       target_space, sim.CANNON_ENV_SPACE,
+                       sim.CANNON_PARAM_SPACE, reward_fn)
+
+
+# id -> builder from the environment seed; the active cannon's target
+# carries the shoot indicator, and the thrower's env context is its start
+# position
 ENVIRONMENTS = {
-    "cannon": CannonEnvironment,
-    "active-cannon": ActiveCannonEnvironment,
-    "thrower": ThrowerEnvironment,
+    "cannon": lambda seed: _cannon("cannon", seed, sim.CANNON_TARGET_SPACE,
+                                   sim.CannonReward()),
+    "active-cannon": lambda seed: _cannon(
+        "active-cannon", seed, sim.ACTIVE_CANNON_TARGET_SPACE,
+        sim.ActiveCannonReward()),
+    "thrower": lambda seed: Environment(
+        "thrower", seed, sim.ThrowerWorld(), sim.THROWER_TARGET_SPACE,
+        sim.THROWER_START_SPACE, sim.THROWER_PARAM_SPACE, sim.ThrowerReward()),
 }
 
 
@@ -185,7 +176,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def build_environment(config: ExperimentConfig):
-    return ENVIRONMENTS[config.environment](config.environment_seed)
+    return ENVIRONMENTS[config.environment](int(config.environment_seed))
 
 
 def _target_boxes(config: ExperimentConfig, environment) -> list[SearchSpace]:
@@ -282,9 +273,8 @@ def offline_eval_per_context(learner, contexts, environment) -> np.ndarray:
     rewards = np.zeros(len(contexts))
     for i, ctx in enumerate(contexts):
         theta = learner.select_greedy(ctx)
-        outcome = environment.rollout(ctx.env, theta, train_mode=False,
-                                      rng=None)
-        rewards[i] = environment.reward_fn(ctx.target, outcome, theta)
+        landing = environment.rollout(ctx.env, theta, None)
+        rewards[i] = environment.reward_fn(ctx.target, landing, theta)
     return rewards
 
 

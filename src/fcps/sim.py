@@ -6,16 +6,17 @@ angle, and launch speed.  The thrower integrates a dynamic movement
 primitive from a start position, releases a ball with the end-effector's
 final state, and scores the ballistic landing point.  Both environments
 satisfy the factorization premise: the commanded target never enters the
-dynamics, so outcomes can be re-scored under arbitrary targets.
+dynamics, so landings can be re-scored under arbitrary targets.
 
-Each task has one contract: a rollout takes the world, the environment
-context where there is one, and the parameter vector theta, checks theta's
-shape and box, and returns an ``Outcome``; a reward scores targets against
-outcome statistics (and theta) in ``batch``, and its one-row call is that
-batch on one row.  Gravity, launch noise, the DMP gains and the thrower's
-clock and shape weights are module constants; the worlds'
-``replay_metadata`` records gravity, launch noise and the clock.  Every
-DMP starts at rest.
+Each task has one contract: a rollout maps (world, env context, theta,
+rng) to the landing, a (2,) array, after checking the env context's and
+theta's shapes and theta's box; the rng draws the cannon's launch noise,
+``None`` is the noise-free shot, and the thrower has no noise.  A reward
+scores targets against landings and theta in ``batch(targets, landings,
+params)``, and its one-row call is that batch on one row.  Gravity, launch
+noise, the DMP gains and the thrower's clock and shape weights are module
+constants; the worlds' ``replay_metadata`` records gravity, launch noise
+and the clock.  Every DMP starts at rest.
 
 A cannon landing is found by a vectorized scan of the arc on a 0.01 time
 grid, then bisection on Python floats that stops at its fixed point, the
@@ -38,13 +39,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError
-from .experience import Outcome
 from .optim import SearchSpace
 
 # cannon boxes: theta = (alpha, beta, v), targets on the ground plane
 CANNON_PARAM_SPACE = SearchSpace(
     [0.0, 0.01, 0.1], [2.0 * math.pi, math.pi / 2 - 0.2, 5.0])
 CANNON_TARGET_SPACE = SearchSpace([-11.0, -11.0], [11.0, 11.0])
+# the cannon has no env context
+CANNON_ENV_SPACE = SearchSpace(np.zeros(0), np.zeros(0))
 # active variant appends the shoot indicator to the target context
 ACTIVE_CANNON_TARGET_SPACE = SearchSpace([-11.0, -11.0, 0.0], [11.0, 11.0, 1.0])
 
@@ -55,7 +57,8 @@ PAD_RADIUS = 1.5
 PAD_BLEND_RADIUS = 3.0
 CANNON_HILLS = 4
 CANNON_GRAVITY = 1.0
-# standard deviation of the train-mode perturbation of each launch angle
+# standard deviation of the noise a rollout with an rng adds to each launch
+# angle
 LAUNCH_NOISE_DEG = 1.0
 
 
@@ -202,23 +205,24 @@ def _first_landing_time(world: CannonWorld, vel: np.ndarray) -> float:
     return t_land
 
 
-def cannon_rollout(world: CannonWorld, theta, train_mode: bool = False,
-                   rng: np.random.Generator | None = None) -> Outcome:
-    """Fire once; the outcome stores the landing point and commanded speed.
+def cannon_rollout(world: CannonWorld, env_context, theta,
+                   rng: np.random.Generator | None) -> np.ndarray:
+    """Fire once; returns the landing point.
 
-    theta is (horizontal orientation alpha, vertical angle beta, speed v).
-    In train mode both angles are perturbed by independent Gaussian noise of
-    ``LAUNCH_NOISE_DEG`` degrees; the commanded target never enters.
+    theta is (horizontal orientation alpha, vertical angle beta, speed v)
+    and the env context is empty.  With an rng both angles are perturbed by
+    independent Gaussian noise of ``LAUNCH_NOISE_DEG`` degrees; the
+    commanded target never enters.
     """
+    if np.shape(env_context) != (CANNON_ENV_SPACE.dim,):
+        raise ContractError("the cannon takes an empty env context")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (3,):
         raise ContractError("launch parameter vector must have 3 entries")
     if not CANNON_PARAM_SPACE.contains(theta, atol=1e-9):
         raise ContractError("launch parameters outside their box")
     alpha, beta, v = theta.tolist()
-    if train_mode:
-        if rng is None:
-            raise ContractError("train-mode rollouts need an rng")
+    if rng is not None:
         sigma = math.radians(LAUNCH_NOISE_DEG)
         alpha = alpha + sigma * rng.standard_normal()
         beta = beta + sigma * rng.standard_normal()
@@ -228,31 +232,29 @@ def cannon_rollout(world: CannonWorld, theta, train_mode: bool = False,
         math.sin(beta),
     ])
     t_land = _first_landing_time(world, vel)
-    landing = np.array([vel[0] * t_land, vel[1] * t_land])
-    return Outcome(stats=np.array([landing[0], landing[1], v]),
-                   achieved_target=landing)
+    return np.array([vel[0] * t_land, vel[1] * t_land])
 
 
 class Reward:
-    """A reward's one-row call: ``batch`` on a single (target, outcome
-    statistics, params) row, so scalar and batched scores agree bit for
-    bit.  Subclasses define ``batch(targets, stats, params)``."""
+    """A reward's one-row call: ``batch`` on a single (target, landing,
+    params) row, so scalar and batched scores agree bit for bit.
+    Subclasses define ``batch(targets, landings, params)``."""
 
-    def __call__(self, target, outcome: Outcome, params) -> float:
+    def __call__(self, target, landing, params) -> float:
         return float(self.batch(np.asarray(target, dtype=float)[None, :],
-                                outcome.stats[None, :],
+                                np.asarray(landing, dtype=float)[None, :],
                                 np.asarray(params, dtype=float)[None, :])[0])
 
 
 class CannonReward(Reward):
-    """R = -||target - achieved|| - 0.05 v^2, with v the commanded speed."""
+    """R = -||target - landing|| - 0.05 v^2, with v theta's commanded speed."""
 
-    def batch(self, targets, stats, params):
+    def batch(self, targets, landings, params):
         targets = np.asarray(targets, dtype=float)
-        stats = np.asarray(stats, dtype=float)
-        delta = targets - stats[:, :2]
+        params = np.asarray(params, dtype=float)
+        delta = targets - np.asarray(landings, dtype=float)
         dist = np.sqrt(np.sum(delta * delta, axis=1))
-        return -dist - 0.05 * stats[:, 2] * stats[:, 2]
+        return -dist - 0.05 * params[:, 2] * params[:, 2]
 
 
 class ActiveCannonReward(CannonReward):
@@ -265,10 +267,10 @@ class ActiveCannonReward(CannonReward):
 
     indicator_threshold = 0.1
 
-    def batch(self, targets, stats, params):
+    def batch(self, targets, landings, params):
         targets = np.asarray(targets, dtype=float)
         params = np.asarray(params, dtype=float)
-        shoot = super().batch(targets[:, :2], stats, params)
+        shoot = super().batch(targets[:, :2], landings, params)
         hold = -np.sqrt(np.sum(params * params, axis=1))
         return np.where(targets[:, 2] <= self.indicator_threshold, shoot, hold)
 
@@ -523,11 +525,14 @@ def ballistic_landing(position, velocity, gravity: float) -> np.ndarray:
                      position[2] + velocity[2] * t])
 
 
-def thrower_rollout(world: ThrowerWorld, env_context, theta) -> Outcome:
-    """Run the DMP from the start position and release into free flight.
+def thrower_rollout(world: ThrowerWorld, env_context, theta,
+                    rng: np.random.Generator | None) -> np.ndarray:
+    """Run the DMP from the start position and release into free flight;
+    returns the landing point.
 
-    theta stacks the commanded goal and goal velocity; the ball takes the
-    final DMP state exactly.  The rollout is deterministic.
+    The env context is the start position and theta stacks the commanded
+    goal and goal velocity; the ball takes the final DMP state exactly.
+    The thrower has no actuation noise, so the rng is not read.
     """
     start = np.asarray(env_context, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -543,16 +548,13 @@ def thrower_rollout(world: ThrowerWorld, env_context, theta) -> Outcome:
                        goal_velocity=theta[3:], duration=THROWER_DURATION)
     positions, velocities = _rk4(params, world.phase_table, start, THROWER_DT,
                                  THROWER_STEPS)
-    landing = ballistic_landing(positions[-1], velocities[-1],
-                                THROWER_GRAVITY)
-    return Outcome(stats=landing, achieved_target=landing)
+    return ballistic_landing(positions[-1], velocities[-1], THROWER_GRAVITY)
 
 
 class ThrowerReward(Reward):
-    """R = -||target - achieved landing||."""
+    """R = -||target - landing||."""
 
-    def batch(self, targets, stats, params):
+    def batch(self, targets, landings, params):
         targets = np.asarray(targets, dtype=float)
-        stats = np.asarray(stats, dtype=float)
-        delta = targets - stats[:, :2]
+        delta = targets - np.asarray(landings, dtype=float)
         return -np.sqrt(np.sum(delta * delta, axis=1))

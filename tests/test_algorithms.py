@@ -20,7 +20,7 @@ from fcps.algorithms import (
     ucb_select,
 )
 from fcps.errors import ContractError
-from fcps.experience import Context, Outcome, her_augment
+from fcps.experience import Context, her_augment
 from fcps.optim import SearchSpace
 
 TARGET2 = SearchSpace([-1.0, -1.0], [1.0, 1.0])
@@ -41,25 +41,24 @@ def small_config(**kw):
 
 
 class TargetDistanceReward:
-    """R = -||target - achieved||; batched and scalar calls agree bitwise."""
+    """R = -||target - landing||; batched and scalar calls agree bitwise."""
 
-    def __call__(self, target, outcome, params=None):
+    def __call__(self, target, landing, params=None):
         target = np.asarray(target, dtype=float)
-        return float(self.batch(target[None, :], outcome.stats[None, :])[0])
+        return float(self.batch(target[None, :], landing[None, :])[0])
 
-    def batch(self, targets, stats, params=None):
-        delta = np.asarray(targets, float) - np.asarray(stats, float)[:, :2]
+    def batch(self, targets, landings, params=None):
+        delta = np.asarray(targets, float) - np.asarray(landings, float)
         return -np.sqrt(np.sum(delta * delta, axis=1))
 
 
 class EchoEnv:
-    """Rollout whose outcome is the parameter vector itself, no env state."""
+    """Rollout that lands on the parameter vector itself, no env state."""
 
     reward_fn = TargetDistanceReward()
 
-    def rollout(self, env_context, params, train_mode, rng):
-        params = np.asarray(params, dtype=float)
-        return Outcome(stats=params.copy(), achieved_target=params.copy())
+    def rollout(self, env_context, params, rng):
+        return np.array(params, dtype=float)
 
 
 def seeded_echo_learner(algorithm, **kw):
@@ -74,7 +73,7 @@ def feed_latin_rollouts(learner, n, seed=2):
     records = []
     for p in THETA2.sample_latin(n, rng):
         ctx = Context(target=TARGET2.sample_uniform(1, rng)[0], env=np.zeros(0))
-        out = Outcome(stats=p.copy(), achieved_target=p.copy())
+        out = p.copy()
         records.append(learner.observe(ctx, p, out, reward(ctx.target, out)))
     return records
 
@@ -178,7 +177,7 @@ def test_selected_ucb_beats_dense_grid():
 
 
 def test_factored_greedy_recovers_query_target():
-    """With achieved == params, the re-scored model peaks at theta == target."""
+    """With landing == params, the re-scored model peaks at theta == target."""
     for qt in ([0.3, 0.4], [0.7, 0.2], [0.5, 0.8]):
         learner = seeded_echo_learner(
             "bo-fcps", refit_warmup=25, refit_restarts=2,
@@ -192,7 +191,7 @@ def test_factored_greedy_recovers_query_target():
 
 def test_factored_inputs_ignore_collection_targets():
     # two learners fed identical rollouts under different commanded targets
-    # must produce identical selections: only (env, theta, outcome) matter
+    # must produce identical selections: only (env, theta, landing) matter
     learners = []
     for target_seed in (10, 20):
         learner = seeded_echo_learner("bo-fcps", rng_seed=5, init_episodes=0)
@@ -200,7 +199,7 @@ def test_factored_inputs_ignore_collection_targets():
         targets = np.random.default_rng(target_seed).uniform(-1, 1, (8, 2))
         reward = TargetDistanceReward()
         for p, t in zip(THETA2.sample_latin(8, rng), targets):
-            out = Outcome(stats=p.copy(), achieved_target=p.copy())
+            out = p.copy()
             learner.observe(Context(target=t, env=np.zeros(0)), p, out,
                             reward(t, out))
         learners.append(learner)
@@ -226,7 +225,7 @@ def test_factored_select_rescores_the_store_once(monkeypatch):
     inputs, rewards = learner.dataset(query.target)
     assert np.array_equal(inputs, learner.store.reduced_inputs())
     reward = TargetDistanceReward()
-    assert np.array_equal(rewards, [reward(query.target, r.outcome)
+    assert np.array_equal(rewards, [reward(query.target, r.landing)
                                     for r in records])
 
 
@@ -262,15 +261,15 @@ def test_relabeled_dataset_layout():
         relabeled = inputs[2 * i + 1]
         assert np.array_equal(original[2:], record.params)
         assert np.array_equal(relabeled[2:], record.params)
-        # the relabeled context is the achieved target; reward is then the
-        # control cost alone since the distance term vanishes
-        assert np.array_equal(relabeled[:2], record.outcome.achieved_target)
+        # the relabeled context is the landing; reward is then the control
+        # cost alone since the distance term vanishes
+        assert np.array_equal(relabeled[:2], record.landing)
         assert rewards[2 * i + 1] == pytest.approx(0.0, abs=1e-12)
         assert rewards[2 * i] == record.actual_reward
 
 
 def test_relabeled_dataset_layout_with_env_context():
-    # rows 2i and 2i+1 are [target, env, theta] and [achieved, env, theta],
+    # rows 2i and 2i+1 are [target, env, theta] and [landing, env, theta],
     # with the record's reward and the relabel reward
     learner = make_learner(small_config(algorithm="bo-fcps-her"), TARGET2,
                            ENV1, THETA2, TargetDistanceReward())
@@ -279,7 +278,7 @@ def test_relabeled_dataset_layout_with_env_context():
     records = []
     for p, e in zip(THETA2.sample_latin(5, rng), ENV1.sample_uniform(5, rng)):
         ctx = Context(target=TARGET2.sample_uniform(1, rng)[0], env=e)
-        out = Outcome(stats=p[::-1].copy(), achieved_target=p[::-1].copy())
+        out = p[::-1].copy()
         records.append(learner.observe(ctx, p, out,
                                        learner.reward_fn(ctx.target, out)))
     inputs, rewards = learner.dataset(np.zeros(2))
@@ -288,7 +287,7 @@ def test_relabeled_dataset_layout_with_env_context():
         assert inputs[2 * i].tobytes() == np.concatenate(
             [r.target, r.env_context, r.params]).tobytes()
         assert inputs[2 * i + 1].tobytes() == np.concatenate(
-            [r.outcome.achieved_target, r.env_context, r.params]).tobytes()
+            [r.landing, r.env_context, r.params]).tobytes()
         assert rewards[2 * i] == r.actual_reward
         assert rewards[2 * i + 1] == her_augment(r, learner.reward_fn)
 
@@ -417,10 +416,10 @@ def test_select_from_a_kept_greedy_fit_equals_one_from_a_fresh_fit(tag, monkeypa
         picks = [learner.select(context) for learner in learners]
         assert picks[0].tobytes() == picks[1].tobytes()
         kept_reads += len(learners[0].store) >= 2 and len(fits) == before + 1
-        outcome = env.rollout(None, picks[0], True, rng)
-        reward = env.reward_fn(context.target, outcome)
+        landing = env.rollout(None, picks[0], rng)
+        reward = env.reward_fn(context.target, landing)
         for learner in learners:
-            learner.observe(context, picks[0], outcome, reward)
+            learner.observe(context, picks[0], landing, reward)
     assert kept_reads >= 2
 
 
@@ -437,7 +436,7 @@ def test_faces_rescores_the_store_at_its_refit_target_only_to_refit(monkeypatch)
                         lambda *args: rescored.append(args[2]) or rescore(*args))
     for n, theta in enumerate(THETA2.sample_latin(5, rng), start=1):
         target = learner.target_space.sample_uniform(1, rng)[0]
-        out = Outcome(stats=theta.copy(), achieved_target=theta.copy())
+        out = theta.copy()
         learner.observe(Context(target=target, env=np.zeros(0)), theta, out,
                         reward(target, out))
         if n >= 4:
@@ -549,12 +548,12 @@ def active_learner(tag, **kw):
 class TargetDistanceReward3:
     """Distance on the first two target columns; third column is inert."""
 
-    def __call__(self, target, outcome, params=None):
+    def __call__(self, target, landing, params=None):
         target = np.asarray(target, dtype=float)
-        return float(self.batch(target[None, :], outcome.stats[None, :])[0])
+        return float(self.batch(target[None, :], landing[None, :])[0])
 
-    def batch(self, targets, stats, params=None):
-        delta = np.asarray(targets, float)[:, :2] - np.asarray(stats, float)[:, :2]
+    def batch(self, targets, landings, params=None):
+        delta = np.asarray(targets, float)[:, :2] - np.asarray(landings, float)
         return -np.sqrt(np.sum(delta * delta, axis=1))
 
 
@@ -591,7 +590,7 @@ def env_faces_learner(**kw):
                            TARGET2, ENV1, THETA2, TargetDistanceReward())
     rng = np.random.default_rng(6)
     for p, e in zip(THETA2.sample_latin(6, rng), ENV1.sample_uniform(6, rng)):
-        out = Outcome(stats=p.copy(), achieved_target=p.copy())
+        out = p.copy()
         learner.observe(Context(target=np.zeros(2), env=e), p, out,
                         learner.reward_fn(np.zeros(2), out, p))
     return learner
@@ -665,7 +664,7 @@ def test_run_episode_records_consistent_reward():
     ctx = Context(target=np.array([0.5, -0.5]), env=np.zeros(0))
     record = run_episode(learner, env, ctx, rng)
     assert len(learner.store) == 1
-    expected = env.reward_fn(ctx.target, record.outcome, record.params)
+    expected = env.reward_fn(ctx.target, record.landing, record.params)
     assert record.actual_reward == expected
 
 
@@ -850,7 +849,7 @@ def test_observe_rejects_out_of_box_contexts(algorithm):
     learner = make_learner(small_config(algorithm=algorithm), TARGET2, ENV1,
                            THETA2, TargetDistanceReward())
     theta = THETA2.center
-    out = Outcome(stats=theta.copy(), achieved_target=theta.copy())
+    out = theta.copy()
     learner.observe(Context(target=np.zeros(2), env=np.zeros(1)), theta, out,
                     0.0)
     for ctx in (Context(target=np.array([0.0, 1.5]), env=np.zeros(1)),

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -170,16 +171,15 @@ def test_cumulative_online_bounds_and_monotonicity():
 
 def test_partial_result_serialized_on_component_error(tmp_path, monkeypatch):
     calls = {"n": 0}
-    real = harness.CannonEnvironment
+    rollout = harness.Environment.rollout
 
-    class Flaky(real):
-        def rollout(self, env_context, theta, train_mode, rng):
-            calls["n"] += 1
-            if calls["n"] > 5:
-                raise ContractError("synthetic failure")
-            return super().rollout(env_context, theta, train_mode, rng)
+    def flaky(self, env_context, theta, rng):
+        calls["n"] += 1
+        if calls["n"] > 5:
+            raise ContractError("synthetic failure")
+        return rollout(self, env_context, theta, rng)
 
-    monkeypatch.setitem(harness.ENVIRONMENTS, "cannon", Flaky)
+    monkeypatch.setattr(harness.Environment, "rollout", flaky)
     config = tiny_config(episodes=4, evaluation_period=10, seeds=(0, 1))
     with pytest.raises(ContractError):
         run(config, partial_dir=tmp_path)
@@ -324,6 +324,32 @@ def test_replay_metadata_records_the_physics_constants(environment, seed):
     metadata = harness.ENVIRONMENTS[environment](seed).replay_metadata()
     assert json.dumps(metadata, sort_keys=True) \
         == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("environment", list(harness.ENVIRONMENTS))
+def test_every_environment_rollout_lands_and_checks_its_env_context(environment):
+    # the one task contract: (env context, theta, rng) to a (2,) landing,
+    # noise-free and so deterministic when no rng is given
+    env = harness.ENVIRONMENTS[environment](0)
+    context, theta = env.env_space.center, env.theta_space.center
+    landing = env.rollout(context, theta, None)
+    assert landing.shape == (2,) and np.all(np.isfinite(landing))
+    assert env.rollout(context, theta, None).tobytes() == landing.tobytes()
+    for wrong in (np.zeros(env.env_space.dim + 1),
+                  np.zeros((1, env.env_space.dim))):
+        with pytest.raises(ContractError):
+            env.rollout(wrong, theta, None)
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = re.search(r"## Library example\n\n```python\n(.*?)```",
+                        readme.read_text(encoding="utf-8"), re.S)
+    assert example is not None
+    exec(compile(example.group(1), str(readme), "exec"), {})
+    rewards = [float(line.rsplit(" ", 1)[1])
+               for line in capsys.readouterr().out.splitlines()]
+    assert len(rewards) > 1 and np.all(np.isfinite(rewards))
 
 
 def test_representer_count_defaults_to_200():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fcps import sim
 from fcps.errors import ContractError
-from fcps.optim import SearchSpace
 from fcps.sim import (
     ActiveCannonReward,
     CannonReward,
@@ -32,8 +31,8 @@ from fcps.sim import (
 )
 
 FLAT = CannonWorld(hills=())
-# (landing x, landing y, commanded speed) statistics of a cannon outcome
-CANNON_STATS_BOX = sim.CANNON_TARGET_SPACE.concat(SearchSpace([0.1], [5.0]))
+# the cannon's env context
+NO_ENV = np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +127,25 @@ def test_worlds_compare_by_identity_and_replay_metadata_by_content():
 
 
 def test_flat_world_range_oracle():
-    out = cannon_rollout(FLAT, [0.0, math.pi / 4, 3.0])
-    assert abs(out.achieved_target[0] - 9.0) <= 1e-6
-    assert abs(out.achieved_target[1]) <= 1e-6
-    assert out.stats[2] == 3.0
+    out = cannon_rollout(FLAT, NO_ENV, [0.0, math.pi / 4, 3.0], None)
+    assert out.shape == (2,)
+    assert abs(out[0] - 9.0) <= 1e-6
+    assert abs(out[1]) <= 1e-6
 
 
 def test_quarter_turn_swaps_axes_on_flat_ground():
-    a = cannon_rollout(FLAT, [0.0, 0.6, 2.5])
-    b = cannon_rollout(FLAT, [math.pi / 2, 0.6, 2.5])
-    assert abs(a.achieved_target[0] - b.achieved_target[1]) <= 1e-9
-    assert abs(a.achieved_target[1]) <= 1e-9
-    assert abs(b.achieved_target[0]) <= 1e-9
+    a = cannon_rollout(FLAT, NO_ENV, [0.0, 0.6, 2.5], None)
+    b = cannon_rollout(FLAT, NO_ENV, [math.pi / 2, 0.6, 2.5], None)
+    assert abs(a[0] - b[1]) <= 1e-9
+    assert abs(a[1]) <= 1e-9
+    assert abs(b[0]) <= 1e-9
 
 
 def test_hill_under_arc_shortens_range():
-    flat = cannon_rollout(FLAT, [0.0, math.pi / 4, 3.0])
+    flat = cannon_rollout(FLAT, NO_ENV, [0.0, math.pi / 4, 3.0], None)
     hilly = CannonWorld(hills=(Hill([4.5, 0.0], height=1.8, width=2.0),))
-    blocked = cannon_rollout(hilly, [0.0, math.pi / 4, 3.0])
-    assert blocked.achieved_target[0] < flat.achieved_target[0] - 0.1
+    blocked = cannon_rollout(hilly, NO_ENV, [0.0, math.pi / 4, 3.0], None)
+    assert blocked[0] < flat[0] - 0.1
 
 
 def test_landing_sits_on_terrain():
@@ -156,8 +155,7 @@ def test_landing_sits_on_terrain():
         for _ in range(4):
             theta = rng.uniform([0.0, 0.01, 0.1],
                                 [2 * math.pi, math.pi / 2 - 0.2, 5.0])
-            out = cannon_rollout(world, theta)
-            x, y = out.achieved_target
+            x, y = cannon_rollout(world, NO_ENV, theta, None)
             v = theta[2]
             t = np.hypot(x, y) / max(np.hypot(*(theta[2] * np.array([
                 math.cos(theta[1]) * math.cos(theta[0]),
@@ -170,18 +168,15 @@ def test_landing_sits_on_terrain():
 def test_rollout_determinism_and_training_noise():
     world = CannonWorld.generate(seed=3)
     theta = np.array([1.0, 0.7, 4.0])
-    clean1 = cannon_rollout(world, theta)
-    clean2 = cannon_rollout(world, theta)
-    assert np.array_equal(clean1.stats, clean2.stats)
+    clean1 = cannon_rollout(world, NO_ENV, theta, None)
+    clean2 = cannon_rollout(world, NO_ENV, theta, None)
+    assert np.array_equal(clean1, clean2)
 
-    noisy1 = cannon_rollout(world, theta, train_mode=True,
-                            rng=np.random.default_rng(9))
-    noisy2 = cannon_rollout(world, theta, train_mode=True,
-                            rng=np.random.default_rng(9))
-    assert np.array_equal(noisy1.stats, noisy2.stats)
-    assert not np.array_equal(noisy1.achieved_target, clean1.achieved_target)
-    with pytest.raises(ContractError):
-        cannon_rollout(world, theta, train_mode=True, rng=None)
+    # an rng draws launch noise; the same draws land in the same place
+    noisy1 = cannon_rollout(world, NO_ENV, theta, np.random.default_rng(9))
+    noisy2 = cannon_rollout(world, NO_ENV, theta, np.random.default_rng(9))
+    assert np.array_equal(noisy1, noisy2)
+    assert not np.array_equal(noisy1, clean1)
 
 
 def test_cannon_rollout_checks_its_theta():
@@ -189,12 +184,10 @@ def test_cannon_rollout_checks_its_theta():
                   [0.0, 0.5, 9.0],  # v above its box
                   [0.0, 0.5]):  # a 2-vector
         with pytest.raises(ContractError):
-            cannon_rollout(FLAT, theta)
+            cannon_rollout(FLAT, NO_ENV, theta, None)
         with pytest.raises(ContractError):
-            cannon_rollout(FLAT, theta, train_mode=True,
-                           rng=np.random.default_rng(0))
-    out = cannon_rollout(FLAT, [1.0, 0.5, 2.0])
-    assert out.stats[2] == 2.0
+            cannon_rollout(FLAT, NO_ENV, theta, np.random.default_rng(0))
+    assert cannon_rollout(FLAT, NO_ENV, [1.0, 0.5, 2.0], None).shape == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -204,45 +197,45 @@ def test_cannon_rollout_checks_its_theta():
 
 def test_cannon_reward_values():
     fn = CannonReward()
-    from fcps.experience import Outcome
-    hit = Outcome(stats=[3.0, 4.0, 2.0], achieved_target=[3.0, 4.0])
-    theta = [1.0, 0.5, 2.0]  # the cannon reward reads the speed from stats
-    assert fn([3.0, 4.0], hit, theta) == pytest.approx(-0.2, abs=1e-12)
-    miss = Outcome(stats=[3.0, 4.0, 0.1], achieved_target=[3.0, 4.0])
-    assert fn([0.0, 0.0], miss, theta) == pytest.approx(-5.0005, abs=1e-12)
+    landing = np.array([3.0, 4.0])
+    fast, slow = [1.0, 0.5, 2.0], [1.0, 0.5, 0.1]
+    assert fn([3.0, 4.0], landing, fast) == pytest.approx(-0.2, abs=1e-12)
+    # the speed penalty reads theta's speed, which no landing entry equals
+    assert fn([0.0, 0.0], landing, slow) == pytest.approx(-5.0005, abs=1e-12)
+    assert fn([3.0, 4.0], landing, slow) - fn([3.0, 4.0], landing, fast) \
+        == pytest.approx(0.05 * (2.0**2 - 0.1**2), abs=1e-12)
     # translation consistency
-    shifted = Outcome(stats=[4.0, 5.0, 0.1], achieved_target=[4.0, 5.0])
-    assert fn([1.0, 1.0], shifted, theta) == fn([0.0, 0.0], miss, theta)
+    shifted = np.array([4.0, 5.0])
+    assert fn([1.0, 1.0], shifted, slow) == fn([0.0, 0.0], landing, slow)
 
 
-@pytest.mark.parametrize("fn,target_box,stats_box,theta_box", [
-    pytest.param(CannonReward(), sim.CANNON_TARGET_SPACE, CANNON_STATS_BOX,
-                 sim.CANNON_PARAM_SPACE, id="cannon"),
+@pytest.mark.parametrize("fn,target_box,landing_box,theta_box", [
+    pytest.param(CannonReward(), sim.CANNON_TARGET_SPACE,
+                 sim.CANNON_TARGET_SPACE, sim.CANNON_PARAM_SPACE, id="cannon"),
     pytest.param(ActiveCannonReward(), sim.ACTIVE_CANNON_TARGET_SPACE,
-                 CANNON_STATS_BOX, sim.CANNON_PARAM_SPACE, id="active-cannon"),
+                 sim.CANNON_TARGET_SPACE, sim.CANNON_PARAM_SPACE,
+                 id="active-cannon"),
     pytest.param(ThrowerReward(), sim.THROWER_TARGET_SPACE,
                  sim.THROWER_TARGET_SPACE, THROWER_PARAM_SPACE, id="thrower"),
 ])
-def test_reward_batch_matches_scalar_bitwise(fn, target_box, stats_box,
+def test_reward_batch_matches_scalar_bitwise(fn, target_box, landing_box,
                                              theta_box):
-    from fcps.experience import Outcome
     rng = np.random.default_rng(1)
     targets = target_box.sample_uniform(16, rng)
-    stats = stats_box.sample_uniform(16, rng)
+    landings = landing_box.sample_uniform(16, rng)
     params = theta_box.sample_uniform(16, rng)
     if isinstance(fn, ActiveCannonReward):
         targets[::2, 2] = 0.0  # every other row shoots; most others hold
-    batched = fn.batch(targets, stats, params)
-    scalars = [fn(t, Outcome(stats=s, achieved_target=s[:2]), p)
-               for t, s, p in zip(targets, stats, params)]
+    batched = fn.batch(targets, landings, params)
+    scalars = [fn(t, landing, p)
+               for t, landing, p in zip(targets, landings, params)]
     assert np.array_equal(batched, scalars)
 
 
 def test_active_cannon_reward_branches():
     fn = ActiveCannonReward()
     base = CannonReward()
-    from fcps.experience import Outcome
-    out = Outcome(stats=[3.0, 4.0, 1.0], achieved_target=[3.0, 4.0])
+    out = np.array([3.0, 4.0])
     theta = np.array([0.01, 0.01, 0.1])
     shoot = fn([0.0, 0.0, 0.05], out, theta)
     assert shoot == base([0.0, 0.0], out, theta)
@@ -251,10 +244,9 @@ def test_active_cannon_reward_branches():
 
 
 def test_active_reward_indicator_never_touches_rollout():
-    # same outcome re-scored across indicator values: only the reward moves
+    # same landing re-scored across indicator values: only the reward moves
     fn = ActiveCannonReward()
-    from fcps.experience import Outcome
-    out = Outcome(stats=[1.0, 1.0, 1.0], achieved_target=[1.0, 1.0])
+    out = np.array([1.0, 1.0])
     theta = np.array([1.0, 0.5, 1.0])
     lo = fn([1.0, 1.0, 0.0], out, theta)
     hi = fn([1.0, 1.0, 1.0], out, theta)
@@ -465,8 +457,8 @@ def test_thrower_rollout_equals_the_array_rk4_rollout():
     corners = [THROWER_START_SPACE.lower, THROWER_START_SPACE.upper]
     edges = [THROWER_PARAM_SPACE.lower, THROWER_PARAM_SPACE.upper]
     for start, theta in [*zip(starts, thetas), *zip(corners, edges)]:
-        out = thrower_rollout(world, start, theta)
-        assert np.array_equal(out.stats, _thrower_rollout_array(start, theta))
+        out = thrower_rollout(world, start, theta, None)
+        assert np.array_equal(out, _thrower_rollout_array(start, theta))
 
 
 def test_thrower_builds_its_forcing_rows_once_per_world(monkeypatch):
@@ -482,10 +474,11 @@ def test_thrower_builds_its_forcing_rows_once_per_world(monkeypatch):
     rng = np.random.default_rng(3)
     for _ in range(4):
         thrower_rollout(world, THROWER_START_SPACE.sample_uniform(1, rng)[0],
-                        THROWER_PARAM_SPACE.sample_uniform(1, rng)[0])
+                        THROWER_PARAM_SPACE.sample_uniform(1, rng)[0], None)
     # the start and midpoint of every step, and the end of the last one
     assert len(calls) == 2 * sim.THROWER_STEPS + 1
-    thrower_rollout(other, THROWER_START_SPACE.center, THROWER_PARAM_SPACE.center)
+    thrower_rollout(other, THROWER_START_SPACE.center, THROWER_PARAM_SPACE.center,
+                    None)
     assert len(calls) == 2 * (2 * sim.THROWER_STEPS + 1)
 
 
@@ -493,11 +486,15 @@ def test_thrower_rollout_shapes_and_determinism():
     world = ThrowerWorld()
     start = THROWER_START_SPACE.center
     theta = THROWER_PARAM_SPACE.center
-    a = thrower_rollout(world, start, theta)
-    b = thrower_rollout(world, start, theta)
-    assert np.array_equal(a.stats, b.stats)
-    assert np.array_equal(a.stats, a.achieved_target)
-    assert a.stats.shape == (2,)
+    a = thrower_rollout(world, start, theta, None)
+    b = thrower_rollout(world, start, theta, None)
+    assert np.array_equal(a, b)
+    assert a.shape == (2,)
+    # the thrower has no actuation noise: an rng draws nothing
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert np.array_equal(thrower_rollout(world, start, theta, rng), a)
+    assert rng.bit_generator.state == state
 
 
 def test_thrower_release_matches_dmp_final_state():
@@ -509,28 +506,28 @@ def test_thrower_release_matches_dmp_final_state():
                 goal_velocity=theta[3:], duration=sim.THROWER_DURATION)
     pos, vel = dmp_integrate(params, start, sim.THROWER_DT, sim.THROWER_STEPS)
     expected = ballistic_landing(pos[-1], vel[-1], sim.THROWER_GRAVITY)
-    out = thrower_rollout(world, start, theta)
-    assert np.array_equal(out.achieved_target, expected)
+    out = thrower_rollout(world, start, theta, None)
+    assert np.array_equal(out, expected)
 
 
 def test_thrower_validation():
     world = ThrowerWorld()
     with pytest.raises(ContractError):
-        thrower_rollout(world, [5.0, 1.0, 0.0], THROWER_PARAM_SPACE.center)
+        thrower_rollout(world, [5.0, 1.0, 0.0], THROWER_PARAM_SPACE.center, None)
     with pytest.raises(ContractError):
-        thrower_rollout(world, THROWER_START_SPACE.center, np.zeros(6) + 9.0)
+        thrower_rollout(world, THROWER_START_SPACE.center, np.zeros(6) + 9.0,
+                        None)
     center = THROWER_PARAM_SPACE.center
     for start, theta in ((THROWER_START_SPACE.center, center[:3]),  # (3,) theta
                          (THROWER_START_SPACE.center, np.stack([center, center])),
                          (THROWER_START_SPACE.center[:2], center)):  # (2,) start
         with pytest.raises(ContractError):
-            thrower_rollout(world, start, theta)
+            thrower_rollout(world, start, theta, None)
 
 
 def test_thrower_reward():
     fn = ThrowerReward()
-    from fcps.experience import Outcome
-    hit = Outcome(stats=[0.3, 0.4], achieved_target=[0.3, 0.4])
+    hit = np.array([0.3, 0.4])
     theta = THROWER_PARAM_SPACE.center  # the thrower reward ignores it
     assert fn([0.3, 0.4], hit, theta) == 0.0
     assert fn([0.0, 0.0], hit, theta) == pytest.approx(-0.5, abs=1e-12)
@@ -582,7 +579,7 @@ def _rollout_with_oracle(world, theta):
     original = sim._first_landing_time
     sim._first_landing_time = _first_landing_time_100_steps
     try:
-        return cannon_rollout(world, theta)
+        return cannon_rollout(world, NO_ENV, theta, None)
     finally:
         sim._first_landing_time = original
 
@@ -600,10 +597,9 @@ STEEP = CannonWorld(hills=(Hill([4.0, 0.0], height=2.0, width=1.5),
 def test_landing_equals_the_100_step_bisection(world_seed, alpha, beta, v):
     world = CannonWorld.generate(seed=world_seed)
     for w in (world, STEEP):
-        fast = cannon_rollout(w, [alpha, beta, v])
+        fast = cannon_rollout(w, NO_ENV, [alpha, beta, v], None)
         slow = _rollout_with_oracle(w, [alpha, beta, v])
-        assert np.array_equal(fast.stats, slow.stats)
-        assert np.array_equal(fast.achieved_target, slow.achieved_target)
+        assert np.array_equal(fast, slow)
 
 
 @pytest.mark.parametrize("theta", [
@@ -619,17 +615,17 @@ def test_landing_edge_cases_equal_the_100_step_bisection(theta):
     if theta[2] <= 0.2:
         assert 2.0 * vel_z / sim.CANNON_GRAVITY <= sim._LANDING_DT
     for w in (FLAT, STEEP, CannonWorld.generate(seed=0)):
-        fast = cannon_rollout(w, theta)
+        fast = cannon_rollout(w, NO_ENV, theta, None)
         slow = _rollout_with_oracle(w, theta)
-        assert np.array_equal(fast.stats, slow.stats)
+        assert np.array_equal(fast, slow)
 
 
 def test_landing_on_a_steep_hill_stops_short_of_flat_range():
     theta = [0.0, 0.5, 3.5]
-    flat = cannon_rollout(FLAT, theta)
-    steep = cannon_rollout(STEEP, theta)
-    assert steep.achieved_target[0] < flat.achieved_target[0] - 5.0
-    x, y = steep.achieved_target
+    flat = cannon_rollout(FLAT, NO_ENV, theta, None)
+    steep = cannon_rollout(STEEP, NO_ENV, theta, None)
+    assert steep[0] < flat[0] - 5.0
+    x, y = steep
     assert terrain_elevation(STEEP, x, y) > 1.0
     # the hill's slope under the landing point is steeper than 1
     rise = terrain_elevation(STEEP, x + 1e-4, y) - terrain_elevation(STEEP, x - 1e-4, y)
