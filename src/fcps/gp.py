@@ -339,7 +339,8 @@ def predict_batch(m: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
         mean_t = np.zeros(len(x))
         var_t = np.full(len(x), h.signal_variance)
     else:
-        ks = _kernel_scaled(_scaled_rows(m.transform_inputs(x), h), m.scaled_xt, h)
+        xt = x if m.x_lo is None else (x - m.x_lo) / m.x_span
+        ks = _kernel_scaled(_scaled_rows(xt, h), m.scaled_xt, h)
         mean_t = ks @ m.weights
         v = _solve_lower(m.chol, ks.T, check_finite=False)
         var_t = h.signal_variance - np.add.reduce(np.square(v, out=v), axis=0)
@@ -383,7 +384,8 @@ def nlml(inputs, targets, h: KernelHyperparams, *,
         raise ContractError("nlml needs at least one observation")
 
     kf = kernel_eval(inputs, inputs, h)
-    K = kf + h.noise_variance * np.eye(n)
+    K = kf.copy()
+    K.reshape(-1)[::n + 1] += h.noise_variance
     try:
         L = _cholesky(K)
     except np.linalg.LinAlgError:
@@ -392,16 +394,23 @@ def nlml(inputs, targets, h: KernelHyperparams, *,
     value = (0.5 * targets @ alpha + np.sum(np.log(np.diag(L)))
              + 0.5 * n * np.log(2.0 * np.pi))
 
-    kinv = _cho_solve(L, np.eye(n))
-    A = np.outer(alpha, alpha) - kinv
-    akf = A * kf
+    # A = alpha alpha^T - K^{-1}, then A * kf, each in place; C-ordered, so
+    # that every sum below runs in the order it always has
+    A = np.outer(alpha, alpha)
+    A -= _cho_solve(L, np.eye(n))
+    grad = np.empty(d + 2)
+    grad[-1] = -0.5 * h.noise_variance * np.trace(A)
+    A *= kf
+    grad[0] = -0.5 * np.sum(A)
     if sq_diffs is None:
         sq_diffs = _squared_differences(inputs)
-    grad = np.empty(d + 2)
-    grad[0] = -0.5 * np.sum(akf)
-    for i in range(d):
-        grad[1 + i] = -0.5 * np.sum(akf * (sq_diffs[i] / h.lengthscales[i] ** 2))
-    grad[-1] = -0.5 * h.noise_variance * np.trace(A)
+    # every lengthscale term in one pass over the table, each dimension's
+    # square by numpy's scalar power: the array power (np.square) rounds
+    # some of them differently
+    scales = np.array([ell ** 2 for ell in h.lengthscales])
+    terms = sq_diffs / scales[:, None, None]
+    terms *= A
+    grad[1:-1] = -0.5 * np.add.reduce(terms.reshape(d, -1), axis=1)
     return float(value), grad
 
 
@@ -437,15 +446,22 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
     if np.any(p_sd <= 0.0):
         raise ContractError("prior widths must be positive")
     sq_diffs = _squared_differences(inputs)
+    # nlml by the hyperparameters' bits: the init point, L-BFGS-B's first
+    # call at the same point and the re-score of an end point would
+    # otherwise repeat a call.  Log-vectors a bit apart can map to the same
+    # hyperparameters, so the prior term is added per call.
+    scores: dict[tuple, tuple[float, np.ndarray]] = {}
 
     def objective(logv):
-        value, grad = nlml(inputs, targets, KernelHyperparams.from_log_vector(logv),
-                           sq_diffs=sq_diffs)
-        if np.isfinite(value):
-            z = (logv - p_mu) / p_sd
-            value += 0.5 * float(z @ z)
-            grad = grad + z / p_sd
-        return value, grad
+        h = KernelHyperparams.from_log_vector(logv)
+        key = (h.signal_variance, h.lengthscales.tobytes(), h.noise_variance)
+        if key not in scores:
+            scores[key] = nlml(inputs, targets, h, sq_diffs=sq_diffs)
+        value, grad = scores[key]
+        if not np.isfinite(value):
+            return value, grad.copy()
+        z = (logv - p_mu) / p_sd
+        return value + 0.5 * float(z @ z), grad + z / p_sd
 
     starts = [np.clip(init.as_log_vector(), lo, hi)]
     for _ in range(restarts - 1):

@@ -10,14 +10,17 @@ trisection level, lowest dimension first, the split count fixes a
 rectangle's levels, so its half-diagonal, size-class key and whether it can
 still be split are read from tables by count, built once per dimension.
 The splittable rectangles of each size class sit in a heap ordered by
-value, so each iteration reads the class representatives off the heap tops
-and runs the slope test over those few.  The local stage calls scipy's bounded L-BFGS with central
-finite differences (step rows built from Python floats) when no analytic
-gradient is supplied, and scores each point it visits once.
+value, and the class keys in a list kept ascending as classes open and
+empty, so each iteration reads the class representatives off the heap tops
+in size order and runs the slope test over those few.  The local stage
+calls scipy's bounded L-BFGS with central finite differences (step rows
+built from Python floats) when no analytic gradient is supplied, and
+scores each point it visits once.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import logging
@@ -44,7 +47,10 @@ _PO_EPSILON = 1e-4
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Axis-aligned box of valid inputs with strictly ordered bounds."""
+    """Axis-aligned box of valid inputs with strictly ordered bounds.
+
+    ``span`` (``upper - lower``) is computed once here and, like the bounds,
+    is read-only."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -58,18 +64,16 @@ class SearchSpace:
             raise ContractError("bounds must be finite")
         if not np.all(lo < hi):
             raise ContractError("every lower bound must lie strictly below its upper bound")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
+        span = hi - lo
+        for a in (lo, hi, span):
+            a.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "span", span)
 
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    @property
-    def span(self) -> np.ndarray:
-        return self.upper - self.lower
 
     @property
     def center(self) -> np.ndarray:
@@ -154,7 +158,8 @@ class _DirectState:
     half-diagonal (``measures`` by split count) rounded to 14 decimals
     (``keys``).  ``heaps`` maps each size-class key to a heap of
     ``(-value, row)`` over its splittable rectangles, so a heap's top is its
-    class's best value, lowest row first among equal values.
+    class's best value, lowest row first among equal values; ``classes``
+    lists the keys of ``heaps`` in ascending order.
     """
 
     def __init__(self, dim: int):
@@ -165,6 +170,7 @@ class _DirectState:
         self.best_index = 0
         self.measures, self.keys, self.splittable = _count_tables(dim)
         self.heaps: dict[float, list[tuple[float, int]]] = {}
+        self.classes: list[float] = []
 
     @property
     def n(self) -> int:
@@ -183,7 +189,7 @@ class _DirectState:
         """Append rectangles and file the splittable ones under their size
         class; the incumbent moves only on strict improvement, to the first
         of equal best values."""
-        keys, splittable, heaps = self.keys, self.splittable, self.heaps
+        keys, splittable = self.keys, self.splittable
         start = self.n
         best = self.values[self.best_index] if start else -math.inf
         self.centers += centers
@@ -193,7 +199,16 @@ class _DirectState:
             if value > best:
                 best, self.best_index = value, row
             if splittable[count]:
-                heapq.heappush(heaps.setdefault(keys[count], []), (-value, row))
+                self._file(keys[count], (-value, row))
+
+    def _file(self, key: float, item: tuple[float, int]) -> None:
+        """Push ``item`` on the heap of size class ``key``, opening the
+        class in its place among ``classes`` if it has none."""
+        heap = self.heaps.get(key)
+        if heap is None:
+            heap = self.heaps[key] = []
+            bisect.insort(self.classes, key)
+        heapq.heappush(heap, item)
 
     def split(self, chosen: list[int]) -> tuple[list[list[float]], list[int]]:
         """Trisect each chosen rectangle, the top of its class's heap, along
@@ -212,6 +227,7 @@ class _DirectState:
             neg_values.append(heapq.heappop(heap)[0])
             if not heap:
                 del heaps[key]
+                del self.classes[bisect.bisect_left(self.classes, key)]
         points, new_counts = [], []
         for row, neg in zip(chosen, neg_values):
             count = counts[row]
@@ -220,7 +236,7 @@ class _DirectState:
             count += 1
             counts[row] = count
             if self.splittable[count]:
-                heapq.heappush(heaps.setdefault(keys[count], []), (neg, row))
+                self._file(keys[count], (neg, row))
             center = self.centers[row]
             low, high = center.copy(), center.copy()
             low[side] = center[side] - delta
@@ -239,7 +255,7 @@ def _potentially_optimal(state: _DirectState) -> list[int]:
     row) rectangle of each size class is considered.  Slopes that come out
     NaN (between two -inf values) constrain nothing.
     """
-    tops = [heap[0] for _, heap in sorted(state.heaps.items())]
+    tops = [state.heaps[key][0] for key in state.classes]
     rows = [row for _, row in tops]
     f = [-neg for neg, _ in tops]
     dd = [state.measures[state.counts[row]] for row in rows]
