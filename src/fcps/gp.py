@@ -395,9 +395,12 @@ def nlml(inputs, targets, h: KernelHyperparams, *,
              + 0.5 * n * np.log(2.0 * np.pi))
 
     # A = alpha alpha^T - K^{-1}, then A * kf, each in place; C-ordered, so
-    # that every sum below runs in the order it always has
-    A = np.outer(alpha, alpha)
-    A -= _cho_solve(L, np.eye(n))
+    # that every sum below runs in the order it always has.  The factor was
+    # checked finite for alpha's solve, so the identity's solve skips that.
+    A = alpha[:, None] * alpha
+    kinv, info = _POTRS(L, np.eye(n), lower=1)
+    _check_info(info, "potrs")
+    A -= kinv
     grad = np.empty(d + 2)
     grad[-1] = -0.5 * h.noise_variance * np.trace(A)
     A *= kf
