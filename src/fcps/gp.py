@@ -394,9 +394,10 @@ def nlml(inputs, targets, h: KernelHyperparams, *,
     value = (0.5 * targets @ alpha + np.sum(np.log(np.diag(L)))
              + 0.5 * n * np.log(2.0 * np.pi))
 
-    # A = alpha alpha^T - K^{-1}, then A * kf, each in place; C-ordered, so
-    # that every sum below runs in the order it always has.  The factor was
-    # checked finite for alpha's solve, so the identity's solve skips that.
+    # A = alpha alpha^T - K^{-1}, then A * kf, each in place and C-ordered:
+    # the sums below must run in row order for the results to stay the same.
+    # The factor was checked finite for alpha's solve, so the identity's
+    # solve skips that.
     A = alpha[:, None] * alpha
     kinv, info = _POTRS(L, np.eye(n), lower=1)
     _check_info(info, "potrs")
