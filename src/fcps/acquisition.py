@@ -1,4 +1,4 @@
-"""Acquisition settings, and entropy search over representer contexts.
+"""Entropy search over representer contexts.
 
 Entropy search scores a hypothetical query by how much it is expected to
 shrink the entropy of the argmax distribution over a fixed candidate set,
@@ -32,51 +32,10 @@ groups, where the test costs more than it saves, stay dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gp
 from .errors import ContractError, NumericalError
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AcqConfig:
-    """Monte-Carlo fidelity settings for acquisition evaluation.
-
-    ``n_candidates`` is the size of the per-context candidate set the argmax
-    distribution lives on, ``n_function_draws`` the number of joint posterior draws,
-    ``n_fantasies`` the number of fantasy observations per query.
-    ``rng_seed`` is unread: the engine draws from the generator it is
-    given.  The field stays only because ``harness.config_to_dict`` writes
-    it into every acceptance-cache key, until the cache is regenerated
-    (ROADMAP item 1(b)).
-    """
-
-    kappa: float = 0.1
-    n_candidates: int = 20
-    n_function_draws: int = 150
-    n_fantasies: int = 3
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ContractError("kappa must be nonnegative")
-        if self.n_candidates < 2:
-            raise ContractError("need at least 2 candidates")
-        if self.n_function_draws < 100:
-            raise ContractError("need at least 100 posterior draws")
-        if self.n_fantasies < 1:
-            raise ContractError("need at least 1 fantasy branch")
-
-
-# ---------------------------------------------------------------------------
-# entropy-search engine
-# ---------------------------------------------------------------------------
 
 # float64 entries (256 KiB) the entropy kernel works on at a time: a block
 # this size stays in a core's L2 cache
@@ -217,13 +176,15 @@ class EnsembleEsEngine:
     target column per representer.  Kernel quantities are computed once per
     block; the branches are the ensemble the name refers to.
 
-    Draws (the candidate-draw matrix and the fantasy normals) are made once
-    at construction and shared by every branch, so :meth:`gains` is a
-    deterministic function of the query.
+    Draws (``n_function_draws`` columns of the candidate-draw matrix and
+    ``n_fantasies`` fantasy normals) are made once at construction and
+    shared by every branch, so :meth:`gains` is a deterministic function of
+    the query.
     """
 
     def __init__(self, model: gp.GpModel, points: np.ndarray,
-                 cfg: AcqConfig, rng: np.random.Generator):
+                 n_function_draws: int, n_fantasies: int,
+                 rng: np.random.Generator):
         h = model.hyperparams
         pts = np.asarray(points, dtype=float)
         p_n, m = pts.shape[:2]
@@ -232,10 +193,9 @@ class EnsembleEsEngine:
         c_n = max(p_n, len(columns))
         if p_n not in (1, c_n) or len(columns) not in (1, c_n):
             raise ContractError("blocks and weight columns must pair up, or one be single")
-        self.z = rng.standard_normal((m, cfg.n_function_draws))
-        self.u = rng.standard_normal(cfg.n_fantasies)
+        self.z = rng.standard_normal((m, n_function_draws))
+        self.u = rng.standard_normal(n_fantasies)
         self.model = model
-        self.cfg = cfg
 
         self._pt = model.transform_inputs(pts.reshape(p_n * m, -1))
         pt3 = self._pt.reshape(p_n, m, -1)
@@ -287,7 +247,7 @@ class EnsembleEsEngine:
         s2_obs = np.maximum(s2_lat + h.noise_variance, 1e-12 * self._scale)
         sd_obs = np.sqrt(s2_obs)
 
-        c_n, l_n, k = len(self.h0), self.cfg.n_fantasies, self.z.shape[1]
+        c_n, l_n, k = len(self.h0), len(self.u), self.z.shape[1]
         shift = ((self.u[None, None, :, None] / sd_obs[:, None, None, None])
                  * cross.transpose(2, 0, 1)[:, :, None, :])  # (B, P, L, M)
         # one kernel group per (query, block): the block's branches x L rows

@@ -22,13 +22,13 @@ top; its tag picks one of three training sets:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp, softmax
 
 from . import gp, optim
-from .acquisition import AcqConfig, EnsembleEsEngine
+from .acquisition import EnsembleEsEngine
 from .errors import ContractError
 from .experience import Context, ExperienceStore, RolloutRecord, \
     her_augment, reevaluate, reevaluate_targets
@@ -51,9 +51,17 @@ ACQUISITION_KINDS = ("ucb", "es", "random")
 
 @dataclass(frozen=True)
 class LearnerConfig:
+    """A learner's settings.  ``kappa`` weighs the confidence bound's
+    spread; entropy search draws ``n_candidates`` candidate thetas per
+    context, ``n_function_draws`` joint posterior draws and ``n_fantasies``
+    fantasy observations per query."""
+
     algorithm: str = "bo-fcps"
-    acquisition: AcqConfig = field(default_factory=AcqConfig)
     acquisition_kind: str = "ucb"
+    kappa: float = 0.1
+    n_candidates: int = 20
+    n_function_draws: int = 150
+    n_fantasies: int = 3
     n_representers: int = 200
     init_episodes: int | None = None
     refit_warmup: int = 20
@@ -64,6 +72,9 @@ class LearnerConfig:
     direct_evals: int = 150
     refine_starts: int = 2
     refine_iters: int = 25
+    # harness.run replaces this on every seed with the learner seed from
+    # derive_rng_streams, so the value runs.json records is the config's,
+    # not the seed that was used
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -76,6 +87,14 @@ class LearnerConfig:
             raise ContractError(
                 f"acquisition kind {self.acquisition_kind!r} is only "
                 f"implemented for bo-fcps, not {self.algorithm!r}")
+        if self.kappa < 0:
+            raise ContractError("kappa must be nonnegative")
+        if self.n_candidates < 2:
+            raise ContractError("need at least 2 candidates")
+        if self.n_function_draws < 100:
+            raise ContractError("need at least 100 posterior draws")
+        if self.n_fantasies < 1:
+            raise ContractError("need at least 1 fantasy branch")
         if self.creps_epsilon <= 0:
             raise ContractError("creps_epsilon must be positive")
         if self.creps_period < 2:
@@ -165,7 +184,7 @@ def ucb_select(model: gp.GpModel, prefix, theta_space: SearchSpace,
     target-specific one.
     """
     prefix = np.asarray(prefix, dtype=float)
-    k = cfg.acquisition.kappa if kappa is None else kappa
+    k = cfg.kappa if kappa is None else kappa
 
     def objective(thetas):
         mean, var = gp.predict_batch(model, _prefixed(prefix, thetas))
@@ -184,7 +203,8 @@ def es_select(model: gp.GpModel, blocks: np.ndarray, prefix,
     ``space``: es' context prefix over theta, or, with an empty prefix, an
     active learner's whole query.
     """
-    engine = EnsembleEsEngine(model, blocks, cfg.acquisition, rng=rng)
+    engine = EnsembleEsEngine(model, blocks, cfg.n_function_draws,
+                              cfg.n_fantasies, rng)
     return _maximize(lambda x: engine.gains(_prefixed(prefix, x)), space, cfg)
 
 
@@ -495,7 +515,7 @@ class BoLearner:
         model = self._model(context.target, dataset)
         if kind == "es":
             candidates = self.theta_space.sample_latin(
-                self.cfg.acquisition.n_candidates, self._rng)
+                self.cfg.n_candidates, self._rng)
             return es_select(model, _prefixed(prefix, candidates[None]), prefix,
                              self.theta_space, self.cfg, self._rng)
         return ucb_select(model, prefix, self.theta_space, self.cfg)
@@ -512,7 +532,7 @@ class BoLearner:
         n = self.cfg.n_representers
         contexts = self.context_space.sample_uniform(n, self._rng)
         candidates = self.theta_space.sample_latin(
-            self.cfg.acquisition.n_candidates, self._rng)
+            self.cfg.n_candidates, self._rng)
         return contexts, np.broadcast_to(candidates, (n,) + candidates.shape)
 
     def _joint_query(self) -> tuple[Context, np.ndarray]:

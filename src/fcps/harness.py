@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import sim
-from .acquisition import AcqConfig
 # ACTIVE_ALGORITHMS is unused here; cli and perfbench/layers.py read it from harness
 from .algorithms import ACTIVE_ALGORITHMS, LearnerConfig, make_learner, \
     run_episode
@@ -108,7 +107,6 @@ class ExperimentConfig:
     evaluation_period: int = 10
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     grid_shape: tuple[int, int] = (15, 15)
-    context_boxes: tuple | None = None   # optional union of target sub-boxes
     algorithms: tuple[str, ...] | None = None  # study-mode comparison set
     learner: LearnerConfig = field(default_factory=LearnerConfig)
 
@@ -129,13 +127,6 @@ class ExperimentConfig:
             raise ContractError("master_seed, environment_seed and seeds must be non-negative")
         object.__setattr__(self, "grid_shape",
                            tuple(int(g) for g in self.grid_shape))
-        if self.context_boxes is not None:
-            boxes = tuple(
-                (tuple(float(v) for v in lo), tuple(float(v) for v in hi))
-                for lo, hi in self.context_boxes)
-            if not boxes:
-                raise ContractError("context box union must not be empty")
-            object.__setattr__(self, "context_boxes", boxes)
         if self.algorithms is not None:
             object.__setattr__(self, "algorithms",
                                tuple(str(a) for a in self.algorithms))
@@ -168,29 +159,16 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """The config a JSON object describes; the learner settings are one
+    flat block.  A key no config field has, such as an older file's nested
+    learner ``acquisition`` block, raises a TypeError that names it."""
     data = dict(data)
-    learner = dict(data.pop("learner", {}))
-    acquisition = learner.pop("acquisition", {})
-    learner_cfg = LearnerConfig(acquisition=AcqConfig(**acquisition), **learner)
-    return ExperimentConfig(learner=learner_cfg, **data)
+    learner = LearnerConfig(**data.pop("learner", {}))
+    return ExperimentConfig(learner=learner, **data)
 
 
 def build_environment(config: ExperimentConfig):
     return ENVIRONMENTS[config.environment](int(config.environment_seed))
-
-
-def _target_boxes(config: ExperimentConfig, environment) -> list[SearchSpace]:
-    if config.context_boxes is None:
-        return [environment.target_space]
-    boxes = []
-    for lo, hi in config.context_boxes:
-        box = SearchSpace(lo, hi)
-        if box.dim != environment.target_space.dim \
-                or not environment.target_space.contains(box.lower, atol=1e-9) \
-                or not environment.target_space.contains(box.upper, atol=1e-9):
-            raise ContractError("context box leaves the target bounds")
-        boxes.append(box)
-    return boxes
 
 
 def sample_context(environment, rng: np.random.Generator,
@@ -306,7 +284,6 @@ def _run_one_seed(config: ExperimentConfig, environment, boxes, grid,
 def run(config: ExperimentConfig, *, partial_dir=None) -> RunResult:
     """Execute every seed in the config; abort serializes partial rows."""
     environment = build_environment(config)
-    boxes = _target_boxes(config, environment)
     grid = evaluation_grid(environment, config.grid_shape)
     offline_episodes = tuple(
         e for e in range(config.evaluation_period, config.episodes + 1,
@@ -318,7 +295,7 @@ def run(config: ExperimentConfig, *, partial_dir=None) -> RunResult:
     online_rows, offline_rows = [], []
     try:
         for run_seed in config.seeds:
-            _, online, offline = _run_one_seed(config, environment, boxes,
+            _, online, offline = _run_one_seed(config, environment, None,
                                                grid, run_seed)
             online_rows.append(online)
             offline_rows.append(offline)
@@ -357,14 +334,12 @@ def cumulative_online(result: RunResult, t: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def quadrant_boxes(target_space: SearchSpace) -> tuple:
+def quadrant_boxes(target_space: SearchSpace) -> list[SearchSpace]:
     """The two closed training quadrants of a 2-d target box (x<=0, y>=0)
-    and (x>=0, y<=0), as config-ready bounds."""
+    and (x>=0, y<=0)."""
     lo, hi = target_space.lower, target_space.upper
-    return (
-        ((float(lo[0]), 0.0), (0.0, float(hi[1]))),
-        ((0.0, float(lo[1])), (float(hi[0]), 0.0)),
-    )
+    return [SearchSpace((lo[0], 0.0), (0.0, hi[1])),
+            SearchSpace((0.0, lo[1]), (hi[0], 0.0))]
 
 
 def in_seen_quadrant(target) -> bool:
@@ -379,9 +354,7 @@ def generalization_study(config: ExperimentConfig) -> dict:
     evaluation grid, plus their difference, for the config's algorithm.
     """
     environment = build_environment(config)
-    config = replace(config, context_boxes=quadrant_boxes(
-        environment.target_space))
-    boxes = _target_boxes(config, environment)
+    boxes = quadrant_boxes(environment.target_space)
     grid = evaluation_grid(environment, config.grid_shape)
     seen_mask = np.array([in_seen_quadrant(c.target) for c in grid])
     # only the final grid is reported, so the seeds train without periodic

@@ -422,11 +422,12 @@ def dmp_integrate(p: DmpParams, y0, dt: float,
     return _rk4(p, table, y0, dt, n_steps)
 
 
-def dmp_imitate(demo: np.ndarray, basis_count: int, duration: float) -> np.ndarray:
+def dmp_imitate(demo: np.ndarray, basis_count: int) -> np.ndarray:
     """Least-squares shape weights reproducing a demonstrated path.
 
-    The demo rows are positions sampled uniformly over ``duration``; the
-    goal state is taken from the demo's end.
+    The demo rows are positions sampled uniformly in time; the weights live
+    in normalized time, so they hold for any duration.  The goal state is
+    taken from the demo's end.
     """
     demo = np.asarray(demo, dtype=float)
     if demo.ndim != 2 or demo.shape[0] < 5:
@@ -456,7 +457,7 @@ def imitate_params(demo: np.ndarray, basis_count: int,
                    duration: float) -> DmpParams:
     """Full DMP fitted to a demo: weights plus its end state as the goal."""
     demo = np.asarray(demo, dtype=float)
-    weights = dmp_imitate(demo, basis_count, duration)
+    weights = dmp_imitate(demo, basis_count)
     n = demo.shape[0] - 1
     vel = np.gradient(demo, 1.0 / n, axis=0)
     return DmpParams(shape_weights=weights, goal=demo[-1],
@@ -492,7 +493,7 @@ THROWER_DT = 0.01
 THROWER_STEPS = round(THROWER_DURATION / THROWER_DT)
 THROWER_SHAPE_WEIGHTS = dmp_imitate(
     _minimum_jerk(THROWER_START_SPACE.center, THROWER_GOAL_SPACE.center, 101),
-    DMP_BASIS_COUNT, THROWER_DURATION)
+    DMP_BASIS_COUNT)
 THROWER_SHAPE_WEIGHTS.flags.writeable = False
 
 

@@ -21,8 +21,8 @@ from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 from fcps import acquisition, gp
-from fcps.acquisition import AcqConfig, EnsembleEsEngine
-from fcps.algorithms import _prefixed
+from fcps.acquisition import EnsembleEsEngine
+from fcps.algorithms import LearnerConfig, _prefixed
 from fcps.errors import ContractError, NumericalError
 from fcps.optim import SearchSpace
 
@@ -144,7 +144,7 @@ def joint_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
     b_n = len(s2_obs)
     c_n, m = engine.mu0.shape
     cross = cross.reshape(c_n, m, b_n)
-    l_n = engine.cfg.n_fantasies
+    l_n = len(engine.u)
     branch_of = np.repeat(np.arange(c_n), l_n)
     out = np.empty((b_n, c_n)) if per_branch else np.empty(b_n)
     for b in range(b_n):
@@ -169,7 +169,7 @@ def ensemble_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
     cross, s2_obs, sd_obs = _query_terms(engine, engine.model, queries)
     b_n = len(s2_obs)
     c_n, m = engine.mu0.shape
-    l_n = engine.cfg.n_fantasies
+    l_n = len(engine.u)
     out = np.empty((b_n, c_n)) if per_branch else np.empty(b_n)
     for b in range(b_n):
         cb = cross[:, b]
@@ -200,7 +200,7 @@ class JointEsOracle:
     construction, so :meth:`gains` is a deterministic function of the query.
     """
 
-    def __init__(self, model: gp.GpModel, reps: Reps, cfg: AcqConfig,
+    def __init__(self, model: gp.GpModel, reps: Reps, cfg: LearnerConfig,
                  rng: np.random.Generator | None = None,
                  draws: tuple[np.ndarray, np.ndarray] | None = None):
         h = model.hyperparams
@@ -308,7 +308,7 @@ class EnsembleEsOracle:
     """
 
     def __init__(self, ensemble: "gp.GpModel", candidates: np.ndarray,
-                 cfg: AcqConfig, rng: np.random.Generator | None = None,
+                 cfg: LearnerConfig, rng: np.random.Generator | None = None,
                  draws: tuple[np.ndarray, np.ndarray] | None = None):
         h = ensemble.hyperparams
         cand = np.atleast_2d(np.asarray(candidates, dtype=float))
@@ -376,7 +376,7 @@ class EnsembleEsOracle:
         return self.h0 - ent.reshape(b_n, c_n, l_n).mean(axis=2)
 
 
-def info_gain(model: gp.GpModel, query, rep_context, candidates, cfg: AcqConfig,
+def info_gain(model: gp.GpModel, query, rep_context, candidates, cfg: LearnerConfig,
               rng: np.random.Generator) -> float:
     """Expected entropy reduction of the argmax belief at one context.
 
@@ -385,20 +385,21 @@ def info_gain(model: gp.GpModel, query, rep_context, candidates, cfg: AcqConfig,
     """
     rep_context = np.atleast_1d(np.asarray(rep_context, dtype=float))
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    engine = EnsembleEsEngine(model, _prefixed(rep_context, candidates[None]), cfg,
-                              rng=rng)
+    engine = EnsembleEsEngine(model, _prefixed(rep_context, candidates[None]),
+                              cfg.n_function_draws, cfg.n_fantasies, rng)
     return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
 
 
-def aces_objective(model: gp.GpModel, query, reps: Reps, cfg: AcqConfig,
+def aces_objective(model: gp.GpModel, query, reps: Reps, cfg: LearnerConfig,
                    seed: int) -> float:
     """Total information gain across representer contexts under a joint model."""
-    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
-                              rng=np.random.default_rng(seed))
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates),
+                              cfg.n_function_draws, cfg.n_fantasies,
+                              np.random.default_rng(seed))
     return float(engine.gains(np.asarray(query, dtype=float)[None, :])[0])
 
 
-def faces_objective(models, query, reps: Reps, cfg: AcqConfig, seed: int) -> float:
+def faces_objective(models, query, reps: Reps, cfg: LearnerConfig, seed: int) -> float:
     """Total information gain with one specialized model per representer.
 
     ``models`` has one fitted model per representer context, each over the
@@ -436,15 +437,16 @@ def small_model(rng=None, n=6, noise=1e-3):
 
 
 def test_acq_config_validation():
-    AcqConfig()  # defaults are legal
+    """The learner's acquisition settings refuse out-of-range values."""
+    LearnerConfig()  # defaults are legal
     with pytest.raises(ContractError):
-        AcqConfig(kappa=-0.1)
+        LearnerConfig(kappa=-0.1)
     with pytest.raises(ContractError):
-        AcqConfig(n_candidates=1)
+        LearnerConfig(n_candidates=1)
     with pytest.raises(ContractError):
-        AcqConfig(n_function_draws=99)
+        LearnerConfig(n_function_draws=99)
     with pytest.raises(ContractError):
-        AcqConfig(n_fantasies=0)
+        LearnerConfig(n_fantasies=0)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +491,7 @@ def test_info_gain_matches_two_candidate_oracle():
     noise = model.hyperparams.noise_variance
     exact = two_candidate_oracle(model, cand, query, noise)
 
-    cfg = AcqConfig(n_candidates=2, n_function_draws=3000, n_fantasies=60)
+    cfg = LearnerConfig(n_candidates=2, n_function_draws=3000, n_fantasies=60)
     vals = [info_gain(model, query, np.zeros(0), cand, cfg,
                       np.random.default_rng(1000 + i)) for i in range(12)]
     vals = np.array(vals)
@@ -500,7 +502,7 @@ def test_info_gain_matches_two_candidate_oracle():
 def test_info_gain_far_query_is_tiny():
     model = small_model()
     cand = np.linspace(0, 1, 10)[:, None]
-    cfg = AcqConfig(n_candidates=10, n_function_draws=500, n_fantasies=10)
+    cfg = LearnerConfig(n_candidates=10, n_function_draws=500, n_fantasies=10)
     far = info_gain(model, np.array([50.0]), np.zeros(0), cand, cfg,
                     np.random.default_rng(2))
     assert abs(far) <= 0.02 * np.log(10)
@@ -509,7 +511,7 @@ def test_info_gain_far_query_is_tiny():
 def test_info_gain_uncertain_candidate_beats_far_query():
     model = small_model()
     cand = np.linspace(0, 1, 10)[:, None]
-    cfg = AcqConfig(n_candidates=10, n_function_draws=2000, n_fantasies=20)
+    cfg = LearnerConfig(n_candidates=10, n_function_draws=2000, n_fantasies=20)
     _, var = gp.predict_batch(model, cand)
     best = cand[np.argmax(var)]
     near = info_gain(model, best, np.zeros(0), cand, cfg, np.random.default_rng(4))
@@ -526,7 +528,7 @@ def test_info_gain_requery_known_point_is_zero():
     y = np.cos(2 * x[:, 0])
     model = gp.fit(x, y, h)
     cand = np.linspace(0, 1, 6)[:, None]
-    cfg = AcqConfig(n_candidates=6, n_function_draws=800, n_fantasies=10)
+    cfg = LearnerConfig(n_candidates=6, n_function_draws=800, n_fantasies=10)
     g = info_gain(model, x[2], np.zeros(0), cand, cfg, np.random.default_rng(6))
     assert abs(g) <= 5e-3
 
@@ -549,7 +551,7 @@ def test_aces_duplicated_representer_counts_twice():
     cand = np.linspace(0, 1, 5)[:, None]
     single = Reps(np.array([[0.4]]), cand[None, :, :])
     double = Reps(np.array([[0.4], [0.4]]), np.broadcast_to(cand, (2, 5, 1)))
-    cfg = AcqConfig(n_candidates=5, n_function_draws=400, n_fantasies=5)
+    cfg = LearnerConfig(n_candidates=5, n_function_draws=400, n_fantasies=5)
     q = np.array([0.4, 0.7])
     one = aces_objective(model, q, single, cfg, seed=9)
     two = aces_objective(model, q, double, cfg, seed=9)
@@ -561,7 +563,7 @@ def test_aces_objective_deterministic_across_calls():
     model = joint_model_2d(rng)
     reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                        4, 5, np.random.default_rng(1))
-    cfg = AcqConfig(n_candidates=5, n_function_draws=300, n_fantasies=4)
+    cfg = LearnerConfig(n_candidates=5, n_function_draws=300, n_fantasies=4)
     q = np.array([0.5, 0.5])
     assert aces_objective(model, q, reps, cfg, seed=2) \
         == aces_objective(model, q, reps, cfg, seed=2)
@@ -572,9 +574,10 @@ def test_joint_engine_batch_matches_single_queries():
     model = joint_model_2d(rng)
     reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                        3, 6, np.random.default_rng(2))
-    cfg = AcqConfig(n_candidates=6, n_function_draws=300, n_fantasies=4)
-    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
-                              rng=np.random.default_rng(3))
+    cfg = LearnerConfig(n_candidates=6, n_function_draws=300, n_fantasies=4)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates),
+                              cfg.n_function_draws, cfg.n_fantasies,
+                              np.random.default_rng(3))
     queries = rng.uniform(0, 1, size=(5, 2))
     batch = engine.gains(queries)
     singles = np.array([engine.gains(q[None, :])[0] for q in queries])
@@ -592,11 +595,12 @@ def test_faces_objective_matches_ensemble_engine():
 
     cand = np.linspace(0.05, 0.95, 6)[:, None]
     reps = Reps(np.zeros((c_n, 0)), np.broadcast_to(cand, (c_n, 6, 1)))
-    cfg = AcqConfig(n_candidates=6, n_function_draws=400, n_fantasies=5)
+    cfg = LearnerConfig(n_candidates=6, n_function_draws=400, n_fantasies=5)
     q = np.array([0.52])
 
     via_list = faces_objective(models, q, reps, cfg, seed=21)
-    engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(21))
+    engine = EnsembleEsEngine(ens, cand[None], cfg.n_function_draws,
+                              cfg.n_fantasies, np.random.default_rng(21))
     via_engine = float(engine.gains(q[None, :])[0])
     assert via_list == pytest.approx(via_engine, rel=1e-8, abs=1e-10)
 
@@ -606,7 +610,7 @@ def test_faces_objective_needs_one_model_per_context():
     m = gp.fit(np.array([[0.5]]), np.array([0.0]), h)
     cand = np.array([[0.1], [0.9]])
     reps = Reps(np.zeros((2, 0)), np.broadcast_to(cand, (2, 2, 1)))
-    cfg = AcqConfig(n_candidates=2, n_function_draws=100, n_fantasies=1)
+    cfg = LearnerConfig(n_candidates=2, n_function_draws=100, n_fantasies=1)
     with pytest.raises(ContractError):
         faces_objective([m], np.array([0.5]), reps, cfg, seed=0)
 
@@ -616,9 +620,10 @@ def test_empty_model_engine_runs():
     model = gp.fit(np.zeros((0, 2)), np.zeros(0), h)
     reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                        3, 4, np.random.default_rng(0))
-    cfg = AcqConfig(n_candidates=4, n_function_draws=200, n_fantasies=3)
-    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
-                              rng=np.random.default_rng(0))
+    cfg = LearnerConfig(n_candidates=4, n_function_draws=200, n_fantasies=3)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates),
+                              cfg.n_function_draws, cfg.n_fantasies,
+                              np.random.default_rng(0))
     g = engine.gains(np.array([[0.5, 0.5]]))
     assert np.all(np.isfinite(g))
 
@@ -762,8 +767,9 @@ def test_faces_size_engine_prunes_and_matches_oracle_loop():
     unit = SearchSpace([0.0] * 3, [1.0] * 3)
     ens = gp.fit_shared_inputs(inputs, targets, h, input_space=unit)
     cand = unit.sample_latin(20, rng)
-    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
-    engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(5))
+    cfg = LearnerConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
+    engine = EnsembleEsEngine(ens, cand[None], cfg.n_function_draws,
+                              cfg.n_fantasies, np.random.default_rng(5))
     counts = []
     kernel = acquisition._argmax_entropies
 
@@ -810,8 +816,9 @@ def test_ensemble_engine_matches_oracle_loop(c_n):
     rng = np.random.default_rng(c_n)
     ens = shared_input_ensemble(rng, c_n=c_n)
     cand = np.linspace(0.05, 0.95, 20)[:, None]
-    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
-    engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(7))
+    cfg = LearnerConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
+    engine = EnsembleEsEngine(ens, cand[None], cfg.n_function_draws,
+                              cfg.n_fantasies, np.random.default_rng(7))
     s0 = _stacked_cholesky_oracle(engine.sigma, engine._scale)[0] @ engine.z
     assert np.array_equal(engine.h0, _entropies_shared(engine.mu0, s0))
     for b_n in (1, 3, 14):
@@ -828,9 +835,10 @@ def test_joint_engine_matches_oracle_loop(c_n):
     model = joint_model_2d(rng)
     reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                        c_n, 20, np.random.default_rng(c_n))
-    cfg = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
-    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
-                              rng=np.random.default_rng(5))
+    cfg = LearnerConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
+    engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates),
+                              cfg.n_function_draws, cfg.n_fantasies,
+                              np.random.default_rng(5))
     s0 = np.einsum("cml,lk->cmk",
                    _stacked_cholesky_oracle(engine.sigma, engine._scale), engine.z)
     assert np.array_equal(engine.h0, _entropies_stacked(engine.mu0, s0, np.arange(c_n)))
@@ -845,7 +853,7 @@ def test_joint_engine_matches_oracle_loop(c_n):
 def test_engine_with_non_finite_mean_raises():
     rng = np.random.default_rng(2)
     engine = EnsembleEsEngine(shared_input_ensemble(rng), np.linspace(0, 1, 6)[None, :, None],
-                              AcqConfig(n_candidates=6, n_function_draws=100), rng=rng)
+                              100, 3, rng)
     engine.mu0[1, 2] = np.nan
     with pytest.raises(NumericalError):
         engine.gains(np.array([[0.5]]))
@@ -883,7 +891,7 @@ class FacesLoopOracle:
         return np.column_stack([e.gains(queries) for e in self.engines])
 
 
-MERGE_CFG = AcqConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
+MERGE_CFG = LearnerConfig(n_candidates=20, n_function_draws=150, n_fantasies=3)
 MERGE_SEED = 6
 
 
@@ -917,8 +925,9 @@ def replaced_engines(kind, c_n, empty, rng):
             prefix = rng.uniform(0, 1, size=2)
             cand = SearchSpace([0.0], [1.0]).sample_latin(m, rng)
             reps = Reps(prefix[None, :], cand[None, :, :])
-        engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates), cfg,
-                                  rng=np.random.default_rng(seed))
+        engine = EnsembleEsEngine(model, _prefixed(reps.contexts, reps.candidates),
+                                  cfg.n_function_draws, cfg.n_fantasies,
+                                  np.random.default_rng(seed))
         old = JointEsOracle(model, reps, cfg, rng=np.random.default_rng(seed))
         return engine, old, prefix, ctx_dim + 1 - len(prefix)
     env_dim = 0 if kind == "shared" else int(kind[3:])
@@ -926,12 +935,14 @@ def replaced_engines(kind, c_n, empty, rng):
     ens = gp.fit_shared_inputs(x, y, h, input_space=space)
     cand = SearchSpace([0.0, 0.0], [1.0, 1.0]).sample_latin(m, rng)
     if kind == "shared":  # faces, no env context: every branch on one block
-        engine = EnsembleEsEngine(ens, cand[None], cfg, rng=np.random.default_rng(seed))
+        engine = EnsembleEsEngine(ens, cand[None], cfg.n_function_draws,
+                                  cfg.n_fantasies, np.random.default_rng(seed))
         old = EnsembleEsOracle(ens, cand, cfg, rng=np.random.default_rng(seed))
     else:  # faces: one env-context block per branch
         env = rng.uniform(0, 1, size=(c_n, env_dim))
         engine = EnsembleEsEngine(ens, _prefixed(env, np.broadcast_to(cand, (c_n, m, 2))),
-                                  cfg, rng=np.random.default_rng(seed))
+                                  cfg.n_function_draws, cfg.n_fantasies,
+                                  np.random.default_rng(seed))
         old = FacesLoopOracle(ens, env, cand, cfg, np.random.default_rng(seed))
     return engine, old, np.zeros(0), env_dim + 2
 
@@ -958,7 +969,8 @@ def test_engine_rejects_unpaired_blocks_and_columns():
     rng = np.random.default_rng(3)
     ens = shared_input_ensemble(rng, c_n=3)
     with pytest.raises(ContractError):
-        EnsembleEsEngine(ens, rng.uniform(0, 1, size=(2, 4, 1)), MERGE_CFG, rng=rng)
+        EnsembleEsEngine(ens, rng.uniform(0, 1, size=(2, 4, 1)),
+                         MERGE_CFG.n_function_draws, MERGE_CFG.n_fantasies, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fcps import algorithms, gp, harness
-from fcps.acquisition import AcqConfig
 from fcps.algorithms import (
     ACTIVE_ALGORITHMS,
     ALGORITHMS,
@@ -28,12 +27,9 @@ THETA2 = SearchSpace([0.0, 0.0], [1.0, 1.0])
 ENV0 = SearchSpace(np.zeros(0), np.zeros(0))
 ENV1 = SearchSpace([-1.0], [1.0])
 
-SMALL_ACQ = AcqConfig(kappa=2.0, n_candidates=6, n_function_draws=100,
-                      n_fantasies=2)
-
-
 def small_config(**kw):
-    base = dict(acquisition=SMALL_ACQ, refit_warmup=3, refit_period=5,
+    base = dict(kappa=2.0, n_candidates=6, n_function_draws=100,
+                n_fantasies=2, refit_warmup=3, refit_period=5,
                 refit_restarts=1, direct_evals=40, refine_starts=1,
                 refine_iters=8, rng_seed=0)
     base.update(kw)
@@ -448,8 +444,7 @@ def test_faces_rescores_the_store_at_its_refit_target_only_to_refit(monkeypatch)
 
 # -- the greedy fit kept across an evaluation grid --------------------------
 
-GREEDY_TINY = dict(acquisition=AcqConfig(n_candidates=4, n_function_draws=100,
-                                         n_fantasies=2),
+GREEDY_TINY = dict(n_candidates=4, n_function_draws=100, n_fantasies=2,
                    n_representers=3, init_episodes=2, refit_restarts=1,
                    direct_evals=30, refine_starts=1, refine_iters=4)
 
@@ -623,7 +618,7 @@ def test_representers_draw_contexts_then_one_shared_candidate_set():
     rng.bit_generator.state = learner._rng.bit_generator.state
     contexts, candidates = learner._representers()
     assert np.array_equal(contexts, learner.context_space.sample_uniform(3, rng))
-    shared = THETA2.sample_latin(SMALL_ACQ.n_candidates, rng)
+    shared = THETA2.sample_latin(learner.cfg.n_candidates, rng)
     assert np.array_equal(candidates, np.broadcast_to(shared, (3,) + shared.shape))
 
 
@@ -643,7 +638,7 @@ def test_aces_query_splits_its_vector_into_target_env_and_theta(monkeypatch):
 
     monkeypatch.setattr(algorithms, "es_select", fixed)
     ctx, theta = learner.select_query()
-    assert calls == [((3, SMALL_ACQ.n_candidates, 11), (0,), 11)]
+    assert calls == [((3, learner.cfg.n_candidates, 11), (0,), 11)]
     assert np.array_equal(ctx.target, v[:2]) and np.array_equal(ctx.env, v[2:5])
     assert np.array_equal(theta, v[5:])
 

@@ -3,14 +3,13 @@
 import csv
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fcps import cli, harness
-from fcps.acquisition import AcqConfig
 from fcps.algorithms import LearnerConfig
 from fcps.errors import ContractError, NumericalError
 from fcps.experience import Context
@@ -34,7 +33,7 @@ from fcps.harness import (
 )
 
 TINY_LEARNER = dict(
-    acquisition=AcqConfig(n_candidates=6, n_function_draws=100, n_fantasies=2),
+    n_candidates=6, n_function_draws=100, n_fantasies=2,
     refit_warmup=2, refit_period=5, refit_restarts=1, direct_evals=20,
     refine_starts=1, refine_iters=4)
 
@@ -50,12 +49,47 @@ def tiny_config(**kw):
 
 
 def test_config_json_round_trip():
-    config = tiny_config(
-        seeds=(0, 3, 7),
-        context_boxes=(((-11.0, 0.0), (0.0, 11.0)), ((0.0, -11.0), (11.0, 0.0))),
-        algorithms=("bo-cps", "bo-fcps"))
-    data = json.loads(json.dumps(config_to_dict(config)))
-    assert config_from_dict(data) == config
+    # every learner field off its default in one of the two learners: an
+    # acquisition other than ucb runs only on bo-fcps, the default tag
+    shared = dict(kappa=0.7, n_candidates=9, n_function_draws=120,
+                  n_fantasies=4, n_representers=17, init_episodes=5,
+                  refit_warmup=7, refit_period=3, refit_restarts=4,
+                  creps_epsilon=0.3, creps_period=40, direct_evals=33,
+                  refine_starts=3, refine_iters=6, rng_seed=11)
+    learners = [LearnerConfig(algorithm="bo-cps", **shared),
+                LearnerConfig(acquisition_kind="es", **shared)]
+    default = LearnerConfig()
+    assert {f.name for learner in learners for f in fields(learner)
+            if getattr(learner, f.name) != getattr(default, f.name)} \
+        == {f.name for f in fields(LearnerConfig)}
+    for learner in learners:
+        config = tiny_config(seeds=(0, 3, 7), algorithms=("bo-cps", "bo-fcps"),
+                             learner=learner)
+        data = json.loads(json.dumps(config_to_dict(config)))
+        assert config_from_dict(data) == config
+
+
+@pytest.mark.parametrize("key", ["acquisition", "context_boxes"])
+def test_old_format_configs_are_refused(key, tmp_path, monkeypatch, capsys):
+    # the older format: the acquisition settings in a nested learner block,
+    # and an optional union of target boxes to train on
+    data = config_to_dict(tiny_config())
+    if key == "acquisition":
+        data["learner"]["acquisition"] = {"kappa": 0.1, "n_candidates": 20}
+    else:
+        data[key] = None
+    with pytest.raises(TypeError, match=key):
+        config_from_dict(data)
+    ran = []
+    monkeypatch.setattr(harness, "run", lambda config, **kw: ran.append(config))
+    runs = tmp_path / "runs.json"
+    runs.write_text(json.dumps([{"config": data, "offline_episodes": [2, 4],
+                                 "online_rewards": [[0.0] * 4],
+                                 "offline_rewards": [[0.0] * 2]}]))
+    assert cli.main(["replay", "--config", str(runs)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "TypeError" and key in err["error"]
+    assert ran == []
 
 
 def test_config_validation():
@@ -89,12 +123,6 @@ def test_unknown_algorithm_fails_before_any_rollout():
     data["learner"]["algorithm"] = "dqn"
     with pytest.raises(ContractError):
         config_from_dict(data)
-
-
-def test_context_box_must_stay_inside_target_bounds():
-    config = tiny_config(context_boxes=(((-20.0, 0.0), (0.0, 11.0)),))
-    with pytest.raises(ContractError):
-        run(config)
 
 
 # -- run protocol -----------------------------------------------------------
@@ -219,8 +247,7 @@ def test_quadrant_membership_convention():
 
 def test_training_contexts_stay_in_seen_union():
     environment = build_environment(tiny_config())
-    boxes = [harness.SearchSpace(lo, hi)
-             for lo, hi in quadrant_boxes(environment.target_space)]
+    boxes = quadrant_boxes(environment.target_space)
     rng = np.random.default_rng(0)
     for _ in range(500):
         ctx = sample_context(environment, rng, boxes)
@@ -241,9 +268,9 @@ def _generalization_study_with_periodic_evaluations(config):
     """``generalization_study`` as it was when each seed also ran, and
     discarded, the periodic grid evaluations; the oracle for the study."""
     environment = build_environment(config)
-    config = replace(config, context_boxes=quadrant_boxes(
-        environment.target_space))
-    boxes = harness._target_boxes(config, environment)
+    lo, hi = environment.target_space.lower, environment.target_space.upper
+    boxes = [harness.SearchSpace([lo[0], 0.0], [0.0, hi[1]]),
+             harness.SearchSpace([0.0, lo[1]], [hi[0], 0.0])]
     grid = evaluation_grid(environment, config.grid_shape)
     seen_mask = np.array([in_seen_quadrant(c.target) for c in grid])
     seen_rows, unseen_rows = [], []
@@ -516,9 +543,8 @@ def test_cli_bare_study_on_the_active_cannon_compares_the_active_pair(tmp_path, 
     # the passive default set holds bo-fcps-her, which the active cannon
     # refuses; a bare study there compares aces and faces
     path = tmp_path / "config.json"
-    learner = dict(TINY_LEARNER, acquisition={"n_candidates": 4, "n_function_draws": 100,
-                                              "n_fantasies": 1},
-                   init_episodes=2, n_representers=2)
+    learner = dict(TINY_LEARNER, n_candidates=4, n_function_draws=100,
+                   n_fantasies=1, init_episodes=2, n_representers=2)
     path.write_text(json.dumps({
         "environment": "active-cannon", "episodes": 3, "evaluation_period": 3,
         "seeds": [0], "grid_shape": [1, 1], "learner": learner}))

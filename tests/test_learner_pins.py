@@ -19,14 +19,12 @@ import numpy as np
 import pytest
 
 from fcps import harness
-from fcps.acquisition import AcqConfig
 from fcps.algorithms import ALGORITHMS, LearnerConfig
 from fcps.errors import ContractError
 
-TINY_ACQ = AcqConfig(n_candidates=4, n_function_draws=100, n_fantasies=2)
-TINY_LEARNER = dict(acquisition=TINY_ACQ, n_representers=3, init_episodes=3,
-                    refit_restarts=1, direct_evals=30, refine_starts=1,
-                    refine_iters=4)
+TINY_LEARNER = dict(n_candidates=4, n_function_draws=100, n_fantasies=2,
+                    n_representers=3, init_episodes=3, refit_restarts=1,
+                    direct_evals=30, refine_starts=1, refine_iters=4)
 
 # (environment, algorithm, acquisition kind, creps_period) -> digest
 PINS = {

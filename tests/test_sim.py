@@ -352,7 +352,7 @@ def test_imitation_round_trip_minimum_jerk():
 
 def test_imitation_of_stationary_demo_is_unforced():
     demo = np.tile(np.array([0.2, 0.5]), (50, 1))
-    w = dmp_imitate(demo, basis_count=25, duration=1.0)
+    w = dmp_imitate(demo, basis_count=25)
     assert np.max(np.abs(w)) <= 1e-9
 
 
