@@ -160,7 +160,6 @@ def _maximize(objective, space: SearchSpace, cfg: LearnerConfig) -> np.ndarray:
         direct_evals=cfg.direct_evals,
         refine_starts=cfg.refine_starts,
         refine_iters=cfg.refine_iters,
-        vectorized=True,
     )
     return best
 
@@ -176,19 +175,19 @@ def _prefixed(prefix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def ucb_select(model: gp.GpModel, prefix, theta_space: SearchSpace,
-               cfg: LearnerConfig, *, kappa: float | None = None) -> np.ndarray:
-    """GP-UCB over theta with the query prefix held fixed.
+               cfg: LearnerConfig, *, kappa: float) -> np.ndarray:
+    """GP-UCB over theta with the query prefix held fixed; ``kappa`` weighs
+    the standard deviation, and 0 makes the search greedy.
 
     The model's inputs are the prefix columns followed by theta:
     (context, theta) for a joint model, (env context, theta) for a
     target-specific one.
     """
     prefix = np.asarray(prefix, dtype=float)
-    k = cfg.kappa if kappa is None else kappa
 
     def objective(thetas):
         mean, var = gp.predict_batch(model, _prefixed(prefix, thetas))
-        return mean + k * np.sqrt(var)
+        return mean + kappa * np.sqrt(var)
 
     return _maximize(objective, theta_space, cfg)
 
@@ -331,8 +330,8 @@ def creps_update(contexts, params, rewards, policy: CrepsPolicy,
 
     x0 = np.concatenate([[np.log(np.clip(np.std(rewards), 1.0, hi / 10))],
                          np.zeros(features.shape[1])])
-    best, _ = optim.lbfgs_refine(neg_dual, space, x0, max_iters=200,
-                                 grad=neg_grad)
+    best, _ = optim.lbfgs_refine(lambda xs: np.array([neg_dual(x) for x in xs]),
+                                 space, x0, max_iters=200, grad=neg_grad)
     eta, v = float(np.exp(best[0])), best[1:]
     weights = _dual_weights(eta, v, features, rewards)
 
@@ -518,7 +517,8 @@ class BoLearner:
                 self.cfg.n_candidates, self._rng)
             return es_select(model, _prefixed(prefix, candidates[None]), prefix,
                              self.theta_space, self.cfg, self._rng)
-        return ucb_select(model, prefix, self.theta_space, self.cfg)
+        return ucb_select(model, prefix, self.theta_space, self.cfg,
+                          kappa=self.cfg.kappa)
 
     def select_greedy(self, context: Context) -> np.ndarray:
         return ucb_select(self._model(context.target, None),

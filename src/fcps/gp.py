@@ -83,10 +83,11 @@ class GpModel:
     """Fitted GP: raw data, transforms, and the Cholesky/weights cache.
 
     ``chol`` is the lower factor of K + noise*I (+ jitter) over transformed
-    inputs ``xt``; ``weights`` solves that system against the transformed
-    targets ``yt``.  ``targets``, ``yt`` and ``weights`` are (N,) for one
-    target and (N, C) for C targets over the same inputs; ``y_shift`` and
-    ``y_scale`` are then Python floats or (C,) arrays.
+    inputs ``xt``, F-ordered as LAPACK's ``potrf`` returns it; ``weights``
+    solves that system against the transformed targets ``yt``.
+    ``targets``, ``yt`` and ``weights`` are (N,) for one target and (N, C)
+    for C targets over the same inputs; ``y_shift`` and ``y_scale`` are then
+    Python floats or (C,) arrays.
     """
 
     inputs: np.ndarray
@@ -182,19 +183,11 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray, *, check_finite: bool = True) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(L, b, lower=True)`` on float64 arrays.
-
-    As there, an F-ordered factor goes to trtrs as it is and any other, such
-    as the C-ordered factors ``fantasize`` makes, as its transpose with the
-    transposed system.  The two paths can differ in the last bits, so the
-    choice has to stay scipy's for the results to stay the same.
-    """
+    """``scipy.linalg.solve_triangular(L, b, lower=True)`` on float64 arrays
+    and an F-ordered factor, the layout every model's factor has."""
     if check_finite:
         _check_finite(L, b)
-    if L.flags.f_contiguous:
-        x, info = _TRTRS(L, b, lower=1)
-    else:
-        x, info = _TRTRS(L.T, b, lower=0, trans=1)
+    x, info = _TRTRS(L, b, lower=1)
     _check_info(info, "trtrs")
     return x
 
@@ -529,7 +522,7 @@ def fantasize(m: GpModel, x, y: float) -> GpModel:
                          m.y_shift, m.y_scale)
 
     n = len(m)
-    L = np.zeros((n + 1, n + 1))
+    L = np.zeros((n + 1, n + 1), order="F")
     L[:n, :n] = m.chol
     L[n, :n] = b
     L[n, n] = np.sqrt(c_sq)

@@ -15,7 +15,8 @@ empty, so each iteration reads the class representatives off the heap tops
 in size order and runs the slope test over those few.  The local stage
 calls scipy's bounded L-BFGS with central finite differences (step rows
 built from Python floats) when no analytic gradient is supplied, and
-scores each point it visits once.
+scores each point it visits once.  Both stages take one kind of objective,
+a batch: it maps an (m, d) array of points to an (m,) float array.
 """
 
 from __future__ import annotations
@@ -116,13 +117,6 @@ class SearchSpace:
 # ---------------------------------------------------------------------------
 # DIRECT global stage
 # ---------------------------------------------------------------------------
-
-
-def _as_batch(f, vectorized: bool):
-    """Adapt an objective to the (m, d) -> (m,) batch protocol."""
-    if vectorized:
-        return lambda pts: np.asarray(f(pts), dtype=float).reshape(len(pts))
-    return lambda pts: np.array([float(f(p)) for p in pts])
 
 
 # trisection offsets 3**-(level + 1) by level, each from numpy's int64
@@ -323,7 +317,7 @@ def _refine_starts(state: _DirectState, count: int) -> list[list[float]]:
     return starts
 
 
-def direct_maximize(f, space: SearchSpace, max_evals: int, *, vectorized: bool = False):
+def direct_maximize(f, space: SearchSpace, max_evals: int):
     """Deterministic DIRECT maximization of ``f`` over ``space``.
 
     Returns ``(x, value)``.  Uses at most ``max_evals`` objective
@@ -331,8 +325,7 @@ def direct_maximize(f, space: SearchSpace, max_evals: int, *, vectorized: bool =
     the incumbent only moves on strict improvement.
     """
     check_direct_evals(max_evals, space)
-    batch = _as_batch(f, vectorized)
-    state = _direct_search(lambda u: batch(space.from_unit(u)), space.dim, max_evals)
+    state = _direct_search(lambda u: f(space.from_unit(u)), space.dim, max_evals)
     return space.from_unit(state.best_center), state.best_value
 
 
@@ -360,16 +353,15 @@ def _central_gradient(batch_f, x: np.ndarray, space: SearchSpace) -> np.ndarray:
                      for i, denom in enumerate(denoms)])
 
 
-def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int, grad=None,
-                 vectorized: bool = False):
+def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int, grad=None):
     """Bounded L-BFGS ascent from ``x0``; never returns a worse point.
+    ``grad``, when given, maps one point to its gradient.
 
     Returns ``(x, value)`` with ``x`` inside the box and
     ``value >= f(x0) - 1e-12``.
     """
     if max_iters < 1:
         raise ContractError("max_iters must be positive")
-    batch = _as_batch(f, vectorized)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (space.dim,):
         raise ContractError("x0 dimension does not match the search space")
@@ -381,13 +373,13 @@ def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int, grad=None,
     def score(x: np.ndarray) -> float:
         key = x.tobytes()
         if key not in scores:
-            scores[key] = float(batch(x[None, :])[0])
+            scores[key] = float(f(x[None, :])[0])
         return scores[key]
 
     f0 = score(x0)
 
     if grad is None:
-        jac = lambda x: -_central_gradient(batch, x, space)
+        jac = lambda x: -_central_gradient(f, x, space)
     else:
         jac = lambda x: -np.asarray(grad(x), dtype=float)
 
@@ -410,8 +402,7 @@ def check_direct_evals(direct_evals: int, space: SearchSpace) -> None:
 
 
 def global_then_local(f, space: SearchSpace, *, direct_evals: int,
-                      refine_starts: int, refine_iters: int,
-                      vectorized: bool = False):
+                      refine_starts: int, refine_iters: int):
     """DIRECT followed by L-BFGS restarts from the best distinct rectangles.
 
     Returns ``(x, value)`` with value at least the DIRECT incumbent's.
@@ -419,15 +410,12 @@ def global_then_local(f, space: SearchSpace, *, direct_evals: int,
     if refine_starts < 1:
         raise ContractError("refine_starts must be positive")
     check_direct_evals(direct_evals, space)
-
-    batch = _as_batch(f, vectorized)
-    state = _direct_search(lambda u: batch(space.from_unit(u)), space.dim, direct_evals)
+    state = _direct_search(lambda u: f(space.from_unit(u)), space.dim, direct_evals)
 
     best_x = space.from_unit(state.best_center)
     best_val = state.best_value
     for u in _refine_starts(state, refine_starts):
-        x, val = lbfgs_refine(f, space, space.from_unit(u), max_iters=refine_iters,
-                              vectorized=vectorized)
+        x, val = lbfgs_refine(f, space, space.from_unit(u), max_iters=refine_iters)
         if val > best_val:
             best_x, best_val = x, val
     return best_x, best_val

@@ -3,6 +3,7 @@
 Also the test helpers more than one module uses.
 """
 
+import numpy as np
 from hypothesis import settings
 
 from fcps.gp import GpModel
@@ -18,3 +19,9 @@ def ensemble_branch_model(ens, branch: int):
                    float(ens.y_scale[branch]), ens.xt,
                    (ens.targets[:, branch] - ens.y_shift[branch]) / ens.y_scale[branch],
                    ens.chol, ens.weights[:, branch], ens.jitter)
+
+
+def rowwise(f):
+    """A scalar function of one point as the batch objective ``fcps.optim``
+    takes: each row of an (m, d) array scored alone, as an (m,) array."""
+    return lambda pts: np.array([float(f(p)) for p in pts])

@@ -28,6 +28,8 @@ from fcps.optim import SearchSpace, direct_maximize, global_then_local, \
 from fcps.sim import (CannonWorld, DmpParams, cannon_rollout, dmp_integrate,
                       imitate_params, _minimum_jerk)
 
+from conftest import rowwise
+
 CACHE_DIR = Path(__file__).resolve().parent / "_acceptance_cache"
 
 PASSIVE_STUDY = ExperimentConfig(
@@ -67,9 +69,11 @@ def _cached_study(study_id: str, config: ExperimentConfig):
     """
     runs_path = CACHE_DIR / study_id / "runs.json"
     if runs_path.exists():
-        loaded = load_results(runs_path)
-        if [config_to_dict(c) for c, _ in loaded] == _expanded_dicts(config):
-            return {c.algorithm: r for c, r in loaded}, "cached"
+        # the raw dicts, before parsing: a cache in a retired config format
+        # is stale, not an error
+        entries = json.loads(runs_path.read_text(encoding="utf-8"))
+        if [entry["config"] for entry in entries] == _expanded_dicts(config):
+            return {c.algorithm: r for c, r in load_results(runs_path)}, "cached"
     started = time.perf_counter()
     results = study(config)
     emit(results, CACHE_DIR / study_id)
@@ -95,6 +99,32 @@ def _cached_generalization(study_id: str, config: ExperimentConfig):
                                sort_keys=True), encoding="utf-8")
     elapsed = time.perf_counter() - started
     return results, f"computed in {elapsed:.0f}s"
+
+
+def test_a_cache_in_a_retired_config_format_counts_as_stale(tmp_path, monkeypatch):
+    """``_cached_study`` recomputes a runs.json whose configs are in an older
+    format, here the learner's acquisition settings in a nested block, and
+    reuses one in the current format; ``study`` and ``emit`` are stubs."""
+    config = replace(ExperimentConfig(),
+                     learner=LearnerConfig(algorithm="bo-fcps", acquisition_kind="es"))
+    entries = json.loads((CACHE_DIR / "study-fcps-es" / "runs.json").read_text(
+        encoding="utf-8"))
+    retired = json.loads(json.dumps(entries))
+    learner = retired[0]["config"]["learner"]
+    learner["acquisition"] = {key: learner.pop(key) for key in ("kappa", "n_candidates")}
+    for study_id, data in (("current", entries), ("retired", retired)):
+        (tmp_path / study_id).mkdir()
+        (tmp_path / study_id / "runs.json").write_text(json.dumps(data), encoding="utf-8")
+    ran, emitted = [], []
+    monkeypatch.setitem(globals(), "CACHE_DIR", tmp_path)
+    monkeypatch.setitem(globals(), "study",
+                        lambda cfg: ran.append(cfg) or [(cfg, "recomputed")])
+    monkeypatch.setitem(globals(), "emit", lambda results, out: emitted.append(out))
+    results, provenance = _cached_study("current", config)
+    assert provenance == "cached" and list(results) == ["bo-fcps"] and not ran
+    results, provenance = _cached_study("retired", config)
+    assert provenance.startswith("computed") and results == {"bo-fcps": "recomputed"}
+    assert ran == [config] and emitted == [tmp_path / "retired"]
 
 
 @pytest.fixture(scope="module")
@@ -376,7 +406,7 @@ def test_criterion_7_optimizer_oracles(announce):
     the two-stage maximizer never loses to global search alone; bounded
     quasi-Newton refinement solves a quadratic to 1e-6 in <= 50 iters."""
     branin_space = SearchSpace([-5.0, 0.0], [10.0, 15.0])
-    _, val = direct_maximize(_neg_branin, branin_space, max_evals=2000)
+    _, val = direct_maximize(rowwise(_neg_branin), branin_space, max_evals=2000)
     branin_err = abs(val - (-0.397887))
     branin_ok = branin_err <= 1e-2
 
@@ -396,6 +426,7 @@ def test_criterion_7_optimizer_oracles(announce):
     two_stage_ok = True
     worst_margin = np.inf
     for f, space, budget in suite:
+        f = rowwise(f)
         _, direct_val = direct_maximize(f, space, max_evals=budget)
         _, combined = global_then_local(f, space, direct_evals=budget,
                                         refine_starts=3, refine_iters=60)
@@ -409,7 +440,7 @@ def test_criterion_7_optimizer_oracles(announce):
         return float(-np.sum(scales * (x - centre) ** 2))
 
     qspace = SearchSpace([-1.0] * 4, [1.0] * 4)
-    _, q_val = lbfgs_refine(quad, qspace, np.array([-1.0, 1.0, -1.0, 1.0]),
+    _, q_val = lbfgs_refine(rowwise(quad), qspace, np.array([-1.0, 1.0, -1.0, 1.0]),
                             max_iters=50,
                             grad=lambda x: -2.0 * scales * (x - centre))
     quad_err = abs(q_val)  # the maximum is exactly zero

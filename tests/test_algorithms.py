@@ -144,7 +144,8 @@ def test_empty_dataset_selects_box_center():
     query = Context(target=np.array([0.2, -0.3]), env=np.zeros(0))
     model = gp.fit(*dataset, h, input_space=TARGET2.concat(THETA2),
                    standardize=True)
-    theta = ucb_select(model, query.full, THETA2, small_config())
+    cfg = small_config()
+    theta = ucb_select(model, query.full, THETA2, cfg, kappa=cfg.kappa)
     assert np.array_equal(theta, THETA2.center)
 
 
@@ -160,7 +161,7 @@ def test_selected_ucb_beats_dense_grid():
     query = Context(target=np.array([0.1, 0.5]), env=np.zeros(0))
     model = gp.fit(inputs, rewards, h, input_space=TARGET2.concat(THETA2),
                    standardize=True)
-    theta = ucb_select(model, query.full, THETA2, cfg)
+    theta = ucb_select(model, query.full, THETA2, cfg, kappa=cfg.kappa)
 
     axis = np.linspace(0.0, 1.0, 41)
     gx, gy = np.meshgrid(axis, axis)
@@ -242,7 +243,8 @@ def test_relabel_disabled_matches_plain_select():
                    standardize=True)
     expected = ucb_select(model, query.full, THETA2, learner.cfg, kappa=0.0)
     assert np.array_equal(learner.select_greedy(query), expected)
-    expected = ucb_select(model, query.full, THETA2, learner.cfg)
+    expected = ucb_select(model, query.full, THETA2, learner.cfg,
+                          kappa=learner.cfg.kappa)
     assert np.array_equal(learner.select(query), expected)
 
 

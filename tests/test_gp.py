@@ -725,6 +725,34 @@ def test_fantasize_on_empty_model():
     assert mean == pytest.approx(2.0, abs=1e-4)
 
 
+def test_every_model_origin_keeps_an_f_ordered_factor(monkeypatch):
+    """``gp._solve_lower`` hands a factor to trtrs as it is, the way scipy
+    treats an F-ordered one, so every way of making a model leaves ``chol``
+    F-contiguous: ``fantasize`` on its rank-1 path and on its refit
+    fallback included."""
+    refits = []
+    assemble = gp._assemble
+    monkeypatch.setattr(gp, "_assemble", lambda *a: refits.append(a) or assemble(*a))
+    rng = np.random.default_rng(7)
+    x, y, h = random_instance(rng, n=12, d=3)
+    m = fit(x, y, h)
+    # a repeated input under a tiny noise leaves no usable pivot
+    near = fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]),
+               KernelHyperparams(1.0, np.array([1.0]), 1e-14))
+    models = {"fit": m, "fit_targets": fit_targets(m, 1.0 - y),
+              "fit_shared_inputs": fit_shared_inputs(
+                  x, np.column_stack([y, -y]), h,
+                  input_space=SearchSpace(np.full(3, -2.0), np.full(3, 2.0))),
+              "empty": fit(np.zeros((0, 3)), np.zeros(0), h)}
+    refits.clear()
+    models["fantasize, rank-1"] = fantasize(m, rng.uniform(-2, 2, 3), 0.4)
+    assert not refits
+    models["fantasize, refit"] = fantasize(near, np.array([1.0]), 1.0)
+    assert len(refits) == 1
+    for name, model in models.items():
+        assert model.chol.flags.f_contiguous, name
+
+
 def test_fantasize_near_duplicate_still_consistent():
     # near-zero pivot forces the refactorization fallback
     h = KernelHyperparams(1.0, np.array([1.0]), 1e-10)
@@ -782,16 +810,19 @@ def _factor_and_rhs(n, rhs, order, seed):
 @example(n=200, rhs="(n, k)", order="C", seed=0)
 @example(n=1, rhs="1-d", order="C", seed=0)
 def test_lapack_helpers_equal_scipys_wrappers_bit_for_bit(n, rhs, order, seed):
+    """``order`` is the layout of the right-hand sides and of the factor
+    ``_cho_solve`` gets; ``_solve_lower`` gets the factor as ``potrf`` makes
+    it, F-ordered, as every model's factor is."""
     K, b = _factor_and_rhs(n, rhs, order, seed)
     L = gp._cholesky(K)
-    assert np.array_equal(L, cholesky(K, lower=True))
-    L = np.asfortranarray(L) if order == "F" else np.ascontiguousarray(L)
-    x = gp._cho_solve(L, b)
-    assert x.shape == b.shape and np.array_equal(x, cho_solve((L, True), b))
+    assert np.array_equal(L, cholesky(K, lower=True)) and L.flags.f_contiguous
     for check_finite in (True, False):
         x = gp._solve_lower(L, b, check_finite=check_finite)
         ref = solve_triangular(L, b, lower=True, check_finite=check_finite)
         assert x.shape == b.shape and np.array_equal(x, ref)
+    L = np.asfortranarray(L) if order == "F" else np.ascontiguousarray(L)
+    x = gp._cho_solve(L, b)
+    assert x.shape == b.shape and np.array_equal(x, cho_solve((L, True), b))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

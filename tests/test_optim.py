@@ -18,6 +18,8 @@ from fcps import gp, optim
 from fcps.errors import ContractError
 from fcps.optim import SearchSpace, direct_maximize, global_then_local, lbfgs_refine
 
+from conftest import rowwise
+
 BRANIN_MAX = -0.397887  # negated Branin global minimum
 
 
@@ -80,12 +82,12 @@ def test_space_concat():
 def test_direct_requires_budget():
     space = SearchSpace([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ContractError):
-        direct_maximize(lambda x: 0.0, space, max_evals=4)
+        direct_maximize(rowwise(lambda x: 0.0), space, max_evals=4)
 
 
 def test_direct_1d_quadratic():
     space = SearchSpace([0.0], [1.0])
-    x, val = direct_maximize(lambda p: -((p[0] - 0.3) ** 2), space, max_evals=200)
+    x, val = direct_maximize(rowwise(lambda p: -((p[0] - 0.3) ** 2)), space, max_evals=200)
     assert abs(x[0] - 0.3) <= 1e-3
     assert val <= 0.0
 
@@ -98,7 +100,7 @@ def test_direct_constant_objective_returns_center():
         calls.append(1)
         return 7.5
 
-    x, val = direct_maximize(f, space, max_evals=40)
+    x, val = direct_maximize(rowwise(f), space, max_evals=40)
     assert len(calls) <= 40
     assert np.allclose(x, [1.0, 2.0], atol=1e-12)
     assert val == 7.5
@@ -112,7 +114,7 @@ def test_direct_budget_respected():
         count["n"] += 1
         return float(np.sin(5 * x[0]) + x[1])
 
-    direct_maximize(f, space, max_evals=123)
+    direct_maximize(rowwise(f), space, max_evals=123)
     assert count["n"] <= 123
 
 
@@ -124,7 +126,7 @@ def test_direct_non_finite_treated_as_minus_inf():
             return np.nan
         return -((x[0] - 0.3) ** 2)
 
-    x, _ = direct_maximize(f, space, max_evals=150)
+    x, _ = direct_maximize(rowwise(f), space, max_evals=150)
     assert abs(x[0] - 0.3) <= 5e-3
 
 
@@ -136,27 +138,15 @@ def test_direct_branin():
         count["n"] += 1
         return neg_branin(x)
 
-    x, val = direct_maximize(f, space, max_evals=2000)
+    x, val = direct_maximize(rowwise(f), space, max_evals=2000)
     assert count["n"] <= 2000
     assert abs(val - BRANIN_MAX) <= 1e-2
 
 
 def test_direct_deterministic():
     space = SearchSpace([-5.0, 0.0], [10.0, 15.0])
-    r1 = direct_maximize(neg_branin, space, max_evals=600)
-    r2 = direct_maximize(neg_branin, space, max_evals=600)
-    assert np.array_equal(r1[0], r2[0])
-    assert r1[1] == r2[1]
-
-
-def test_direct_vectorized_matches_scalar():
-    space = SearchSpace([-5.0, 0.0], [10.0, 15.0])
-
-    def fvec(pts):
-        return np.array([neg_branin(p) for p in pts])
-
-    r1 = direct_maximize(neg_branin, space, max_evals=500)
-    r2 = direct_maximize(fvec, space, max_evals=500, vectorized=True)
+    r1 = direct_maximize(rowwise(neg_branin), space, max_evals=600)
+    r2 = direct_maximize(rowwise(neg_branin), space, max_evals=600)
     assert np.array_equal(r1[0], r2[0])
     assert r1[1] == r2[1]
 
@@ -179,7 +169,7 @@ def test_lbfgs_concave_quadratic_gradient_norm():
     def grad(x):
         return -2.0 * (A @ (x - c))
 
-    x, val = lbfgs_refine(f, space, np.array([0.9, 0.9]), max_iters=50, grad=grad)
+    x, val = lbfgs_refine(rowwise(f), space, np.array([0.9, 0.9]), max_iters=50, grad=grad)
     assert np.max(np.abs(grad(x))) <= 1e-6
     assert abs(val) <= 1e-10
 
@@ -191,7 +181,7 @@ def test_lbfgs_finite_difference_route():
     def f(x):
         return -float(np.sum((x - c) ** 2))
 
-    x, val = lbfgs_refine(f, space, np.array([0.8, -0.8, 0.5]), max_iters=100)
+    x, val = lbfgs_refine(rowwise(f), space, np.array([0.8, -0.8, 0.5]), max_iters=100)
     assert np.allclose(x, c, atol=1e-4)
     assert val >= -1e-7
 
@@ -203,7 +193,7 @@ def test_lbfgs_never_worse_than_start():
     def f(x):
         return -abs(x[0] - 0.5)
 
-    x, val = lbfgs_refine(f, space, np.array([0.5]), max_iters=30)
+    x, val = lbfgs_refine(rowwise(f), space, np.array([0.5]), max_iters=30)
     assert val >= f(np.array([0.5])) - 1e-12
 
 
@@ -215,7 +205,7 @@ def test_lbfgs_boundary_projection():
     def f(x):
         return -float(np.sum((x - c) ** 2))
 
-    x, val = lbfgs_refine(f, space, np.array([0.0, 0.0]), max_iters=100)
+    x, val = lbfgs_refine(rowwise(f), space, np.array([0.0, 0.0]), max_iters=100)
     expected = space.clip(c)
     assert np.allclose(x, expected, atol=1e-6)
     assert abs(val - f(expected)) <= 1e-8
@@ -233,9 +223,9 @@ def test_lbfgs_checks_the_start_shape_before_clipping():
 
     for x0 in ([0.5], [0.5, 0.5], [[0.5, 0.5, 0.5]]):
         with pytest.raises(ContractError):
-            lbfgs_refine(f, space, x0, max_iters=100)
+            lbfgs_refine(rowwise(f), space, x0, max_iters=100)
     assert not calls
-    x, _ = lbfgs_refine(f, space, [0.5, 0.5, 2.0], max_iters=5)
+    x, _ = lbfgs_refine(rowwise(f), space, [0.5, 0.5, 2.0], max_iters=5)
     assert x.shape == (3,)
 
 
@@ -246,8 +236,8 @@ def test_lbfgs_checks_the_start_shape_before_clipping():
 
 def test_global_then_local_beats_direct_alone():
     space = SearchSpace([-5.0, 0.0], [10.0, 15.0])
-    _, direct_val = direct_maximize(neg_branin, space, max_evals=400)
-    _, combined_val = global_then_local(neg_branin, space, direct_evals=400,
+    _, direct_val = direct_maximize(rowwise(neg_branin), space, max_evals=400)
+    _, combined_val = global_then_local(rowwise(neg_branin), space, direct_evals=400,
                                         refine_starts=3, refine_iters=60)
     assert combined_val >= direct_val
     assert abs(combined_val - BRANIN_MAX) <= 1e-4
@@ -261,7 +251,7 @@ def test_global_then_local_multimodal_1d():
         t = x[0]
         return float(np.exp(-200 * (t - 0.2) ** 2) + 1.4 * np.exp(-200 * (t - 0.8) ** 2))
 
-    x, val = global_then_local(f, space, direct_evals=300, refine_starts=3,
+    x, val = global_then_local(rowwise(f), space, direct_evals=300, refine_starts=3,
                                refine_iters=50)
     assert abs(x[0] - 0.8) <= 1e-3
     assert abs(val - 1.4) <= 1e-6
@@ -941,13 +931,13 @@ def test_refine_starts_keep_only_centers_more_than_1e_12_apart():
 # ---------------------------------------------------------------------------
 
 
-def _lbfgs_refine_rescoring(f, space: SearchSpace, x0, max_iters: int = 100, *,
-                            grad=None, vectorized: bool = False):
+def _lbfgs_refine_rescoring(batch, space: SearchSpace, x0, max_iters: int = 100, *,
+                            grad=None):
     """``lbfgs_refine`` as it was before it kept its single-point scores,
-    verbatim: the oracle for its bits."""
+    verbatim but for taking the batch objective itself: the oracle for its
+    bits."""
     if max_iters < 1:
         raise ContractError("max_iters must be positive")
-    batch = optim._as_batch(f, vectorized)
     x0 = space.clip(x0)
     if x0.shape != (space.dim,):
         raise ContractError("x0 dimension does not match the search space")
@@ -989,7 +979,8 @@ def _ucb_on_a_model(seed: int):
 
 
 def _refine_cases():
-    """``(f, space, x0, vectorized, keywords)`` for each refinement case."""
+    """``(f, space, x0, keywords)`` for each refinement case, ``f`` a batch
+    objective."""
     quad_c = np.array([0.1, 0.3, -0.2])
     A = np.array([[2.0, 0.3], [0.3, 1.0]])
     box2 = SearchSpace([-1.0] * 2, [1.0] * 2)
@@ -998,15 +989,15 @@ def _refine_cases():
         return np.nan if x[0] > 0.4 else -float((x[0] - 0.7) ** 2 + x[1] ** 2)
 
     full = {"max_iters": 100}
-    cases = [(*_ucb_on_a_model(seed), True, full) for seed in range(3)]
+    cases = [(*_ucb_on_a_model(seed), full) for seed in range(3)]
     cases += [
-        (lambda x: -float(np.sum((x - quad_c) ** 2)), SearchSpace([-1.0] * 3, [1.0] * 3),
-         np.array([0.8, -0.8, 0.5]), False, full),
-        (lambda x: -float(np.sum((x - [2.0, -3.0]) ** 2)), box2, np.zeros(2), False, full),
-        (lambda x: -abs(x[0] - 0.5), SearchSpace([0.0], [1.0]), np.array([0.5]), False,
+        (rowwise(lambda x: -float(np.sum((x - quad_c) ** 2))),
+         SearchSpace([-1.0] * 3, [1.0] * 3), np.array([0.8, -0.8, 0.5]), full),
+        (rowwise(lambda x: -float(np.sum((x - [2.0, -3.0]) ** 2))), box2, np.zeros(2), full),
+        (rowwise(lambda x: -abs(x[0] - 0.5)), SearchSpace([0.0], [1.0]), np.array([0.5]),
          {"max_iters": 30}),
-        (holes, SearchSpace([0.0, -1.0], [1.0, 1.0]), np.array([0.3, 0.6]), False, full),
-        (lambda x: -float((x - 0.2) @ A @ (x - 0.2)), box2, np.array([0.9, 0.9]), False,
+        (rowwise(holes), SearchSpace([0.0, -1.0], [1.0, 1.0]), np.array([0.3, 0.6]), full),
+        (rowwise(lambda x: -float((x - 0.2) @ A @ (x - 0.2))), box2, np.array([0.9, 0.9]),
          {**full, "grad": lambda x: -2.0 * (A @ (x - 0.2))}),
     ]
     return cases
@@ -1026,17 +1017,14 @@ def _single_points(batch):
 
 @pytest.mark.parametrize("case", range(8))
 def test_lbfgs_refine_equals_the_rescoring_version_and_scores_each_point_once(case):
-    f, space, x0, vectorized, kw = _refine_cases()[case]
-    batch = optim._as_batch(f, vectorized)
-    new_f, new_seen = _single_points(batch)
-    old_f, old_seen = _single_points(batch)
-    x, val = lbfgs_refine(new_f, space, x0, vectorized=True, **kw)
-    ref_x, ref_val = _lbfgs_refine_rescoring(old_f, space, x0, vectorized=True, **kw)
+    f, space, x0, kw = _refine_cases()[case]
+    new_f, new_seen = _single_points(f)
+    old_f, old_seen = _single_points(f)
+    x, val = lbfgs_refine(new_f, space, x0, **kw)
+    ref_x, ref_val = _lbfgs_refine_rescoring(old_f, space, x0, **kw)
     assert np.array_equal(x, ref_x) and val == ref_val
     assert len(set(new_seen)) == len(new_seen)
     assert set(new_seen) == set(old_seen) and len(new_seen) < len(old_seen)
-    x, val = lbfgs_refine(f, space, x0, vectorized=vectorized, **kw)
-    assert np.array_equal(x, ref_x) and val == ref_val
 
 
 # ---------------------------------------------------------------------------
