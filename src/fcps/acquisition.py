@@ -188,7 +188,7 @@ class EnsembleEsEngine:
         h = model.hyperparams
         pts = np.asarray(points, dtype=float)
         p_n, m = pts.shape[:2]
-        n = len(model.xt)
+        n = len(model)
         columns = np.atleast_2d(model.weights.T)  # (W, N)
         c_n = max(p_n, len(columns))
         if p_n not in (1, c_n) or len(columns) not in (1, c_n):
@@ -199,22 +199,17 @@ class EnsembleEsEngine:
 
         self._pt = model.transform_inputs(pts.reshape(p_n * m, -1))
         pt3 = self._pt.reshape(p_n, m, -1)
-        prior = gp.kernel_eval(pt3, pt3, h)
-        if n:
-            ks = gp.kernel_eval(self._pt, model.xt, h)
-            self._v = gp._solve_lower(model.chol, ks.T)
-            # one product per pairing: a column shared by every block, or a
-            # block shared by every column, is one product; paired blocks
-            # and columns are one product each
-            g_n = p_n if p_n == len(columns) else 1
-            mu0 = ks.reshape(g_n, -1, n) @ columns.reshape(g_n, -1, n).transpose(0, 2, 1)
-            self.mu0 = mu0.transpose(0, 2, 1).reshape(c_n, m)
-            v3 = self._v.T.reshape(p_n, m, n)
-            self.sigma = prior - v3 @ v3.transpose(0, 2, 1)
-        else:
-            self._v = None
-            self.mu0 = np.zeros((c_n, m))
-            self.sigma = prior
+        ks, self._v = gp.kernel_rows(model, self._pt)
+        # one product per pairing: a column shared by every block, or a
+        # block shared by every column, is one product; paired blocks and
+        # columns are one product each.  Sizes are explicit, so that an
+        # empty model's zero-width products give zero means
+        g_n = p_n if p_n == len(columns) else 1
+        mu0 = (ks.reshape(g_n, p_n * m // g_n, n)
+               @ columns.reshape(g_n, len(columns) // g_n, n).transpose(0, 2, 1))
+        self.mu0 = mu0.transpose(0, 2, 1).reshape(c_n, m)
+        v3 = self._v.T.reshape(p_n, m, n)
+        self.sigma = gp.kernel_eval(pt3, pt3, h) - v3 @ v3.transpose(0, 2, 1)
         self._scale = h.signal_variance + h.noise_variance
         s0 = _stacked_cholesky(self.sigma, self._scale) @ self.z
         self.h0 = _argmax_entropies(self.mu0.reshape(p_n, -1, m), s0).reshape(c_n)
@@ -234,14 +229,9 @@ class EnsembleEsEngine:
         # / s2_obs = cross*u/sd, so the predictive mean itself cancels and only
         # the standardized fantasy normal u enters; every branch's fantasy
         # shares it.
-        if self._v is not None:
-            kq = gp.kernel_eval(qt, model.xt, h)
-            wq = gp._solve_lower(model.chol, kq.T)
-            s2_lat = np.maximum(h.signal_variance - np.sum(wq**2, axis=0), 0.0)
-            cross = gp.kernel_eval(self._pt, qt, h) - self._v.T @ wq
-        else:
-            s2_lat = np.full(b_n, h.signal_variance)
-            cross = gp.kernel_eval(self._pt, qt, h)
+        wq = gp.kernel_rows(model, qt)[1]
+        s2_lat = np.maximum(h.signal_variance - np.sum(wq**2, axis=0), 0.0)
+        cross = gp.kernel_eval(self._pt, qt, h) - self._v.T @ wq
         p_n, m, _ = self.sigma.shape
         cross = cross.reshape(p_n, m, b_n)
         s2_obs = np.maximum(s2_lat + h.noise_variance, 1e-12 * self._scale)

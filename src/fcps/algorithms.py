@@ -649,7 +649,7 @@ def run_episode(learner, environment, context: Context | None,
     else:
         theta = learner.select(context)
     theta = np.asarray(theta, dtype=float)
-    if not learner.theta_space.contains(theta, atol=1e-9):
+    if not learner.theta_space.contains(theta):
         raise ContractError("selected parameters left their box")
     landing = environment.rollout(context.env, theta, rng)
     reward = environment.reward_fn(context.target, landing, theta)

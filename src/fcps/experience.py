@@ -104,9 +104,9 @@ class ExperienceStore:
                 raise ContractError(f"{name} has shape {value.shape}, store "
                                     f"expects ({space.dim},)")
         row = np.concatenate([record.target, record.env_context, record.params])
-        if not self._box.contains(row, atol=1e-9):
+        if not self._box.contains(row):
             name = next(name for value, space, name in parts
-                        if not space.contains(value, atol=1e-9))
+                        if not space.contains(value))
             raise ContractError(f"{name} outside the store's box")
         landing = record.landing
         n = self._n

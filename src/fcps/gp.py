@@ -80,31 +80,29 @@ class KernelHyperparams:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted GP: raw data, transforms, and the Cholesky/weights cache.
+    """Fitted GP: the data as the kernel sees it (transformed inputs ``xt``
+    and targets ``yt``), the transforms, and the Cholesky/weights cache.
 
-    ``chol`` is the lower factor of K + noise*I (+ jitter) over transformed
-    inputs ``xt``, F-ordered as LAPACK's ``potrf`` returns it; ``weights``
-    solves that system against the transformed targets ``yt``.
-    ``targets``, ``yt`` and ``weights`` are (N,) for one target and (N, C)
-    for C targets over the same inputs; ``y_shift`` and ``y_scale`` are then
-    Python floats or (C,) arrays.
+    ``chol`` is the lower factor of K + noise*I (+ jitter) over ``xt``,
+    F-ordered as LAPACK's ``potrf`` returns it; ``weights`` solves that
+    system against ``yt``.  ``yt`` and ``weights`` are (N,) for one target
+    and (N, C) for C targets over the same inputs; ``y_shift`` and
+    ``y_scale`` are then Python floats or (C,) arrays.
     """
 
-    inputs: np.ndarray
-    targets: np.ndarray
     hyperparams: KernelHyperparams
+    xt: np.ndarray
+    yt: np.ndarray
     x_lo: np.ndarray | None
     x_span: np.ndarray | None
     y_shift: float | np.ndarray
     y_scale: float | np.ndarray
-    xt: np.ndarray
-    yt: np.ndarray
     chol: np.ndarray
     weights: np.ndarray
     jitter: float
 
     def __len__(self) -> int:
-        return self.inputs.shape[0]
+        return self.xt.shape[0]
 
     def transform_inputs(self, x: np.ndarray) -> np.ndarray:
         if self.x_lo is None:
@@ -182,11 +180,10 @@ def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_lower(L: np.ndarray, b: np.ndarray, *, check_finite: bool = True) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(L, b, lower=True)`` on float64 arrays
-    and an F-ordered factor, the layout every model's factor has."""
-    if check_finite:
-        _check_finite(L, b)
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)``
+    on float64 arrays and an F-ordered factor, the layout every model's
+    factor has."""
     x, info = _TRTRS(L, b, lower=1)
     _check_info(info, "trtrs")
     return x
@@ -233,18 +230,10 @@ def _weights(chol: np.ndarray, yt: np.ndarray) -> np.ndarray:
     return _cho_solve(chol, yt) if len(yt) else np.zeros(yt.shape)
 
 
-def _transformed(inputs, targets, x_lo, x_span, y_shift, y_scale):
-    """The data as the kernel sees it, under the input and target transforms."""
-    xt = inputs if x_lo is None else (inputs - x_lo) / x_span
-    return xt, (targets - y_shift) / y_scale
-
-
-def _assemble(h, inputs, targets, x_lo, x_span, y_shift, y_scale) -> GpModel:
-    xt, yt = _transformed(inputs, targets, x_lo, x_span, y_shift, y_scale)
+def _assemble(h, xt, yt, x_lo, x_span, y_shift, y_scale) -> GpModel:
     K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(len(xt))
     L, jitter = _chol_with_jitter(K)
-    return GpModel(inputs, targets, h, x_lo, x_span, y_shift, y_scale,
-                   xt, yt, L, _weights(L, yt), jitter)
+    return GpModel(h, xt, yt, x_lo, x_span, y_shift, y_scale, L, _weights(L, yt), jitter)
 
 
 def _standardization(targets: np.ndarray, standardize: bool):
@@ -272,7 +261,8 @@ def _checked_targets(targets, n: int) -> np.ndarray:
 
 def _prepared(inputs, targets, dim: int, input_space: SearchSpace | None,
               standardize: bool):
-    """Checked data and its transforms, the arguments of ``_transformed``."""
+    """The checked data as the kernel sees it, ``(xt, yt)``, followed by the
+    transforms that map it there, ``(x_lo, x_span, y_shift, y_scale)``."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.size == 0:
         inputs = inputs.reshape(0, dim)
@@ -288,8 +278,9 @@ def _prepared(inputs, targets, dim: int, input_space: SearchSpace | None,
             raise ContractError("input_space dimension does not match the kernel")
         x_lo = input_space.lower
         x_span = input_space.span
-    return (inputs, targets, x_lo, x_span,
-            *_standardization(targets, standardize))
+    y_shift, y_scale = _standardization(targets, standardize)
+    xt = inputs if x_lo is None else (inputs - x_lo) / x_span
+    return xt, (targets - y_shift) / y_scale, x_lo, x_span, y_shift, y_scale
 
 
 def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace | None = None,
@@ -315,8 +306,21 @@ def fit_targets(m: GpModel, targets) -> GpModel:
     targets = _checked_targets(targets, len(m))
     y_shift, y_scale = _standardization(targets, True)
     yt = (targets - y_shift) / y_scale
-    return GpModel(m.inputs, targets, m.hyperparams, m.x_lo, m.x_span, y_shift,
-                   y_scale, m.xt, yt, m.chol, _weights(m.chol, yt), m.jitter)
+    return GpModel(m.hyperparams, m.xt, yt, m.x_lo, m.x_span, y_shift, y_scale,
+                   m.chol, _weights(m.chol, yt), m.jitter)
+
+
+def kernel_rows(m: GpModel, xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The model conditioned on transformed query rows ``xt`` (q, d): the
+    (q, n) kernel rows ``k`` against the training rows, and ``v`` (n, q),
+    the same rows whitened by the factor.  The posterior mean of query j is
+    ``k[j] @ weights`` and its latent variance ``signal_variance -
+    sum(v[:, j]**2)``.  An empty model gives zero-width arrays."""
+    if len(m) == 0:  # LAPACK refuses a zero-sized solve
+        return np.zeros((len(xt), 0)), np.zeros((0, len(xt)))
+    h = m.hyperparams
+    k = _kernel_scaled(_scaled_rows(xt, h), m.scaled_xt, h)
+    return k, _solve_lower(m.chol, k.T)
 
 
 def predict_batch(m: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -327,17 +331,10 @@ def predict_batch(m: GpModel, x) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError("query dimension does not match the model")
     if m.weights.ndim != 1:
         raise ContractError("predict_batch takes a one-target model")
-    h = m.hyperparams
-    if len(m) == 0:
-        mean_t = np.zeros(len(x))
-        var_t = np.full(len(x), h.signal_variance)
-    else:
-        xt = x if m.x_lo is None else (x - m.x_lo) / m.x_span
-        ks = _kernel_scaled(_scaled_rows(xt, h), m.scaled_xt, h)
-        mean_t = ks @ m.weights
-        v = _solve_lower(m.chol, ks.T, check_finite=False)
-        var_t = h.signal_variance - np.add.reduce(np.square(v, out=v), axis=0)
-        np.maximum(var_t, 0.0, out=var_t)
+    ks, v = kernel_rows(m, m.transform_inputs(x))
+    mean_t = ks @ m.weights
+    var_t = m.hyperparams.signal_variance - np.add.reduce(np.square(v, out=v), axis=0)
+    np.maximum(var_t, 0.0, out=var_t)
     return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * var_t
 
 
@@ -483,7 +480,7 @@ def refit(inputs, targets, init: KernelHyperparams, *, input_space: SearchSpace,
     """MAP hyperparameters from ``init`` on the data as ``fit(...,
     standardize=True)`` transforms it.  The search scores the transformed
     data alone, so no kernel matrix or factor is built here."""
-    xt, yt = _transformed(*_prepared(inputs, targets, init.dim, input_space, True))
+    xt, yt = _prepared(inputs, targets, init.dim, input_space, True)[:2]
     return optimize_hyperparams(xt, yt, init, restarts=restarts, rng=rng,
                                 bounds=bounds, prior=prior)
 
@@ -497,36 +494,29 @@ def fantasize(m: GpModel, x, y: float) -> GpModel:
     """Model extended by one observation via a rank-1 Cholesky update.
 
     Transforms are carried over unchanged, so the result equals a refit on
-    the extended dataset under the same transforms.  Falls back to a full
-    refactorization if the incremental pivot is numerically unusable.
+    the extended dataset under the same transforms.  An empty model, or a
+    numerically unusable pivot, takes a full factorization instead.
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != m.hyperparams.dim:
         raise ContractError("query dimension does not match the model")
     if m.weights.ndim != 1:
         raise ContractError("fantasize takes a one-target model")
-    new_inputs = np.vstack([m.inputs, x]) if len(m) else x.copy()
-    new_targets = np.append(m.targets, float(y))
+    _check_finite(x)
     h = m.hyperparams
-    if len(m) == 0:
-        return _assemble(h, new_inputs, new_targets, m.x_lo, m.x_span,
-                         m.y_shift, m.y_scale)
-
-    xt_new = m.transform_inputs(x)
-    k_vec = kernel_eval(m.xt, xt_new, h)[:, 0]
-    k_ss = h.signal_variance + h.noise_variance + m.jitter
-    b = _solve_lower(m.chol, k_vec)
-    c_sq = k_ss - b @ b
-    if c_sq <= 1e-12 * k_ss:
-        return _assemble(h, new_inputs, new_targets, m.x_lo, m.x_span,
-                         m.y_shift, m.y_scale)
-
-    n = len(m)
-    L = np.zeros((n + 1, n + 1), order="F")
-    L[:n, :n] = m.chol
-    L[n, :n] = b
-    L[n, n] = np.sqrt(c_sq)
+    x_new = m.transform_inputs(x)
+    xt = np.vstack([m.xt, x_new])
     yt = np.append(m.yt, (float(y) - m.y_shift) / m.y_scale)
-    weights = _cho_solve(L, yt)
-    return GpModel(new_inputs, new_targets, h, m.x_lo, m.x_span, m.y_shift,
-                   m.y_scale, np.vstack([m.xt, xt_new]), yt, L, weights, m.jitter)
+    n = len(m)
+    if n:
+        b = kernel_rows(m, x_new)[1][:, 0]
+        k_ss = h.signal_variance + h.noise_variance + m.jitter
+        c_sq = k_ss - b @ b
+        if c_sq > 1e-12 * k_ss:
+            L = np.zeros((n + 1, n + 1), order="F")
+            L[:n, :n] = m.chol
+            L[n, :n] = b
+            L[n, n] = np.sqrt(c_sq)
+            return GpModel(h, xt, yt, m.x_lo, m.x_span, m.y_shift, m.y_scale,
+                           L, _cho_solve(L, yt), m.jitter)
+    return _assemble(h, xt, yt, m.x_lo, m.x_span, m.y_shift, m.y_scale)

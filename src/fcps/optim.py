@@ -39,6 +39,7 @@ _log = logging.getLogger(__name__)
 # further; at that scale trisection is below float resolution of the box.
 _MIN_LEVEL = 26
 _PO_EPSILON = 1e-4
+_BOX_ATOL = 1e-9  # a point this far outside its box, by rounding, counts as inside
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +81,11 @@ class SearchSpace:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, x, atol: float = 0.0):
-        """True where points lie inside the box (per row for 2-d input)."""
+    def contains(self, x):
+        """True where points lie inside the box up to ``_BOX_ATOL`` (per row for 2-d input)."""
         x = np.asarray(x, dtype=float)
-        lo_ok = x >= self.lower - atol
-        hi_ok = x <= self.upper + atol
+        lo_ok = x >= self.lower - _BOX_ATOL
+        hi_ok = x <= self.upper + _BOX_ATOL
         return np.logical_and(lo_ok, hi_ok).all(axis=-1)
 
     def clip(self, x) -> np.ndarray:

@@ -219,7 +219,7 @@ def cannon_rollout(world: CannonWorld, env_context, theta,
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (3,):
         raise ContractError("launch parameter vector must have 3 entries")
-    if not CANNON_PARAM_SPACE.contains(theta, atol=1e-9):
+    if not CANNON_PARAM_SPACE.contains(theta):
         raise ContractError("launch parameters outside their box")
     alpha, beta, v = theta.tolist()
     if rng is not None:
@@ -541,9 +541,9 @@ def thrower_rollout(world: ThrowerWorld, env_context, theta,
         raise ContractError("start position must have 3 entries")
     if theta.shape != (6,):
         raise ContractError("thrower parameter vector must have 6 entries")
-    if not THROWER_START_SPACE.contains(start, atol=1e-9):
+    if not THROWER_START_SPACE.contains(start):
         raise ContractError("start position outside its box")
-    if not THROWER_PARAM_SPACE.contains(theta, atol=1e-9):
+    if not THROWER_PARAM_SPACE.contains(theta):
         raise ContractError("thrower parameters outside their box")
     params = DmpParams(shape_weights=THROWER_SHAPE_WEIGHTS, goal=theta[:3],
                        goal_velocity=theta[3:], duration=THROWER_DURATION)

@@ -125,7 +125,7 @@ def _query_terms(engine, model, queries):
     h = model.hyperparams
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     qt = model.transform_inputs(q)
-    if engine._v is not None:
+    if len(model):
         kq = gp.kernel_eval(qt, model.xt, h)
         wq = solve_triangular(model.chol, kq.T, lower=True)
         s2_lat = np.maximum(h.signal_variance - np.sum(wq**2, axis=0), 0.0)
@@ -332,7 +332,7 @@ class EnsembleEsOracle:
             self.sigma = prior - self._v.T @ self._v
         else:
             self._v = None
-            self.mu0 = np.zeros((ensemble.targets.shape[1], m))
+            self.mu0 = np.zeros((ensemble.yt.shape[1], m))
             self.sigma = prior
         self._scale = h.signal_variance + h.noise_variance
         l0 = acquisition._stacked_cholesky(self.sigma[None], self._scale)[0]
@@ -347,7 +347,7 @@ class EnsembleEsOracle:
         h = ens.hyperparams
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         b_n = len(q)
-        c_n = ens.targets.shape[1]
+        c_n = ens.yt.shape[1]
         qt = ens.transform_inputs(q)
         # Per-branch fantasies y_c = mu_q_c + sd*u share the standardized shift
         # u/sd, so branch predictive means cancel just as in JointEsEngine.
@@ -857,6 +857,18 @@ def test_engine_with_non_finite_mean_raises():
     engine.mu0[1, 2] = np.nan
     with pytest.raises(NumericalError):
         engine.gains(np.array([[0.5]]))
+
+
+@pytest.mark.parametrize("where", ["candidate", "query"])
+def test_engine_with_a_non_finite_row_raises(where):
+    # the model's factor solves run unchecked; a NaN row reaches the
+    # entropy kernel's check (or the stacked Cholesky's) as NumericalError
+    rng = np.random.default_rng(4)
+    cand = np.linspace(0, 1, 6)[None, :, None]
+    query = np.array([[0.5]])
+    (cand[0, 2] if where == "candidate" else query[0])[0] = np.nan
+    with pytest.raises(NumericalError):
+        EnsembleEsEngine(shared_input_ensemble(rng), cand, 100, 3, rng).gains(query)
 
 
 # ---------------------------------------------------------------------------

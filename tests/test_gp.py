@@ -160,6 +160,12 @@ def test_predict_far_from_data_reverts_to_prior():
     assert var == pytest.approx(1.0, abs=1e-12)
 
 
+def test_kernel_rows_of_an_empty_model_are_zero_width():
+    h = KernelHyperparams(3.0, np.array([1.0, 1.0]), 1e-6)
+    k, v = gp.kernel_rows(fit(np.zeros((0, 2)), np.zeros(0), h), np.ones((4, 2)))
+    assert k.shape == (4, 0) and v.shape == (0, 4)
+
+
 def test_empty_model_is_prior_only():
     h = KernelHyperparams(3.0, np.array([1.0, 1.0]), 1e-6)
     m = fit(np.zeros((0, 2)), np.zeros(0), h)
@@ -657,8 +663,8 @@ def test_fit_shared_inputs_equals_the_ensemble_it_replaced_bit_for_bit(
     got = fit_shared_inputs(x, y, h, input_space=space)
     want = fit_shared_inputs_oracle(x, y, h, input_space=space)
     assert isinstance(got, GpModel)
-    for name in ("inputs", "targets", "x_lo", "x_span", "xt", "chol", "jitter",
-                 "weights", "y_shift", "y_scale"):
+    for name in ("x_lo", "x_span", "xt", "chol", "jitter", "weights", "y_shift",
+                 "y_scale"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
     assert got.hyperparams is want.hyperparams
     assert _same_bits(got.yt, (want.targets - want.y_shift) / want.y_scale)
@@ -725,6 +731,15 @@ def test_fantasize_on_empty_model():
     assert mean == pytest.approx(2.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [0, 3])
+def test_fantasize_rejects_a_non_finite_point(n, bad):
+    h = KernelHyperparams(1.0, np.array([1.0, 0.5]), 1e-6)
+    m = fit(np.linspace(0.0, 1.0, 2 * n).reshape(n, 2), np.arange(n, dtype=float), h)
+    with pytest.raises(ValueError):
+        fantasize(m, np.array([0.5, bad]), 1.0)
+
+
 def test_every_model_origin_keeps_an_f_ordered_factor(monkeypatch):
     """``gp._solve_lower`` hands a factor to trtrs as it is, the way scipy
     treats an F-ordered one, so every way of making a model leaves ``chol``
@@ -753,17 +768,36 @@ def test_every_model_origin_keeps_an_f_ordered_factor(monkeypatch):
         assert model.chol.flags.f_contiguous, name
 
 
-def test_fantasize_near_duplicate_still_consistent():
-    # near-zero pivot forces the refactorization fallback
-    h = KernelHyperparams(1.0, np.array([1.0]), 1e-10)
+def _fantasy_and_refits(monkeypatch, noise, x_new):
+    """``fantasize`` on two points at ``noise``, the refit on the three, and
+    how many factorizations ``fantasize`` made."""
+    refits = []
+    assemble = gp._assemble
+    monkeypatch.setattr(gp, "_assemble", lambda *a: refits.append(a) or assemble(*a))
+    h = KernelHyperparams(1.0, np.array([1.0]), noise)
     x = np.array([[0.0], [1.0]])
     m = fit(x, np.array([0.0, 1.0]), h)
-    m2 = fantasize(m, np.array([1.0 + 1e-13]), 1.0)
-    slow = fit(np.vstack([x, [[1.0 + 1e-13]]]), np.array([0.0, 1.0, 1.0]), h)
+    refits.clear()
+    fast = fantasize(m, np.array([x_new]), 1.0)
+    made = len(refits)
+    return fast, fit(np.vstack([x, [[x_new]]]), np.array([0.0, 1.0, 1.0]), h), made
+
+
+def test_fantasize_near_duplicate_takes_the_rank_1_path(monkeypatch):
+    # at noise 1e-10 the pivot c_sq is about 2e-10, above the 1e-12 cut
+    fast, slow, made = _fantasy_and_refits(monkeypatch, 1e-10, 1.0 + 1e-13)
+    assert made == 0
     q = np.array([[0.3], [0.9]])
-    mf, _ = predict_batch(m2, q)
-    ms, _ = predict_batch(slow, q)
-    assert np.allclose(mf, ms, atol=1e-6)
+    assert np.allclose(predict_batch(fast, q)[0], predict_batch(slow, q)[0], atol=1e-6)
+
+
+def test_fantasize_repeated_input_refactorizes(monkeypatch):
+    # at noise 1e-14 a repeated input leaves a pivot of about 2e-14, below
+    # the cut: the fallback factorizes the three points as a refit does
+    fast, slow, made = _fantasy_and_refits(monkeypatch, 1e-14, 1.0)
+    assert made == 1
+    for name in ("xt", "yt", "chol", "weights", "jitter"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -816,10 +850,9 @@ def test_lapack_helpers_equal_scipys_wrappers_bit_for_bit(n, rhs, order, seed):
     K, b = _factor_and_rhs(n, rhs, order, seed)
     L = gp._cholesky(K)
     assert np.array_equal(L, cholesky(K, lower=True)) and L.flags.f_contiguous
-    for check_finite in (True, False):
-        x = gp._solve_lower(L, b, check_finite=check_finite)
-        ref = solve_triangular(L, b, lower=True, check_finite=check_finite)
-        assert x.shape == b.shape and np.array_equal(x, ref)
+    x = gp._solve_lower(L, b)
+    ref = solve_triangular(L, b, lower=True, check_finite=False)
+    assert x.shape == b.shape and np.array_equal(x, ref)
     L = np.asfortranarray(L) if order == "F" else np.ascontiguousarray(L)
     x = gp._cho_solve(L, b)
     assert x.shape == b.shape and np.array_equal(x, cho_solve((L, True), b))
@@ -827,6 +860,8 @@ def test_lapack_helpers_equal_scipys_wrappers_bit_for_bit(n, rhs, order, seed):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_lapack_helpers_reject_non_finite_input_as_scipy_does(bad):
+    """``_cholesky`` and ``_cho_solve`` check their input, as scipy does by
+    default; ``_solve_lower`` never does, as scipy with ``check_finite=False``."""
     K, b = _factor_and_rhs(4, "1-d", "F", 0)
     L = gp._cholesky(K)
     K_bad, L_bad, b_bad = K.copy(), L.copy(order="F"), b.copy()
@@ -837,13 +872,10 @@ def test_lapack_helpers_reject_non_finite_input_as_scipy_does(bad):
         with pytest.raises(ValueError):
             call()
     for c, rhs in ((L_bad, b), (L, b_bad)):
-        for call in (lambda: cho_solve((c, True), rhs), lambda: gp._cho_solve(c, rhs),
-                     lambda: solve_triangular(c, rhs, lower=True),
-                     lambda: gp._solve_lower(c, rhs)):
+        for call in (lambda: cho_solve((c, True), rhs), lambda: gp._cho_solve(c, rhs)):
             with pytest.raises(ValueError):
                 call()
-        # predict_batch skips the check, as it did through scipy
-        assert np.array_equal(gp._solve_lower(c, rhs, check_finite=False),
+        assert np.array_equal(gp._solve_lower(c, rhs),
                               solve_triangular(c, rhs, lower=True, check_finite=False),
                               equal_nan=True)
 
@@ -1036,7 +1068,7 @@ def _allocating_predict_batch(m, x):
         ks = _allocating_kernel_scaled(_allocating_scaled_rows(m.transform_inputs(x), h),
                                        _allocating_scaled_rows(m.xt, h), h)
         mean_t = ks @ m.weights
-        v = gp._solve_lower(m.chol, ks.T, check_finite=False)
+        v = gp._solve_lower(m.chol, ks.T)
         var_t = h.signal_variance - np.sum(v**2, axis=0)
         np.maximum(var_t, 0.0, out=var_t)
     return m.y_shift + m.y_scale * mean_t, (m.y_scale**2) * var_t
@@ -1068,8 +1100,8 @@ def test_predict_batch_equals_the_allocating_path_bit_for_bit(n, m, d, origin, s
         model = ensemble_branch_model(ens, 1)
     # queries near the data, far from it, and on a training row
     q = rng.uniform(-3, 3, size=(m, d))
-    if len(model):
-        q[0] = model.inputs[0]
+    if n:
+        q[0] = x[0]
     for _ in range(2):  # the second call reads the kept training rows
         mean, var = predict_batch(model, q)
         ref_mean, ref_var = _allocating_predict_batch(model, q)

@@ -48,16 +48,23 @@ def test_space_unit_round_trip():
     rng = np.random.default_rng(0)
     space = SearchSpace([-3.0, 2.0, 0.1], [4.0, 7.0, 0.2])
     x = space.sample_uniform(50, rng)
-    assert np.all(space.contains(x))
+    assert np.array_equal(space.clip(x), x)
     back = space.from_unit((x - space.lower) / space.span)
     assert np.allclose(back, x, atol=1e-12)
+
+
+def test_space_contains_points_a_rounding_error_outside():
+    space = SearchSpace([0.0, -1.0], [1.0, 1.0])
+    assert space.contains([1.0 + 1e-10, -1.0 - 1e-10])
+    assert not space.contains([1.0 + 1e-8, 0.0])
+    assert list(space.contains([[0.5, 0.0], [0.5, -1.0 - 1e-8]])) == [True, False]
 
 
 def test_space_latin_sample_stratified():
     rng = np.random.default_rng(3)
     space = SearchSpace([0.0, -1.0], [1.0, 1.0])
     pts = space.sample_latin(20, rng)
-    assert np.all(space.contains(pts))
+    assert np.array_equal(space.clip(pts), pts)
     # exactly one point per stratum along each axis
     for j in range(2):
         u = (pts[:, j] - space.lower[j]) / space.span[j]

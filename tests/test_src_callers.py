@@ -1,4 +1,5 @@
-"""Every function, class and method in the package has a caller in it.
+"""Every function, class and method in the package has a caller in it, and
+no module reads another module's private names.
 
 Code that only the tests call belongs in the tests.  The scan collects the
 functions, classes and methods ``src/fcps`` defines and the names its code
@@ -8,6 +9,10 @@ import or an identifier string; a method only by an attribute or a string,
 so a local variable of the same name does not keep a property alive.
 Dunder methods are called by Python itself.  ``ENTRY_POINTS`` are the
 library functions that the acceptance criteria call directly.
+
+A name with a leading underscore belongs to its module: another module
+that imports it, or reads it off the imported module, depends on a detail
+the owner may change.
 """
 
 import ast
@@ -104,3 +109,63 @@ def test_the_scan_passes_definitions_with_a_caller(sources):
 def test_every_package_definition_has_a_caller_in_the_package():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert uncalled_definitions(sources) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The package module an import names: ``.gp`` or ``fcps.gp``; ``""``
+    for the package itself (``from . import gp``)."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "fcps":
+        return node.module.partition(".")[2]
+    return None
+
+
+def foreign_private_reads(sources: dict[str, str]) -> list[str]:
+    """``module: owner._name`` for each private name of another package
+    module that ``module`` imports or reads off the imported module."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owners = {}  # local name -> the package module it is bound to
+        for node in ast.walk(tree):
+            owner = _package_module(node) if isinstance(node, ast.ImportFrom) else None
+            for alias in node.names if owner is not None else ():
+                if owner == "" and alias.name in sources:
+                    owners[alias.asname or alias.name] = alias.name
+                elif owner != module and _private(alias.name):
+                    found.append(f"{module}: {owner}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in owners and owners[node.value.id] != module
+                    and _private(node.attr)):
+                found.append(f"{module}: {owners[node.value.id]}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("sources,expected", [
+    ({"gp": "def _solve(): pass\n", "acq": "from . import gp\ngp._solve()\n"},
+     ["acq: gp._solve"]),
+    ({"gp": "_LIMIT = 1\n", "acq": "from . import gp as g\nx = g._LIMIT\n"},
+     ["acq: gp._LIMIT"]),
+    ({"gp": "def _solve(): pass\n", "acq": "from .gp import _solve\n"},
+     ["acq: gp._solve"]),
+    ({"gp": "def _solve(): pass\n", "acq": "from fcps.gp import _solve\n"},
+     ["acq: gp._solve"]),
+    ({"gp": "def _solve(): pass\n", "acq": "from . import gp\ngp.solve()\n"}, []),
+    ({"gp": "class A:\n    def __len__(self):\n        return 0\n",
+      "acq": "from . import gp\nn = gp.A.__len__\n"}, []),
+    ({"gp": "def _solve(): pass\n_solve()\n"}, []),
+    ({"acq": "import numpy as np\nx = np._NoValue\n"}, []),
+])
+def test_the_scan_finds_private_names_read_across_modules(sources, expected):
+    assert foreign_private_reads(sources) == expected
+
+
+def test_no_package_module_reads_another_modules_private_names():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert "gp" in sources and foreign_private_reads(sources) == []
