@@ -140,28 +140,6 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return ent
 
 
-def _stacked_cholesky(sigma: np.ndarray, scale: float) -> np.ndarray:
-    """Batched lower Cholesky with escalating jitter shared across the stack.
-
-    The jitter climbs from 1e-10 to the fit-time ceiling of 1e-4 (both times
-    ``scale``); past the ceiling it raises :class:`NumericalError`.
-    """
-    eye = np.eye(sigma.shape[-1])
-    cap = 1e-4 * scale
-    tried = []
-    jitter = 0.0
-    while True:
-        try:
-            return np.linalg.cholesky(sigma + jitter * eye)
-        except np.linalg.LinAlgError:
-            tried.append(jitter)
-        if jitter == cap:
-            raise NumericalError(
-                f"stacked Cholesky failed after jitter up to {cap:.3e}",
-                jitters=tried)
-        jitter = min(1e-10 * scale if jitter == 0.0 else jitter * 10.0, cap)
-
-
 class EnsembleEsEngine:
     """Entropy-search gains over (branch, candidate) blocks.
 
@@ -210,8 +188,9 @@ class EnsembleEsEngine:
         self.mu0 = mu0.transpose(0, 2, 1).reshape(c_n, m)
         v3 = self._v.T.reshape(p_n, m, n)
         self.sigma = gp.kernel_eval(pt3, pt3, h) - v3 @ v3.transpose(0, 2, 1)
+        # one observation's prior variance: the floor of s2_obs and the jitter unit
         self._scale = h.signal_variance + h.noise_variance
-        s0 = _stacked_cholesky(self.sigma, self._scale) @ self.z
+        s0 = gp.factor_with_jitter(np.linalg.cholesky, self.sigma, self._scale)[0] @ self.z
         self.h0 = _argmax_entropies(self.mu0.reshape(p_n, -1, m), s0).reshape(c_n)
 
     def gains(self, queries: np.ndarray) -> np.ndarray:
@@ -254,7 +233,8 @@ class EnsembleEsEngine:
             for b in range(lo, hi):
                 cb = cross[:, :, b]
                 sig_plus = self.sigma - cb[:, :, None] * cb[:, None, :] / s2_obs[b]
-                draws[b - lo] = _stacked_cholesky(sig_plus, self._scale) @ self.z
+                draws[b - lo] = gp.factor_with_jitter(
+                    np.linalg.cholesky, sig_plus, self._scale)[0] @ self.z
             ent[lo * p_n:hi * p_n] = _argmax_entropies(
                 base[lo * p_n:hi * p_n], draws.reshape(-1, m, k))
         return self.h0 - ent.reshape(b_n, c_n, l_n).mean(axis=2)

@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import fmin_l_bfgs_b
 from scipy.special import logsumexp, softmax
 
 from . import gp, optim
@@ -313,25 +314,26 @@ def creps_update(contexts, params, rewards, policy: CrepsPolicy,
         raise ContractError("epsilon must be positive")
 
     lo, hi = _ETA_BOUNDS
-    space = SearchSpace(
-        np.concatenate([[np.log(lo)], np.full(features.shape[1], -_V_BOUND)]),
-        np.concatenate([[np.log(hi)], np.full(features.shape[1], _V_BOUND)]))
+    bounds = [(np.log(lo), np.log(hi))] + [(-_V_BOUND, _V_BOUND)] * features.shape[1]
+    solved = {}  # the dual over (log eta, v) by the point's bytes: one solve each
 
-    def neg_dual(x):
-        value, _ = creps_dual(np.exp(x[0]), x[1:], features, rewards, epsilon)
-        return -value
+    def dual(x):
+        key = x.tobytes()
+        if key not in solved:
+            eta = np.exp(x[0])
+            value, grad = creps_dual(eta, x[1:], features, rewards, epsilon)
+            grad[0] *= eta  # chain rule through the log parameterization
+            solved[key] = value, grad
+        return solved[key]
 
-    def neg_grad(x):
-        eta = np.exp(x[0])
-        _, grad = creps_dual(eta, x[1:], features, rewards, epsilon)
-        grad = grad.copy()
-        grad[0] *= eta  # chain rule through the log parameterization
-        return -grad
-
+    # L-BFGS-B from x0, its end point clipped to the box and kept only if it
+    # is finite and no worse than x0
     x0 = np.concatenate([[np.log(np.clip(np.std(rewards), 1.0, hi / 10))],
                          np.zeros(features.shape[1])])
-    best, _ = optim.lbfgs_refine(lambda xs: np.array([neg_dual(x) for x in xs]),
-                                 space, x0, max_iters=200, grad=neg_grad)
+    end, _, _ = fmin_l_bfgs_b(dual, x0, bounds=bounds, m=10, maxiter=200)
+    end = np.clip(end, *zip(*bounds))
+    end_value = dual(end)[0]
+    best = end if np.isfinite(end_value) and end_value <= dual(x0)[0] else x0
     eta, v = float(np.exp(best[0])), best[1:]
     weights = _dual_weights(eta, v, features, rewards)
 

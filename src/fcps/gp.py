@@ -24,9 +24,6 @@ from scipy.optimize import fmin_l_bfgs_b
 from .errors import ContractError, NumericalError
 from .optim import SearchSpace
 
-_JITTER_START = 1e-10
-_JITTER_LIMIT = 1e-4
-
 # The LAPACK routines behind scipy.linalg's cholesky, cho_solve and
 # solve_triangular, fetched once: at the model sizes here the wrappers'
 # batching and validation cost more than the call itself.
@@ -189,36 +186,27 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor with escalating diagonal jitter.
-
-    The first try adds no jitter; then jitter starts at 1e-10 * mean
-    diagonal and grows tenfold up to 1e-4 * mean diagonal before giving up.
-    The :class:`NumericalError` lists every level tried, 0.0 first.
-    """
-    n = K.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), 0.0
-    scale = float(np.trace(K)) / n
-    if scale <= 0:
-        scale = 1.0
-    attempted = []
+def factor_with_jitter(factor, a: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
+    """``(factor(a + jitter * I), jitter)`` at the first jitter that factors:
+    none, then 1e-10 * ``scale`` rising tenfold, capped at exactly 1e-4 *
+    ``scale``.  A stack ``a`` shares one jitter.  Past the cap it raises
+    :class:`NumericalError` with every jitter tried, 0.0 first.  A fit passes
+    ``_cholesky`` and the entropy engine ``np.linalg.cholesky``: the two
+    round differently, so each keeps its own."""
+    eye = np.eye(a.shape[-1])
+    cap = 1e-4 * scale
+    tried = []
     jitter = 0.0
     while True:
         try:
-            L = _cholesky(K + jitter * np.eye(n))
-            return L, jitter
+            return factor(a + jitter * eye), jitter
         except np.linalg.LinAlgError:
-            attempted.append(jitter)
-        if jitter == 0.0:
-            jitter = _JITTER_START * scale
-        else:
-            jitter *= 10.0
-        if jitter > _JITTER_LIMIT * scale * (1 + 1e-12):
+            tried.append(jitter)
+        if jitter == cap:
             raise NumericalError(
-                f"Cholesky factorization failed after jitter up to {attempted[-1]:.3e}",
-                jitters=attempted,
-            )
+                f"Cholesky factorization failed after jitter up to {cap:.3e}",
+                jitters=tried)
+        jitter = min(1e-10 * scale if jitter == 0.0 else jitter * 10.0, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +220,8 @@ def _weights(chol: np.ndarray, yt: np.ndarray) -> np.ndarray:
 
 def _assemble(h, xt, yt, x_lo, x_span, y_shift, y_scale) -> GpModel:
     K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(len(xt))
-    L, jitter = _chol_with_jitter(K)
+    # jitter in units of one observation's prior variance, as in the engine
+    L, jitter = factor_with_jitter(_cholesky, K, h.signal_variance + h.noise_variance)
     return GpModel(h, xt, yt, x_lo, x_span, y_shift, y_scale, L, _weights(L, yt), jitter)
 
 

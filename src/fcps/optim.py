@@ -14,9 +14,9 @@ value, and the class keys in a list kept ascending as classes open and
 empty, so each iteration reads the class representatives off the heap tops
 in size order and runs the slope test over those few.  The local stage
 calls scipy's bounded L-BFGS with central finite differences (step rows
-built from Python floats) when no analytic gradient is supplied, and
-scores each point it visits once.  Both stages take one kind of objective,
-a batch: it maps an (m, d) array of points to an (m,) float array.
+built from Python floats) and scores each point it visits once.  Both
+stages take one kind of objective, a batch: it maps an (m, d) array of
+points to an (m,) float array.
 """
 
 from __future__ import annotations
@@ -354,12 +354,12 @@ def _central_gradient(batch_f, x: np.ndarray, space: SearchSpace) -> np.ndarray:
                      for i, denom in enumerate(denoms)])
 
 
-def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int, grad=None):
-    """Bounded L-BFGS ascent from ``x0``; never returns a worse point.
-    ``grad``, when given, maps one point to its gradient.
+def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int):
+    """Bounded L-BFGS ascent from ``x0`` on the batch objective ``f``, its
+    gradient by central differences; never returns a worse point.
 
-    Returns ``(x, value)`` with ``x`` inside the box and
-    ``value >= f(x0) - 1e-12``.
+    Returns ``(x, value)`` with ``x`` inside the box and ``value`` never
+    below ``f(x0)``, for ``x0`` clipped to the box.
     """
     if max_iters < 1:
         raise ContractError("max_iters must be positive")
@@ -379,14 +379,10 @@ def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int, grad=None):
 
     f0 = score(x0)
 
-    if grad is None:
-        jac = lambda x: -_central_gradient(f, x, space)
-    else:
-        jac = lambda x: -np.asarray(grad(x), dtype=float)
-
     # scipy's direct entry to the solver that minimize(method="L-BFGS-B")
     # runs, with the same defaults and without minimize's bound conversions
-    res_x, _, _ = fmin_l_bfgs_b(lambda x: -score(x), x0, fprime=jac,
+    res_x, _, _ = fmin_l_bfgs_b(lambda x: -score(x), x0,
+                                fprime=lambda x: -_central_gradient(f, x, space),
                                 bounds=list(zip(space.lower.tolist(), space.upper.tolist())),
                                 m=10, maxiter=max_iters)
     x = space.clip(res_x)

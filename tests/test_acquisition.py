@@ -240,7 +240,7 @@ class JointEsOracle:
         self.mu0 = mu0
         self.sigma = sigma
         self._scale = h.signal_variance + h.noise_variance
-        l0 = acquisition._stacked_cholesky(sigma, self._scale)
+        l0 = gp.factor_with_jitter(np.linalg.cholesky, sigma, self._scale)[0]
         s0 = np.einsum("cml,lk->cmk", l0, self.z)
         self.h0 = acquisition._argmax_entropies(mu0[:, None, :], s0)[:, 0]
 
@@ -285,7 +285,7 @@ class JointEsOracle:
             for b in range(lo, hi):
                 cb = cross[:, :, b]
                 sig_plus = self.sigma - np.einsum("cm,cn->cmn", cb, cb) / s2_obs[b]
-                l_plus = acquisition._stacked_cholesky(sig_plus, self._scale)
+                l_plus = gp.factor_with_jitter(np.linalg.cholesky, sig_plus, self._scale)[0]
                 draws[b - lo] = np.einsum("cml,lk->cmk", l_plus, self.z)
             ent[lo:hi] = acquisition._argmax_entropies(
                 base[lo:hi].reshape(-1, l_n, m), draws.reshape(-1, m, k)
@@ -335,7 +335,7 @@ class EnsembleEsOracle:
             self.mu0 = np.zeros((ensemble.yt.shape[1], m))
             self.sigma = prior
         self._scale = h.signal_variance + h.noise_variance
-        l0 = acquisition._stacked_cholesky(self.sigma[None], self._scale)[0]
+        l0 = gp.factor_with_jitter(np.linalg.cholesky, self.sigma[None], self._scale)[0][0]
         s0 = l0 @ self.z
         self.h0 = acquisition._argmax_entropies(self.mu0[None], s0[None])[0]
 
@@ -367,7 +367,7 @@ class EnsembleEsOracle:
         for b in range(b_n):
             cb = cross[:, b]
             sig_plus = self.sigma - np.outer(cb, cb) / s2_obs[b]
-            l_plus = acquisition._stacked_cholesky(sig_plus[None], self._scale)[0]
+            l_plus = gp.factor_with_jitter(np.linalg.cholesky, sig_plus[None], self._scale)[0][0]
             draws[b] = l_plus @ self.z
         shift = ((self.u[None, :, None] / sd_obs[:, None, None])
                  * cross.T[:, None, :])  # (B, L, M)
@@ -995,7 +995,7 @@ def test_stacked_cholesky_non_psd_member_raises_with_jitters():
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
     scale = 1.5
     with pytest.raises(NumericalError) as exc:
-        acquisition._stacked_cholesky(np.stack([good, indefinite]), scale)
+        gp.factor_with_jitter(np.linalg.cholesky, np.stack([good, indefinite]), scale)
     jitters = exc.value.jitters
     assert jitters[0] == 0.0
     assert jitters[1] == 1e-10 * scale
@@ -1011,5 +1011,58 @@ def test_stacked_cholesky_factors_match_old_policy(scale):
     rank_one = np.outer(a[0], a[0])  # PSD but singular: needs jitter
     near_cap = rank_one - 5e-5 * scale * np.eye(4)  # succeeds only at the cap
     for stack in (spd[None], np.stack([spd, rank_one]), near_cap[None]):
-        assert np.array_equal(acquisition._stacked_cholesky(stack, scale),
+        assert np.array_equal(gp.factor_with_jitter(np.linalg.cholesky, stack, scale)[0],
                               _stacked_cholesky_oracle(stack, scale))
+
+
+# ---------------------------------------------------------------------------
+# one jitter ladder for the model fit and the engine
+# ---------------------------------------------------------------------------
+
+
+def _singular_pair(sf2):
+    """Hyperparameters whose noise vanishes beside ``sf2``, so that a fit of
+    three repeated rows and an empty model's prior covariance over them are
+    both ``sf2 * ones``: singular.  Returns them, the rows and the empty
+    model."""
+    h = gp.KernelHyperparams(sf2, np.array([1.0]), 1e-300)
+    rows = np.full((3, 1), 0.5)
+    return h, rows, gp.fit(np.zeros((0, 1)), np.zeros(0), h)
+
+
+@pytest.mark.parametrize("sf2", [1.0, 2.5, 0.3])
+def test_a_fit_and_an_engine_stack_take_the_same_jitter(monkeypatch, sf2):
+    h, rows, empty = _singular_pair(sf2)
+    ladder, took = gp.factor_with_jitter, []
+
+    def recorded(factor, a, scale):
+        L, jitter = ladder(factor, a, scale)
+        took.append((factor, scale, jitter))
+        return L, jitter
+
+    monkeypatch.setattr(gp, "factor_with_jitter", recorded)
+    model = gp.fit(rows, np.zeros(3), h)
+    EnsembleEsEngine(empty, rows[None], 8, 2, np.random.default_rng(0))
+    assert took == [(gp._cholesky, sf2, 1e-10 * sf2),
+                    (np.linalg.cholesky, sf2, 1e-10 * sf2)]
+    assert model.jitter == 1e-10 * sf2
+
+
+@pytest.mark.parametrize("sf2", [1.0, 2.5, 0.3])
+def test_a_fit_and_an_engine_stack_that_never_factor_report_the_same_jitters(
+        monkeypatch, sf2):
+    h, rows, empty = _singular_pair(sf2)
+
+    def never(a):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(gp, "_cholesky", never)
+    monkeypatch.setattr(np.linalg, "cholesky", never)
+    with pytest.raises(NumericalError) as fit_err:
+        gp.fit(rows, np.zeros(3), h)
+    with pytest.raises(NumericalError) as engine_err:
+        EnsembleEsEngine(empty, rows[None], 8, 2, np.random.default_rng(0))
+    jitters = fit_err.value.jitters
+    assert jitters == engine_err.value.jitters
+    assert jitters[0] == 0.0 and jitters[-1] == 1e-4 * sf2
+    assert str(fit_err.value) == str(engine_err.value)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import fmin_l_bfgs_b
 
 from fcps import algorithms, gp, harness
 from fcps.algorithms import (
@@ -355,13 +356,13 @@ def test_select_on_a_refit_step_factors_once(tag, monkeypatch):
     learner = seeded_echo_learner(tag, init_episodes=2)
     feed_latin_rollouts(learner, 3)  # the warm-up's last step: a refit is due
     factored = []
-    chol = gp._chol_with_jitter
+    ladder = gp.factor_with_jitter
 
-    def counted(K):
+    def counted(factor, K, scale):
         factored.append(len(K))
-        return chol(K)
+        return ladder(factor, K, scale)
 
-    monkeypatch.setattr(gp, "_chol_with_jitter", counted)
+    monkeypatch.setattr(gp, "factor_with_jitter", counted)
     h_before = learner._hyperparams
     learner.select(Context(target=np.array([0.2, -0.4]), env=np.zeros(0)))
     assert learner._last_refit == 3 and learner._hyperparams is not h_before
@@ -742,6 +743,73 @@ def test_dual_optimum_beats_random_search():
         value, _ = creps_dual(eta, v, features, rewards, 0.5)
         best = min(best, value)
     assert achieved <= best + 1e-6
+
+
+def _creps_dual_solution_as_before(contexts, rewards, epsilon):
+    """The ``(eta, v)`` that ``creps_update`` solved for when it went through
+    ``optim.lbfgs_refine``'s analytic-gradient option: L-BFGS-B on separate
+    value and gradient functions of the negated dual, the end point clipped
+    to the box and kept only if it is finite and no worse than the start.
+    The oracle for its bits."""
+    features = creps_features(contexts)
+    lo, hi = algorithms._ETA_BOUNDS
+    k = features.shape[1]
+    lower = np.concatenate([[np.log(lo)], np.full(k, -algorithms._V_BOUND)])
+    upper = np.concatenate([[np.log(hi)], np.full(k, algorithms._V_BOUND)])
+
+    def score(x):  # the negated dual, as the batch objective gave it
+        neg = np.array([-creps_dual(np.exp(x[0]), x[1:], features, rewards, epsilon)[0]])
+        return float(neg[0])
+
+    def neg_grad(x):
+        eta = np.exp(x[0])
+        grad = creps_dual(eta, x[1:], features, rewards, epsilon)[1].copy()
+        grad[0] *= eta
+        return -grad
+
+    x0 = np.clip(np.concatenate([[np.log(np.clip(np.std(rewards), 1.0, hi / 10))],
+                                 np.zeros(k)]), lower, upper)
+    f0 = score(x0)
+    res_x, _, _ = fmin_l_bfgs_b(lambda x: -score(x), x0,
+                                fprime=lambda x: -np.asarray(neg_grad(x), dtype=float),
+                                bounds=list(zip(lower.tolist(), upper.tolist())),
+                                m=10, maxiter=200)
+    x = np.clip(res_x, lower, upper)
+    val = score(x)
+    best = x0 if not np.isfinite(val) or val < f0 else x
+    return float(np.exp(best[0])), best[1:]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_creps_update_solves_the_dual_as_before_with_one_solve_per_point(
+        seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    context_dim, theta_dim = int(rng.integers(0, 3)), int(rng.integers(1, 4))
+    n = algorithms.creps_feature_dim(context_dim) + 1 + int(rng.integers(0, 30))
+    contexts, params, rewards = random_batch(n, context_dim, theta_dim, seed)
+    rewards *= rng.uniform(0.1, 10.0)
+    epsilon = float(rng.choice([0.1, 0.5, 2.0]))
+    want_eta, want_v = _creps_dual_solution_as_before(contexts, rewards, epsilon)
+
+    solved, solutions = [], []
+    dual, weights = algorithms.creps_dual, algorithms._dual_weights
+
+    def counted(eta, v, *rest):
+        solved.append((float(eta), v.tobytes()))
+        return dual(eta, v, *rest)
+
+    def first_weights(eta, v, *rest):
+        solutions.append((eta, v))
+        return weights(eta, v, *rest)
+
+    monkeypatch.setattr(algorithms, "creps_dual", counted)
+    monkeypatch.setattr(algorithms, "_dual_weights", first_weights)
+    policy = CrepsPolicy.initial(context_dim, SearchSpace(np.zeros(theta_dim),
+                                                           np.ones(theta_dim)))
+    creps_update(contexts, params, rewards, policy, epsilon)
+    eta, v = solutions[0]
+    assert eta == want_eta and v.tobytes() == want_v.tobytes()
+    assert len(set(solved)) == len(solved) > 1
 
 
 def test_equal_rewards_give_uniform_weights_and_ols_fit():

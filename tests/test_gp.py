@@ -21,7 +21,7 @@ from fcps.errors import ContractError, NumericalError
 from fcps.gp import (
     GpModel,
     KernelHyperparams,
-    _chol_with_jitter,
+    factor_with_jitter,
     fantasize,
     fit,
     fit_shared_inputs,
@@ -169,6 +169,7 @@ def test_kernel_rows_of_an_empty_model_are_zero_width():
 def test_empty_model_is_prior_only():
     h = KernelHyperparams(3.0, np.array([1.0, 1.0]), 1e-6)
     m = fit(np.zeros((0, 2)), np.zeros(0), h)
+    assert m.chol.shape == (0, 0) and m.jitter == 0.0  # potrf factors a 0 x 0 matrix
     (mean,), (var,) = predict_batch(m, [[0.3, -0.4]])
     assert mean == 0.0
     assert var == pytest.approx(3.0)
@@ -612,7 +613,7 @@ def fit_shared_inputs_oracle(inputs, target_matrix, h: KernelHyperparams, *,
     yt = (targets - y_shift) / y_scale
     if n:
         K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(n)
-        L, jitter = _chol_with_jitter(K)
+        L, jitter = factor_with_jitter(gp._cholesky, K, h.signal_variance + h.noise_variance)
         weights = gp._cho_solve(L, yt)
     else:
         L = np.zeros((0, 0))
@@ -815,10 +816,16 @@ def test_jitter_handles_duplicate_rows():
 
 
 def test_chol_with_jitter_gives_up_eventually():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-    with pytest.raises(NumericalError) as exc:
-        _chol_with_jitter(bad)
-    assert len(exc.value.jitters) > 0
+    # indefinite at every scale: no jitter up to the cap makes it factor
+    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for scale in (1.0, 7.3, 1e-3, 0.123456789, 3e5):
+        with pytest.raises(NumericalError,
+                           match="Cholesky factorization failed after jitter up to") as exc:
+            factor_with_jitter(gp._cholesky, scale * bad, scale)
+        # none, then 1e-10 * scale rising tenfold to exactly the cap
+        jitters = exc.value.jitters
+        assert jitters[:2] == [0.0, 1e-10 * scale] and jitters[-1] == 1e-4 * scale
+        assert all(a < b <= 10.0 * a for a, b in zip(jitters[1:], jitters[2:]))
 
 
 # -- the LAPACK helpers against scipy's wrappers -----------------------------
@@ -901,7 +908,7 @@ def test_lapack_helpers_raise_linalg_error_as_scipy_does():
 def test_chol_with_jitter_tries_the_jitters_it_tried_through_scipy(monkeypatch, K):
     def outcome():
         try:
-            L, jitter = _chol_with_jitter(K)
+            L, jitter = factor_with_jitter(gp._cholesky, K, 1.0)
         except NumericalError as err:
             return err.jitters
         return L, jitter
@@ -910,7 +917,9 @@ def test_chol_with_jitter_tries_the_jitters_it_tried_through_scipy(monkeypatch, 
     monkeypatch.setattr(gp, "_cholesky", lambda a: cholesky(a, lower=True))
     wrapped = outcome()
     if isinstance(wrapped, list):
-        assert direct == wrapped and len(wrapped) == 8 and wrapped[0] == 0.0
+        # 0, seven tenfold rungs from 1e-10, whose last falls short of 1e-4,
+        # and the cap itself
+        assert direct == wrapped and len(wrapped) == 9 and wrapped[0] == 0.0
     else:
         assert np.array_equal(direct[0], wrapped[0]) and direct[1] == wrapped[1] > 0
 
@@ -947,7 +956,7 @@ def test_refit_on_data_equals_the_search_on_a_fitted_models_data(seed, monkeypat
     m = fit(x, y, init, input_space=space, standardize=True)
     expected = optimize_hyperparams(m.xt, m.yt, m.hyperparams,
                                     rng=np.random.default_rng(seed), **kw)
-    monkeypatch.setattr(gp, "_chol_with_jitter", None)
+    monkeypatch.setattr(gp, "factor_with_jitter", None)
     got = refit(x, y, init, input_space=space, rng=np.random.default_rng(seed), **kw)
     assert got.as_log_vector().tobytes() == expected.as_log_vector().tobytes()
     assert (got is init) == (expected is init)

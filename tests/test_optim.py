@@ -164,7 +164,8 @@ def test_direct_deterministic():
 
 
 def test_lbfgs_concave_quadratic_gradient_norm():
-    # smooth concave objective; optimum strictly inside the box
+    # smooth concave objective; optimum strictly inside the box, reached by
+    # central differences
     A = np.array([[2.0, 0.3], [0.3, 1.0]])
     c = np.array([0.2, -0.4])
     space = SearchSpace([-1.0, -1.0], [1.0, 1.0])
@@ -176,7 +177,7 @@ def test_lbfgs_concave_quadratic_gradient_norm():
     def grad(x):
         return -2.0 * (A @ (x - c))
 
-    x, val = lbfgs_refine(rowwise(f), space, np.array([0.9, 0.9]), max_iters=50, grad=grad)
+    x, val = lbfgs_refine(rowwise(f), space, np.array([0.9, 0.9]), max_iters=50)
     assert np.max(np.abs(grad(x))) <= 1e-6
     assert abs(val) <= 1e-10
 
@@ -938,11 +939,10 @@ def test_refine_starts_keep_only_centers_more_than_1e_12_apart():
 # ---------------------------------------------------------------------------
 
 
-def _lbfgs_refine_rescoring(batch, space: SearchSpace, x0, max_iters: int = 100, *,
-                            grad=None):
+def _lbfgs_refine_rescoring(batch, space: SearchSpace, x0, max_iters: int = 100):
     """``lbfgs_refine`` as it was before it kept its single-point scores,
-    verbatim but for taking the batch objective itself: the oracle for its
-    bits."""
+    verbatim but for taking the batch objective itself and for the analytic
+    gradient option it no longer has: the oracle for its bits."""
     if max_iters < 1:
         raise ContractError("max_iters must be positive")
     x0 = space.clip(x0)
@@ -950,15 +950,10 @@ def _lbfgs_refine_rescoring(batch, space: SearchSpace, x0, max_iters: int = 100,
         raise ContractError("x0 dimension does not match the search space")
     f0 = float(batch(x0[None, :])[0])
 
-    if grad is None:
-        jac = lambda x: -optim._central_gradient(batch, x, space)
-    else:
-        jac = lambda x: -np.asarray(grad(x), dtype=float)
-
     res = _scipy_minimize(
         lambda x: -float(batch(x[None, :])[0]),
         x0,
-        jac=jac,
+        jac=lambda x: -optim._central_gradient(batch, x, space),
         method="L-BFGS-B",
         bounds=list(zip(space.lower, space.upper)),
         options={"maxiter": max_iters, "maxcor": 10},
@@ -1005,7 +1000,7 @@ def _refine_cases():
          {"max_iters": 30}),
         (rowwise(holes), SearchSpace([0.0, -1.0], [1.0, 1.0]), np.array([0.3, 0.6]), full),
         (rowwise(lambda x: -float((x - 0.2) @ A @ (x - 0.2))), box2, np.array([0.9, 0.9]),
-         {**full, "grad": lambda x: -2.0 * (A @ (x - 0.2))}),
+         full),
     ]
     return cases
 
