@@ -194,12 +194,8 @@ class EnsembleEsEngine:
         self.h0 = _argmax_entropies(self.mu0.reshape(p_n, -1, m), s0).reshape(c_n)
 
     def gains(self, queries: np.ndarray) -> np.ndarray:
-        """Information gain for each query row, summed over the branches."""
-        return self.branch_gains(queries).sum(axis=1)
-
-    def branch_gains(self, queries: np.ndarray) -> np.ndarray:
-        """(B, C) information gain of each query row on each branch: the
-        prior entropy less the mean over the fantasies."""
+        """Information gain for each query row, summed over the branches:
+        each branch's prior entropy less its mean over the fantasies."""
         model, h = self.model, self.model.hyperparams
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         b_n = len(q)
@@ -237,4 +233,4 @@ class EnsembleEsEngine:
                     np.linalg.cholesky, sig_plus, self._scale)[0] @ self.z
             ent[lo * p_n:hi * p_n] = _argmax_entropies(
                 base[lo * p_n:hi * p_n], draws.reshape(-1, m, k))
-        return self.h0 - ent.reshape(b_n, c_n, l_n).mean(axis=2)
+        return (self.h0 - ent.reshape(b_n, c_n, l_n).mean(axis=2)).sum(axis=1)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
+from . import algorithms, harness
 from .errors import ContractError, NumericalError
 
 
@@ -75,7 +75,7 @@ def _cmd_study(args) -> int:
         # bare study invocations compare the full passive set, or the active
         # pair on the active cannon, which refuses hindsight relabels
         passive = ("c-reps", "bo-cps", "bo-fcps-her", "bo-fcps")
-        config = replace(config, algorithms=harness.ACTIVE_ALGORITHMS if
+        config = replace(config, algorithms=algorithms.ACTIVE_ALGORITHMS if
                          config.environment == "active-cannon" else passive)
     results = harness.study(config)
     paths = harness.emit(results, args.out)

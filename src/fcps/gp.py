@@ -1,12 +1,12 @@
 """Gaussian-process regression with a squared-exponential ARD kernel.
 
-Models use a zero-mean prior over possibly transformed coordinates: inputs
-may be scaled to the unit box via a :class:`~fcps.optim.SearchSpace` and
-targets may be standardized at fit time, per column.  A model holds one
-target or C targets over the same inputs (one weight column each, from one
-Cholesky factor; Rasmussen & Williams 2006, ch. 2).  Hyperparameters always
-refer to the transformed coordinates; predictions are reported in the
-original units.
+Models use a zero-mean prior over transformed coordinates: every model
+carries its input box, a :class:`~fcps.optim.SearchSpace`, and maps inputs
+to the unit box through it, and targets may be standardized at fit time,
+per column.  A model holds one target or C targets over the same inputs
+(one weight column each, from one Cholesky factor; Rasmussen & Williams
+2006, ch. 2).  Hyperparameters always refer to the transformed coordinates;
+predictions are reported in the original units.
 
 The marginal-likelihood gradient follows the standard trace identity
 d(nlml)/dt = -0.5 tr((alpha alpha^T - K^{-1}) dK/dt) over log-hyperparameters.
@@ -14,6 +14,7 @@ d(nlml)/dt = -0.5 tr((alpha alpha^T - K^{-1}) dK/dt) over log-hyperparameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,9 +50,12 @@ class KernelHyperparams:
         sn2 = float(self.noise_variance)
         if ell.ndim != 1:
             raise ContractError("lengthscales must be a 1-d array")
-        if not (np.all(np.isfinite(ell)) and np.isfinite(sf2) and np.isfinite(sn2)):
+        # checked on Python floats: a MAP search builds one per objective
+        # call.  A NaN lengthscale makes both extremes NaN
+        ell_lo, ell_hi = (float(ell.min()), float(ell.max())) if ell.size else (1.0, 1.0)
+        if not all(map(math.isfinite, (ell_lo, ell_hi, sf2, sn2))):
             raise ContractError("hyperparameters must be finite")
-        if sf2 <= 0 or sn2 <= 0 or np.any(ell <= 0):
+        if sf2 <= 0 or sn2 <= 0 or ell_lo <= 0:
             raise ContractError("hyperparameters must be strictly positive")
         ell.flags.writeable = False
         object.__setattr__(self, "signal_variance", sf2)
@@ -78,7 +82,8 @@ class KernelHyperparams:
 @dataclass(frozen=True)
 class GpModel:
     """Fitted GP: the data as the kernel sees it (transformed inputs ``xt``
-    and targets ``yt``), the transforms, and the Cholesky/weights cache.
+    and targets ``yt``), the input box and target transform, and the
+    Cholesky/weights cache.
 
     ``chol`` is the lower factor of K + noise*I (+ jitter) over ``xt``,
     F-ordered as LAPACK's ``potrf`` returns it; ``weights`` solves that
@@ -90,8 +95,7 @@ class GpModel:
     hyperparams: KernelHyperparams
     xt: np.ndarray
     yt: np.ndarray
-    x_lo: np.ndarray | None
-    x_span: np.ndarray | None
+    input_space: SearchSpace
     y_shift: float | np.ndarray
     y_scale: float | np.ndarray
     chol: np.ndarray
@@ -102,9 +106,8 @@ class GpModel:
         return self.xt.shape[0]
 
     def transform_inputs(self, x: np.ndarray) -> np.ndarray:
-        if self.x_lo is None:
-            return np.asarray(x, dtype=float)
-        return (np.asarray(x, dtype=float) - self.x_lo) / self.x_span
+        box = self.input_space
+        return (np.asarray(x, dtype=float) - box.lower) / box.span
 
     @cached_property
     def scaled_xt(self) -> tuple[np.ndarray, np.ndarray]:
@@ -218,11 +221,11 @@ def _weights(chol: np.ndarray, yt: np.ndarray) -> np.ndarray:
     return _cho_solve(chol, yt) if len(yt) else np.zeros(yt.shape)
 
 
-def _assemble(h, xt, yt, x_lo, x_span, y_shift, y_scale) -> GpModel:
+def _assemble(h, xt, yt, input_space, y_shift, y_scale) -> GpModel:
     K = kernel_eval(xt, xt, h) + h.noise_variance * np.eye(len(xt))
     # jitter in units of one observation's prior variance, as in the engine
     L, jitter = factor_with_jitter(_cholesky, K, h.signal_variance + h.noise_variance)
-    return GpModel(h, xt, yt, x_lo, x_span, y_shift, y_scale, L, _weights(L, yt), jitter)
+    return GpModel(h, xt, yt, input_space, y_shift, y_scale, L, _weights(L, yt), jitter)
 
 
 def _standardization(targets: np.ndarray, standardize: bool):
@@ -248,10 +251,9 @@ def _checked_targets(targets, n: int) -> np.ndarray:
     return targets
 
 
-def _prepared(inputs, targets, dim: int, input_space: SearchSpace | None,
-              standardize: bool):
+def _prepared(inputs, targets, dim: int, input_space: SearchSpace, standardize: bool):
     """The checked data as the kernel sees it, ``(xt, yt)``, followed by the
-    transforms that map it there, ``(x_lo, x_span, y_shift, y_scale)``."""
+    transforms that map it there, ``(input_space, y_shift, y_scale)``."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if inputs.size == 0:
         inputs = inputs.reshape(0, dim)
@@ -261,21 +263,18 @@ def _prepared(inputs, targets, dim: int, input_space: SearchSpace | None,
     if inputs.size and not np.all(np.isfinite(inputs)):
         raise ContractError("inputs must be finite")
 
-    x_lo = x_span = None
-    if input_space is not None:
-        if input_space.dim != dim:
-            raise ContractError("input_space dimension does not match the kernel")
-        x_lo = input_space.lower
-        x_span = input_space.span
+    if input_space.dim != dim:
+        raise ContractError("input_space dimension does not match the kernel")
     y_shift, y_scale = _standardization(targets, standardize)
-    xt = inputs if x_lo is None else (inputs - x_lo) / x_span
-    return xt, (targets - y_shift) / y_scale, x_lo, x_span, y_shift, y_scale
+    xt = (inputs - input_space.lower) / input_space.span
+    return xt, (targets - y_shift) / y_scale, input_space, y_shift, y_scale
 
 
-def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace | None = None,
+def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace,
         standardize: bool = False) -> GpModel:
     """Build a model from (possibly empty) data under fixed hyperparameters:
-    targets (n,) for one target, (n, C) for C targets over the inputs."""
+    targets (n,) for one target, (n, C) for C targets over the inputs, and
+    inputs mapped to the unit box through ``input_space``."""
     return _assemble(h, *_prepared(inputs, targets, h.dim, input_space, standardize))
 
 
@@ -295,7 +294,7 @@ def fit_targets(m: GpModel, targets) -> GpModel:
     targets = _checked_targets(targets, len(m))
     y_shift, y_scale = _standardization(targets, True)
     yt = (targets - y_shift) / y_scale
-    return GpModel(m.hyperparams, m.xt, yt, m.x_lo, m.x_span, y_shift, y_scale,
+    return GpModel(m.hyperparams, m.xt, yt, m.input_space, y_shift, y_scale,
                    m.chol, _weights(m.chol, yt), m.jitter)
 
 
@@ -506,6 +505,6 @@ def fantasize(m: GpModel, x, y: float) -> GpModel:
             L[:n, :n] = m.chol
             L[n, :n] = b
             L[n, n] = np.sqrt(c_sq)
-            return GpModel(h, xt, yt, m.x_lo, m.x_span, m.y_shift, m.y_scale,
+            return GpModel(h, xt, yt, m.input_space, m.y_shift, m.y_scale,
                            L, _cho_solve(L, yt), m.jitter)
-    return _assemble(h, xt, yt, m.x_lo, m.x_span, m.y_shift, m.y_scale)
+    return _assemble(h, xt, yt, m.input_space, m.y_shift, m.y_scale)

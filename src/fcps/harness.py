@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sim
-# ACTIVE_ALGORITHMS is unused here; cli and perfbench/layers.py read it from harness
+# ACTIVE_ALGORITHMS is unused here; only perfbench/layers.py reads it from harness
 from .algorithms import ACTIVE_ALGORITHMS, LearnerConfig, make_learner, \
     run_episode
 from .errors import ContractError, NumericalError

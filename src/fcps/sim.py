@@ -84,8 +84,8 @@ class Hill:
 # eq=False: ndarray fields; worlds compare by replay_metadata()
 @dataclass(frozen=True, eq=False)
 class CannonWorld:
-    hills: tuple[Hill, ...] = ()
-    seed: int = 0
+    hills: tuple[Hill, ...]
+    seed: int
 
     @classmethod
     def generate(cls, seed: int) -> "CannonWorld":

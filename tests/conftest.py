@@ -7,14 +7,21 @@ import numpy as np
 from hypothesis import settings
 
 from fcps.gp import GpModel
+from fcps.optim import SearchSpace
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
+def unit_box(dim: int) -> SearchSpace:
+    """[0, 1]^dim: a model fitted on it sees its inputs exactly as given,
+    since ``(x - 0.0) / 1.0`` is ``x`` bit for bit."""
+    return SearchSpace(np.zeros(dim), np.ones(dim))
+
+
 def ensemble_branch_model(ens, branch: int):
     """One column of a shared-input ensemble as a standalone model."""
-    return GpModel(ens.hyperparams, ens.xt, ens.yt[:, branch], ens.x_lo, ens.x_span,
+    return GpModel(ens.hyperparams, ens.xt, ens.yt[:, branch], ens.input_space,
                    float(ens.y_shift[branch]), float(ens.y_scale[branch]),
                    ens.chol, ens.weights[:, branch], ens.jitter)
 

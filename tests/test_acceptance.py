@@ -28,7 +28,7 @@ from fcps.optim import SearchSpace, direct_maximize, global_then_local, \
 from fcps.sim import (CannonWorld, DmpParams, cannon_rollout, dmp_integrate,
                       imitate_params, _minimum_jerk)
 
-from conftest import rowwise
+from conftest import rowwise, unit_box
 
 CACHE_DIR = Path(__file__).resolve().parent / "_acceptance_cache"
 
@@ -382,9 +382,9 @@ def test_criterion_6_gp_suite(announce):
     x = rng.uniform(size=(12, 3))
     y = rng.normal(size=12)
     h = gp.KernelHyperparams(1.0, np.full(3, 0.4), 1e-3)
-    base = gp.fit(x[:11], y[:11], h, standardize=False)
+    base = gp.fit(x[:11], y[:11], h, standardize=False, input_space=unit_box(h.dim))
     fant = gp.fantasize(base, x[11], float(y[11]))
-    refit_model = gp.fit(x, y, h, standardize=False)
+    refit_model = gp.fit(x, y, h, standardize=False, input_space=unit_box(h.dim))
     probes = rng.uniform(size=(40, 3))
     fm, fv = gp.predict_batch(fant, probes)
     rm, rv = gp.predict_batch(refit_model, probes)
@@ -392,7 +392,7 @@ def test_criterion_6_gp_suite(announce):
     fant_ok = fant_err <= 1e-8
 
     clean = gp.fit(x, y, gp.KernelHyperparams(1.0, np.full(3, 0.4), 1e-10),
-                   standardize=False)
+                   standardize=False, input_space=unit_box(3))
     mean_at_train, _ = gp.predict_batch(clean, x)
     interp_err = float(np.abs(mean_at_train - y).max())
     interp_ok = interp_err <= 1e-6

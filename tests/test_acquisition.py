@@ -26,7 +26,7 @@ from fcps.algorithms import LearnerConfig, _prefixed
 from fcps.errors import ContractError, NumericalError
 from fcps.optim import SearchSpace
 
-from conftest import ensemble_branch_model
+from conftest import ensemble_branch_model, unit_box
 
 
 class Reps(NamedTuple):
@@ -137,7 +137,7 @@ def _query_terms(engine, model, queries):
     return cross, s2_obs, np.sqrt(s2_obs)
 
 
-def joint_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
+def joint_gains_oracle(engine: EnsembleEsEngine, queries):
     """The per-query loop of the joint engine's ``gains`` over the argmax
     kernel, for an engine with one block per branch."""
     cross, s2_obs, sd_obs = _query_terms(engine, engine.model, queries)
@@ -146,7 +146,7 @@ def joint_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
     cross = cross.reshape(c_n, m, b_n)
     l_n = len(engine.u)
     branch_of = np.repeat(np.arange(c_n), l_n)
-    out = np.empty((b_n, c_n)) if per_branch else np.empty(b_n)
+    out = np.empty(b_n)
     for b in range(b_n):
         cb = cross[:, :, b]
         sig_plus = engine.sigma - np.einsum("cm,cn->cmn", cb, cb) / s2_obs[b]
@@ -155,22 +155,18 @@ def joint_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
         shift = (engine.u[None, :, None] / sd_obs[b]) * cb[:, None, :]
         base = (engine.mu0[:, None, :] + shift).reshape(c_n * l_n, m)
         ent = _entropies_stacked(base, s_plus, branch_of).reshape(c_n, l_n)
-        branch_gains = engine.h0 - ent.mean(axis=1)
-        if per_branch:
-            out[b] = branch_gains
-        else:
-            out[b] = branch_gains.sum()
+        out[b] = (engine.h0 - ent.mean(axis=1)).sum()
     return out
 
 
-def ensemble_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
+def ensemble_gains_oracle(engine: EnsembleEsEngine, queries):
     """The per-query loop of the ensemble engine's ``gains`` over the argmax
     kernel, for an engine whose branches share one block."""
     cross, s2_obs, sd_obs = _query_terms(engine, engine.model, queries)
     b_n = len(s2_obs)
     c_n, m = engine.mu0.shape
     l_n = len(engine.u)
-    out = np.empty((b_n, c_n)) if per_branch else np.empty(b_n)
+    out = np.empty(b_n)
     for b in range(b_n):
         cb = cross[:, b]
         sig_plus = engine.sigma[0] - np.outer(cb, cb) / s2_obs[b]
@@ -179,11 +175,7 @@ def ensemble_gains_oracle(engine: EnsembleEsEngine, queries, per_branch=False):
         shift = (engine.u[:, None] / sd_obs[b]) * cb[None, :]  # (L, M)
         base = (engine.mu0[:, None, :] + shift[None, :, :]).reshape(c_n * l_n, m)
         ent = _entropies_shared(base, s_plus).reshape(c_n, l_n)
-        branch_gains = engine.h0 - ent.mean(axis=1)
-        if per_branch:
-            out[b] = branch_gains
-        else:
-            out[b] = branch_gains.sum()
+        out[b] = (engine.h0 - ent.mean(axis=1)).sum()
     return out
 
 
@@ -428,7 +420,7 @@ def small_model(rng=None, n=6, noise=1e-3):
     x = np.linspace(0.05, 0.95, n)[:, None]
     y = np.sin(3 * x[:, 0]) + 0.05 * rng.standard_normal(n)
     h = gp.KernelHyperparams(1.0, np.array([0.15]), noise)
-    return gp.fit(x, y, h)
+    return gp.fit(x, y, h, input_space=unit_box(h.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +518,7 @@ def test_info_gain_requery_known_point_is_zero():
     h = gp.KernelHyperparams(1.0, np.array([0.3]), 1e-9)
     x = np.linspace(0, 1, 5)[:, None]
     y = np.cos(2 * x[:, 0])
-    model = gp.fit(x, y, h)
+    model = gp.fit(x, y, h, input_space=unit_box(h.dim))
     cand = np.linspace(0, 1, 6)[:, None]
     cfg = LearnerConfig(n_candidates=6, n_function_draws=800, n_fantasies=10)
     g = info_gain(model, x[2], np.zeros(0), cand, cfg, np.random.default_rng(6))
@@ -542,7 +534,7 @@ def joint_model_2d(rng):
     x = rng.uniform(0, 1, size=(12, 2))  # columns: context, parameter
     y = np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1])
     h = gp.KernelHyperparams(1.0, np.array([0.4, 0.4]), 1e-3)
-    return gp.fit(x, y, h)
+    return gp.fit(x, y, h, input_space=unit_box(h.dim))
 
 
 def test_aces_duplicated_representer_counts_twice():
@@ -607,7 +599,7 @@ def test_faces_objective_matches_ensemble_engine():
 
 def test_faces_objective_needs_one_model_per_context():
     h = gp.KernelHyperparams(1.0, np.array([0.3]), 1e-3)
-    m = gp.fit(np.array([[0.5]]), np.array([0.0]), h)
+    m = gp.fit(np.array([[0.5]]), np.array([0.0]), h, input_space=unit_box(h.dim))
     cand = np.array([[0.1], [0.9]])
     reps = Reps(np.zeros((2, 0)), np.broadcast_to(cand, (2, 2, 1)))
     cfg = LearnerConfig(n_candidates=2, n_function_draws=100, n_fantasies=1)
@@ -617,7 +609,7 @@ def test_faces_objective_needs_one_model_per_context():
 
 def test_empty_model_engine_runs():
     h = gp.KernelHyperparams(1.0, np.array([0.5, 0.5]), 1e-4)
-    model = gp.fit(np.zeros((0, 2)), np.zeros(0), h)
+    model = gp.fit(np.zeros((0, 2)), np.zeros(0), h, input_space=unit_box(h.dim))
     reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                        3, 4, np.random.default_rng(0))
     cfg = LearnerConfig(n_candidates=4, n_function_draws=200, n_fantasies=3)
@@ -779,10 +771,9 @@ def test_faces_size_engine_prunes_and_matches_oracle_loop():
 
     queries = rng.uniform(0, 1, size=(6, 3))
     with mock.patch.object(acquisition, "_argmax_entropies", spy):
-        for per_branch in (False, True):
-            got = (engine.branch_gains if per_branch else engine.gains)(queries)
-            expected = ensemble_gains_oracle(engine, queries, per_branch)
-            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        got = engine.gains(queries)
+        expected = ensemble_gains_oracle(engine, queries)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     counts = np.concatenate(counts)
     assert (counts == 1).any() and (counts > 2).any()
     assert 2 * counts.sum() < counts.size * 20  # the pruned path ran
@@ -823,8 +814,6 @@ def test_ensemble_engine_matches_oracle_loop(c_n):
     assert np.array_equal(engine.h0, _entropies_shared(engine.mu0, s0))
     for b_n in (1, 3, 14):
         queries = rng.uniform(0, 1, size=(b_n, 1))
-        assert np.array_equal(engine.branch_gains(queries),
-                              ensemble_gains_oracle(engine, queries, per_branch=True))
         assert np.array_equal(engine.gains(queries),
                               ensemble_gains_oracle(engine, queries))
 
@@ -844,8 +833,6 @@ def test_joint_engine_matches_oracle_loop(c_n):
     assert np.array_equal(engine.h0, _entropies_stacked(engine.mu0, s0, np.arange(c_n)))
     for b_n in (1, 3, 14):
         queries = rng.uniform(0, 1, size=(b_n, 2))
-        assert np.array_equal(engine.branch_gains(queries),
-                              joint_gains_oracle(engine, queries, per_branch=True))
         assert np.array_equal(engine.gains(queries),
                               joint_gains_oracle(engine, queries))
 
@@ -973,7 +960,6 @@ def test_engine_matches_the_engines_it_replaced(kind, c_n, empty):
         assert _bits(engine.sigma[0]) == _bits(old.sigma)
     for b_n in (1, 3, 14):
         q = _prefixed(prefix, rng.uniform(0, 1, size=(b_n, width)))
-        assert _bits(engine.branch_gains(q)) == _bits(old.branch_gains(q))
         assert _bits(engine.gains(q)) == _bits(old.gains(q))
 
 
@@ -1027,7 +1013,7 @@ def _singular_pair(sf2):
     model."""
     h = gp.KernelHyperparams(sf2, np.array([1.0]), 1e-300)
     rows = np.full((3, 1), 0.5)
-    return h, rows, gp.fit(np.zeros((0, 1)), np.zeros(0), h)
+    return h, rows, gp.fit(np.zeros((0, 1)), np.zeros(0), h, input_space=unit_box(h.dim))
 
 
 @pytest.mark.parametrize("sf2", [1.0, 2.5, 0.3])
@@ -1041,7 +1027,7 @@ def test_a_fit_and_an_engine_stack_take_the_same_jitter(monkeypatch, sf2):
         return L, jitter
 
     monkeypatch.setattr(gp, "factor_with_jitter", recorded)
-    model = gp.fit(rows, np.zeros(3), h)
+    model = gp.fit(rows, np.zeros(3), h, input_space=unit_box(h.dim))
     EnsembleEsEngine(empty, rows[None], 8, 2, np.random.default_rng(0))
     assert took == [(gp._cholesky, sf2, 1e-10 * sf2),
                     (np.linalg.cholesky, sf2, 1e-10 * sf2)]
@@ -1059,7 +1045,7 @@ def test_a_fit_and_an_engine_stack_that_never_factor_report_the_same_jitters(
     monkeypatch.setattr(gp, "_cholesky", never)
     monkeypatch.setattr(np.linalg, "cholesky", never)
     with pytest.raises(NumericalError) as fit_err:
-        gp.fit(rows, np.zeros(3), h)
+        gp.fit(rows, np.zeros(3), h, input_space=unit_box(h.dim))
     with pytest.raises(NumericalError) as engine_err:
         EnsembleEsEngine(empty, rows[None], 8, 2, np.random.default_rng(0))
     jitters = fit_err.value.jitters

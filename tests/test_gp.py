@@ -34,7 +34,7 @@ from fcps.gp import (
 )
 from fcps.optim import SearchSpace
 
-from conftest import ensemble_branch_model
+from conftest import ensemble_branch_model, unit_box
 
 # dense-oracle values for inputs {0, 1}, targets {0, 1}, ell=1, sf2=1, sn2=1e-6
 ORACLE_MEAN_AT_HALF = 0.5493180898423446
@@ -45,7 +45,8 @@ ORACLE_NLML_SINGLE = 1.3770838991417502  # N=1, y=0, sf2=2, sn2=0.5
 
 def two_point_model():
     h = KernelHyperparams(1.0, np.array([1.0]), 1e-6)
-    return fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), h)
+    return fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), h,
+               input_space=unit_box(h.dim))
 
 
 def default_hyperparam_bounds(inputs, targets) -> list[tuple[float, float]]:
@@ -102,6 +103,39 @@ def test_hyperparams_must_be_positive():
         KernelHyperparams(1.0, np.array([1.0]), 0.0)
 
 
+def _hyperparams_refusal_oracle(sf2, ell, sn2) -> str | None:
+    """The message ``KernelHyperparams`` refused with when it checked its
+    values with numpy's elementwise tests, or None if it accepted them."""
+    ell = np.atleast_1d(np.asarray(ell, dtype=float))
+    sf2, sn2 = float(sf2), float(sn2)
+    if ell.ndim != 1:
+        return "lengthscales must be a 1-d array"
+    if not (np.all(np.isfinite(ell)) and np.isfinite(sf2) and np.isfinite(sn2)):
+        return "hyperparameters must be finite"
+    if sf2 <= 0 or sn2 <= 0 or np.any(ell <= 0):
+        return "hyperparameters must be strictly positive"
+    return None
+
+
+_ODD_VALUES = [1.0, 0.0, -0.0, -1.0, 5e-324, 1e308, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("ell", [[v] for v in _ODD_VALUES]
+                         + [[0.5, v] for v in _ODD_VALUES]
+                         + [[-1.0, np.nan], [np.inf, 0.0], [], 2.0, [[1.0]]])
+def test_hyperparams_refuse_what_they_refused_with_the_same_message(ell):
+    for sf2, sn2 in [(1.0, 1e-6)] + [(v, 1e-6) for v in _ODD_VALUES] \
+            + [(1.0, v) for v in _ODD_VALUES] + [(-1.0, np.nan)]:
+        want = _hyperparams_refusal_oracle(sf2, ell, sn2)
+        if want is None:
+            h = KernelHyperparams(sf2, ell, sn2)
+            assert (h.signal_variance, h.noise_variance) == (sf2, sn2)
+            assert h.lengthscales.tobytes() == np.atleast_1d(np.asarray(ell, float)).tobytes()
+        else:
+            with pytest.raises(ContractError, match=f"^{want}$"):
+                KernelHyperparams(sf2, ell, sn2)
+
+
 def test_hyperparams_log_round_trip():
     h = KernelHyperparams(2.5, np.array([0.3, 1.7]), 1e-3)
     back = KernelHyperparams.from_log_vector(h.as_log_vector())
@@ -146,7 +180,7 @@ def test_predict_interpolates_training_points():
     x = rng.uniform(-1, 1, size=(8, 2))
     y = rng.normal(size=8)
     h = KernelHyperparams(1.0, np.array([0.8, 0.8]), 1e-10)
-    m = fit(x, y, h)
+    m = fit(x, y, h, input_space=unit_box(h.dim))
     mean, var = predict_batch(m, x)
     assert np.allclose(mean, y, atol=1e-4)
     assert np.all(var < 1e-4)
@@ -162,13 +196,14 @@ def test_predict_far_from_data_reverts_to_prior():
 
 def test_kernel_rows_of_an_empty_model_are_zero_width():
     h = KernelHyperparams(3.0, np.array([1.0, 1.0]), 1e-6)
-    k, v = gp.kernel_rows(fit(np.zeros((0, 2)), np.zeros(0), h), np.ones((4, 2)))
+    empty = fit(np.zeros((0, 2)), np.zeros(0), h, input_space=unit_box(h.dim))
+    k, v = gp.kernel_rows(empty, np.ones((4, 2)))
     assert k.shape == (4, 0) and v.shape == (0, 4)
 
 
 def test_empty_model_is_prior_only():
     h = KernelHyperparams(3.0, np.array([1.0, 1.0]), 1e-6)
-    m = fit(np.zeros((0, 2)), np.zeros(0), h)
+    m = fit(np.zeros((0, 2)), np.zeros(0), h, input_space=unit_box(h.dim))
     assert m.chol.shape == (0, 0) and m.jitter == 0.0  # potrf factors a 0 x 0 matrix
     (mean,), (var,) = predict_batch(m, [[0.3, -0.4]])
     assert mean == 0.0
@@ -178,11 +213,11 @@ def test_empty_model_is_prior_only():
 def test_fit_shape_validation():
     h = KernelHyperparams(1.0, np.array([1.0]), 1e-6)
     with pytest.raises(ContractError):
-        fit(np.zeros((3, 2)), np.zeros(3), h)
+        fit(np.zeros((3, 2)), np.zeros(3), h, input_space=unit_box(h.dim))
     with pytest.raises(ContractError):
-        fit(np.zeros((3, 1)), np.zeros(4), h)
+        fit(np.zeros((3, 1)), np.zeros(4), h, input_space=unit_box(h.dim))
     with pytest.raises(ContractError):
-        fit(np.array([[np.nan]]), np.zeros(1), h)
+        fit(np.array([[np.nan]]), np.zeros(1), h, input_space=unit_box(h.dim))
 
 
 def test_input_space_scaling_equivalence():
@@ -192,7 +227,7 @@ def test_input_space_scaling_equivalence():
     y = rng.normal(size=10)
     h = KernelHyperparams(1.2, np.array([0.5, 0.5]), 1e-4)
     scaled = fit(x, y, h, input_space=space)
-    manual = fit((x - space.lower) / space.span, y, h)
+    manual = fit((x - space.lower) / space.span, y, h, input_space=unit_box(h.dim))
     q = space.sample_uniform(5, rng)
     ms, vs = predict_batch(scaled, q)
     mm, vm = predict_batch(manual, (q - space.lower) / space.span)
@@ -200,14 +235,28 @@ def test_input_space_scaling_equivalence():
     assert np.allclose(vs, vm, atol=1e-10)
 
 
+def test_a_unit_box_maps_inputs_to_themselves_bit_for_bit():
+    # signed zeros, subnormals and points outside [0, 1] as training rows;
+    # queries may be huge too, where the kernel itself would overflow
+    odd = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, -3.5, 0.5,
+                    1.0 + 2**-52, 7.25e3])
+    x = np.column_stack([odd, odd[::-1]])
+    h = KernelHyperparams(1.0, np.array([1.0, 1.0]), 1e-6)
+    m = fit(x, np.arange(len(x), dtype=float), h, input_space=unit_box(2))
+    assert m.xt.tobytes() == x.tobytes() and np.signbit(m.xt[0, 0])
+    huge = np.array([1e300, -1e300, 1.7976931348623157e308, -0.0])
+    q = np.column_stack([np.concatenate([odd, huge]), np.concatenate([huge, odd])])
+    assert m.transform_inputs(q).tobytes() == q.tobytes()
+
+
 def test_standardize_round_trip():
     rng = np.random.default_rng(6)
     x = rng.uniform(0, 1, size=(12, 1))
     y = 50.0 + 3.0 * rng.normal(size=12)
     h = KernelHyperparams(1.0, np.array([0.3]), 1e-3)
-    m = fit(x, y, h, standardize=True)
+    m = fit(x, y, h, standardize=True, input_space=unit_box(h.dim))
     shift, scale = m.y_shift, m.y_scale
-    manual = fit(x, (y - shift) / scale, h)
+    manual = fit(x, (y - shift) / scale, h, input_space=unit_box(h.dim))
     q = rng.uniform(0, 1, size=(4, 1))
     ms, vs = predict_batch(m, q)
     mm, vm = predict_batch(manual, q)
@@ -523,6 +572,8 @@ def test_optimize_hyperparams_scores_each_point_once(monkeypatch, n, d, box, see
 def _assert_same_model(a: GpModel, b: GpModel) -> None:
     for field in dataclasses.fields(GpModel):
         u, v = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(u, SearchSpace):  # the arrays the input transform reads
+            u, v = np.stack([u.lower, u.span]), np.stack([v.lower, v.span])
         if isinstance(u, np.ndarray):
             assert u.dtype == v.dtype and u.shape == v.shape, field.name
             assert u.tobytes() == v.tobytes(), field.name
@@ -556,7 +607,7 @@ def test_fit_targets_equals_fit_bit_for_bit(case):
 def test_fit_targets_rejects_targets_that_do_not_fit_the_model():
     rng = np.random.default_rng(22)
     x, y, h = random_instance(rng, n=6, d=2)
-    m = fit(x, y, h)
+    m = fit(x, y, h, input_space=unit_box(h.dim))
     with pytest.raises(ContractError):
         fit_targets(m, y[:-1])
     with pytest.raises(ContractError):
@@ -573,8 +624,7 @@ class GpEnsembleOracle:
     inputs: np.ndarray
     targets: np.ndarray  # (N, C)
     hyperparams: KernelHyperparams
-    x_lo: np.ndarray | None
-    x_span: np.ndarray | None
+    input_space: SearchSpace | None
     y_shift: np.ndarray  # (C,)
     y_scale: np.ndarray  # (C,)
     xt: np.ndarray
@@ -619,7 +669,7 @@ def fit_shared_inputs_oracle(inputs, target_matrix, h: KernelHyperparams, *,
         L = np.zeros((0, 0))
         weights = np.zeros((0, c))
         jitter = 0.0
-    return GpEnsembleOracle(inputs, targets, h, x_lo, x_span, y_shift, y_scale,
+    return GpEnsembleOracle(inputs, targets, h, input_space, y_shift, y_scale,
                             xt, L, weights, jitter)
 
 
@@ -664,10 +714,10 @@ def test_fit_shared_inputs_equals_the_ensemble_it_replaced_bit_for_bit(
     got = fit_shared_inputs(x, y, h, input_space=space)
     want = fit_shared_inputs_oracle(x, y, h, input_space=space)
     assert isinstance(got, GpModel)
-    for name in ("x_lo", "x_span", "xt", "chol", "jitter", "weights", "y_shift",
-                 "y_scale"):
+    for name in ("xt", "chol", "jitter", "weights", "y_shift", "y_scale"):
         assert _same_bits(getattr(got, name), getattr(want, name)), name
     assert got.hyperparams is want.hyperparams
+    assert got.input_space is want.input_space
     assert _same_bits(got.yt, (want.targets - want.y_shift) / want.y_scale)
     if constant and n:
         assert got.y_scale[0] == 1.0
@@ -700,7 +750,7 @@ def test_prediction_and_fantasies_take_one_target_models_only():
         with pytest.raises(ContractError, match="one-target"):
             fantasize(model, x[0], 0.0)
     with pytest.raises(ContractError):
-        fit(x, np.zeros((20, 2, 2)), h)
+        fit(x, np.zeros((20, 2, 2)), h, input_space=unit_box(h.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +762,12 @@ def test_fantasize_equals_refit():
     rng = np.random.default_rng(10)
     for _ in range(6):
         x, y, h = random_instance(rng)
-        m = fit(x, y, h)
+        m = fit(x, y, h, input_space=unit_box(h.dim))
         x_new = rng.uniform(-2, 2, size=x.shape[1])
         y_new = float(rng.normal())
         fast = fantasize(m, x_new, y_new)
-        slow = fit(np.vstack([x, x_new]), np.append(y, y_new), h)
+        slow = fit(np.vstack([x, x_new]), np.append(y, y_new), h,
+                   input_space=unit_box(h.dim))
         q = rng.uniform(-2, 2, size=(6, x.shape[1]))
         mf, vf = predict_batch(fast, q)
         ms, vs = predict_batch(slow, q)
@@ -726,7 +777,7 @@ def test_fantasize_equals_refit():
 
 def test_fantasize_on_empty_model():
     h = KernelHyperparams(1.0, np.array([1.0]), 1e-6)
-    m = fit(np.zeros((0, 1)), np.zeros(0), h)
+    m = fit(np.zeros((0, 1)), np.zeros(0), h, input_space=unit_box(h.dim))
     m2 = fantasize(m, np.array([0.5]), 2.0)
     (mean,), _ = predict_batch(m2, [[0.5]])
     assert mean == pytest.approx(2.0, abs=1e-4)
@@ -736,7 +787,8 @@ def test_fantasize_on_empty_model():
 @pytest.mark.parametrize("n", [0, 3])
 def test_fantasize_rejects_a_non_finite_point(n, bad):
     h = KernelHyperparams(1.0, np.array([1.0, 0.5]), 1e-6)
-    m = fit(np.linspace(0.0, 1.0, 2 * n).reshape(n, 2), np.arange(n, dtype=float), h)
+    m = fit(np.linspace(0.0, 1.0, 2 * n).reshape(n, 2), np.arange(n, dtype=float), h,
+            input_space=unit_box(h.dim))
     with pytest.raises(ValueError):
         fantasize(m, np.array([0.5, bad]), 1.0)
 
@@ -751,15 +803,15 @@ def test_every_model_origin_keeps_an_f_ordered_factor(monkeypatch):
     monkeypatch.setattr(gp, "_assemble", lambda *a: refits.append(a) or assemble(*a))
     rng = np.random.default_rng(7)
     x, y, h = random_instance(rng, n=12, d=3)
-    m = fit(x, y, h)
+    m = fit(x, y, h, input_space=unit_box(h.dim))
     # a repeated input under a tiny noise leaves no usable pivot
     near = fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]),
-               KernelHyperparams(1.0, np.array([1.0]), 1e-14))
+               KernelHyperparams(1.0, np.array([1.0]), 1e-14), input_space=unit_box(1))
     models = {"fit": m, "fit_targets": fit_targets(m, 1.0 - y),
               "fit_shared_inputs": fit_shared_inputs(
                   x, np.column_stack([y, -y]), h,
                   input_space=SearchSpace(np.full(3, -2.0), np.full(3, 2.0))),
-              "empty": fit(np.zeros((0, 3)), np.zeros(0), h)}
+              "empty": fit(np.zeros((0, 3)), np.zeros(0), h, input_space=unit_box(h.dim))}
     refits.clear()
     models["fantasize, rank-1"] = fantasize(m, rng.uniform(-2, 2, 3), 0.4)
     assert not refits
@@ -777,11 +829,13 @@ def _fantasy_and_refits(monkeypatch, noise, x_new):
     monkeypatch.setattr(gp, "_assemble", lambda *a: refits.append(a) or assemble(*a))
     h = KernelHyperparams(1.0, np.array([1.0]), noise)
     x = np.array([[0.0], [1.0]])
-    m = fit(x, np.array([0.0, 1.0]), h)
+    m = fit(x, np.array([0.0, 1.0]), h, input_space=unit_box(h.dim))
     refits.clear()
     fast = fantasize(m, np.array([x_new]), 1.0)
     made = len(refits)
-    return fast, fit(np.vstack([x, [[x_new]]]), np.array([0.0, 1.0, 1.0]), h), made
+    slow = fit(np.vstack([x, [[x_new]]]), np.array([0.0, 1.0, 1.0]), h,
+               input_space=unit_box(h.dim))
+    return fast, slow, made
 
 
 def test_fantasize_near_duplicate_takes_the_rank_1_path(monkeypatch):
@@ -810,7 +864,7 @@ def test_jitter_handles_duplicate_rows():
     h = KernelHyperparams(1.0, np.array([1.0]), 1e-9)
     x = np.array([[0.5], [0.5], [0.5], [1.5]])
     y = np.array([1.0, 1.0, 1.0, 0.0])
-    m = fit(x, y, h)
+    m = fit(x, y, h, input_space=unit_box(h.dim))
     (mean,), _ = predict_batch(m, [[0.5]])
     assert mean == pytest.approx(1.0, abs=1e-3)
 
@@ -1001,9 +1055,9 @@ def _models_of_every_origin(seed):
     fitted = fit(x, y, h, input_space=space, standardize=True)
     ens = fit_shared_inputs(x, np.column_stack([y, -2.0 * y + 1.0]), h,
                             input_space=space)
-    empty = fit(np.zeros((0, h.dim)), np.zeros(0), h)
+    empty = fit(np.zeros((0, h.dim)), np.zeros(0), h, input_space=unit_box(h.dim))
     return {
-        "fit": fit(x, y, h),
+        "fit": fit(x, y, h, input_space=unit_box(h.dim)),
         "fit scaled": fitted,
         "fantasize": fantasize(fitted, x[0] + 0.1, 0.3),
         "ensemble branch": ensemble_branch_model(ens, 1),
@@ -1097,7 +1151,7 @@ def test_predict_batch_equals_the_allocating_path_bit_for_bit(n, m, d, origin, s
                           float(rng.uniform(1e-6, 0.3)))
     space = SearchSpace(np.full(d, -2.5), np.full(d, 2.5))
     if origin == "fit":
-        model = fit(x, y, h)
+        model = fit(x, y, h, input_space=unit_box(h.dim))
     elif origin == "fit scaled":
         model = fit(x, y, h, input_space=space, standardize=True)
     elif origin == "fantasize":

@@ -30,7 +30,7 @@ from fcps.sim import (
     thrower_rollout,
 )
 
-FLAT = CannonWorld(hills=())
+FLAT = CannonWorld(hills=(), seed=0)
 # the cannon's env context
 NO_ENV = np.zeros(0)
 
@@ -46,7 +46,7 @@ def test_flat_world_elevation_zero():
 
 
 def test_single_hill_profile():
-    world = CannonWorld(hills=(Hill([6.0, 0.0], height=1.5, width=1.0),))
+    world = CannonWorld(hills=(Hill([6.0, 0.0], height=1.5, width=1.0),), seed=0)
     assert terrain_elevation(world, 6.0, 0.0) == pytest.approx(1.5, abs=1e-12)
     # two widths out along the ridge, still outside the pad blend
     expected = 1.5 * math.exp(-2.0)
@@ -54,7 +54,7 @@ def test_single_hill_profile():
 
 
 def test_pad_is_exactly_flat_despite_nearby_hill():
-    world = CannonWorld(hills=(Hill([3.2, 0.0], height=2.0, width=3.0),))
+    world = CannonWorld(hills=(Hill([3.2, 0.0], height=2.0, width=3.0),), seed=0)
     assert terrain_elevation(world, 0.0, 0.0) == 0.0
     inside = terrain_elevation(world, 1.0, 0.5)
     assert inside == 0.0
@@ -143,7 +143,7 @@ def test_quarter_turn_swaps_axes_on_flat_ground():
 
 def test_hill_under_arc_shortens_range():
     flat = cannon_rollout(FLAT, NO_ENV, [0.0, math.pi / 4, 3.0], None)
-    hilly = CannonWorld(hills=(Hill([4.5, 0.0], height=1.8, width=2.0),))
+    hilly = CannonWorld(hills=(Hill([4.5, 0.0], height=1.8, width=2.0),), seed=0)
     blocked = cannon_rollout(hilly, NO_ENV, [0.0, math.pi / 4, 3.0], None)
     assert blocked[0] < flat[0] - 0.1
 
@@ -586,7 +586,7 @@ def _rollout_with_oracle(world, theta):
 
 STEEP = CannonWorld(hills=(Hill([4.0, 0.0], height=2.0, width=1.5),
                            Hill([0.0, -5.0], height=2.0, width=1.5),
-                           Hill([-6.5, 6.5], height=1.0, width=3.0)))
+                           Hill([-6.5, 6.5], height=1.0, width=3.0)), seed=0)
 
 
 @settings(max_examples=150)

@@ -13,6 +13,9 @@ library functions that the acceptance criteria call directly.
 A name with a leading underscore belongs to its module: another module
 that imports it, or reads it off the imported module, depends on a detail
 the owner may change.
+
+The package's settable values (parameters and dataclass fields with a
+default) are counted here too, and may not rise above a recorded bound.
 """
 
 import ast
@@ -169,3 +172,44 @@ def test_the_scan_finds_private_names_read_across_modules(sources, expected):
 def test_no_package_module_reads_another_modules_private_names():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert "gp" in sources and foreign_private_reads(sources) == []
+
+
+# ROADMAP.md's design-quality aim tracks this count; a new option has to
+# raise the bound here, in plain sight
+SETTABLE_VALUES_AT_MOST = 32
+
+
+def settable_values(sources: dict[str, str]) -> int:
+    """Parameters with a default, plus fields with a default in dataclasses."""
+    count = 0
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    return count
+
+
+def package_settable_values() -> int:
+    return settable_values({path.stem: path.read_text(encoding="utf-8")
+                            for path in sorted(SRC.glob("*.py"))})
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def f(a, b=1, *, c, d=2):\n    return lambda x=3: x\n", 3),
+    ("async def f(a=1, *args, b=None, **kw):\n    pass\n", 2),
+    ("from dataclasses import dataclass, field\n"
+     "@dataclass(frozen=True)\nclass C:\n    a: int\n    b: int = 1\n"
+     "    c: list = field(default_factory=list)\n    D = 4\n", 2),
+    ("class Plain:\n    a: int = 1\n", 0),
+])
+def test_the_counter_counts_defaults_and_dataclass_fields(source, expected):
+    assert settable_values({"mod": source}) == expected
+
+
+def test_the_package_has_no_more_settable_values_than_recorded():
+    assert package_settable_values() <= SETTABLE_VALUES_AT_MOST
