@@ -19,10 +19,11 @@ queries of a ``gains`` call to one entropy kernel over grouped rows:
 L rows for each branch on the block, and a call passes only as many queries
 as ``_BLOCK`` holds, so the engine never keeps more than that many queries'
 draws.  For each row and draw the kernel keeps a running maximum over the M
-candidates in cache-sized row blocks, updated on strict ``>``, so ties go
-to the lowest candidate index exactly as with ``np.argmax``.  A non-finite
-block raises :class:`NumericalError` instead of being ranked.  In groups of
-``_PRUNE_ROWS`` rows or more, candidates that cannot win are dropped first:
+candidates in cache-sized blocks, whole groups on the dense path and rows on
+the pruned one, updated on strict ``>``, so ties go to the lowest candidate
+index exactly as with ``np.argmax``.  A non-finite block raises
+:class:`NumericalError`, with no jitters, instead of being ranked.  In groups
+of ``_PRUNE_ROWS`` rows or more, candidates that cannot win are dropped first:
 ``fl(b + d)`` is monotone in ``d``, so candidate m stays strictly below row
 r's maximum in every draw, and cannot even tie, when
 ``base[r, m] + max_k draws[m, k] < max_m' (base[r, m'] + min_k draws[m', k])``.
@@ -81,7 +82,7 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
     g_n, l_n, m = base.shape
     k = draws.shape[2]
     if not (np.isfinite(base).all() and np.isfinite(draws).all()):
-        raise NumericalError("non-finite value in an entropy-search block")
+        raise NumericalError("non-finite value in an entropy-search block", jitters=())
     rows = g_n * l_n
     idx_type = np.min_scalar_type(m - 1)
     ent = np.empty((g_n, l_n))
@@ -117,26 +118,22 @@ def _argmax_entropies(base: np.ndarray, draws: np.ndarray) -> np.ndarray:
                 _step(top[:n], v, moved[:n], arg[:n], sidx[r0:r0 + n, j:j + 1])
             ent.reshape(rows)[row[r0:r1]] = _entropies(arg, m)
     else:
-        l_blk = min(l_n, max(1, _BLOCK // k))
-        g_blk = min(g_n, max(1, _BLOCK // (k * l_blk)))
-        best = np.empty((g_blk, l_blk, k))
+        g_blk = min(g_n, max(1, _BLOCK // (k * l_n)))
+        best = np.empty((g_blk, l_n, k))
         val = np.empty_like(best)
         moved = np.empty(best.shape, dtype=idx_type)
         base_m = base.transpose(2, 0, 1)[..., None]     # (M, G, L, 1)
         draws_m = draws.transpose(1, 0, 2)[:, :, None]  # (M, G, 1, K)
         for g0 in range(0, g_n, g_blk):
-            args = np.zeros((min(g_blk, g_n - g0), l_n, k), dtype=idx_type)
-            for l0 in range(0, l_n, l_blk):
-                b = base_m[:, g0:g0 + g_blk, l0:l0 + l_blk]
-                d = draws_m[:, g0:g0 + g_blk]
-                gs, ls = b.shape[1:3]
-                top, v, up = best[:gs, :ls], val[:gs, :ls], moved[:gs, :ls]
-                arg = args[:, l0:l0 + ls]
-                np.add(b[0], d[0], out=top)
-                for j in range(1, m):
-                    np.add(b[j], d[j], out=v)
-                    _step(top, v, up, arg, j)
-            ent[g0:g0 + len(args)] = _entropies(args, m)
+            b, d = base_m[:, g0:g0 + g_blk], draws_m[:, g0:g0 + g_blk]
+            gs = b.shape[1]
+            top, v, up = best[:gs], val[:gs], moved[:gs]
+            args = np.zeros((gs, l_n, k), dtype=idx_type)
+            np.add(b[0], d[0], out=top)
+            for j in range(1, m):
+                np.add(b[j], d[j], out=v)
+                _step(top, v, up, args, j)
+            ent[g0:g0 + gs] = _entropies(args, m)
     return ent
 
 

@@ -9,9 +9,9 @@ class NumericalError(RuntimeError):
     """A numerical routine failed after exhausting its fallbacks.
 
     ``jitters`` records the diagonal jitter levels attempted before giving up,
-    in the order they were tried.
+    in the order they were tried; a failure that tries none lists none.
     """
 
-    def __init__(self, message: str, jitters=None):
+    def __init__(self, message: str, jitters):
         super().__init__(message)
-        self.jitters = list(jitters) if jitters is not None else []
+        self.jitters = list(jitters)

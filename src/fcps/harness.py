@@ -312,8 +312,7 @@ def run(config: ExperimentConfig, *, partial_dir=None) -> RunResult:
         raise
     return RunResult(
         online_rewards=np.array(online_rows),
-        offline_rewards=np.array(offline_rows).reshape(len(config.seeds),
-                                                       len(offline_episodes)),
+        offline_rewards=np.array(offline_rows),
         offline_episodes=offline_episodes,
         replay=replay,
     )
@@ -384,11 +383,16 @@ def generalization_study(config: ExperimentConfig) -> dict:
 def study(config: ExperimentConfig) -> list[tuple[ExperimentConfig, RunResult]]:
     """Run the comparison set (config.algorithms or the single tag).
 
-    Every tag's config is built, and so checked, before any of them runs.
+    Every tag's config and learner are built, and so checked against the
+    task, before any tag runs.
     """
     tags = config.algorithms or (config.algorithm,)
     tagged = [replace(config, learner=replace(config.learner, algorithm=tag),
                       algorithms=None) for tag in tags]
+    environment = build_environment(config)
+    for c in tagged:
+        make_learner(c.learner, environment.target_space, environment.env_space,
+                     environment.theta_space, environment.reward_fn)
     return [(c, run(c)) for c in tagged]
 
 
@@ -461,9 +465,7 @@ def load_results(path) -> list[tuple[ExperimentConfig, RunResult]]:
         config = config_from_dict(entry["config"])
         result = RunResult(
             online_rewards=np.array(entry["online_rewards"], dtype=float),
-            offline_rewards=np.array(entry["offline_rewards"],
-                                     dtype=float).reshape(
-                len(config.seeds), len(entry["offline_episodes"])),
+            offline_rewards=np.array(entry["offline_rewards"], dtype=float),
             offline_episodes=tuple(entry["offline_episodes"]),
             replay=entry["replay"],
         )

@@ -47,7 +47,8 @@ _BOX_ATOL = 1e-9  # a point this far outside its box, by rounding, counts as ins
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray bounds; a box equals itself only
+@dataclass(frozen=True, eq=False)
 class SearchSpace:
     """Axis-aligned box of valid inputs with strictly ordered bounds.
 
@@ -281,26 +282,20 @@ def _potentially_optimal(state: _DirectState) -> list[int]:
 
 def _direct_search(f_batch, dim: int, max_evals: int) -> _DirectState:
     state = _DirectState(dim)
-    center = [0.5] * dim
-    v = float(f_batch(np.array([center]))[0])
-    if not math.isfinite(v):
-        _log.warning("objective returned non-finite value at the box center")
-        v = -math.inf
-    state.add([center], [0], [v])
-
-    while state.n + 2 <= max_evals:
-        chosen = _potentially_optimal(state)
-        if not chosen:
-            break
-        chosen = chosen[:(max_evals - state.n) // 2]
-        points, counts = state.split(chosen)
+    points, counts = [[0.5] * dim], [0]  # the box center is the first batch
+    while True:
         vals = f_batch(np.array(points))
         bad = ~np.isfinite(vals)
         if bad.any():
             _log.warning("objective returned %d non-finite values; treated as -inf", int(bad.sum()))
             vals = np.where(bad, -np.inf, vals)
         state.add(points, counts, vals.tolist())
-    return state
+        if state.n + 2 > max_evals:
+            return state
+        chosen = _potentially_optimal(state)
+        if not chosen:
+            return state
+        points, counts = state.split(chosen[:(max_evals - state.n) // 2])
 
 
 def _refine_starts(state: _DirectState, count: int) -> list[list[float]]:

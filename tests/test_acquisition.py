@@ -678,8 +678,10 @@ def test_kernel_matches_argmax_oracle(g_n, l_n, m, k, seed, coarse, block):
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+# (2, 31, 20, 2000): a dense group of more than _BLOCK entries
 @pytest.mark.parametrize("shape", [(1, 600, 20, 150), (200, 3, 20, 150),
-                                   (1, 1, 300, 200), (3, 3, 20, 150)])
+                                   (1, 1, 300, 200), (3, 3, 20, 150),
+                                   (2, 31, 20, 2000)])
 def test_kernel_matches_oracle_at_engine_sizes(shape):
     g_n, l_n, m, k = shape
     rng = np.random.default_rng(sum(shape))
@@ -786,8 +788,9 @@ def test_kernel_rejects_non_finite_blocks(where, bad):
     base = rng.standard_normal((2, 3, 40))
     draws = rng.standard_normal((2, 40, 150))
     (base if where == "base" else draws)[1, 2, 5] = bad
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError) as exc:
         acquisition._argmax_entropies(base, draws)
+    assert exc.value.jitters == []  # no factorization was tried
 
 
 # ---------------------------------------------------------------------------

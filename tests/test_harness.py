@@ -412,6 +412,16 @@ def test_emitted_json_round_trips_through_config_parser(tmp_path):
     assert np.array_equal(loaded[0][1].online_rewards, result.online_rewards)
 
 
+def test_load_results_refuses_flattened_offline_rewards(tmp_path):
+    emitted(tmp_path)
+    runs = tmp_path / "runs.json"
+    entries = json.loads(runs.read_text())
+    entries[0]["offline_rewards"] = sum(entries[0]["offline_rewards"], [])
+    runs.write_text(json.dumps(entries))
+    with pytest.raises(ContractError, match="offline"):
+        load_results(runs)
+
+
 def test_offline_column_blank_except_evaluation_episodes(tmp_path):
     config, result, _ = emitted(tmp_path)
     with open(tmp_path / "long.csv", newline="") as fh:
@@ -563,6 +573,29 @@ def test_study_refuses_before_any_tag_runs(monkeypatch):
     with pytest.raises(ContractError, match="bo-fcps-her"):
         harness.study(config)
     assert ran == []
+
+
+# c-reps needs creps_period >= 6 on the cannon, and aces direct_evals >= 13
+# on the active cannon's joint inputs; the first tag builds at either setting
+@pytest.mark.parametrize("environment, tags, setting, least", [
+    ("cannon", ("bo-fcps", "c-reps"), "creps_period", 6),
+    ("active-cannon", ("faces", "aces"), "direct_evals", 13),
+])
+def test_study_builds_every_learner_before_any_tag_runs(monkeypatch, environment,
+                                                        tags, setting, least):
+    ran = []
+    monkeypatch.setattr(harness, "run", lambda config, **kw: ran.append(config))
+
+    def config(value):
+        learner = LearnerConfig(**dict(TINY_LEARNER, **{setting: value}))
+        return tiny_config(environment=environment, algorithms=tags,
+                           learner=learner)
+
+    with pytest.raises(ContractError, match=setting):
+        harness.study(config(least - 1))
+    assert ran == []
+    harness.study(config(least))
+    assert [c.algorithm for c in ran] == list(tags)
 
 
 def test_cli_error_paths(tmp_path, capsys):

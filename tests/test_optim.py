@@ -5,6 +5,7 @@ boundary projections), not from the implementation under test.
 """
 
 import heapq
+import logging
 import math
 import sys
 
@@ -42,6 +43,14 @@ def test_space_rejects_bad_bounds():
         SearchSpace([0.0], [np.inf])
     with pytest.raises(ContractError):
         SearchSpace([0.0, 0.0], [1.0])
+
+
+def test_boxes_compare_by_identity():
+    # ndarray bounds: == between two equal boxes must not raise
+    a, b = SearchSpace([0, 0], [1, 1]), SearchSpace([0, 0], [1, 1])
+    assert not a == b and a != b
+    assert a == a and hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def test_space_unit_round_trip():
@@ -324,12 +333,14 @@ def _list_potentially_optimal(state: _ListDirectState) -> list[int]:
 
     chosen = []
     for j in range(len(idx)):
-        k_lo = 0.0
-        for i in range(j):
-            k_lo = max(k_lo, (f[i] - f[j]) / (dd[j] - dd[i]))
-        k_hi = np.inf
-        for i in range(j + 1, len(idx)):
-            k_hi = min(k_hi, (f[j] - f[i]) / (dd[i] - dd[j]))
+        # the slope between two -inf values is an intended NaN
+        with np.errstate(invalid="ignore"):
+            k_lo = 0.0
+            for i in range(j):
+                k_lo = max(k_lo, (f[i] - f[j]) / (dd[j] - dd[i]))
+            k_hi = np.inf
+            for i in range(j + 1, len(idx)):
+                k_hi = min(k_hi, (f[j] - f[i]) / (dd[i] - dd[j]))
         if k_hi < k_lo or k_hi <= 0.0:
             continue
         bound = f[j] + k_hi * dd[j] if np.isfinite(k_hi) else np.inf
@@ -511,6 +522,22 @@ def test_direct_search_recovers_from_a_non_finite_center_alone():
     assert state.n == 41
     assert np.isfinite(state.best_value)
     assert state.best_index > 0
+
+
+def test_direct_search_logs_a_non_finite_center_once(caplog):
+    # the center is the first batch: one warning, counting one value
+    smooth = _objective("smooth", 2, 3)
+
+    def f(u):
+        out = smooth(u)
+        out[np.all(u == 0.5, axis=1)] = np.nan
+        return out
+
+    with caplog.at_level(logging.WARNING, logger="fcps.optim"):
+        state = optim._direct_search(f, 2, 41)
+    assert state.values[0] == -math.inf
+    assert [r.getMessage() for r in caplog.records] == [
+        "objective returned 1 non-finite values; treated as -inf"]
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
@@ -1047,7 +1074,8 @@ def _numpy_central_gradient(batch_f, x: np.ndarray, space: SearchSpace) -> np.nd
     denom = steps[diag, diag] - steps[d + diag, diag]
     grad = np.zeros(d)
     ok = denom > 0
-    grad[ok] = (vals[:d][ok] - vals[d:][ok]) / denom[ok]
+    with np.errstate(invalid="ignore"):  # -inf - -inf: an intended NaN
+        grad[ok] = (vals[:d][ok] - vals[d:][ok]) / denom[ok]
     return grad
 
 
