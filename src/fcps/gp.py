@@ -10,6 +10,7 @@ predictions are reported in the original units.
 
 The marginal-likelihood gradient follows the standard trace identity
 d(nlml)/dt = -0.5 tr((alpha alpha^T - K^{-1}) dK/dt) over log-hyperparameters.
+``refit`` is the one MAP search over them.
 """
 
 from __future__ import annotations
@@ -343,15 +344,15 @@ def _squared_differences(inputs) -> np.ndarray:
 
 
 def nlml(inputs, targets, h: KernelHyperparams, *,
-         sq_diffs: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+         sq_diffs: np.ndarray) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood and its gradient.
 
     The gradient is over log-hyperparameters ordered as
     [log signal_variance, log lengthscales..., log noise_variance].
     Data is used exactly as given; no transforms are applied here.
     ``sq_diffs`` holds the inputs' squared differences per dimension, as
-    ``_squared_differences`` makes them; they do not depend on ``h``, so a
-    caller scoring many hyperparameters on one dataset computes them once.
+    ``_squared_differences`` makes them; they do not depend on ``h``, so
+    the MAP search in ``refit`` computes them once per dataset.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
@@ -384,8 +385,6 @@ def nlml(inputs, targets, h: KernelHyperparams, *,
     grad[-1] = -0.5 * h.noise_variance * np.trace(A)
     A *= kf
     grad[0] = -0.5 * np.sum(A)
-    if sq_diffs is None:
-        sq_diffs = _squared_differences(inputs)
     # every lengthscale term in one pass over the table, each dimension's
     # square by numpy's scalar power: the array power (np.square) rounds
     # some of them differently
@@ -396,11 +395,14 @@ def nlml(inputs, targets, h: KernelHyperparams, *,
     return float(value), grad
 
 
-def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
-                         restarts: int, rng: np.random.Generator,
-                         bounds: list[tuple[float, float]],
-                         prior: list[tuple[float, float]]) -> KernelHyperparams:
-    """Bounded MAP search, warm-started plus random restarts.
+def refit(inputs, targets, init: KernelHyperparams, *, input_space: SearchSpace,
+          restarts: int, rng: np.random.Generator,
+          bounds: list[tuple[float, float]],
+          prior: list[tuple[float, float]]) -> KernelHyperparams:
+    """MAP hyperparameters from ``init``: a bounded search, warm-started plus
+    random restarts, on the data as ``fit(..., standardize=True)``
+    transforms it.  The search scores the transformed data alone: no model
+    is fitted here.
 
     ``bounds`` is the log-space box and ``prior`` one (mean, width) Gaussian
     penalty per log-hyperparameter: the objective is the negative log
@@ -413,9 +415,8 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
     """
     if restarts < 1:
         raise ContractError("restarts must be positive")
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if len(targets) <= 1:
+    xt, yt = _prepared(inputs, targets, init.dim, input_space, True)[:2]
+    if len(yt) <= 1:
         return init
     if len(bounds) != init.dim + 2:
         raise ContractError("bounds must cover every log-hyperparameter")
@@ -427,7 +428,7 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
     p_sd = np.array([p[1] for p in prior], dtype=float)
     if np.any(p_sd <= 0.0):
         raise ContractError("prior widths must be positive")
-    sq_diffs = _squared_differences(inputs)
+    sq_diffs = _squared_differences(xt)
     # nlml by the hyperparameters' bits: the init point, L-BFGS-B's first
     # call at the same point and the re-score of an end point would
     # otherwise repeat a call.  Log-vectors a bit apart can map to the same
@@ -438,7 +439,7 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
         h = KernelHyperparams.from_log_vector(logv)
         key = (h.signal_variance, h.lengthscales.tobytes(), h.noise_variance)
         if key not in scores:
-            scores[key] = nlml(inputs, targets, h, sq_diffs=sq_diffs)
+            scores[key] = nlml(xt, yt, h, sq_diffs=sq_diffs)
         value, grad = scores[key]
         if not np.isfinite(value):
             return value, grad.copy()
@@ -459,18 +460,6 @@ def optimize_hyperparams(inputs, targets, init: KernelHyperparams, *,
         if val < best_val:
             best_val, best = val, cand
     return best
-
-
-def refit(inputs, targets, init: KernelHyperparams, *, input_space: SearchSpace,
-          restarts: int, rng: np.random.Generator,
-          bounds: list[tuple[float, float]],
-          prior: list[tuple[float, float]]) -> KernelHyperparams:
-    """MAP hyperparameters from ``init`` on the data as ``fit(...,
-    standardize=True)`` transforms it.  The search scores the transformed
-    data alone, so no kernel matrix or factor is built here."""
-    xt, yt = _prepared(inputs, targets, init.dim, input_space, True)[:2]
-    return optimize_hyperparams(xt, yt, init, restarts=restarts, rng=rng,
-                                bounds=bounds, prior=prior)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 A config binds an environment, a learner setup, and an episode budget; the
 runner executes every seed in the seed list with rng streams derived from
 (master seed, algorithm tag, run seed) so runs are reproducible regardless
-of execution order.  Outputs are JSON plus two CSV shapes; bytes are
-deterministic so re-emitting is idempotent.
+of execution order.  ``offline_eval`` is the one greedy evaluation, for the
+periodic grid evaluations and a generalization study's halves alike.
+Outputs are JSON plus two CSV shapes; bytes are deterministic so
+re-emitting is idempotent.
 
 An environment is one record per task: its world, its target, env and
 theta boxes, its reward, and ``rollout(env context, theta, rng)``, which
@@ -227,8 +229,11 @@ class RunResult:
         episodes = self.replay["config"]["episodes"]
         if online.ndim != 2 or online.shape[1] != episodes:
             raise ContractError("online reward rows must match the budget")
-        if offline.ndim != 2 or offline.shape[1] != len(self.offline_episodes):
-            raise ContractError("offline columns must match evaluation points")
+        if len(online) != len(self.replay["config"]["seeds"]):
+            raise ContractError("online reward rows must match the seeds")
+        if offline.shape != (len(online), len(self.offline_episodes)):
+            raise ContractError("offline rewards must be one row per seed and "
+                                "one column per evaluation point")
         object.__setattr__(self, "online_rewards", online)
         object.__setattr__(self, "offline_rewards", offline)
         object.__setattr__(self, "offline_episodes",
@@ -246,18 +251,14 @@ def derive_rng_streams(master_seed: int, algorithm: str, run_seed: int):
         np.random.default_rng(rollout_seq)
 
 
-def offline_eval_per_context(learner, contexts, environment) -> np.ndarray:
-    """Greedy, noise-free reward at each evaluation context."""
+def offline_eval(learner, contexts, environment) -> float:
+    """Mean greedy, noise-free reward over the evaluation contexts."""
     rewards = np.zeros(len(contexts))
     for i, ctx in enumerate(contexts):
         theta = learner.select_greedy(ctx)
         landing = environment.rollout(ctx.env, theta, None)
         rewards[i] = environment.reward_fn(ctx.target, landing, theta)
-    return rewards
-
-
-def offline_eval(learner, contexts, environment) -> float:
-    return float(offline_eval_per_context(learner, contexts, environment).mean())
+    return float(rewards.mean())
 
 
 def _run_one_seed(config: ExperimentConfig, environment, boxes, grid,
@@ -318,16 +319,6 @@ def run(config: ExperimentConfig, *, partial_dir=None) -> RunResult:
     )
 
 
-def cumulative_online(result: RunResult, t: int) -> float:
-    """Mean over seeds of the summed first ``t`` online rewards."""
-    budget = result.online_rewards.shape[1]
-    if not 0 <= t <= budget:
-        raise ContractError(f"t must lie in [0, {budget}]")
-    if t == 0:
-        return 0.0
-    return float(result.online_rewards[:, :t].sum(axis=1).mean())
-
-
 # ---------------------------------------------------------------------------
 # studies
 # ---------------------------------------------------------------------------
@@ -355,19 +346,19 @@ def generalization_study(config: ExperimentConfig) -> dict:
     environment = build_environment(config)
     boxes = quadrant_boxes(environment.target_space)
     grid = evaluation_grid(environment, config.grid_shape)
-    seen_mask = np.array([in_seen_quadrant(c.target) for c in grid])
+    seen = [c for c in grid if in_seen_quadrant(c.target)]
+    unseen = [c for c in grid if not in_seen_quadrant(c.target)]
     # only the final grid is reported, so the seeds train without periodic
     # evaluations: greedy evaluation draws no learner randomness, and the
     # greedy fit a learner keeps equals a fresh fit bit for bit, so the
-    # report is the same either way
+    # report is the same either way, and so is scoring the halves apart
     train = replace(config, evaluation_period=config.episodes + 1)
     seen_rows, unseen_rows = [], []
     for run_seed in config.seeds:
         learner, _, _ = _run_one_seed(train, environment, boxes, grid,
                                       run_seed)
-        rewards = offline_eval_per_context(learner, grid, environment)
-        seen_rows.append(float(rewards[seen_mask].mean()))
-        unseen_rows.append(float(rewards[~seen_mask].mean()))
+        seen_rows.append(offline_eval(learner, seen, environment))
+        unseen_rows.append(offline_eval(learner, unseen, environment))
     seen_mean = float(np.mean(seen_rows))
     unseen_mean = float(np.mean(unseen_rows))
     return {

@@ -1,16 +1,44 @@
-"""Shared pytest setup: property tests draw the same examples on every run.
+"""Shared pytest setup: BLAS runs on one thread, and property tests draw the
+same examples on every run.
 
 Also the test helpers more than one module uses.
 """
 
-import numpy as np
-from hypothesis import settings
+import os
+import sys
 
-from fcps.gp import GpModel
-from fcps.optim import SearchSpace
+# Result bits depend on the BLAS thread count, and the acceptance cache and
+# the learner pins were made with one thread.  The count is read when numpy
+# loads, so it is set before anything imports numpy; a value already in the
+# environment is kept, and tests/test_conftest.py fails unless it is "1".
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+# whether numpy was loaded before this file ran, for that same test
+NUMPY_PRELOADED = "numpy" in sys.modules
+
+import numpy as np  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from fcps.algorithms import LearnerConfig  # noqa: E402
+from fcps.gp import GpModel  # noqa: E402
+from fcps.harness import ExperimentConfig  # noqa: E402
+from fcps.optim import SearchSpace  # noqa: E402
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+# a bo-fcps learner small enough for a run of a few episodes
+TINY_LEARNER = dict(
+    n_candidates=6, n_function_draws=100, n_fantasies=2,
+    refit_warmup=2, refit_period=5, refit_restarts=1, direct_evals=20,
+    refine_starts=1, refine_iters=4)
+
+
+def tiny_config(**kw):
+    base = dict(episodes=4, evaluation_period=2, seeds=(0,), grid_shape=(3, 3),
+                learner=LearnerConfig(algorithm="bo-fcps", **TINY_LEARNER))
+    base.update(kw)
+    return ExperimentConfig(**base)
 
 
 def unit_box(dim: int) -> SearchSpace:

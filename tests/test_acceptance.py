@@ -18,17 +18,17 @@ import pytest
 
 from fcps import gp
 from fcps.algorithms import LearnerConfig, make_learner, run_episode
+from fcps.errors import ContractError
 from fcps.experience import reevaluate
 from fcps.harness import (ACTIVE_EPISODES, ExperimentConfig, build_environment,
-                          config_to_dict, cumulative_online, emit,
-                          generalization_study, load_results, sample_context,
-                          study)
+                          config_to_dict, emit, generalization_study,
+                          load_results, run, sample_context, study)
 from fcps.optim import SearchSpace, direct_maximize, global_then_local, \
     lbfgs_refine
 from fcps.sim import (CannonWorld, DmpParams, cannon_rollout, dmp_integrate,
                       imitate_params, _minimum_jerk)
 
-from conftest import rowwise, unit_box
+from conftest import rowwise, tiny_config, unit_box
 
 CACHE_DIR = Path(__file__).resolve().parent / "_acceptance_cache"
 
@@ -175,6 +175,26 @@ def _paired_text(label: str, a, b, digits: int) -> str:
 def _online_per_seed(result, t: int) -> np.ndarray:
     """Each seed's summed first ``t`` online rewards."""
     return result.online_rewards[:, :t].sum(axis=1)
+
+
+def cumulative_online(result, t: int) -> float:
+    """Mean over seeds of the summed first ``t`` online rewards, for ``t``
+    from 0 to the budget."""
+    budget = result.online_rewards.shape[1]
+    if not 0 <= t <= budget:
+        raise ContractError(f"t must lie in [0, {budget}]")
+    return float(_online_per_seed(result, t).mean())
+
+
+def test_cumulative_online_bounds_and_monotonicity():
+    result = run(tiny_config(episodes=6, evaluation_period=3))
+    assert cumulative_online(result, 0) == 0.0
+    total = float(result.online_rewards.sum(axis=1).mean())
+    assert cumulative_online(result, 6) == pytest.approx(total, rel=1e-12)
+    values = [cumulative_online(result, t) for t in range(7)]
+    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+    with pytest.raises(ContractError):
+        cumulative_online(result, 7)
 
 
 @pytest.mark.parametrize("a, b, wins, mean, ci", [
@@ -362,16 +382,17 @@ def test_criterion_6_gp_suite(announce):
             signal_variance=float(np.exp(rng.uniform(-1, 1))),
             lengthscales=np.exp(rng.uniform(-1.5, 0.5, size=dim)),
             noise_variance=float(np.exp(rng.uniform(-7, -2))))
-        _, grad = gp.nlml(x, y, h)
+        sq_diffs = gp._squared_differences(x)
+        _, grad = gp.nlml(x, y, h, sq_diffs=sq_diffs)
         logv = h.as_log_vector()
         fd = np.zeros_like(grad)
         for j in range(len(logv)):
             step = np.zeros_like(logv)
             step[j] = 1e-5
             hi, _ = gp.nlml(x, y, gp.KernelHyperparams.from_log_vector(
-                logv + step))
+                logv + step), sq_diffs=sq_diffs)
             lo, _ = gp.nlml(x, y, gp.KernelHyperparams.from_log_vector(
-                logv - step))
+                logv - step), sq_diffs=sq_diffs)
             fd[j] = (hi - lo) / 2e-5
         denom = max(1.0, float(np.linalg.norm(fd)))
         worst_rel = max(worst_rel, float(np.linalg.norm(grad - fd)) / denom)

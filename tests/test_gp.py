@@ -28,7 +28,6 @@ from fcps.gp import (
     fit_targets,
     kernel_eval,
     nlml,
-    optimize_hyperparams,
     predict_batch,
     refit,
 )
@@ -68,9 +67,21 @@ def default_hyperparam_bounds(inputs, targets) -> list[tuple[float, float]]:
     return bounds
 
 
+def nlml_of(x, y, h):
+    """``nlml`` with the squared differences of ``x`` it takes."""
+    return nlml(x, y, h, sq_diffs=gp._squared_differences(x))
+
+
+def fitted_data(x, y, h, space):
+    """The data as ``fit(..., standardize=True)`` transforms it: what the
+    MAP search in ``refit`` scores."""
+    m = fit(x, y, h, input_space=space, standardize=True)
+    return m.xt, m.yt
+
+
 def map_objective(x, y, h, prior):
-    """``optimize_hyperparams``' objective: nlml plus the prior penalty."""
-    value, _ = nlml(x, y, h)
+    """The refit's objective: nlml plus the prior penalty."""
+    value, _ = nlml_of(x, y, h)
     mu, sd = np.array(prior).T
     z = (h.as_log_vector() - mu) / sd
     return value + 0.5 * float(z @ z)
@@ -274,13 +285,13 @@ def test_standardize_round_trip():
 
 def test_nlml_matches_dense_oracle():
     h = KernelHyperparams(1.0, np.array([1.0]), 1e-6)
-    val, _ = nlml(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), h)
+    val, _ = nlml_of(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), h)
     assert val == pytest.approx(ORACLE_NLML, abs=1e-10)
 
 
 def test_nlml_single_point_closed_form():
     h = KernelHyperparams(2.0, np.array([1.0]), 0.5)
-    val, _ = nlml(np.array([[0.7]]), np.array([0.0]), h)
+    val, _ = nlml_of(np.array([[0.7]]), np.array([0.0]), h)
     assert val == pytest.approx(ORACLE_NLML_SINGLE, abs=1e-12)
 
 
@@ -289,53 +300,62 @@ def test_nlml_gradient_matches_finite_differences():
     step = 1e-5
     for _ in range(8):
         x, y, h = random_instance(rng)
-        _, grad = nlml(x, y, h)
+        _, grad = nlml_of(x, y, h)
         logv = h.as_log_vector()
         fd = np.empty_like(grad)
         for j in range(logv.size):
             up, dn = logv.copy(), logv.copy()
             up[j] += step
             dn[j] -= step
-            vu, _ = nlml(x, y, KernelHyperparams.from_log_vector(up))
-            vd, _ = nlml(x, y, KernelHyperparams.from_log_vector(dn))
+            vu, _ = nlml_of(x, y, KernelHyperparams.from_log_vector(up))
+            vd, _ = nlml_of(x, y, KernelHyperparams.from_log_vector(dn))
             fd[j] = (vu - vd) / (2 * step)
         scale = np.maximum(np.abs(fd), 1e-6)
         assert np.max(np.abs(grad - fd) / scale) <= 1e-4
 
 
+# -- the MAP search in refit ------------------------------------------------
+# (once a function of its own, ``optimize_hyperparams``, whose name the
+# tests keep)
+
+
 def test_optimize_hyperparams_never_worse_than_init():
     rng = np.random.default_rng(8)
     x, y, _ = random_instance(rng, n=15, d=2)
+    space = SearchSpace([-2.0, -2.0], [2.0, 2.0])
     prior = learner_prior(2)
     for init in (KernelHyperparams(1.0, np.array([1.0, 1.0]), 0.01),
                  # an init outside the box, which the search starts clipped
                  KernelHyperparams(1e3, np.array([1e-4, 50.0]), 1e-9)):
-        out = optimize_hyperparams(x, y, init, restarts=3, rng=rng,
-                                   bounds=default_hyperparam_bounds(x, y), prior=prior)
-        assert map_objective(x, y, out, prior) <= map_objective(x, y, init, prior) + 1e-12
+        xt, yt = fitted_data(x, y, init, space)
+        out = refit(x, y, init, input_space=space, restarts=3, rng=rng,
+                    bounds=default_hyperparam_bounds(xt, yt), prior=prior)
+        assert map_objective(xt, yt, out, prior) <= map_objective(xt, yt, init, prior) + 1e-12
 
 
 def test_optimize_hyperparams_recovers_lengthscale():
-    # data drawn from a known GP; the fitted lengthscale should land within 2x
+    # data drawn from a known GP; the fitted lengthscale, in units of the
+    # input box's span, should land within 2x
     rng = np.random.default_rng(9)
     true_ell = 0.5
     x = np.sort(rng.uniform(0, 5, size=60))[:, None]
     h_true = KernelHyperparams(1.0, np.array([true_ell]), 1e-4)
     K = kernel_eval(x, x, h_true) + 1e-4 * np.eye(60)
     y = np.linalg.cholesky(K) @ rng.standard_normal(60)
-    init = KernelHyperparams(1.0, np.array([2.5]), 1e-2)
+    init = KernelHyperparams(1.0, np.array([0.5]), 1e-2)
+    space = SearchSpace([0.0], [5.0])
     # a prior this wide leaves the likelihood to decide
-    out = optimize_hyperparams(x, y, init, restarts=3, rng=rng,
-                               bounds=default_hyperparam_bounds(x, y),
-                               prior=[(0.0, 10.0)] * 3)
-    assert true_ell / 2 <= out.lengthscales[0] <= true_ell * 2
+    out = refit(x, y, init, input_space=space, restarts=3, rng=rng,
+                bounds=default_hyperparam_bounds(*fitted_data(x, y, init, space)),
+                prior=[(0.0, 10.0)] * 3)
+    assert true_ell / 2 <= out.lengthscales[0] * space.span[0] <= true_ell * 2
 
 
 def test_optimize_hyperparams_degenerate_dataset():
     init = KernelHyperparams(1.0, np.array([1.0]), 0.01)
-    out = optimize_hyperparams(np.array([[0.0]]), np.array([1.0]), init, restarts=3,
-                               rng=np.random.default_rng(0), bounds=learner_bounds(1),
-                               prior=learner_prior(1))
+    out = refit(np.array([[0.0]]), np.array([1.0]), init, input_space=unit_box(1),
+                restarts=3, rng=np.random.default_rng(0), bounds=learner_bounds(1),
+                prior=learner_prior(1))
     assert out is init
 
 
@@ -404,10 +424,9 @@ def test_nlml_equals_the_per_dimension_gradient_bit_for_bit(n, d, kind, first_el
     if first_ell is not None:
         h = dataclasses.replace(h, lengthscales=np.r_[first_ell, h.lengthscales[1:]])
     ref_value, ref_grad = _nlml_per_dimension(x, y, h)
-    for value, grad in (nlml(x, y, h),
-                        nlml(x, y, h, sq_diffs=gp._squared_differences(x))):
-        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
-        assert grad.tobytes() == ref_grad.tobytes()
+    value, grad = nlml_of(x, y, h)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
     if kind == "singular" and n > 1:
         assert ref_value == np.inf and not np.any(ref_grad)
 
@@ -419,21 +438,22 @@ def test_optimize_hyperparams_equals_it_over_the_per_dimension_nlml(monkeypatch,
     rng = np.random.default_rng(12)
     for n, d in ((2, 1), (30, 3), (80, 11)):
         x, y, init = random_instance(rng, n=n, d=d)
-        kw = {"restarts": 2, "prior": [(0.0, 1.0)] * (d + 2),
+        space = SearchSpace(np.full(d, -2.0), np.full(d, 2.0))
+        kw = {"restarts": 2, "prior": [(0.0, 1.0)] * (d + 2), "input_space": space,
               "bounds": learner_bounds(d) if learner_box
-              else default_hyperparam_bounds(x, y)}
+              else default_hyperparam_bounds(*fitted_data(x, y, init, space))}
         runs = {}
         for name in ("fast", "oracle"):
             calls = []
 
-            def recorded(inputs, targets, h, sq_diffs=None):
+            def recorded(inputs, targets, h, *, sq_diffs):
                 calls.append((h.as_log_vector(), sq_diffs))
                 if name == "oracle":
                     return _nlml_per_dimension(inputs, targets, h)
                 return fast(inputs, targets, h, sq_diffs=sq_diffs)
 
             monkeypatch.setattr(gp, "nlml", recorded)
-            result = optimize_hyperparams(x, y, init, rng=np.random.default_rng(n), **kw)
+            result = refit(x, y, init, rng=np.random.default_rng(n), **kw)
             runs[name] = result.as_log_vector(), calls
         (got, fast_calls), (want, oracle_calls) = runs["fast"], runs["oracle"]
         assert np.array_equal(got, want)
@@ -441,7 +461,7 @@ def test_optimize_hyperparams_equals_it_over_the_per_dimension_nlml(monkeypatch,
         for (a, sq), (b, _) in zip(fast_calls, oracle_calls):
             assert np.array_equal(a, b)
             # the squared differences are made once per refit and shared
-            assert sq is fast_calls[0][1] is not None
+            assert sq is fast_calls[0][1]
 
 
 # -- the refit's L-BFGS entry against minimize ------------------------------
@@ -453,8 +473,9 @@ def _optimize_hyperparams_minimize(inputs, targets, init: KernelHyperparams, *,
                                    bounds: list[tuple[float, float]] | None = None,
                                    prior: list[tuple[float, float]] | None = None
                                    ) -> KernelHyperparams:
-    """``optimize_hyperparams`` as it was when it called
-    ``minimize(method="L-BFGS-B")``, verbatim: the oracle for its bits."""
+    """The refit's search, on data already transformed, as it was when it
+    called ``minimize(method="L-BFGS-B")``, verbatim: the oracle for its
+    bits."""
     if restarts < 1:
         raise ContractError("restarts must be positive")
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -512,15 +533,18 @@ def _optimize_hyperparams_minimize(inputs, targets, init: KernelHyperparams, *,
 def test_optimize_hyperparams_equals_the_minimize_version_bit_for_bit(
         n, d, kind, box, restarts, seed):
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, (n, d))
+    space = SearchSpace(np.full(d, -1.0), np.full(d, 3.0))
+    x = rng.uniform(-1.0, 3.0, (n, d))
     if kind == "repeated rows":
         x = x[rng.integers(0, n, n)]
     y = np.full(n, 0.25) if kind == "constant targets" else rng.normal(size=n)
     init = KernelHyperparams.from_log_vector(rng.uniform(-3.0, 1.0, d + 2))
+    xt, yt = fitted_data(x, y, init, space)
     kw = {"restarts": restarts, "prior": learner_prior(d),
-          "bounds": learner_bounds(d) if box == "learner" else default_hyperparam_bounds(x, y)}
-    got = optimize_hyperparams(x, y, init, rng=np.random.default_rng(seed), **kw)
-    want = _optimize_hyperparams_minimize(x, y, init, rng=np.random.default_rng(seed),
+          "bounds": learner_bounds(d) if box == "learner"
+          else default_hyperparam_bounds(xt, yt)}
+    got = refit(x, y, init, input_space=space, rng=np.random.default_rng(seed), **kw)
+    want = _optimize_hyperparams_minimize(xt, yt, init, rng=np.random.default_rng(seed),
                                           **kw)
     assert got.as_log_vector().tobytes() == want.as_log_vector().tobytes()
     assert (got is init) == (want is init)
@@ -530,15 +554,18 @@ def test_optimize_hyperparams_equals_the_minimize_version_bit_for_bit(
                                              (40, 6, "learner", 2), (60, 11, "data", 3)])
 def test_optimize_hyperparams_scores_each_point_once(monkeypatch, n, d, box, seed):
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, (n, d))
+    space = SearchSpace(np.full(d, -1.0), np.full(d, 3.0))
+    x = rng.uniform(-1.0, 3.0, (n, d))
     y = rng.normal(size=n)
     # in the box, so the first start is the init point itself
     init = KernelHyperparams(1.0, np.full(d, 0.5), 0.01)
+    xt, yt = fitted_data(x, y, init, space)
     kw = {"restarts": 3, "prior": learner_prior(d),
-          "bounds": learner_bounds(d) if box == "learner" else default_hyperparam_bounds(x, y)}
+          "bounds": learner_bounds(d) if box == "learner"
+          else default_hyperparam_bounds(xt, yt)}
     scored = []
 
-    def recorded(inputs, targets, h, sq_diffs=None):
+    def recorded(inputs, targets, h, *, sq_diffs):
         scored.append(np.r_[h.signal_variance, h.lengthscales, h.noise_variance].tobytes())
         return nlml(inputs, targets, h, sq_diffs=sq_diffs)
 
@@ -559,8 +586,9 @@ def test_optimize_hyperparams_scores_each_point_once(monkeypatch, n, d, box, see
 
     monkeypatch.setattr(gp, "nlml", recorded)
     monkeypatch.setattr(gp, "fmin_l_bfgs_b", vandalized)
-    got = optimize_hyperparams(x, y, init, rng=np.random.default_rng(seed), **kw)
-    want = _optimize_hyperparams_minimize(x, y, init, rng=np.random.default_rng(seed), **kw)
+    got = refit(x, y, init, input_space=space, rng=np.random.default_rng(seed), **kw)
+    want = _optimize_hyperparams_minimize(xt, yt, init, rng=np.random.default_rng(seed),
+                                          **kw)
     assert got.as_log_vector().tobytes() == want.as_log_vector().tobytes()
     assert len(scored) == len(set(scored)) > 1
     assert repeats and all(repeats)
@@ -1008,8 +1036,8 @@ def test_refit_on_data_equals_the_search_on_a_fitted_models_data(seed, monkeypat
     space = SearchSpace(np.full(d, -2.0), np.full(d, 2.0))
     kw = dict(restarts=2, bounds=learner_bounds(d), prior=learner_prior(d))
     m = fit(x, y, init, input_space=space, standardize=True)
-    expected = optimize_hyperparams(m.xt, m.yt, m.hyperparams,
-                                    rng=np.random.default_rng(seed), **kw)
+    expected = _optimize_hyperparams_minimize(m.xt, m.yt, m.hyperparams,
+                                              rng=np.random.default_rng(seed), **kw)
     monkeypatch.setattr(gp, "factor_with_jitter", None)
     got = refit(x, y, init, input_space=space, rng=np.random.default_rng(seed), **kw)
     assert got.as_log_vector().tobytes() == expected.as_log_vector().tobytes()

@@ -14,12 +14,10 @@ from fcps.algorithms import LearnerConfig
 from fcps.errors import ContractError, NumericalError
 from fcps.experience import Context
 from fcps.harness import (
-    ExperimentConfig,
     RunResult,
     build_environment,
     config_from_dict,
     config_to_dict,
-    cumulative_online,
     derive_rng_streams,
     emit,
     evaluation_grid,
@@ -32,17 +30,7 @@ from fcps.harness import (
     sample_context,
 )
 
-TINY_LEARNER = dict(
-    n_candidates=6, n_function_draws=100, n_fantasies=2,
-    refit_warmup=2, refit_period=5, refit_restarts=1, direct_evals=20,
-    refine_starts=1, refine_iters=4)
-
-
-def tiny_config(**kw):
-    base = dict(episodes=4, evaluation_period=2, seeds=(0,), grid_shape=(3, 3),
-                learner=LearnerConfig(algorithm="bo-fcps", **TINY_LEARNER))
-    base.update(kw)
-    return ExperimentConfig(**base)
+from conftest import TINY_LEARNER, tiny_config
 
 
 # -- configuration ----------------------------------------------------------
@@ -185,16 +173,26 @@ def test_evaluation_grid_sizes_match_protocol():
     assert all(c.env.shape == (0,) for c in grid)
 
 
-def test_cumulative_online_bounds_and_monotonicity():
-    config = tiny_config(episodes=6, evaluation_period=3)
-    result = run(config)
-    assert cumulative_online(result, 0) == 0.0
-    total = float(result.online_rewards.sum(axis=1).mean())
-    assert cumulative_online(result, 6) == pytest.approx(total, rel=1e-12)
-    values = [cumulative_online(result, t) for t in range(7)]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-    with pytest.raises(ContractError):
-        cumulative_online(result, 7)
+@pytest.mark.parametrize("rows, message", [
+    (("offline_rewards",), "one row per seed"),
+    (("online_rewards", "offline_rewards"), "match the seeds"),
+])
+def test_a_runs_file_missing_a_seeds_row_is_refused(rows, message, tmp_path, capsys):
+    # a two-seed run whose file lost a row: the offline rewards alone, or
+    # both reward tables, which then agree with each other but not with the
+    # seeds.  emit of it would fail halfway through long.csv
+    config = tiny_config(episodes=6, evaluation_period=3, seeds=(0, 1),
+                         learner=LearnerConfig(algorithm="c-reps", creps_period=6))
+    emit([(config, run(config))], tmp_path)
+    runs = tmp_path / "runs.json"
+    entries = json.loads(runs.read_text())
+    for key in rows:
+        del entries[0][key][1]
+    runs.write_text(json.dumps(entries))
+    with pytest.raises(ContractError, match=message):
+        load_results(runs)
+    assert cli.main(["replay", "--config", str(runs)]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "ContractError"
 
 
 def test_partial_result_serialized_on_component_error(tmp_path, monkeypatch):
@@ -277,7 +275,11 @@ def _generalization_study_with_periodic_evaluations(config):
     for run_seed in config.seeds:
         learner, _, _ = harness._run_one_seed(config, environment, boxes, grid,
                                               run_seed)
-        rewards = harness.offline_eval_per_context(learner, grid, environment)
+        rewards = np.zeros(len(grid))
+        for i, ctx in enumerate(grid):
+            theta = learner.select_greedy(ctx)
+            landing = environment.rollout(ctx.env, theta, None)
+            rewards[i] = environment.reward_fn(ctx.target, landing, theta)
         seen_rows.append(float(rewards[seen_mask].mean()))
         unseen_rows.append(float(rewards[~seen_mask].mean()))
     seen_mean = float(np.mean(seen_rows))
@@ -309,7 +311,10 @@ def test_generalization_study_equals_the_loop_with_periodic_evaluations(
 
     monkeypatch.setattr(harness, "offline_eval", counted)
     report = generalization_study(config)
-    assert calls == []  # no periodic evaluation ran
+    # no periodic evaluation ran: each seed's greedy evaluation scores the
+    # seen half of the grid, then the unseen half
+    assert [[in_seen_quadrant(c.target) for c in contexts]
+            for _, contexts, _ in calls] == [[True] * 8, [False] * 8] * 2
     assert json.dumps(report, sort_keys=True) \
         == json.dumps(expected, sort_keys=True)
 

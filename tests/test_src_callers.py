@@ -27,7 +27,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "fcps"
 ENTRY_POINTS = frozenset({
     "fantasize", "direct_maximize", "dmp_integrate", "imitate_params",
-    "cumulative_online", "generalization_study",
+    "generalization_study",
 })
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -176,7 +176,7 @@ def test_no_package_module_reads_another_modules_private_names():
 
 # ROADMAP.md's design-quality aim tracks this count; a new option has to
 # raise the bound here, in plain sight
-SETTABLE_VALUES_AT_MOST = 31
+SETTABLE_VALUES_AT_MOST = 30
 
 
 def settable_values(sources: dict[str, str]) -> int:
