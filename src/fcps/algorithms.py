@@ -21,6 +21,7 @@ top; its tag picks one of three training sets:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -88,16 +89,17 @@ class LearnerConfig:
             raise ContractError(
                 f"acquisition kind {self.acquisition_kind!r} is only "
                 f"implemented for bo-fcps, not {self.algorithm!r}")
-        if self.kappa < 0:
-            raise ContractError("kappa must be nonnegative")
+        # json reads NaN and Infinity, and NaN fails every comparison
+        if not 0 <= self.kappa < math.inf:
+            raise ContractError("kappa must be finite and nonnegative")
         if self.n_candidates < 2:
             raise ContractError("need at least 2 candidates")
         if self.n_function_draws < 100:
             raise ContractError("need at least 100 posterior draws")
         if self.n_fantasies < 1:
             raise ContractError("need at least 1 fantasy branch")
-        if self.creps_epsilon <= 0:
-            raise ContractError("creps_epsilon must be positive")
+        if not 0 < self.creps_epsilon < math.inf:
+            raise ContractError("creps_epsilon must be finite and positive")
         if self.creps_period < 2:
             raise ContractError("creps_period must be at least 2")
         if self.n_representers < 1:

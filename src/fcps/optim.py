@@ -9,21 +9,17 @@ only where the objective is called.  Since every split takes the lowest
 trisection level, lowest dimension first, the split count fixes a
 rectangle's levels, so its half-diagonal, size-class key and whether it can
 still be split are read from tables by count, built once per dimension.
-The splittable rectangles of each size class sit in a heap ordered by
-value, and the class keys in a list kept ascending as classes open and
-empty, so each iteration reads the class representatives off the heap tops
-in size order and runs the slope test over those few.  The local stage
-calls scipy's bounded L-BFGS with central finite differences (step rows
-built from Python floats) and scores each point it visits once.  Both
-stages take one kind of objective, a batch: it maps an (m, d) array of
-points to an (m,) float array.
+Each iteration scans the rows once for every size class's best splittable
+rectangle, reads the classes in size order and runs the slope test over
+those few.  The local stage calls scipy's bounded L-BFGS with central
+finite differences (step rows built from Python floats) and scores each
+point it visits once.  Both stages take one kind of objective, a batch: it
+maps an (m, d) array of points to an (m,) float array.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -152,10 +148,7 @@ class _DirectState:
     ``counts`` (split counts) and ``values`` is the ``i``-th rectangle made;
     a row changes only when its rectangle is split.  A size class is the
     half-diagonal (``measures`` by split count) rounded to 14 decimals
-    (``keys``).  ``heaps`` maps each size-class key to a heap of
-    ``(-value, row)`` over its splittable rectangles, so a heap's top is its
-    class's best value, lowest row first among equal values; ``classes``
-    lists the keys of ``heaps`` in ascending order.
+    (``keys``).  The incumbent is the first row holding the best value.
     """
 
     def __init__(self, dim: int):
@@ -163,14 +156,15 @@ class _DirectState:
         self.centers: list[list[float]] = []
         self.counts: list[int] = []
         self.values: list[float] = []
-        self.best_index = 0
         self.measures, self.keys, self.splittable = _count_tables(dim)
-        self.heaps: dict[float, list[tuple[float, int]]] = {}
-        self.classes: list[float] = []
 
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @property
+    def best_index(self) -> int:
+        return self.values.index(max(self.values))
 
     @property
     def best_value(self) -> float:
@@ -182,57 +176,22 @@ class _DirectState:
 
     def add(self, centers: list[list[float]], counts: list[int],
             values: list[float]) -> None:
-        """Append rectangles and file the splittable ones under their size
-        class; the incumbent moves only on strict improvement, to the first
-        of equal best values."""
-        keys, splittable = self.keys, self.splittable
-        start = self.n
-        best = self.values[self.best_index] if start else -math.inf
         self.centers += centers
         self.counts += counts
         self.values += values
-        for row, (count, value) in enumerate(zip(counts, values), start):
-            if value > best:
-                best, self.best_index = value, row
-            if splittable[count]:
-                self._file(keys[count], (-value, row))
-
-    def _file(self, key: float, item: tuple[float, int]) -> None:
-        """Push ``item`` on the heap of size class ``key``, opening the
-        class in its place among ``classes`` if it has none."""
-        heap = self.heaps.get(key)
-        if heap is None:
-            heap = self.heaps[key] = []
-            bisect.insort(self.classes, key)
-        heapq.heappush(heap, item)
 
     def split(self, chosen: list[int]) -> tuple[list[list[float]], list[int]]:
-        """Trisect each chosen rectangle, the top of its class's heap, along
-        its longest side (lowest dimension on ties); returns the two new
-        centers per rectangle, low side first, and their split counts.
-
-        Every chosen rectangle leaves its heap before any goes back under
-        its new count: a split one may move to the class of another chosen
-        rectangle and outrank it there.
-        """
-        counts, keys, heaps = self.counts, self.keys, self.heaps
-        neg_values = []
-        for row in chosen:
-            key = keys[counts[row]]
-            heap = heaps[key]
-            neg_values.append(heapq.heappop(heap)[0])
-            if not heap:
-                del heaps[key]
-                del self.classes[bisect.bisect_left(self.classes, key)]
+        """Trisect each chosen rectangle along its longest side (lowest
+        dimension on ties); returns the two new centers per rectangle, low
+        side first, and their split counts."""
+        counts = self.counts
         points, new_counts = [], []
-        for row, neg in zip(chosen, neg_values):
+        for row in chosen:
             count = counts[row]
             side = count % self.dim
             delta = _THIRDS[count // self.dim]
             count += 1
             counts[row] = count
-            if self.splittable[count]:
-                self._file(keys[count], (neg, row))
             center = self.centers[row]
             low, high = center.copy(), center.copy()
             low[side] = center[side] - delta
@@ -248,12 +207,18 @@ def _potentially_optimal(state: _DirectState) -> list[int]:
     A rectangle is potentially optimal when some slope K > 0 makes its
     value-plus-K-times-size bound dominate every other rectangle and clear
     the current best by the usual epsilon margin.  Only the best (lowest
-    row) rectangle of each size class is considered.  Slopes that come out
-    NaN (between two -inf values) constrain nothing.
+    row) splittable rectangle of each size class is considered.  Slopes
+    that come out NaN (between two -inf values) constrain nothing.
     """
-    tops = [state.heaps[key][0] for key in state.classes]
-    rows = [row for _, row in tops]
-    f = [-neg for neg, _ in tops]
+    keys, splittable, values = state.keys, state.splittable, state.values
+    best: dict[float, int] = {}  # size-class key -> its representative row
+    for row, count in enumerate(state.counts):
+        if splittable[count]:
+            key = keys[count]
+            if values[row] > values[best.setdefault(key, row)]:
+                best[key] = row
+    rows = [best[key] for key in sorted(best)]
+    f = [values[row] for row in rows]
     dd = [state.measures[state.counts[row]] for row in rows]
     f_max = state.best_value
     # every value so far -inf: the margin would make the threshold NaN
@@ -318,7 +283,7 @@ def direct_maximize(f, space: SearchSpace, max_evals: int):
 
     Returns ``(x, value)``.  Uses at most ``max_evals`` objective
     evaluations; with a constant objective the box center is returned because
-    the incumbent only moves on strict improvement.
+    the incumbent is the first row holding the best value.
     """
     check_direct_evals(max_evals, space)
     state = _direct_search(lambda u: f(space.from_unit(u)), space.dim, max_evals)

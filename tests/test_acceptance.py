@@ -9,12 +9,15 @@ with the measured quantities and the tolerance it was judged against.
 """
 
 import json
+import os
+import platform
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from fcps import gp
 from fcps.algorithms import LearnerConfig, make_learner, run_episode
@@ -38,6 +41,9 @@ GENERALIZATION_STUDY = ExperimentConfig(algorithms=("bo-fcps", "bo-cps"))
 ACTIVE_STUDY = ExperimentConfig(environment="active-cannon",
                                 episodes=ACTIVE_EPISODES, grid_shape=(8, 8),
                                 algorithms=("aces", "faces"))
+# the factored learner's acquisition variants of criterion 5
+ACQUISITION_STUDIES = {kind: ExperimentConfig(learner=LearnerConfig(
+    algorithm="bo-fcps", acquisition_kind=kind)) for kind in ("es", "random")}
 
 
 @pytest.fixture
@@ -125,6 +131,74 @@ def test_a_cache_in_a_retired_config_format_counts_as_stale(tmp_path, monkeypatc
     results, provenance = _cached_study("retired", config)
     assert provenance.startswith("computed") and results == {"bo-fcps": "recomputed"}
     assert ran == [config] and emitted == [tmp_path / "retired"]
+
+
+def _this_machine() -> dict:
+    """This machine in the terms of ``PROVENANCE.json``'s ``machine``; the
+    tier-1 workflow prints it beside the cache's too."""
+    def build(show_config, kind):
+        try:
+            d = show_config(mode="dicts")["Build Dependencies"][kind]
+            return f"{d['name']} {d.get('version', '')} " \
+                   f"{d.get('openblas configuration', '')}".strip()
+        except (TypeError, KeyError):
+            return "unknown"
+
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), "unknown")
+    except OSError:
+        cpu = platform.processor() or "unknown"
+    return {"blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]), "cpu": cpu,
+            "nproc": os.cpu_count(), "numpy": np.__version__,
+            "numpy_blas": build(np.show_config, "blas"),
+            "python": platform.python_version(), "scipy": scipy.__version__,
+            "scipy_lapack": build(scipy.show_config, "lapack")}
+
+
+# the cached passive studies behind criteria 1, 2 and 5
+FRESHNESS_STUDIES = {"study-default-150x10": PASSIVE_STUDY,
+                     "study-fcps-es": ACQUISITION_STUDIES["es"],
+                     "study-fcps-random": ACQUISITION_STUDIES["random"]}
+
+
+@pytest.mark.parametrize("study_id", FRESHNESS_STUDIES)
+def test_cached_study_is_fresh(study_id, announce):
+    """Seed 0 of every tag in the cached study, run again through
+    ``harness.run`` with one greedy evaluation at the last episode, must
+    repeat the cached online rewards and last offline reward bit for bit.
+    The check only reads the cache: a mismatch fails and names both
+    machines, this one's BLAS thread count included."""
+    runs_path = CACHE_DIR / study_id / "runs.json"
+    entries = json.loads(runs_path.read_text(encoding="utf-8"))
+    config = FRESHNESS_STUDIES[study_id]
+    keyed = [entry["config"] for entry in entries] == _expanded_dicts(config)
+    drifted = [] if keyed else ["its configs are not the study's"]
+    for cached_config, cached in load_results(runs_path) if keyed else ():
+        last = cached_config.episodes
+        fresh = run(replace(cached_config, seeds=(0,), evaluation_period=last))
+        row = cached_config.seeds.index(0)
+        column = [cached.offline_episodes.index(last)]
+        if (fresh.online_rewards[0].tobytes() != cached.online_rewards[row].tobytes()
+                or fresh.offline_rewards[0].tobytes()
+                != cached.offline_rewards[row, column].tobytes()):
+            drifted.append(f"{cached_config.algorithm} differs at seed 0")
+    if drifted:
+        machine = json.loads((CACHE_DIR / "PROVENANCE.json").read_text(
+            encoding="utf-8"))["machine"]
+        detail = (f"stale cache, regenerate: {'; '.join(drifted)}; cache made on "
+                  f"{machine}, this machine {_this_machine()}")
+    else:
+        tags = [entry["config"]["learner"]["algorithm"] for entry in entries]
+        episodes = entries[0]["offline_episodes"]
+        others = [seed for seed in entries[0]["config"]["seeds"] if seed != 0]
+        detail = (f"seed 0 of {', '.join(tags)} repeats the cached {episodes[-1]} "
+                  f"online rewards and episode-{episodes[-1]} offline reward bit for "
+                  f"bit; not compared: the offline rewards at episodes "
+                  f"{episodes[0]}-{episodes[-2]}, seeds {min(others)}-{max(others)}, "
+                  f"the active study and the generalization study")
+    announce(f"freshness of {study_id}", not drifted, detail)
 
 
 @pytest.fixture(scope="module")
@@ -327,10 +401,7 @@ def test_criterion_5_acquisition_ablation(passive_results, announce):
     results, provenance = passive_results
     per_seed, notes = {"ucb": results["bo-fcps"].offline_rewards}, [provenance]
     for kind in ("es", "random"):
-        cfg = replace(ExperimentConfig(),
-                      learner=LearnerConfig(algorithm="bo-fcps",
-                                            acquisition_kind=kind))
-        variant, prov = _cached_study(f"study-fcps-{kind}", cfg)
+        variant, prov = _cached_study(f"study-fcps-{kind}", ACQUISITION_STUDIES[kind])
         per_seed[kind] = variant["bo-fcps"].offline_rewards
         notes.append(f"{kind} {prov}")
     curves = {k: v.mean(axis=0) for k, v in per_seed.items()}

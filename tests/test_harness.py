@@ -554,6 +554,26 @@ def test_cli_refuses_hindsight_relabels_on_the_active_cannon(tmp_path, capsys):
     assert (ok / "runs.json").exists()
 
 
+@pytest.mark.parametrize("algorithm, field", [("bo-fcps", "kappa"),
+                                              ("c-reps", "creps_epsilon")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_learner_weights_are_refused(algorithm, field, value, tmp_path,
+                                                capsys):
+    # NaN fails every comparison, so a bare sign check lets it through
+    with pytest.raises(ContractError, match=field):
+        LearnerConfig(algorithm=algorithm, **{field: value})
+    # json writes and reads the value as NaN or Infinity
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "episodes": 4, "evaluation_period": 2, "seeds": [0], "grid_shape": [2, 2],
+        "learner": {"algorithm": algorithm, field: value}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ContractError" and field in err["error"]
+    assert not (out / "runs.json").exists()
+
+
 def test_cli_bare_study_on_the_active_cannon_compares_the_active_pair(tmp_path, capsys):
     # the passive default set holds bo-fcps-her, which the active cannon
     # refuses; a bare study there compares aces and faces

@@ -564,7 +564,7 @@ def test_trisection_offsets_equal_the_scalar_powers():
 
 
 # ---------------------------------------------------------------------------
-# DIRECT's class heaps against the sort-based selection they replaced
+# DIRECT's row scan against the sort-based selection
 # ---------------------------------------------------------------------------
 
 
@@ -610,19 +610,12 @@ def _lexsort_potentially_optimal(state) -> np.ndarray:
 def _checked_selections(monkeypatch, f, dim: int, budget: int):
     """Run the search with every selection compared to the oracle's on the
     same state; returns the final state and the selections made."""
-    heap_select = optim._potentially_optimal
+    scan_select = optim._potentially_optimal
     selections = []
 
     def compared(state):
-        chosen = heap_select(state)
+        chosen = scan_select(state)
         assert chosen == _lexsort_potentially_optimal(state).tolist()
-        # the heaps hold exactly the splittable rows, each under its key
-        filed = sorted(row for heap in state.heaps.values() for _, row in heap)
-        assert filed == [row for row in range(state.n)
-                         if state.splittable[state.counts[row]]]
-        for key, heap in state.heaps.items():
-            assert heap and all(state.keys[state.counts[row]] == key
-                                and -neg == state.values[row] for neg, row in heap)
         selections.append((state.n, chosen))
         return chosen
 
@@ -640,12 +633,12 @@ def _truncated(selections, budget: int) -> bool:
        kind=st.sampled_from(["smooth", "coarse", "constant", "holes",
                              "mostly_inf"]),
        seed=st.integers(0, 2**16))
-def test_heap_selection_equals_the_lexsort_selection(dim, budget, kind, seed):
+def test_row_scan_selection_equals_the_lexsort_selection(dim, budget, kind, seed):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _checked_selections(monkeypatch, _objective(kind, dim, seed), dim, budget)
 
 
-def test_heap_selection_equals_it_when_choices_are_truncated(monkeypatch):
+def test_row_scan_selection_equals_it_when_choices_are_truncated(monkeypatch):
     # a coarse landscape picks many classes at once; the budget cuts them
     budget = 41
     _, selections = _checked_selections(monkeypatch, _objective("coarse", 3, 5), 3,
@@ -653,7 +646,7 @@ def test_heap_selection_equals_it_when_choices_are_truncated(monkeypatch):
     assert _truncated(selections, budget)
 
 
-def test_heap_selection_equals_it_on_merged_size_classes(monkeypatch):
+def test_row_scan_selection_equals_it_on_merged_size_classes(monkeypatch):
     # rounding the half-diagonals to 3 decimals puts every count from 7 on
     # in one 1-d size class, so a class holds rectangles of several sizes
     tables = optim._count_tables(1)
@@ -664,7 +657,9 @@ def test_heap_selection_equals_it_on_merged_size_classes(monkeypatch):
     counts = np.asarray(state.counts)
     assert counts.max() == optim._MIN_LEVEL
     assert len(set(counts[np.asarray(merged[1])[counts] == 0.0].tolist())) > 1
-    assert len(state.heaps[0.0]) > 1
+    # several splittable rows share the merged class
+    in_class = (np.asarray(merged[1])[counts] == 0.0) & np.asarray(merged[2])[counts]
+    assert in_class.sum() > 1
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +827,6 @@ def _state_bytes(state) -> tuple:
         np.asarray(state.values[:n], dtype=float).tobytes(),
         np.asarray(state.counts[:n], dtype=np.int64).tobytes(),
         state.best_index,
-        {key: (np.array([neg for neg, _ in heap]).tobytes(), [row for _, row in heap])
-         for key, heap in state.heaps.items()},
     )
 
 
