@@ -31,7 +31,7 @@ from scipy.special import logsumexp, softmax
 
 from . import gp, optim
 from .acquisition import EnsembleEsEngine
-from .errors import ContractError
+from .errors import ContractError, require_integers
 from .experience import Context, ExperienceStore, RolloutRecord, \
     her_augment, reevaluate, reevaluate_targets
 from .optim import SearchSpace
@@ -89,6 +89,12 @@ class LearnerConfig:
             raise ContractError(
                 f"acquisition kind {self.acquisition_kind!r} is only "
                 f"implemented for bo-fcps, not {self.algorithm!r}")
+        require_integers(**{name: getattr(self, name) for name in (
+            "n_candidates", "n_function_draws", "n_fantasies", "n_representers",
+            "refit_warmup", "refit_period", "refit_restarts", "creps_period",
+            "direct_evals", "refine_starts", "refine_iters", "rng_seed")})
+        if self.init_episodes is not None:
+            require_integers(init_episodes=self.init_episodes)
         # json reads NaN and Infinity, and NaN fails every comparison
         if not 0 <= self.kappa < math.inf:
             raise ContractError("kappa must be finite and nonnegative")

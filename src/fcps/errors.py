@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check configs run on counts."""
+
+from numbers import Integral
 
 
 class ContractError(ValueError):
@@ -15,3 +17,11 @@ class NumericalError(RuntimeError):
     def __init__(self, message: str, jitters):
         super().__init__(message)
         self.jitters = list(jitters)
+
+
+def require_integers(**counts) -> None:
+    """Raise ContractError unless every value is an integer, Python's or
+    numpy's; a bool is not a count."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ContractError(f"{name} must be an integer, not {value!r}")

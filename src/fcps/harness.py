@@ -29,7 +29,7 @@ from . import sim
 # ACTIVE_ALGORITHMS is unused here; only perfbench/layers.py reads it from harness
 from .algorithms import ACTIVE_ALGORITHMS, LearnerConfig, make_learner, \
     run_episode
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, require_integers
 from .experience import Context
 from .optim import SearchSpace
 
@@ -115,6 +115,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.environment not in ENVIRONMENTS:
             raise ContractError(f"unknown environment id {self.environment!r}")
+        require_integers(
+            episodes=self.episodes, evaluation_period=self.evaluation_period,
+            master_seed=self.master_seed, environment_seed=self.environment_seed,
+            **{f"seeds[{i}]": s for i, s in enumerate(self.seeds)},
+            **{f"grid_shape[{i}]": g for i, g in enumerate(self.grid_shape)})
         if self.episodes < 1:
             raise ContractError("episode budget must be at least 1")
         if self.evaluation_period < 1:
@@ -174,11 +179,9 @@ def build_environment(config: ExperimentConfig):
 
 
 def sample_context(environment, rng: np.random.Generator,
-                   boxes: list[SearchSpace] | None = None) -> Context:
-    """One draw from the context distribution: uniform over the target box
-    (or volume-weighted uniform over a box union) times the env box."""
-    if boxes is None:
-        boxes = [environment.target_space]
+                   boxes: list[SearchSpace]) -> Context:
+    """One draw from the context distribution: uniform over the target
+    boxes (volume-weighted when there are several) times the env box."""
     if len(boxes) == 1:
         box = boxes[0]
     else:
@@ -296,8 +299,9 @@ def run(config: ExperimentConfig, *, partial_dir=None) -> RunResult:
     online_rows, offline_rows = [], []
     try:
         for run_seed in config.seeds:
-            _, online, offline = _run_one_seed(config, environment, None,
-                                               grid, run_seed)
+            _, online, offline = _run_one_seed(
+                config, environment, [environment.target_space], grid,
+                run_seed)
             online_rows.append(online)
             offline_rows.append(offline)
     except (ContractError, NumericalError, FloatingPointError) as err:

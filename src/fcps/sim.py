@@ -18,14 +18,15 @@ noise, the DMP gains and the thrower's clock and shape weights are module
 constants; the worlds' ``replay_metadata`` records gravity, launch noise
 and the clock.  Every DMP starts at rest.
 
-A cannon landing is found by a vectorized scan of the arc on a 0.01 time
-grid, then bisection on Python floats that stops at its fixed point, the
-first step that leaves the bracket unchanged (after about 45 steps, at
-most 100); the result equals that of 100 bisection steps bit for bit.
+A hill is four floats.  A cannon landing is found by a vectorized scan
+of the arc on a 0.01 time grid, then bisection on Python floats up to
+its fixed point, the first step that leaves the bracket unchanged (about
+45 steps, at most 100), which equals 100 bisection steps bit for bit.
 
 A DMP's forcing term depends only on the phase and the shape weights, and
 an RK4 run visits 2n+1 phases, so it is computed once per run as a phase
-table (once per ``ThrowerWorld``, which keeps it); the RK4 then runs on
+table (once per ``ThrowerWorld``, which keeps it).  The RK4 takes it and
+the goal state itself, theta's halves in a thrower rollout, and runs on
 Python floats, one spatial dimension at a time, with the operations and
 the order of the array RK4 it replaced, and equals it bit for bit.
 """
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,26 +64,16 @@ CANNON_GRAVITY = 1.0
 LAUNCH_NOISE_DEG = 1.0
 
 
-# eq=False: ndarray fields; worlds compare by replay_metadata()
-@dataclass(frozen=True, eq=False)
-class Hill:
-    center: np.ndarray
+class Hill(NamedTuple):
+    """A Gaussian bump in the terrain: centre (x, y), peak height, width."""
+
+    x: float
+    y: float
     height: float
     width: float
 
-    def __post_init__(self):
-        center = np.array(self.center, dtype=float)
-        if center.shape != (2,):
-            raise ContractError("hill center must be a 2-vector")
-        center.flags.writeable = False
-        object.__setattr__(self, "center", center)
-        if not (self.height >= 0 and np.isfinite(self.height)):
-            raise ContractError("hill height must be non-negative")
-        if not (self.width > 0 and np.isfinite(self.width)):
-            raise ContractError("hill width must be positive")
 
-
-# eq=False: ndarray fields; worlds compare by replay_metadata()
+# eq=False: worlds compare by identity, and their replay_metadata() by content
 @dataclass(frozen=True, eq=False)
 class CannonWorld:
     hills: tuple[Hill, ...]
@@ -99,7 +91,7 @@ class CannonWorld:
                 continue
             height = rng.uniform(0.5, 2.0)
             width = rng.uniform(1.5, 3.0)
-            hills.append(Hill(center, height, width))
+            hills.append(Hill(*center.tolist(), height, width))
         return cls(hills=tuple(hills), seed=seed)
 
     def replay_metadata(self) -> dict:
@@ -108,7 +100,7 @@ class CannonWorld:
             "gravity": CANNON_GRAVITY,
             "launch_noise_deg": LAUNCH_NOISE_DEG,
             "seed": self.seed,
-            "hills": [{"center": h.center.tolist(), "height": h.height,
+            "hills": [{"center": [h.x, h.y], "height": h.height,
                        "width": h.width} for h in self.hills],
         }
 
@@ -125,7 +117,7 @@ def terrain_elevation(world: CannonWorld, x, y):
     y = np.asarray(y, dtype=float)
     total = np.zeros(np.broadcast_shapes(x.shape, y.shape))
     for h in world.hills:
-        d2 = (x - h.center[0]) ** 2 + (y - h.center[1]) ** 2
+        d2 = (x - h.x) ** 2 + (y - h.y) ** 2
         total += h.height * np.exp(-d2 / (2.0 * h.width**2))
     masked = _pad_mask(np.hypot(x, y)) * total
     if masked.ndim == 0:
@@ -146,8 +138,8 @@ def _point_elevation(world: CannonWorld):
     differently) and ``** 2``, which is libm's pow on a scalar and now and
     then differs from ``x * x`` in the last bit.
     """
-    hills = [(float(h.center[0]), float(h.center[1]), h.height,
-              2.0 * h.width**2) for h in world.hills]
+    hills = [(x, y, height, 2.0 * width**2)
+             for x, y, height, width in world.hills]
     blend = PAD_BLEND_RADIUS - PAD_RADIUS
 
     def elevation(x: float, y: float) -> float:
@@ -360,26 +352,26 @@ def _phase_table(shape_weights: np.ndarray, du: float,
     return [1.0 - u for u in phases], rows.T.tolist()
 
 
-def _rk4(p: DmpParams, table, y0, dt: float,
+def _rk4(goal, goal_velocity, duration: float, table, y0, dt: float,
          n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 over a ``_phase_table``, one spatial dimension at a time.
+    """RK4 over a ``_phase_table`` to a goal state, one dimension at a time.
 
     The dimensions are coupled only through the shared phase, so each runs
     on Python floats with the operations and the order of the array RK4
-    (``p.goal - ramp * (1 - u)``, then ``spring * (goal - y) - damping *
+    (``goal - ramp * (1 - u)``, then ``spring * (goal - y) - damping *
     yd + damping * ramp + force``); the results equal it bit for bit.
     """
     rest, forcing = table
-    spring, damping, duration = DMP_SPRING, DMP_DAMPING, p.duration
-    ramp = duration * p.goal_velocity  # goal speed in normalized time
+    spring, damping, dims = DMP_SPRING, DMP_DAMPING, len(goal)
+    ramp = duration * goal_velocity  # goal speed in normalized time
     du = dt / duration
     half, sixth = du / 2, du / 6
-    positions = np.empty((n_steps + 1, p.dims))
-    velocities = np.empty((n_steps + 1, p.dims))
-    for dim in range(p.dims):
-        goal, r = float(p.goal[dim]), float(ramp[dim])
+    positions = np.empty((n_steps + 1, dims))
+    velocities = np.empty((n_steps + 1, dims))
+    for dim in range(dims):
+        g, r = float(goal[dim]), float(ramp[dim])
         pull = damping * r
-        moving_goal = [goal - r * q for q in rest]
+        moving_goal = [g - r * q for q in rest]
         force = forcing[dim]
         y, yd = float(y0[dim]), 0.0  # every DMP starts at rest
         ys, vs = [y], [0.0]
@@ -419,7 +411,7 @@ def dmp_integrate(p: DmpParams, y0, dt: float,
     if y0.shape != (p.dims,):
         raise ContractError(f"start state must have shape ({p.dims},)")
     table = _phase_table(p.shape_weights, dt / p.duration, n_steps)
-    return _rk4(p, table, y0, dt, n_steps)
+    return _rk4(p.goal, p.goal_velocity, p.duration, table, y0, dt, n_steps)
 
 
 def dmp_imitate(demo: np.ndarray, basis_count: int) -> np.ndarray:
@@ -545,9 +537,8 @@ def thrower_rollout(world: ThrowerWorld, env_context, theta,
         raise ContractError("start position outside its box")
     if not THROWER_PARAM_SPACE.contains(theta):
         raise ContractError("thrower parameters outside their box")
-    params = DmpParams(shape_weights=THROWER_SHAPE_WEIGHTS, goal=theta[:3],
-                       goal_velocity=theta[3:], duration=THROWER_DURATION)
-    positions, velocities = _rk4(params, world.phase_table, start, THROWER_DT,
+    positions, velocities = _rk4(theta[:3], theta[3:], THROWER_DURATION,
+                                 world.phase_table, start, THROWER_DT,
                                  THROWER_STEPS)
     return ballistic_landing(positions[-1], velocities[-1], THROWER_GRAVITY)
 

@@ -485,8 +485,8 @@ def test_greedy_fit_reuse_equals_a_fresh_fit_between_refits_and_appends(
     for _ in range(6):
         before = learner._hyperparams, len(learner.store)
         # a selection refits without adding a row
-        context = harness.sample_context(env, rng) if learner.requires_context \
-            else None
+        context = harness.sample_context(env, rng, [env.target_space]) \
+            if learner.requires_context else None
         if context is None:
             learner.select_query()
         else:

@@ -152,7 +152,7 @@ def test_offline_eval_is_isolated_and_noise_free():
                            environment.reward_fn)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        ctx = sample_context(environment, rng)
+        ctx = sample_context(environment, rng, [environment.target_space])
         from fcps.algorithms import run_episode
         run_episode(learner, environment, ctx, rng)
     before = len(learner.store)
@@ -572,6 +572,45 @@ def test_non_finite_learner_weights_are_refused(algorithm, field, value, tmp_pat
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "ContractError" and field in err["error"]
     assert not (out / "runs.json").exists()
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("field", ["episodes", "evaluation_period", "master_seed",
+                                   "environment_seed", "seeds", "grid_shape"])
+def test_experiment_counts_must_be_integers(field, value):
+    # a float seed or grid entry used to be truncated by int() and run
+    bad = {"seeds": (0, value), "grid_shape": (3, value)}.get(field, value)
+    with pytest.raises(ContractError, match=f"^{field}.* must be an integer"):
+        tiny_config(**{field: bad})
+    good = {"seeds": (np.int64(0), 3), "grid_shape": (3, np.int64(2))}
+    config = tiny_config(**{field: good.get(field, np.int64(3))})
+    if field in good:
+        assert all(type(v) is int for v in getattr(config, field))
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("field", [
+    "n_candidates", "n_function_draws", "n_fantasies", "n_representers",
+    "init_episodes", "refit_warmup", "refit_period", "refit_restarts",
+    "creps_period", "direct_evals", "refine_starts", "refine_iters", "rng_seed"])
+def test_learner_counts_must_be_integers(field, value):
+    # a float creps_period or direct_evals used to die mid-run on a slice
+    with pytest.raises(ContractError, match=f"^{field} must be an integer"):
+        LearnerConfig(**{field: value})
+    LearnerConfig(**{field: np.int64(getattr(LearnerConfig(), field) or 3)})
+
+
+def test_cli_refuses_a_float_seed_before_anything_runs(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "episodes": 12, "evaluation_period": 6, "seeds": [0.7],
+        "grid_shape": [2.9, 2], "master_seed": 1.5,
+        "learner": {"algorithm": "c-reps", "creps_period": 6}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ContractError" and "must be an integer" in err["error"]
+    assert not out.exists()
 
 
 def test_cli_bare_study_on_the_active_cannon_compares_the_active_pair(tmp_path, capsys):

@@ -46,7 +46,7 @@ def test_flat_world_elevation_zero():
 
 
 def test_single_hill_profile():
-    world = CannonWorld(hills=(Hill([6.0, 0.0], height=1.5, width=1.0),), seed=0)
+    world = CannonWorld(hills=(Hill(6.0, 0.0, height=1.5, width=1.0),), seed=0)
     assert terrain_elevation(world, 6.0, 0.0) == pytest.approx(1.5, abs=1e-12)
     # two widths out along the ridge, still outside the pad blend
     expected = 1.5 * math.exp(-2.0)
@@ -54,7 +54,7 @@ def test_single_hill_profile():
 
 
 def test_pad_is_exactly_flat_despite_nearby_hill():
-    world = CannonWorld(hills=(Hill([3.2, 0.0], height=2.0, width=3.0),), seed=0)
+    world = CannonWorld(hills=(Hill(3.2, 0.0, height=2.0, width=3.0),), seed=0)
     assert terrain_elevation(world, 0.0, 0.0) == 0.0
     inside = terrain_elevation(world, 1.0, 0.5)
     assert inside == 0.0
@@ -99,10 +99,9 @@ def test_generated_world_pad_and_reproducibility():
     w2 = CannonWorld.generate(seed=11)
     assert len(w1.hills) == 4
     for a, b in zip(w1.hills, w2.hills):
-        assert np.array_equal(a.center, b.center)
-        assert a.height == b.height and a.width == b.width
+        assert a == b
     for h in w1.hills:
-        assert np.hypot(*h.center) >= PAD_BLEND_RADIUS
+        assert np.hypot(h.x, h.y) >= PAD_BLEND_RADIUS
         assert 0.5 <= h.height <= 2.0
         assert 1.5 <= h.width <= 3.0
     assert terrain_elevation(w1, 0.0, 0.0) == 0.0
@@ -143,7 +142,7 @@ def test_quarter_turn_swaps_axes_on_flat_ground():
 
 def test_hill_under_arc_shortens_range():
     flat = cannon_rollout(FLAT, NO_ENV, [0.0, math.pi / 4, 3.0], None)
-    hilly = CannonWorld(hills=(Hill([4.5, 0.0], height=1.8, width=2.0),), seed=0)
+    hilly = CannonWorld(hills=(Hill(4.5, 0.0, height=1.8, width=2.0),), seed=0)
     blocked = cannon_rollout(hilly, NO_ENV, [0.0, math.pi / 4, 3.0], None)
     assert blocked[0] < flat[0] - 0.1
 
@@ -584,9 +583,9 @@ def _rollout_with_oracle(world, theta):
         sim._first_landing_time = original
 
 
-STEEP = CannonWorld(hills=(Hill([4.0, 0.0], height=2.0, width=1.5),
-                           Hill([0.0, -5.0], height=2.0, width=1.5),
-                           Hill([-6.5, 6.5], height=1.0, width=3.0)), seed=0)
+STEEP = CannonWorld(hills=(Hill(4.0, 0.0, height=2.0, width=1.5),
+                           Hill(0.0, -5.0, height=2.0, width=1.5),
+                           Hill(-6.5, 6.5, height=1.0, width=3.0)), seed=0)
 
 
 @settings(max_examples=150)
