@@ -31,7 +31,7 @@ from scipy.special import logsumexp, softmax
 
 from . import gp, optim
 from .acquisition import EnsembleEsEngine
-from .errors import ContractError, require_integers
+from .errors import ContractError, require_integers, require_reals
 from .experience import Context, ExperienceStore, RolloutRecord, \
     her_augment, reevaluate, reevaluate_targets
 from .optim import SearchSpace
@@ -95,6 +95,7 @@ class LearnerConfig:
             "direct_evals", "refine_starts", "refine_iters", "rng_seed")})
         if self.init_episodes is not None:
             require_integers(init_episodes=self.init_episodes)
+        require_reals(kappa=self.kappa, creps_epsilon=self.creps_epsilon)
         # json reads NaN and Infinity, and NaN fails every comparison
         if not 0 <= self.kappa < math.inf:
             raise ContractError("kappa must be finite and nonnegative")
@@ -508,7 +509,7 @@ class BoLearner:
         if reuse:
             return gp.fit_targets(kept[2], rewards)
         model = gp.fit(inputs, rewards, self._hyperparams,
-                       input_space=self.input_space, standardize=True)
+                       input_space=self.input_space)
         self._kept = (len(self.store), self._hyperparams, model)
         return model
 

@@ -1,6 +1,7 @@
-"""Shared exception types, and the integer check configs run on counts."""
+"""Shared exception types, and the number checks configs run on their
+settings."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ContractError(ValueError):
@@ -22,6 +23,16 @@ class NumericalError(RuntimeError):
 def require_integers(**counts) -> None:
     """Raise ContractError unless every value is an integer, Python's or
     numpy's; a bool is not a count."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ContractError(f"{name} must be an integer, not {value!r}")
+    _require(Integral, "an integer", counts)
+
+
+def require_reals(**values) -> None:
+    """Raise ContractError unless every value is a real number, an integer
+    or a float, Python's or numpy's; a bool is not one."""
+    _require(Real, "a real number", values)
+
+
+def _require(kind, noun: str, values: dict) -> None:
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ContractError(f"{name} must be {noun}, not {value!r}")

@@ -13,12 +13,12 @@ performance accounting is unaffected by later re-evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError
 from .optim import SearchSpace
+from .sim import Reward
 
 
 def _clean_vector(value, name: str) -> np.ndarray:
@@ -154,14 +154,7 @@ class ExperienceStore:
 # re-evaluation
 # ---------------------------------------------------------------------------
 
-# reward_fn.batch(targets, landings, params) over matrices with one row per
-# (target, record) pair, and reward_fn(target, landing, params) -> float;
-# the task rewards define the one-row call once (``sim.Reward``) as batch
-# on one row, so the two agree bit for bit.
-RewardFn = Callable[[np.ndarray, np.ndarray, np.ndarray], float]
-
-
-def reevaluate(store: ExperienceStore, reward_fn: RewardFn,
+def reevaluate(store: ExperienceStore, reward_fn: Reward,
                target) -> tuple[np.ndarray, np.ndarray]:
     """Score the whole store under a query target.
 
@@ -174,7 +167,7 @@ def reevaluate(store: ExperienceStore, reward_fn: RewardFn,
             reevaluate_targets(store, reward_fn, target[None, :])[0])
 
 
-def reevaluate_targets(store: ExperienceStore, reward_fn: RewardFn,
+def reevaluate_targets(store: ExperienceStore, reward_fn: Reward,
                        targets) -> np.ndarray:
     """Reward matrix of shape (n_targets, n_records), one row per target,
     from one ``reward_fn.batch`` call over every (target, record) pair."""
@@ -197,7 +190,7 @@ def reevaluate_targets(store: ExperienceStore, reward_fn: RewardFn,
 # ---------------------------------------------------------------------------
 
 
-def her_augment(record: RolloutRecord, reward_fn: RewardFn) -> float:
+def her_augment(record: RolloutRecord, reward_fn: Reward) -> float:
     """The rollout's reward had its landing been the commanded target.
 
     The relabeled row is (landing, env context, params); for a

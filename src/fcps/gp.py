@@ -2,8 +2,8 @@
 
 Models use a zero-mean prior over transformed coordinates: every model
 carries its input box, a :class:`~fcps.optim.SearchSpace`, and maps inputs
-to the unit box through it, and targets may be standardized at fit time,
-per column.  A model holds one target or C targets over the same inputs
+to the unit box through it, and targets are standardized at fit time, per
+column.  A model holds one target or C targets over the same inputs
 (one weight column each, from one Cholesky factor; Rasmussen & Williams
 2006, ch. 2).  Hyperparameters always refer to the transformed coordinates;
 predictions are reported in the original units.
@@ -229,11 +229,11 @@ def _assemble(h, xt, yt, input_space, y_shift, y_scale) -> GpModel:
     return GpModel(h, xt, yt, input_space, y_shift, y_scale, L, _weights(L, yt), jitter)
 
 
-def _standardization(targets: np.ndarray, standardize: bool):
+def _standardization(targets: np.ndarray):
     """Per-column target shift and scale: mean and standard deviation (1
-    where below 1e-12) if ``standardize`` and there are targets, else 0 and
-    1; Python floats for (n,) targets, (C,) arrays for (n, C)."""
-    if standardize and len(targets):
+    where below 1e-12), or 0 and 1 with no targets; Python floats for (n,)
+    targets, (C,) arrays for (n, C)."""
+    if len(targets):
         shift, sd = targets.mean(axis=0), targets.std(axis=0)
         scale = np.where(sd > 1e-12, sd, 1.0)
     else:
@@ -252,7 +252,7 @@ def _checked_targets(targets, n: int) -> np.ndarray:
     return targets
 
 
-def _prepared(inputs, targets, dim: int, input_space: SearchSpace, standardize: bool):
+def _prepared(inputs, targets, dim: int, input_space: SearchSpace):
     """The checked data as the kernel sees it, ``(xt, yt)``, followed by the
     transforms that map it there, ``(input_space, y_shift, y_scale)``."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -266,34 +266,29 @@ def _prepared(inputs, targets, dim: int, input_space: SearchSpace, standardize: 
 
     if input_space.dim != dim:
         raise ContractError("input_space dimension does not match the kernel")
-    y_shift, y_scale = _standardization(targets, standardize)
+    y_shift, y_scale = _standardization(targets)
     xt = (inputs - input_space.lower) / input_space.span
     return xt, (targets - y_shift) / y_scale, input_space, y_shift, y_scale
 
 
-def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace,
-        standardize: bool = False) -> GpModel:
+def fit(inputs, targets, h: KernelHyperparams, *, input_space: SearchSpace) -> GpModel:
     """Build a model from (possibly empty) data under fixed hyperparameters:
-    targets (n,) for one target, (n, C) for C targets over the inputs, and
-    inputs mapped to the unit box through ``input_space``."""
-    return _assemble(h, *_prepared(inputs, targets, h.dim, input_space, standardize))
+    targets (n,) for one target, (n, C) for C targets over the inputs, each
+    column standardized, and inputs mapped to the unit box through
+    ``input_space``."""
+    return _assemble(h, *_prepared(inputs, targets, h.dim, input_space))
 
 
-def fit_shared_inputs(inputs, target_matrix, h: KernelHyperparams, *,
-                      input_space: SearchSpace) -> GpModel:
-    """``fit(..., standardize=True)`` with one target column per branch, as
-    faces fits its representers; a function of its own, so that a trace
-    tells it from ``fit``."""
-    return _assemble(h, *_prepared(inputs, target_matrix, h.dim, input_space, True))
+# faces' many-column fit under a name of its own, so that a trace tells it from ``fit``
+fit_shared_inputs = fit
 
 
 def fit_targets(m: GpModel, targets) -> GpModel:
-    """``fit(..., standardize=True)`` on ``m``'s inputs, hyperparameters and
-    input transform with other targets, bit for bit, from ``m``'s Cholesky
-    factor: only the target standardization and the weights are computed.
-    The targets are always standardized, as the learners fit them."""
+    """``fit`` on ``m``'s inputs, hyperparameters and input transform with
+    other targets, bit for bit, from ``m``'s Cholesky factor: only the
+    targets' standardization and the weights are computed."""
     targets = _checked_targets(targets, len(m))
-    y_shift, y_scale = _standardization(targets, True)
+    y_shift, y_scale = _standardization(targets)
     yt = (targets - y_shift) / y_scale
     return GpModel(m.hyperparams, m.xt, yt, m.input_space, y_shift, y_scale,
                    m.chol, _weights(m.chol, yt), m.jitter)
@@ -400,8 +395,8 @@ def refit(inputs, targets, init: KernelHyperparams, *, input_space: SearchSpace,
           bounds: list[tuple[float, float]],
           prior: list[tuple[float, float]]) -> KernelHyperparams:
     """MAP hyperparameters from ``init``: a bounded search, warm-started plus
-    random restarts, on the data as ``fit(..., standardize=True)``
-    transforms it.  The search scores the transformed data alone: no model
+    random restarts, on the data as ``fit`` transforms it, targets
+    standardized.  The search scores the transformed data alone: no model
     is fitted here.
 
     ``bounds`` is the log-space box and ``prior`` one (mean, width) Gaussian
@@ -415,7 +410,7 @@ def refit(inputs, targets, init: KernelHyperparams, *, input_space: SearchSpace,
     """
     if restarts < 1:
         raise ContractError("restarts must be positive")
-    xt, yt = _prepared(inputs, targets, init.dim, input_space, True)[:2]
+    xt, yt = _prepared(inputs, targets, init.dim, input_space)[:2]
     if len(yt) <= 1:
         return init
     if len(bounds) != init.dim + 2:

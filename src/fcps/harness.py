@@ -137,6 +137,12 @@ class ExperimentConfig:
         if self.algorithms is not None:
             object.__setattr__(self, "algorithms",
                                tuple(str(a) for a in self.algorithms))
+        # a repeated seed or tag would run twice and count twice
+        for name, entries in (("seeds", self.seeds),
+                              ("algorithms", self.algorithms or ())):
+            for i, value in enumerate(entries):
+                if value in entries[:i]:
+                    raise ContractError(f"{name} repeats {value!r}")
         # a hindsight relabel scores the achieved landing as the target, and
         # a landing has no shoot indicator to stand in for the active
         # cannon's (x, y, indicator) target

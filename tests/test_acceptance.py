@@ -510,14 +510,17 @@ def test_criterion_6_gp_suite(announce):
         worst_rel = max(worst_rel, float(np.linalg.norm(grad - fd)) / denom)
     grad_ok = worst_rel <= 1e-4
 
-    # incremental conditioning must equal a from-scratch fit at fixed
-    # hyperparameters and fixed target scaling
+    # incremental conditioning must equal a from-scratch factorization at
+    # fixed hyperparameters and fixed target scaling: the 12 rows under the
+    # 11-row model's shift and scale
     x = rng.uniform(size=(12, 3))
     y = rng.normal(size=12)
     h = gp.KernelHyperparams(1.0, np.full(3, 0.4), 1e-3)
-    base = gp.fit(x[:11], y[:11], h, standardize=False, input_space=unit_box(h.dim))
+    base = gp.fit(x[:11], y[:11], h, input_space=unit_box(h.dim))
     fant = gp.fantasize(base, x[11], float(y[11]))
-    refit_model = gp.fit(x, y, h, standardize=False, input_space=unit_box(h.dim))
+    refit_model = gp._assemble(h, base.transform_inputs(x),
+                               (y - base.y_shift) / base.y_scale, base.input_space,
+                               base.y_shift, base.y_scale)
     probes = rng.uniform(size=(40, 3))
     fm, fv = gp.predict_batch(fant, probes)
     rm, rv = gp.predict_batch(refit_model, probes)
@@ -525,7 +528,7 @@ def test_criterion_6_gp_suite(announce):
     fant_ok = fant_err <= 1e-8
 
     clean = gp.fit(x, y, gp.KernelHyperparams(1.0, np.full(3, 0.4), 1e-10),
-                   standardize=False, input_space=unit_box(3))
+                   input_space=unit_box(3))
     mean_at_train, _ = gp.predict_batch(clean, x)
     interp_err = float(np.abs(mean_at_train - y).max())
     interp_ok = interp_err <= 1e-6

@@ -630,7 +630,8 @@ def test_conditional_update_matches_literal_fantasy():
 
     mean0, cov0 = posterior_joint(model, np.vstack([pts, query[None, :]]))
     cross = cov0[:4, 4]
-    s2_obs = cov0[4, 4] + model.hyperparams.noise_variance
+    # the noise variance is in the standardized units the kernel sees
+    s2_obs = cov0[4, 4] + model.y_scale**2 * model.hyperparams.noise_variance
     shortcut = cov0[:4, :4] - np.outer(cross, cross) / s2_obs
 
     y_fantasy = mean0[4] + 0.37 * np.sqrt(s2_obs)
@@ -918,7 +919,7 @@ def replaced_engines(kind, c_n, empty, rng):
     if kind in ("joint", "prefixed"):
         ctx_dim = 1 if kind == "joint" else 2
         x, y, h, space = _fitted_data(rng, ctx_dim + 1, 1, empty)
-        model = gp.fit(x, y[:, 0], h, input_space=space, standardize=True)
+        model = gp.fit(x, y[:, 0], h, input_space=space)
         if kind == "joint":  # aces: one block per representer context
             reps = sample_reps(SearchSpace([0.0], [1.0]), SearchSpace([0.0], [1.0]),
                                c_n, m, rng)

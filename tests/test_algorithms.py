@@ -143,8 +143,7 @@ def test_empty_dataset_selects_box_center():
     h = gp.KernelHyperparams(1.0, np.full(4, 0.3), 1e-2)
     dataset = (np.zeros((0, 4)), np.zeros(0))
     query = Context(target=np.array([0.2, -0.3]), env=np.zeros(0))
-    model = gp.fit(*dataset, h, input_space=TARGET2.concat(THETA2),
-                   standardize=True)
+    model = gp.fit(*dataset, h, input_space=TARGET2.concat(THETA2))
     cfg = small_config()
     theta = ucb_select(model, query.full, THETA2, cfg, kappa=cfg.kappa)
     assert np.array_equal(theta, THETA2.center)
@@ -160,8 +159,7 @@ def test_selected_ucb_beats_dense_grid():
     h = gp.KernelHyperparams(1.0, np.full(4, 0.3), 1e-2)
     cfg = small_config(direct_evals=300, refine_starts=2, refine_iters=40)
     query = Context(target=np.array([0.1, 0.5]), env=np.zeros(0))
-    model = gp.fit(inputs, rewards, h, input_space=TARGET2.concat(THETA2),
-                   standardize=True)
+    model = gp.fit(inputs, rewards, h, input_space=TARGET2.concat(THETA2))
     theta = ucb_select(model, query.full, THETA2, cfg, kappa=cfg.kappa)
 
     axis = np.linspace(0.0, 1.0, 41)
@@ -240,8 +238,7 @@ def test_relabel_disabled_matches_plain_select():
     dataset = learner.dataset(query.target)
     h = learner._hyperparams
     assert h is not None
-    model = gp.fit(*dataset, h, input_space=TARGET2.concat(THETA2),
-                   standardize=True)
+    model = gp.fit(*dataset, h, input_space=TARGET2.concat(THETA2))
     expected = ucb_select(model, query.full, THETA2, learner.cfg, kappa=0.0)
     assert np.array_equal(learner.select_greedy(query), expected)
     expected = ucb_select(model, query.full, THETA2, learner.cfg,
@@ -455,7 +452,7 @@ GREEDY_TINY = dict(n_candidates=4, n_function_draws=100, n_fantasies=2,
 def _fresh_greedy(learner, context) -> np.ndarray:
     """Greedy selection from a model fitted for this call alone."""
     model = gp.fit(*learner.dataset(context.target), learner._hyperparams,
-                   input_space=learner.input_space, standardize=True)
+                   input_space=learner.input_space)
     return ucb_select(model, learner._prefix(context), learner.theta_space,
                       learner.cfg, kappa=0.0)
 

@@ -35,9 +35,12 @@ from fcps.optim import SearchSpace
 
 from conftest import ensemble_branch_model, unit_box
 
-# dense-oracle values for inputs {0, 1}, targets {0, 1}, ell=1, sf2=1, sn2=1e-6
-ORACLE_MEAN_AT_HALF = 0.5493180898423446
+# dense-oracle values for inputs {0, 1}, ell=1, sf2=1, sn2=1e-6 and targets
+# {-1, 1}, which is what standardizing targets {0, 1} makes of them; at 0.5
+# the mean is 0 by symmetry
 ORACLE_VAR_AT_HALF = 0.03045697436088879
+ORACLE_MEAN_AT_QUARTER = -0.5448787634939826
+ORACLE_VAR_AT_QUARTER = 0.016483800658410708
 ORACLE_NLML = 2.3995277174676795
 ORACLE_NLML_SINGLE = 1.3770838991417502  # N=1, y=0, sf2=2, sn2=0.5
 
@@ -46,6 +49,15 @@ def two_point_model():
     h = KernelHyperparams(1.0, np.array([1.0]), 1e-6)
     return fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), h,
                input_space=unit_box(h.dim))
+
+
+def refit_under(m: GpModel, x, y) -> GpModel:
+    """A full factorization of ``x`` and ``y`` under ``m``'s hyperparameters,
+    input box and target shift and scale: what ``fantasize`` of ``m`` must
+    equal."""
+    yt = (np.asarray(y, dtype=float) - m.y_shift) / m.y_scale
+    return gp._assemble(m.hyperparams, m.transform_inputs(x), yt, m.input_space,
+                        m.y_shift, m.y_scale)
 
 
 def default_hyperparam_bounds(inputs, targets) -> list[tuple[float, float]]:
@@ -73,9 +85,9 @@ def nlml_of(x, y, h):
 
 
 def fitted_data(x, y, h, space):
-    """The data as ``fit(..., standardize=True)`` transforms it: what the
-    MAP search in ``refit`` scores."""
-    m = fit(x, y, h, input_space=space, standardize=True)
+    """The data as ``fit`` transforms it: what the MAP search in ``refit``
+    scores."""
+    m = fit(x, y, h, input_space=space)
     return m.xt, m.yt
 
 
@@ -181,9 +193,12 @@ def test_kernel_ard_anisotropy():
 
 def test_predict_matches_dense_oracle():
     m = two_point_model()
-    (mean,), (var,) = predict_batch(m, [[0.5]])
-    assert mean == pytest.approx(ORACLE_MEAN_AT_HALF, abs=1e-8)
-    assert var == pytest.approx(ORACLE_VAR_AT_HALF, abs=1e-8)
+    assert (m.y_shift, m.y_scale) == (0.5, 0.5)
+    mean, var = predict_batch(m, [[0.5], [0.25]])
+    want_mean = m.y_shift + m.y_scale * np.array([0.0, ORACLE_MEAN_AT_QUARTER])
+    want_var = m.y_scale**2 * np.array([ORACLE_VAR_AT_HALF, ORACLE_VAR_AT_QUARTER])
+    assert mean == pytest.approx(want_mean, abs=1e-8)
+    assert var == pytest.approx(want_var, abs=1e-8)
 
 
 def test_predict_interpolates_training_points():
@@ -201,8 +216,8 @@ def test_predict_interpolates_training_points():
 def test_predict_far_from_data_reverts_to_prior():
     m = two_point_model()
     (mean,), (var,) = predict_batch(m, [[500.0]])
-    assert abs(mean) <= 1e-12
-    assert var == pytest.approx(1.0, abs=1e-12)
+    assert abs(mean - m.y_shift) <= 1e-12
+    assert var == pytest.approx(m.y_scale**2, abs=1e-12)
 
 
 def test_kernel_rows_of_an_empty_model_are_zero_width():
@@ -265,7 +280,7 @@ def test_standardize_round_trip():
     x = rng.uniform(0, 1, size=(12, 1))
     y = 50.0 + 3.0 * rng.normal(size=12)
     h = KernelHyperparams(1.0, np.array([0.3]), 1e-3)
-    m = fit(x, y, h, standardize=True, input_space=unit_box(h.dim))
+    m = fit(x, y, h, input_space=unit_box(h.dim))
     shift, scale = m.y_shift, m.y_scale
     manual = fit(x, (y - shift) / scale, h, input_space=unit_box(h.dim))
     q = rng.uniform(0, 1, size=(4, 1))
@@ -616,13 +631,13 @@ def test_fit_targets_equals_fit_bit_for_bit(case):
     if case == "empty":
         x, y = np.zeros((0, 3)), np.zeros(0)
     space = SearchSpace([-2.0] * 3, [2.0] * 3)
-    base = fit(x, y, h, input_space=space, standardize=True)
+    base = fit(x, y, h, input_space=space)
     for _ in range(3):
         other = rng.normal(size=len(y)) * rng.uniform(0.1, 10.0)
         if case == "constant":  # standard deviation 0: the scale stays 1
             other = np.full(len(y), other[0])
         got = fit_targets(base, other)
-        want = fit(x, other, h, input_space=space, standardize=True)
+        want = fit(x, other, h, input_space=space)
         _assert_same_model(got, want)
         assert got.chol is base.chol and got.xt is base.xt  # the factor is kept
         if case == "constant":
@@ -662,9 +677,9 @@ class GpEnsembleOracle:
 
 
 def fit_shared_inputs_oracle(inputs, target_matrix, h: KernelHyperparams, *,
-                             input_space: SearchSpace | None = None,
-                             standardize: bool = True) -> GpEnsembleOracle:
-    """``gp.fit_shared_inputs`` as it was before the merge, verbatim."""
+                             input_space: SearchSpace | None = None) -> GpEnsembleOracle:
+    """``gp.fit_shared_inputs`` as it was before the merge, verbatim but for
+    its ``standardize`` flag, which only ever took its default, True."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_2d(np.asarray(target_matrix, dtype=float))
     if inputs.size == 0:
@@ -680,7 +695,7 @@ def fit_shared_inputs_oracle(inputs, target_matrix, h: KernelHyperparams, *,
             raise ContractError("input_space dimension does not match the kernel")
         x_lo, x_span = input_space.lower, input_space.span
     n, c = targets.shape if targets.size else (0, targets.shape[1])
-    if standardize and n:
+    if n:
         y_shift = targets.mean(axis=0)
         sd = targets.std(axis=0)
         y_scale = np.where(sd > 1e-12, sd, 1.0)
@@ -701,9 +716,9 @@ def fit_shared_inputs_oracle(inputs, target_matrix, h: KernelHyperparams, *,
                             xt, L, weights, jitter)
 
 
-def _standardization_oracle(targets, standardize):
+def _standardization_oracle(targets):
     """``gp._standardization`` of one target as it was before the merge."""
-    if not (standardize and len(targets)):
+    if not len(targets):
         return 0.0, 1.0
     sd = float(np.std(targets))
     return float(np.mean(targets)), sd if sd > 1e-12 else 1.0
@@ -756,12 +771,11 @@ def test_fit_shared_inputs_equals_the_ensemble_it_replaced_bit_for_bit(
 
 @settings(max_examples=30)
 @given(n=st.sampled_from([0, 1, 2, 30]), constant=st.booleans(),
-       standardize=st.booleans(), seed=st.integers(0, 2**16))
-def test_one_target_standardization_keeps_python_floats_and_bits(
-        n, constant, standardize, seed):
+       seed=st.integers(0, 2**16))
+def test_one_target_standardization_keeps_python_floats_and_bits(n, constant, seed):
     x, y, h, space = _merge_case(n, 1, 2, constant, "wide", seed)
-    m = fit(x, y[:, 0], h, input_space=space, standardize=standardize)
-    shift, scale = _standardization_oracle(y[:, 0], standardize)
+    m = fit(x, y[:, 0], h, input_space=space)
+    shift, scale = _standardization_oracle(y[:, 0])
     assert type(m.y_shift) is float and type(m.y_scale) is float
     assert _same_bits(m.y_shift, shift) and _same_bits(m.y_scale, scale)
     assert _same_bits(m.yt, (y[:, 0] - shift) / scale)
@@ -794,8 +808,7 @@ def test_fantasize_equals_refit():
         x_new = rng.uniform(-2, 2, size=x.shape[1])
         y_new = float(rng.normal())
         fast = fantasize(m, x_new, y_new)
-        slow = fit(np.vstack([x, x_new]), np.append(y, y_new), h,
-                   input_space=unit_box(h.dim))
+        slow = refit_under(m, np.vstack([x, x_new]), np.append(y, y_new))
         q = rng.uniform(-2, 2, size=(6, x.shape[1]))
         mf, vf = predict_batch(fast, q)
         ms, vs = predict_batch(slow, q)
@@ -850,8 +863,9 @@ def test_every_model_origin_keeps_an_f_ordered_factor(monkeypatch):
 
 
 def _fantasy_and_refits(monkeypatch, noise, x_new):
-    """``fantasize`` on two points at ``noise``, the refit on the three, and
-    how many factorizations ``fantasize`` made."""
+    """``fantasize`` on two points at ``noise``, the refit on the three under
+    the two-point model's shift and scale, and how many factorizations
+    ``fantasize`` made."""
     refits = []
     assemble = gp._assemble
     monkeypatch.setattr(gp, "_assemble", lambda *a: refits.append(a) or assemble(*a))
@@ -861,8 +875,7 @@ def _fantasy_and_refits(monkeypatch, noise, x_new):
     refits.clear()
     fast = fantasize(m, np.array([x_new]), 1.0)
     made = len(refits)
-    slow = fit(np.vstack([x, [[x_new]]]), np.array([0.0, 1.0, 1.0]), h,
-               input_space=unit_box(h.dim))
+    slow = refit_under(m, np.vstack([x, [[x_new]]]), [0.0, 1.0, 1.0])
     return fast, slow, made
 
 
@@ -1014,7 +1027,7 @@ def test_refit_improves_or_keeps_nlml():
     prior = learner_prior(2)
     h2 = refit(x, y, init, input_space=space, restarts=2, rng=rng,
                bounds=learner_bounds(2), prior=prior)
-    m = fit(x, y, init, input_space=space, standardize=True)
+    m = fit(x, y, init, input_space=space)
     v1 = map_objective(m.xt, m.yt, init, prior)
     v2 = map_objective(m.xt, m.yt, h2, prior)
     assert v2 <= v1 + 1e-12
@@ -1035,7 +1048,7 @@ def test_refit_on_data_equals_the_search_on_a_fitted_models_data(seed, monkeypat
     d = x.shape[1]
     space = SearchSpace(np.full(d, -2.0), np.full(d, 2.0))
     kw = dict(restarts=2, bounds=learner_bounds(d), prior=learner_prior(d))
-    m = fit(x, y, init, input_space=space, standardize=True)
+    m = fit(x, y, init, input_space=space)
     expected = _optimize_hyperparams_minimize(m.xt, m.yt, m.hyperparams,
                                               rng=np.random.default_rng(seed), **kw)
     monkeypatch.setattr(gp, "factor_with_jitter", None)
@@ -1080,7 +1093,7 @@ def _models_of_every_origin(seed):
     x, y, h = random_instance(rng, n=int(rng.integers(2, 40)),
                               d=int(rng.integers(1, 5)))
     space = SearchSpace(x.min(axis=0) - 0.5, x.max(axis=0) + 0.5)
-    fitted = fit(x, y, h, input_space=space, standardize=True)
+    fitted = fit(x, y, h, input_space=space)
     ens = fit_shared_inputs(x, np.column_stack([y, -2.0 * y + 1.0]), h,
                             input_space=space)
     empty = fit(np.zeros((0, h.dim)), np.zeros(0), h, input_space=unit_box(h.dim))
@@ -1181,9 +1194,9 @@ def test_predict_batch_equals_the_allocating_path_bit_for_bit(n, m, d, origin, s
     if origin == "fit":
         model = fit(x, y, h, input_space=unit_box(h.dim))
     elif origin == "fit scaled":
-        model = fit(x, y, h, input_space=space, standardize=True)
+        model = fit(x, y, h, input_space=space)
     elif origin == "fantasize":
-        model = fantasize(fit(x, y, h, input_space=space, standardize=True),
+        model = fantasize(fit(x, y, h, input_space=space),
                           rng.uniform(-2, 2, size=d), 0.3)
     else:
         ens = fit_shared_inputs(x, np.column_stack([y, 1.0 - 2.0 * y]), h,

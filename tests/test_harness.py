@@ -613,6 +613,57 @@ def test_cli_refuses_a_float_seed_before_anything_runs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
+@pytest.mark.parametrize("field", ["kappa", "creps_epsilon"])
+def test_learner_weights_must_be_real_numbers(field, value):
+    # a bool used to run as 0 or 1 and be written to runs.json as a bool,
+    # and a string died on a bare TypeError
+    with pytest.raises(ContractError, match=f"^{field} must be a real number"):
+        LearnerConfig(**{field: value})
+    for number in (2, 0.25, np.int64(2), np.float64(0.25), np.float32(0.5)):
+        assert getattr(LearnerConfig(**{field: number}), field) is number
+
+
+@pytest.mark.parametrize("algorithm, field", [("bo-fcps", "kappa"),
+                                              ("c-reps", "creps_epsilon")])
+def test_cli_refuses_a_bool_learner_weight_before_anything_runs(
+        algorithm, field, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "episodes": 12, "evaluation_period": 6, "seeds": [0], "grid_shape": [2, 2],
+        "learner": {"algorithm": algorithm, "creps_period": 6, field: True}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ContractError" and f"{field} must be a real number" in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, entries, named", [
+    ("seeds", (0, 0), "0"), ("seeds", (3, 1, np.int64(3)), "3"),
+    ("algorithms", ("c-reps", "bo-cps", "c-reps"), "'c-reps'")])
+def test_a_repeated_seed_or_tag_is_refused(field, entries, named):
+    # a repeated seed ran twice and counted as two seeds in summary.csv, and
+    # a repeated tag wrote two runs.json entries for one tag
+    with pytest.raises(ContractError, match=f"^{field} repeats {named}$"):
+        tiny_config(**{field: entries})
+
+
+@pytest.mark.parametrize("command, key, entries", [
+    ("run", "seeds", [0, 0]), ("study", "algorithms", ["c-reps", "c-reps"])])
+def test_cli_refuses_a_repeated_seed_or_tag_before_anything_runs(
+        command, key, entries, tmp_path, capsys):
+    config = {"episodes": 12, "evaluation_period": 6, "seeds": [0],
+              "grid_shape": [2, 2], "learner": {"algorithm": "c-reps", "creps_period": 6}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(config, **{key: entries})))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ContractError" and f"{key} repeats" in err["error"]
+    assert not out.exists()
+
+
 def test_cli_bare_study_on_the_active_cannon_compares_the_active_pair(tmp_path, capsys):
     # the passive default set holds bo-fcps-her, which the active cannon
     # refuses; a bare study there compares aces and faces

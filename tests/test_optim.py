@@ -992,7 +992,7 @@ def _ucb_on_a_model(seed: int):
     x = space.sample_uniform(25, rng)
     y = np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2]
     model = gp.fit(x, y, gp.KernelHyperparams(1.0, [0.5, 1.0, 0.3], 1e-3),
-                   input_space=space, standardize=True)
+                   input_space=space)
 
     def ucb(pts):
         mean, var = gp.predict_batch(model, pts)

@@ -365,6 +365,15 @@ def test_ballistic_free_fall_lands_below():
     assert np.allclose(landing, [0.3, -0.1], atol=1e-12)
 
 
+@pytest.mark.parametrize("height", [0.0, -0.0, -1e-300, -0.5])
+def test_ballistic_release_at_or_below_the_ground_lands_where_it_is(height):
+    # no flight: the landing is the release point's (axis 0, axis 2),
+    # whatever the velocity, an upward one included
+    for velocity in ([1.0, 2.0, -0.5], [0.3, -1.0, 0.7], [0.0, 0.0, 0.0]):
+        landing = ballistic_landing([0.4, height, -0.2], velocity, 9.81)
+        assert landing.tolist() == [0.4, -0.2]
+
+
 def test_ballistic_horizontal_throw_oracle():
     landing = ballistic_landing([0.0, 1.0, 0.0], [1.0, 0.0, 0.0], 9.81)
     assert landing[0] == pytest.approx(math.sqrt(2.0 / 9.81), abs=1e-9)

@@ -176,7 +176,7 @@ def test_no_package_module_reads_another_modules_private_names():
 
 # ROADMAP.md's design-quality aim tracks this count; a new option has to
 # raise the bound here, in plain sight
-SETTABLE_VALUES_AT_MOST = 29
+SETTABLE_VALUES_AT_MOST = 28
 
 
 def settable_values(sources: dict[str, str]) -> int:
