@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import fmin_l_bfgs_b
 from scipy.special import logsumexp, softmax
 
 from . import gp, optim
@@ -323,26 +322,17 @@ def creps_update(contexts, params, rewards, policy: CrepsPolicy,
         raise ContractError("epsilon must be positive")
 
     lo, hi = _ETA_BOUNDS
-    bounds = [(np.log(lo), np.log(hi))] + [(-_V_BOUND, _V_BOUND)] * features.shape[1]
-    solved = {}  # the dual over (log eta, v) by the point's bytes: one solve each
+    k = features.shape[1]
 
-    def dual(x):
-        key = x.tobytes()
-        if key not in solved:
-            eta = np.exp(x[0])
-            value, grad = creps_dual(eta, x[1:], features, rewards, epsilon)
-            grad[0] *= eta  # chain rule through the log parameterization
-            solved[key] = value, grad
-        return solved[key]
+    def dual(x):  # over (log eta, v)
+        eta = np.exp(x[0])
+        value, grad = creps_dual(eta, x[1:], features, rewards, epsilon)
+        grad[0] *= eta  # chain rule through the log parameterization
+        return value, grad
 
-    # L-BFGS-B from x0, its end point clipped to the box and kept only if it
-    # is finite and no worse than x0
-    x0 = np.concatenate([[np.log(np.clip(np.std(rewards), 1.0, hi / 10))],
-                         np.zeros(features.shape[1])])
-    end, _, _ = fmin_l_bfgs_b(dual, x0, bounds=bounds, m=10, maxiter=200)
-    end = np.clip(end, *zip(*bounds))
-    end_value = dual(end)[0]
-    best = end if np.isfinite(end_value) and end_value <= dual(x0)[0] else x0
+    x0 = np.concatenate([[np.log(np.clip(np.std(rewards), 1.0, hi / 10))], np.zeros(k)])
+    best, _ = optim.lbfgs_minimize(dual, x0, np.r_[np.log(lo), np.full(k, -_V_BOUND)],
+                                   np.r_[np.log(hi), np.full(k, _V_BOUND)], max_iters=200)
     eta, v = float(np.exp(best[0])), best[1:]
     weights = _dual_weights(eta, v, features, rewards)
 
@@ -352,20 +342,16 @@ def creps_update(contexts, params, rewards, policy: CrepsPolicy,
 
     # numerical dual solutions can overshoot the bound slightly; raising the
     # temperature with v fixed restores it (weights flatten as eta grows)
+    def over(eta):
+        return _empirical_kl(_dual_weights(eta, v, features, rewards)) > epsilon
+
     if _empirical_kl(weights) > epsilon:
         eta_hi = eta
-        while _empirical_kl(_dual_weights(eta_hi, v, features, rewards)) > epsilon:
+        while over(eta_hi):
             eta_hi *= 2.0
             if eta_hi > hi:
                 break
-        eta_lo = eta_hi / 2.0
-        for _ in range(60):
-            mid = 0.5 * (eta_lo + eta_hi)
-            if _empirical_kl(_dual_weights(mid, v, features, rewards)) > epsilon:
-                eta_lo = mid
-            else:
-                eta_hi = mid
-        eta = eta_hi
+        eta = optim.bisect(over, eta_hi / 2.0, eta_hi)[1]
         weights = _dual_weights(eta, v, features, rewards)
 
     # weighted maximum-likelihood refit of the linear-Gaussian policy

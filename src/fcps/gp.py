@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import fmin_l_bfgs_b
 
+from . import optim
 from .errors import ContractError, NumericalError
 from .optim import SearchSpace
 
@@ -424,10 +424,9 @@ def refit(inputs, targets, init: KernelHyperparams, *, input_space: SearchSpace,
     if np.any(p_sd <= 0.0):
         raise ContractError("prior widths must be positive")
     sq_diffs = _squared_differences(xt)
-    # nlml by the hyperparameters' bits: the init point, L-BFGS-B's first
-    # call at the same point and the re-score of an end point would
-    # otherwise repeat a call.  Log-vectors a bit apart can map to the same
-    # hyperparameters, so the prior term is added per call.
+    # nlml by the hyperparameters' bits, the prior term added per call:
+    # log-vectors a bit apart, such as an end point and its re-score
+    # through the hyperparameters, can map to the same hyperparameters
     scores: dict[tuple, tuple[float, np.ndarray]] = {}
 
     def objective(logv):
@@ -448,9 +447,8 @@ def refit(inputs, targets, init: KernelHyperparams, *, input_space: SearchSpace,
     best_val, _ = objective(init.as_log_vector())
     best = init
     for s in starts:
-        # the objective returns (value, gradient), as minimize's jac=True
-        x, _, _ = fmin_l_bfgs_b(objective, s, bounds=bounds, m=10, maxiter=200)
-        cand = KernelHyperparams.from_log_vector(np.clip(x, lo, hi))
+        cand = KernelHyperparams.from_log_vector(
+            optim.lbfgs_minimize(objective, s, lo, hi, max_iters=200)[0])
         val, _ = objective(cand.as_log_vector())
         if val < best_val:
             best_val, best = val, cand

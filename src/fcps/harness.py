@@ -113,8 +113,14 @@ class ExperimentConfig:
     learner: LearnerConfig = field(default_factory=LearnerConfig)
 
     def __post_init__(self):
-        if self.environment not in ENVIRONMENTS:
+        if not isinstance(self.environment, str) or self.environment not in ENVIRONMENTS:
             raise ContractError(f"unknown environment id {self.environment!r}")
+        # a JSON config can give a list empty, or as a number or a string
+        for name in ("seeds", "grid_shape", "algorithms"):
+            value = getattr(self, name)
+            if (value is not None or name != "algorithms") \
+                    and not (isinstance(value, (list, tuple)) and value):
+                raise ContractError(f"{name} must be a non-empty list")
         require_integers(
             episodes=self.episodes, evaluation_period=self.evaluation_period,
             master_seed=self.master_seed, environment_seed=self.environment_seed,
@@ -124,8 +130,6 @@ class ExperimentConfig:
             raise ContractError("episode budget must be at least 1")
         if self.evaluation_period < 1:
             raise ContractError("evaluation period must be at least 1")
-        if not self.seeds:
-            raise ContractError("seed list must not be empty")
         if len(self.grid_shape) != 2 or min(self.grid_shape) < 1:
             raise ContractError("grid shape must be two positive integers")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -358,6 +362,8 @@ def generalization_study(config: ExperimentConfig) -> dict:
     grid = evaluation_grid(environment, config.grid_shape)
     seen = [c for c in grid if in_seen_quadrant(c.target)]
     unseen = [c for c in grid if not in_seen_quadrant(c.target)]
+    if not seen or not unseen:
+        raise ContractError(f"grid {config.grid_shape} leaves the seen or the unseen half empty")
     # only the final grid is reported, so the seeds train without periodic
     # evaluations: greedy evaluation draws no learner randomness, and the
     # greedy fit a learner keeps equals a fresh fit bit for bit, so the

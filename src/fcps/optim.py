@@ -11,10 +11,11 @@ rectangle's levels, so its half-diagonal, size-class key and whether it can
 still be split are read from tables by count, built once per dimension.
 Each iteration scans the rows once for every size class's best splittable
 rectangle, reads the classes in size order and runs the slope test over
-those few.  The local stage calls scipy's bounded L-BFGS with central
-finite differences (step rows built from Python floats) and scores each
-point it visits once.  Both stages take one kind of objective, a batch: it
-maps an (m, d) array of points to an (m,) float array.
+those few.  The local stage runs ``lbfgs_minimize`` with central finite
+differences (step rows built from Python floats).  Both stages take one
+kind of objective, a batch: it maps an (m, d) array of points to an (m,)
+float array.  ``lbfgs_minimize``, the package's one bounded L-BFGS-B, and
+``bisect``, its one bracket bisection, serve the other modules too.
 """
 
 from __future__ import annotations
@@ -314,6 +315,44 @@ def _central_gradient(batch_f, x: np.ndarray, space: SearchSpace) -> np.ndarray:
                      for i, denom in enumerate(denoms)])
 
 
+def lbfgs_minimize(fun, x0, lower, upper, *, max_iters: int):
+    """scipy's bounded L-BFGS-B (m=10) from ``x0`` on ``fun``, which maps a
+    point to ``(value, gradient)`` and is called once per point.  Returns
+    ``(x, value)``: the end point clipped to the box, or ``x0`` where the
+    end scores worse than it or not finite."""
+    scores: dict[bytes, tuple[float, np.ndarray]] = {}
+
+    def scored(x):
+        key = x.tobytes()
+        if key not in scores:
+            scores[key] = fun(x)
+        return scores[key]
+
+    f0 = scored(x0)[0]
+    # value and gradient apart: scipy wraps a function returning both at more cost
+    end, _, _ = fmin_l_bfgs_b(lambda x: scored(x)[0], x0, fprime=lambda x: scored(x)[1].copy(),
+                              bounds=list(zip(lower.tolist(), upper.tolist())),
+                              m=10, maxiter=max_iters)
+    end = np.clip(end, lower, upper)
+    value = scored(end)[0]
+    if not np.isfinite(value) or value > f0:
+        return x0, f0
+    return end, value
+
+
+def bisect(below, lo: float, hi: float) -> tuple[float, float]:
+    """The bracket ``(lo, hi)`` halved, at most 100 times, until a step would
+    leave it unchanged: a midpoint where ``below`` holds becomes ``lo``,
+    any other ``hi``."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        side = below(mid)
+        if mid == (lo if side else hi):
+            break
+        lo, hi = (mid, hi) if side else (lo, mid)
+    return lo, hi
+
+
 def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int):
     """Bounded L-BFGS ascent from ``x0`` on the batch objective ``f``, its
     gradient by central differences; never returns a worse point.
@@ -326,30 +365,10 @@ def lbfgs_refine(f, space: SearchSpace, x0, *, max_iters: int):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (space.dim,):
         raise ContractError("x0 dimension does not match the search space")
-    x0 = space.clip(x0)
-    # single-point scores by the point's bytes: f0, scipy's first call at
-    # x0 and the re-score of its end point would otherwise repeat a call
-    scores: dict[bytes, float] = {}
-
-    def score(x: np.ndarray) -> float:
-        key = x.tobytes()
-        if key not in scores:
-            scores[key] = float(f(x[None, :])[0])
-        return scores[key]
-
-    f0 = score(x0)
-
-    # scipy's direct entry to the solver that minimize(method="L-BFGS-B")
-    # runs, with the same defaults and without minimize's bound conversions
-    res_x, _, _ = fmin_l_bfgs_b(lambda x: -score(x), x0,
-                                fprime=lambda x: -_central_gradient(f, x, space),
-                                bounds=list(zip(space.lower.tolist(), space.upper.tolist())),
-                                m=10, maxiter=max_iters)
-    x = space.clip(res_x)
-    val = score(x)
-    if not np.isfinite(val) or val < f0:
-        return x0, f0
-    return x, val
+    x, value = lbfgs_minimize(
+        lambda x: (-float(f(x[None, :])[0]), -_central_gradient(f, x, space)),
+        space.clip(x0), space.lower, space.upper, max_iters=max_iters)
+    return x, -value
 
 
 def check_direct_evals(direct_evals: int, space: SearchSpace) -> None:

@@ -19,9 +19,9 @@ constants; the worlds' ``replay_metadata`` records gravity, launch noise
 and the clock.  Every DMP starts at rest.
 
 A hill is four floats.  A cannon landing is found by a vectorized scan
-of the arc on a 0.01 time grid, then bisection on Python floats up to
-its fixed point, the first step that leaves the bracket unchanged (about
-45 steps, at most 100), which equals 100 bisection steps bit for bit.
+of the arc on a 0.01 time grid, then ``optim.bisect`` on Python floats up
+to its fixed point, the first step that leaves the bracket unchanged
+(about 45 steps, at most 100), which equals 100 bisection steps bit for bit.
 
 A DMP's forcing term depends only on the phase and the shape weights, and
 an RK4 run visits 2n+1 phases, so it is computed once per run as a phase
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError
-from .optim import SearchSpace
+from .optim import SearchSpace, bisect
 
 # cannon boxes: theta = (alpha, beta, v), targets on the ground plane
 CANNON_PARAM_SPACE = SearchSpace(
@@ -177,20 +177,8 @@ def _first_landing_time(world: CannonWorld, vel: np.ndarray) -> float:
             raise ContractError("ballistic arc never re-enters the terrain")
         first = int(np.argmax(below))
         hi = float(grid[first])
-    lo = max(hi - _LANDING_DT, 0.0)
-    # the set {t: arc above ground} starts at 0+, so bisect its boundary;
-    # a step that moves neither end would repeat forever, so the result is
-    # that of all 100 steps
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            if mid == lo:
-                break
-            lo = mid
-        else:
-            if mid == hi:
-                break
-            hi = mid
+    # the set {t: arc above ground} starts at 0+, so bisect its boundary
+    lo, hi = bisect(lambda t: gap(t) > 0.0, max(hi - _LANDING_DT, 0.0), hi)
     t_land = 0.5 * (lo + hi)
     if abs(gap(t_land)) > 1e-8:
         raise ContractError("landing refinement failed to meet tolerance")

@@ -809,6 +809,56 @@ def test_creps_update_solves_the_dual_as_before_with_one_solve_per_point(
     assert len(set(solved)) == len(solved) > 1
 
 
+def _kl_repair_as_before(eta, v, features, rewards, epsilon):
+    """``creps_update``'s KL repair as it was with a fixed 60 bisection
+    steps, verbatim: the oracle for its bits."""
+    hi = algorithms._ETA_BOUNDS[1]
+    _dual_weights, _empirical_kl = algorithms._dual_weights, algorithms._empirical_kl
+    eta_hi = eta
+    while _empirical_kl(_dual_weights(eta_hi, v, features, rewards)) > epsilon:
+        eta_hi *= 2.0
+        if eta_hi > hi:
+            break
+    eta_lo = eta_hi / 2.0
+    for _ in range(60):
+        mid = 0.5 * (eta_lo + eta_hi)
+        if _empirical_kl(_dual_weights(mid, v, features, rewards)) > epsilon:
+            eta_lo = mid
+        else:
+            eta_hi = mid
+    return eta_hi
+
+
+def test_kl_repair_equals_the_sixty_step_loop(monkeypatch):
+    solve, solutions, repaired = algorithms.optim.lbfgs_minimize, [], 0
+
+    def recorded(*args, **kwargs):
+        x, value = solve(*args, **kwargs)
+        solutions.append(x)
+        return x, value
+
+    monkeypatch.setattr(algorithms.optim, "lbfgs_minimize", recorded)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        context_dim, theta_dim = int(rng.integers(0, 3)), int(rng.integers(1, 4))
+        n = algorithms.creps_feature_dim(context_dim) + 1 + int(rng.integers(0, 30))
+        contexts, params, rewards = random_batch(n, context_dim, theta_dim, seed)
+        rewards *= rng.uniform(0.1, 10.0)
+        epsilon = float(rng.choice([0.1, 0.5, 2.0]))
+        policy = CrepsPolicy.initial(context_dim, SearchSpace(np.zeros(theta_dim),
+                                                               np.ones(theta_dim)))
+        _, info = creps_update(contexts, params, rewards, policy, epsilon)
+        eta, v = float(np.exp(solutions[-1][0])), solutions[-1][1:]
+        features = creps_features(contexts)
+        if algorithms._empirical_kl(algorithms._dual_weights(eta, v, features, rewards)) \
+                > epsilon:
+            repaired += 1
+            assert info["eta"] == _kl_repair_as_before(eta, v, features, rewards, epsilon)
+        else:
+            assert info["eta"] == eta
+    assert repaired >= 10
+
+
 def test_equal_rewards_give_uniform_weights_and_ols_fit():
     rng = np.random.default_rng(5)
     contexts = rng.uniform(-1, 1, (12, 2))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize as _scipy_minimize
 
-from fcps import gp
+from fcps import gp, optim
 from fcps.algorithms import _hyperparam_bounds as learner_bounds
 from fcps.algorithms import _hyperparam_prior as learner_prior
 from fcps.errors import ContractError, NumericalError
@@ -584,23 +584,23 @@ def test_optimize_hyperparams_scores_each_point_once(monkeypatch, n, d, box, see
         scored.append(np.r_[h.signal_variance, h.lengthscales, h.noise_variance].tobytes())
         return nlml(inputs, targets, h, sq_diffs=sq_diffs)
 
-    lbfgs = gp.fmin_l_bfgs_b
+    lbfgs = optim.fmin_l_bfgs_b
     repeats = []
 
-    def vandalized(func, x0, **options):
-        # every gradient the objective hands out is overwritten once read;
+    def vandalized(func, x0, *, fprime, **options):
+        # every gradient the search hands out is overwritten once read;
         # asking again at the same point must still give the true one
-        def objective(logv):
-            value, grad = func(logv)
+        def gradient(logv):
+            value, grad = func(logv), fprime(logv)
             kept = grad.copy()
             grad[:] = np.nan
-            again_value, again = func(logv)
-            repeats.append(again_value == value and again.tobytes() == kept.tobytes())
-            return again_value, again
-        return lbfgs(objective, x0, **options)
+            again = fprime(logv)
+            repeats.append(func(logv) == value and again.tobytes() == kept.tobytes())
+            return again
+        return lbfgs(func, x0, fprime=gradient, **options)
 
     monkeypatch.setattr(gp, "nlml", recorded)
-    monkeypatch.setattr(gp, "fmin_l_bfgs_b", vandalized)
+    monkeypatch.setattr(optim, "fmin_l_bfgs_b", vandalized)
     got = refit(x, y, init, input_space=space, rng=np.random.default_rng(seed), **kw)
     want = _optimize_hyperparams_minimize(xt, yt, init, rng=np.random.default_rng(seed),
                                           **kw)

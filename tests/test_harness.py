@@ -262,6 +262,17 @@ def test_generalization_report_shape():
         report["seen_mean"] - report["unseen_mean"], abs=1e-12)
 
 
+def test_generalization_study_refuses_a_grid_with_an_empty_half(monkeypatch):
+    # a 1x1 grid scored offline_eval over no contexts: NaN means, after
+    # every seed had trained
+    ran = []
+    monkeypatch.setattr(harness, "_run_one_seed", lambda *args: ran.append(args))
+    with pytest.raises(ContractError, match="empty"):
+        generalization_study(tiny_config(episodes=5, evaluation_period=5,
+                                         grid_shape=(1, 1)))
+    assert ran == []
+
+
 def _generalization_study_with_periodic_evaluations(config):
     """``generalization_study`` as it was when each seed also ran, and
     discarded, the periodic grid evaluations; the oracle for the study."""
@@ -661,6 +672,24 @@ def test_cli_refuses_a_repeated_seed_or_tag_before_anything_runs(
     assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "ContractError" and f"{key} repeats" in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("algorithms", []), ("seeds", 5), ("grid_shape", 3), ("environment", ["cannon"]),
+    ("algorithms", "c-reps")])
+def test_cli_refuses_an_empty_or_untyped_list_before_anything_runs(
+        key, value, tmp_path, capsys):
+    # an empty comparison set ran the learner's own tag alone, and a number
+    # or list where the other type belongs died on a bare TypeError
+    config = {"episodes": 12, "evaluation_period": 6, "seeds": [0],
+              "grid_shape": [2, 2], "learner": {"algorithm": "c-reps", "creps_period": 6}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(config, **{key: value})))
+    out = tmp_path / "out"
+    assert cli.main(["study", "--config", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "ContractError" and key in err["error"]
     assert not out.exists()
 
 

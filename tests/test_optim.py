@@ -247,6 +247,86 @@ def test_lbfgs_checks_the_start_shape_before_clipping():
 
 
 # ---------------------------------------------------------------------------
+# the shared L-BFGS-B and bisection
+# ---------------------------------------------------------------------------
+
+
+def _counted(fun):
+    """``fun``, recording the bytes of every point it scores."""
+    seen = []
+
+    def recorded(x):
+        seen.append(x.tobytes())
+        return fun(x)
+    return recorded, seen
+
+
+def _bowl(center):
+    center = np.asarray(center, dtype=float)
+    return lambda x: (float(np.sum((x - center) ** 2)), 2.0 * (x - center))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 4), seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["bowl", "kinked", "ridge"]), max_iters=st.integers(1, 30))
+def test_lbfgs_minimize_never_returns_a_worse_point_and_scores_each_point_once(
+        dim, seed, kind, max_iters):
+    rng = np.random.default_rng(seed)
+    lower, upper = -rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim)
+    center = rng.uniform(-3.0, 3.0, dim)
+    fun = {"bowl": _bowl(center),
+           "kinked": lambda x: (float(np.sum(np.abs(x - center))), np.sign(x - center)),
+           "ridge": lambda x: (-float(np.cos(3.0 * x).sum()), 3.0 * np.sin(3.0 * x))}[kind]
+    recorded, seen = _counted(fun)
+    x0 = rng.uniform(lower, upper)
+    x, value = optim.lbfgs_minimize(recorded, x0, lower, upper, max_iters=max_iters)
+    assert np.all((lower <= x) & (x <= upper))
+    assert value == fun(x)[0] <= fun(x0)[0]
+    assert len(seen) == len(set(seen)) and seen[0] == x0.tobytes()
+
+
+def test_lbfgs_minimize_clips_the_end_and_keeps_a_finite_start(monkeypatch):
+    lower, upper = np.zeros(2), np.ones(2)
+    ends = iter([np.array([1.5, -0.25]), np.array([0.5, 0.5])])
+    monkeypatch.setattr(optim, "fmin_l_bfgs_b", lambda fun, x0, **kw: (next(ends), 0.0, {}))
+    x0 = np.array([0.75, 0.75])
+    x, value = optim.lbfgs_minimize(_bowl([2.0, -1.0]), x0, lower, upper, max_iters=5)
+    assert x.tolist() == [1.0, 0.0] and value == 2.0
+
+    def holes(x):
+        return np.nan if x[0] == 0.5 else 1.0, np.zeros(2)
+
+    # a non-finite end gives the start back, with the start's value
+    x, value = optim.lbfgs_minimize(holes, x0, lower, upper, max_iters=5)
+    assert x.tolist() == x0.tolist() and value == 1.0
+
+
+def _bisect_fixed_steps(below, lo, hi):
+    """Bisection of ``(lo, hi)`` for 100 steps, never stopping early."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@settings(max_examples=300)
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(0.0, 1e6), frac=st.floats(-0.5, 1.5),
+       strict=st.booleans())
+def test_bisect_equals_the_fixed_step_loop_on_monotone_predicates(lo, width, frac, strict):
+    hi = lo + width
+    edge = lo + frac * width
+
+    def below(t):
+        return t < edge if strict else t <= edge
+    got = optim.bisect(below, lo, hi)
+    want = _bisect_fixed_steps(below, lo, hi)
+    assert [v.hex() for v in map(float, got)] == [v.hex() for v in map(float, want)]
+
+
+# ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
 

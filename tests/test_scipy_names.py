@@ -1,9 +1,11 @@
-"""The package uses scipy through its public names only.
+"""The package uses scipy through its public names only, and its
+searches through ``fcps.optim`` only.
 
 A private scipy module or name (one with a leading underscore anywhere in
 its dotted path) can change or vanish in any scipy release, so
 ``src/fcps`` may not import one, reach one through an attribute, or name
-one in a string.
+one in a string.  ``optim`` holds the package's one bounded L-BFGS-B, so no
+other module reaches ``scipy.optimize``.
 """
 
 import ast
@@ -89,3 +91,49 @@ def test_the_scan_passes_public_names(source):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_the_package_uses_no_private_scipy_name(path):
     assert private_scipy_names(path.read_text()) == []
+
+
+def scipy_optimize_uses(source: str) -> list[str]:
+    """Every import, attribute or string in ``source`` that reaches
+    ``scipy.optimize``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("scipy.optimize")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+            found += [n for n in names if n.startswith("scipy.optimize")]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "scipy.optimize":
+            found.append("scipy.optimize")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.startswith("scipy.optimize"):
+            found.append(node.value)
+    return found
+
+
+@pytest.mark.parametrize("source", [
+    "from scipy.optimize import fmin_l_bfgs_b",
+    "from scipy.optimize import minimize as m",
+    "import scipy.optimize",
+    "import scipy.optimize as opt",
+    "from scipy import optimize",
+    "import scipy\nscipy.optimize.brentq",
+    "import importlib\nimportlib.import_module('scipy.optimize')",
+])
+def test_the_scan_finds_scipy_optimize(source):
+    assert scipy_optimize_uses(source)
+
+
+@pytest.mark.parametrize("source", [
+    "from scipy.special import logsumexp",
+    "from scipy.linalg import lapack",
+    "from .optim import lbfgs_minimize",
+    "from . import optim\noptim.bisect",
+])
+def test_the_scan_passes_other_scipy_modules(source):
+    assert scipy_optimize_uses(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_optim_reaches_scipy_optimize(path):
+    assert bool(scipy_optimize_uses(path.read_text())) == (path.name == "optim.py")
