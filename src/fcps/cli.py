@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import algorithms, harness
+from . import THREAD_VARS, algorithms, harness
 from .errors import ContractError, NumericalError
 
 
@@ -102,8 +103,9 @@ def _cmd_replay(args) -> int:
                  and _same_bits(fresh.offline_rewards, stored.offline_rewards))
         all_match &= match
         report.append({"algorithm": config.algorithm, "match": match})
-    print(json.dumps({"command": "replay", "match": all_match,
-                      "runs": report}))
+    # the bits depend on the BLAS thread count, so a mismatch names it
+    threads = {} if all_match else {"threads": {v: os.environ.get(v) for v in THREAD_VARS}}
+    print(json.dumps({"command": "replay", "match": all_match, "runs": report, **threads}))
     return 0 if all_match else 1
 
 
@@ -113,15 +115,11 @@ def main(argv=None) -> int:
     handlers = {"run": _cmd_run, "study": _cmd_study, "replay": _cmd_replay}
     try:
         return handlers[args.command](args)
-    except (ContractError, NumericalError) as err:
+    except (ContractError, NumericalError, OSError, json.JSONDecodeError,
+            KeyError, TypeError, ValueError) as err:
         print(json.dumps({"error": str(err), "kind": type(err).__name__}),
               file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            ValueError) as err:
-        print(json.dumps({"error": str(err), "kind": type(err).__name__}),
-              file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, (ContractError, NumericalError)) else 1
 
 
 if __name__ == "__main__":

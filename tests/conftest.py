@@ -4,25 +4,14 @@ same examples on every run.
 Also the test helpers more than one module uses.
 """
 
-import os
-import sys
+import fcps  # noqa: F401  first, so its one-thread BLAS pin precedes numpy
+import numpy as np
+from hypothesis import settings
 
-# Result bits depend on the BLAS thread count, and the acceptance cache and
-# the learner pins were made with one thread.  The count is read when numpy
-# loads, so it is set before anything imports numpy; a value already in the
-# environment is kept, and tests/test_conftest.py fails unless it is "1".
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
-# whether numpy was loaded before this file ran, for that same test
-NUMPY_PRELOADED = "numpy" in sys.modules
-
-import numpy as np  # noqa: E402
-from hypothesis import settings  # noqa: E402
-
-from fcps.algorithms import LearnerConfig  # noqa: E402
-from fcps.gp import GpModel  # noqa: E402
-from fcps.harness import ExperimentConfig  # noqa: E402
-from fcps.optim import SearchSpace  # noqa: E402
+from fcps.algorithms import LearnerConfig
+from fcps.gp import GpModel
+from fcps.harness import ExperimentConfig
+from fcps.optim import SearchSpace
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")

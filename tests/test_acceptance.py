@@ -157,15 +157,16 @@ def _this_machine() -> dict:
             "scipy_lapack": build(scipy.show_config, "lapack")}
 
 
-# the cached runs.json studies, each with the last episode seed 0 replays
-# per tag where that falls short of the study's end: the passive studies
-# behind criteria 1, 2 and 5 replay in full; the active study behind
-# criterion 4 replays a prefix, as its aces seeds take minutes, and aces'
-# prefix holds two entropy-search selections past its 20-episode warm start
-FRESHNESS_STUDIES = {"study-default-150x10": (PASSIVE_STUDY, {}),
+# the cached runs.json studies, each with the last episodes seed 0 replays
+# to per tag where they are not just the study's end: the passive studies
+# behind criteria 1, 2 and 5 replay in full, and bo-fcps also to episode 60,
+# the evaluation criterion 1 reads; the active study behind criterion 4
+# replays a prefix, as its aces seeds take minutes, and aces' prefix holds
+# two entropy-search selections past its 20-episode warm start
+FRESHNESS_STUDIES = {"study-default-150x10": (PASSIVE_STUDY, {"bo-fcps": (60, 150)}),
                      "study-fcps-es": (ACQUISITION_STUDIES["es"], {}),
                      "study-fcps-random": (ACQUISITION_STUDIES["random"], {}),
-                     "study-active-100x10": (ACTIVE_STUDY, {"faces": 20, "aces": 22})}
+                     "study-active-100x10": (ACTIVE_STUDY, {"faces": (20,), "aces": (22,)})}
 
 
 def _stale(drifted: list[str]) -> str:
@@ -178,38 +179,40 @@ def _stale(drifted: list[str]) -> str:
 @pytest.mark.parametrize("study_id", FRESHNESS_STUDIES)
 def test_cached_study_is_fresh(study_id, announce):
     """Seed 0 of every tag in the cached study, run again through
-    ``harness.run`` up to its last replayed episode with one greedy
+    ``harness.run`` up to each of its replayed last episodes with one greedy
     evaluation, at the last evaluation point up to there, must repeat the
     cached online rewards up to there and that offline reward bit for bit.
     The check only reads the cache: a mismatch fails and names both
     machines, this one's BLAS thread count included."""
     runs_path = CACHE_DIR / study_id / "runs.json"
     entries = json.loads(runs_path.read_text(encoding="utf-8"))
-    config, prefixes = FRESHNESS_STUDIES[study_id]
+    config, lasts = FRESHNESS_STUDIES[study_id]
     keyed = [entry["config"] for entry in entries] == _expanded_dicts(config)
     drifted = [] if keyed else ["its configs are not the study's"]
-    replayed = []
+    replayed, short = [], False
     for cached_config, cached in load_results(runs_path) if keyed else ():
         tag = cached_config.algorithm
-        last = prefixes.get(tag, cached_config.episodes)
-        evaluated = max(e for e in cached.offline_episodes if e <= last)
-        fresh = run(replace(cached_config, seeds=(0,), episodes=last,
-                            evaluation_period=evaluated))
+        ends = lasts.get(tag, (cached_config.episodes,))
+        short |= max(ends) < cached_config.episodes
         row = cached_config.seeds.index(0)
-        column = [cached.offline_episodes.index(evaluated)]
-        if (fresh.online_rewards[0].tobytes()
-                != cached.online_rewards[row, :last].tobytes()
-                or fresh.offline_rewards[0].tobytes()
-                != cached.offline_rewards[row, column].tobytes()):
-            drifted.append(f"{tag} differs at seed 0")
-        replayed.append(f"{tag} to episode {last} with its evaluation at "
-                        f"{evaluated}")
+        for last in ends:
+            evaluated = max(e for e in cached.offline_episodes if e <= last)
+            fresh = run(replace(cached_config, seeds=(0,), episodes=last,
+                                evaluation_period=evaluated))
+            column = [cached.offline_episodes.index(evaluated)]
+            if (fresh.online_rewards[0].tobytes()
+                    != cached.online_rewards[row, :last].tobytes()
+                    or fresh.offline_rewards[0].tobytes()
+                    != cached.offline_rewards[row, column].tobytes()):
+                drifted.append(f"{tag} to episode {last} differs at seed 0")
+            replayed.append(f"{tag} to episode {last} with its evaluation at "
+                            f"{evaluated}")
     if drifted:
         detail = _stale(drifted)
     else:
         episodes = entries[0]["offline_episodes"]
         others = [seed for seed in entries[0]["config"]["seeds"] if seed != 0]
-        past = "the online rewards past those episodes, " if prefixes else ""
+        past = "the online rewards past those episodes, " if short else ""
         detail = (f"seed 0 repeats the cached online and offline rewards bit for "
                   f"bit: {', '.join(replayed)}; not compared: {past}the offline "
                   f"rewards at the other evaluation points of "

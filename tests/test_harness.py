@@ -529,7 +529,12 @@ def test_cli_replay_compares_bits(tmp_path, capsys, monkeypatch, stored, fresh,
     monkeypatch.setattr(harness, "run", lambda config: replace(
         result, offline_rewards=offline))
     assert cli.main(["replay", "--config", str(runs)]) == (0 if match else 1)
-    assert json.loads(capsys.readouterr().out)["match"] is match
+    report = json.loads(capsys.readouterr().out)
+    assert report["match"] is match
+    # a mismatch names the thread counts as this process saw them (conftest's
+    # import of fcps set them); a match adds nothing
+    assert report.get("threads") == (None if match else {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 
 def test_cli_overrides(tmp_path, capsys):
